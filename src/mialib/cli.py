@@ -35,6 +35,9 @@ def _load(path: str) -> SourceDocument:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: not UTF-8 text: byte {exc.start} "
+                        f"({exc.object[exc.start]:#04x}) {exc.reason}")
     try:
         doc = parse_document(text)
     except ParseError as exc:
@@ -56,7 +59,10 @@ def _load_valid(path: str) -> ModalAutomaton:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"{out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

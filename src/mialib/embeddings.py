@@ -9,7 +9,7 @@ refinement.
 from __future__ import annotations
 
 from .model import (DMTS, IA, MIA, Alphabet, ModalAutomaton,
-                    require_flavor, universal_id)
+                    StateNameCollisionError, require_flavor, universal_id)
 
 
 def embed_ia_to_dmts(p: ModalAutomaton) -> ModalAutomaton:
@@ -23,7 +23,9 @@ def embed_ia_to_dmts(p: ModalAutomaton) -> ModalAutomaton:
     actions = p.alphabet.actions
     inputs = p.alphabet.inputs
     u = universal_id(p.name)
-    assert u not in p.states
+    if u in p.states:
+        raise StateNameCollisionError(
+            f"{p.name} already has a state named {u}, the universal state")
 
     may = set(p.may)
     must = set(p.must)

@@ -100,6 +100,10 @@ def _lex(text: str) -> list[_Tok]:
 # ---------------------------------------------------------------------------
 # Parser
 
+# State names are parsed by recursive descent, two frames per parenthesis;
+# deeper input is refused before it can exhaust the interpreter's stack.
+MAX_NESTING = 200
+
 
 @dataclass
 class SourceDocument:
@@ -114,6 +118,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -155,7 +160,11 @@ class _Parser:
             self.next()
             sid = atom(tok.value)
         elif tok.kind == "punct" and tok.value == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"state name nested deeper than {MAX_NESTING} "
+                          "parentheses", tok)
             self.next()
+            self.depth += 1
             first = self.state_id()
             sep = self.next()
             if sep.kind == "punct" and sep.value == ",":
@@ -166,6 +175,7 @@ class _Parser:
                 sid = first
             else:
                 self.fail("expected ',' or ')' in state name", sep)
+            self.depth -= 1
         else:
             self.fail(f"expected state name, found {tok.value!r}", tok)
             raise AssertionError

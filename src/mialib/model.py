@@ -42,6 +42,14 @@ class FlavorMismatchError(MialibError):
     """An operator was applied to automata of the wrong flavor."""
 
 
+class StateNameCollisionError(MialibError):
+    """A freshly built state name coincides with an existing state."""
+
+
+class EmptiedMustError(MialibError):
+    """Deleting states emptied the target set of a must at a kept state."""
+
+
 class NotComposableError(MialibError):
     """Two automata share an action that is not an input/output match."""
 
@@ -546,7 +554,10 @@ def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
     if fresh & (p.states | q.states):
         p, q = _tag_states(p, "L"), _tag_states(q, "R")
         fresh = {combine(a, b) for a in p.states for b in q.states}
-        assert not (fresh & (p.states | q.states))
+        clash = fresh & (p.states | q.states)
+        if clash:
+            raise StateNameCollisionError(
+                f"combined state {min(clash)} is also an operand state")
     return p, q
 
 
@@ -582,7 +593,8 @@ def remove_states(aut: ModalAutomaton, dead: Iterable[StateId],
     """Delete states: drop transitions touching them and shrink must targets.
 
     A must whose target set empties out must have its source among the
-    deleted states as well; this is asserted rather than repaired.
+    deleted states as well; otherwise :class:`EmptiedMustError` is raised
+    rather than the must repaired.
     """
     dead = frozenset(dead)
     keep = aut.states - dead
@@ -592,7 +604,9 @@ def remove_states(aut: ModalAutomaton, dead: Iterable[StateId],
         if s not in keep:
             continue
         T2 = frozenset(T - dead)
-        assert T2, f"pruning emptied must {s} -{l}-> at a surviving state"
+        if not T2:
+            raise EmptiedMustError(
+                f"pruning emptied must {s} -{l}-> at a surviving state")
         must.add((s, l, T2))
     return ModalAutomaton(flavor=aut.flavor, name=name or aut.name,
                           alphabet=aut.alphabet, states=keep,

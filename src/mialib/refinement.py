@@ -13,11 +13,21 @@ violate one of the two defining clauses until the set is stable.
 
 For IA this coincides with alternating simulation because inputs are stored
 as singleton musts; for dMTS clause (ii) ranges over every action.
+
+The candidates are the pairs of states reachable from the two start states
+(the global scheme of Henzinger, Henzinger & Kopke, FOCS 1995).  Each side
+is numbered densely in the order of its canonical state text, so pairs are
+plain integers and transitions are per-state lists of integers; state ids
+reappear only in the witness and in the failure certificate.  Because the
+numbering follows text order, the elimination order, the witness and the
+certificate are the ones a checker over state ids sorted by text yields.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, ModalAutomaton,
                     StateId, reachable_states, require_flavor,
@@ -67,118 +77,169 @@ def _may_domain(flavor: str, outputs: frozenset[str]) -> frozenset[str] | None:
 
 
 class _Checker:
+    """Global elimination over densely numbered state pairs.
+
+    States are numbered by the rank of their canonical text and the pair
+    ``(p, q)`` is the integer ``p * nq + q``.  Rank order is text order, so
+    every integer sort below visits pairs, partners and citers in the order
+    a sort by state text would.
+    """
+
     def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
                  impl_state: StateId, spec_state: StateId):
-        self.impl = impl
-        self.spec = spec
-        self.domain = _may_domain(flavor, spec.alphabet.outputs)
-        self.spec_weak = weak_closure(spec)
-        self.root = (impl_state, spec_state)
+        domain = _may_domain(flavor, spec.alphabet.outputs)
+        spec_weak = weak_closure(spec)
         # Dependency closure from the roots is enough: eliminating a pair
         # outside it can never affect the verdict.
-        self.alive: set[Pair] = set()
-        for p in sorted(reachable_states(impl, impl_state)):
-            for q in sorted(reachable_states(spec, spec_state)):
-                self.alive.add((p, q))
-        self.elim_order: dict[Pair, int] = {}
-        self.elim_cause: dict[Pair, tuple[str, str]] = {}
-        self.cited: dict[Pair, set[Pair]] = {}
-        self.citers: dict[Pair, set[Pair]] = {}
+        self.impl_states = sorted(reachable_states(impl, impl_state))
+        self.spec_states = sorted(reachable_states(spec, spec_state))
+        p_index = {s: i for i, s in enumerate(self.impl_states)}
+        q_index = {s: i for i, s in enumerate(self.spec_states)}
+        self.nq = nq = len(self.spec_states)
+        self.root = p_index[impl_state] * nq + q_index[spec_state]
+
+        # Impl targets are stored as pair bases p2 * nq, ready to add q2.
+        self.impl_musts: list[dict[str, list[list[int]]]] = []
+        self.impl_mays: list[list[tuple[str, int]]] = []
+        labels: set[str] = set()
+        for p in self.impl_states:
+            musts: dict[str, list[list[int]]] = {}
+            for a, targets in impl.musts_from(p):
+                musts.setdefault(a, []).append([p_index[t] * nq for t in targets])
+            mays = [(alpha, p_index[p2] * nq) for alpha, p2 in impl.may_from(p)
+                    if domain is None or alpha in domain]
+            labels.update(alpha for alpha, _ in mays)
+            self.impl_musts.append(musts)
+            self.impl_mays.append(mays)
+
+        self.spec_musts: list[list[tuple[str, list[int]]]] = []
+        self.spec_hat: list[dict[str, list[int]]] = []
+        for q in self.spec_states:
+            self.spec_musts.append([(a, sorted(q_index[t] for t in targets))
+                                    for a, targets in spec.musts_from(q)])
+            self.spec_hat.append({
+                alpha: sorted(q_index[t] for t in spec_weak.weak_hat_succ(q, alpha))
+                for alpha in labels})
+
+        n = len(self.impl_states) * nq
+        self.alive = bytearray(b"\x01") * n
+        # 0 while alive, else the 1-based position in the elimination order.
+        self.elim_order = array("i", bytes(4 * n))
+        # Why a pair died: ("i", the unmatched spec must) or ("ii", the
+        # unmatched impl may), as entries of spec_musts and impl_mays.
+        self.elim_cause: dict[int, tuple[str, tuple]] = {}
+        # cited[x]: the partners x's last successful check relied on.
+        # citers[d] may keep pairs that no longer cite d; they are filtered
+        # out against cited when d dies.
+        self.cited: list[set[int] | None] = [None] * n
+        self.citers: list[set[int] | None] = [None] * n
 
     def run(self) -> None:
-        pending = sorted(self.alive, key=lambda pq: (pq[0].text, pq[1].text))
+        alive, cited, citers = self.alive, self.cited, self.citers
+        pending = range(len(alive))
         counter = 0
         while pending:
             batch, pending = pending, []
-            for pair in batch:
-                if pair not in self.alive:
+            for x in batch:
+                if not alive[x]:
                     continue
-                ok, cited, cause = self._check(pair)
-                if ok:
-                    self._record_citations(pair, cited)
+                cause, deps = self._check(x)
+                if cause is None:
+                    cited[x] = deps
+                    for d in deps:
+                        if citers[d] is None:
+                            citers[d] = {x}
+                        else:
+                            citers[d].add(x)
                     continue
                 counter += 1
-                self.alive.discard(pair)
-                self.elim_order[pair] = counter
-                self.elim_cause[pair] = cause
-                for citer in sorted(self.citers.pop(pair, ()),
-                                    key=lambda pq: (pq[0].text, pq[1].text)):
-                    if citer in self.alive:
-                        pending.append(citer)
+                alive[x] = 0
+                self.elim_order[x] = counter
+                self.elim_cause[x] = cause
+                if citers[x]:
+                    pending.extend(sorted(c for c in citers[x]
+                                          if alive[c] and x in cited[c]))
+                citers[x] = None
 
-    def _record_citations(self, pair: Pair, cited: set[Pair]) -> None:
-        for old in self.cited.get(pair, ()):
-            self.citers.get(old, set()).discard(pair)
-        self.cited[pair] = cited
-        for dep in cited:
-            self.citers.setdefault(dep, set()).add(pair)
-
-    def _check(self, pair: Pair) -> tuple[bool, set[Pair], tuple[str, str]]:
-        p, q = pair
-        cited: set[Pair] = set()
+    def _check(self, x: int) -> tuple[tuple[str, tuple] | None, set[int]]:
+        p, q = divmod(x, self.nq)
+        alive = self.alive
+        cited: set[int] = set()
         # clause (i): spec musts flow to impl musts.
-        for a, spec_targets in self.spec.musts_from(q):
-            matched = False
-            for b, impl_targets in self.impl.musts_from(p):
-                if b != a:
-                    continue
+        impl_musts = self.impl_musts[p]
+        for must in self.spec_musts[q]:
+            a, spec_targets = must
+            for impl_targets in impl_musts.get(a, ()):
                 picks = []
-                for p2 in impl_targets:
-                    choice = next((q2 for q2 in sorted(spec_targets)
-                                   if (p2, q2) in self.alive), None)
-                    if choice is None:
+                for base in impl_targets:
+                    for q2 in spec_targets:
+                        if alive[base + q2]:
+                            picks.append(base + q2)
+                            break
+                    else:
                         break
-                    picks.append((p2, choice))
                 else:
-                    matched = True
                     cited.update(picks)
                     break
-            if not matched:
-                tgt = "{" + ",".join(sorted(t.text for t in spec_targets)) + "}"
-                return False, cited, ("i", f"spec must {q} -{a}-> {tgt}")
+            else:
+                return ("i", must), cited
         # clause (ii): impl mays flow to weak spec mays.
-        for alpha, p2 in self.impl.may_from(p):
-            if self.domain is not None and alpha not in self.domain:
-                continue
-            choice = next((q2 for q2 in sorted(self.spec_weak.weak_hat_succ(q, alpha))
-                           if (p2, q2) in self.alive), None)
-            if choice is None:
-                return False, cited, ("ii", f"impl may {p} -{alpha}-> {p2}")
-            cited.add((p2, choice))
-        return True, cited, ("", "")
+        hat = self.spec_hat[q]
+        for may in self.impl_mays[p]:
+            alpha, base = may
+            for q2 in hat[alpha]:
+                if alive[base + q2]:
+                    cited.add(base + q2)
+                    break
+            else:
+                return ("ii", may), cited
+        return None, cited
+
+    def pairs(self) -> frozenset[Pair]:
+        P, Q, nq = self.impl_states, self.spec_states, self.nq
+        return frozenset((P[x // nq], Q[x % nq])
+                         for x in compress(range(len(self.alive)), self.alive))
 
     def certificate(self) -> FailureCertificate:
         """Walk blame from the root to the first eliminated ancestor."""
-        pair = self.root
+        x = self.root
         while True:
-            clause, transition = self.elim_cause[pair]
-            blamed = self._blamed_successor(pair, clause, transition)
+            blamed = self._blamed_successor(x)
             if blamed is None:
-                return FailureCertificate(pair=pair, clause=clause,
-                                          transition=transition)
-            pair = blamed
+                return self._describe(x)
+            x = blamed
 
-    def _blamed_successor(self, pair: Pair, clause: str, transition: str) -> Pair | None:
-        p, q = pair
-        candidates: set[Pair] = set()
-        if clause == "i":
-            for a, spec_targets in self.spec.musts_from(q):
-                for b, impl_targets in self.impl.musts_from(p):
-                    if b == a:
-                        candidates.update((p2, q2) for p2 in impl_targets
-                                          for q2 in spec_targets)
+    def _blamed_successor(self, x: int) -> int | None:
+        p, q = divmod(x, self.nq)
+        if self.elim_cause[x][0] == "i":
+            impl_musts = self.impl_musts[p]
+            candidates = [base + q2 for a, spec_targets in self.spec_musts[q]
+                          for impl_targets in impl_musts.get(a, ())
+                          for base in impl_targets for q2 in spec_targets]
         else:
-            for alpha, p2 in self.impl.may_from(p):
-                if self.domain is not None and alpha not in self.domain:
-                    continue
-                candidates.update((p2, q2)
-                                  for q2 in self.spec_weak.weak_hat_succ(q, alpha))
-        my_order = self.elim_order[pair]
-        eliminated = [(self.elim_order[c], c) for c in candidates
-                      if c in self.elim_order and self.elim_order[c] < my_order]
+            hat = self.spec_hat[q]
+            candidates = [base + q2 for alpha, base in self.impl_mays[p]
+                          for q2 in hat[alpha]]
+        order = self.elim_order
+        mine = order[x]
+        eliminated = [(order[c], c) for c in candidates if 0 < order[c] < mine]
         if not eliminated:
             return None
         return min(eliminated)[1]
+
+    def _describe(self, x: int) -> FailureCertificate:
+        p, q = divmod(x, self.nq)
+        impl_state, spec_state = self.impl_states[p], self.spec_states[q]
+        clause, (label, target) = self.elim_cause[x]
+        if clause == "i":
+            tgt = "{" + ",".join(self.spec_states[t].text for t in target) + "}"
+            transition = f"spec must {spec_state} -{label}-> {tgt}"
+        else:
+            # An impl may keeps its target as the pair base p2 * nq.
+            transition = (f"impl may {impl_state} -{label}-> "
+                          f"{self.impl_states[target // self.nq]}")
+        return FailureCertificate(pair=(impl_state, spec_state), clause=clause,
+                                  transition=transition)
 
 
 def _decide(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
@@ -187,11 +248,10 @@ def _decide(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
     spec_state = spec.initial if spec_state is None else spec_state
     checker = _Checker(impl, spec, flavor, impl_state, spec_state)
     checker.run()
-    if (impl_state, spec_state) in checker.alive:
-        return RefinementWitness(kind=flavor, pairs=frozenset(checker.alive),
-                                 verdict=True)
-    return RefinementWitness(kind=flavor, pairs=frozenset(checker.alive),
-                             verdict=False, failure=checker.certificate())
+    if checker.alive[checker.root]:
+        return RefinementWitness(kind=flavor, pairs=checker.pairs(), verdict=True)
+    return RefinementWitness(kind=flavor, pairs=checker.pairs(), verdict=False,
+                             failure=checker.certificate())
 
 
 def ia_refines(impl: ModalAutomaton, spec: ModalAutomaton,

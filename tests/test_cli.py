@@ -146,6 +146,26 @@ def test_missing_file_exit_2(tmp_path):
     assert main(["validate", str(tmp_path / "nope.ia")]) == 2
 
 
+def test_undecodable_file_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.mia"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(bad)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_deeply_nested_state_exit_2(tmp_path, capsys):
+    deep = write(tmp_path, "deep.mia",
+                 "mia M { initial " + "(" * 5000 + "s" + ")" * 5000 + "; }")
+    assert main(["validate", deep]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_2(files, tmp_path, capsys):
+    assert main(["embed", "--into", "mia", files("fig01_p.ia"),
+                 "-o", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -7,7 +7,8 @@ from mialib.dmts_ops import dmts_conjoin, dmts_disjoin
 from mialib.embeddings import embed_ia_to_dmts, embed_ia_to_mia
 from mialib.ia_ops import ia_conjoin, ia_disjoin, ia_parallel_compose
 from mialib.mia_ops import mia_conjoin, mia_parallel_compose
-from mialib.model import atom, make_ia, universal_id, validate
+from mialib.model import (StateNameCollisionError, atom, make_ia, universal_id,
+                          validate)
 from mialib.refinement import dmts_refines, holds, mia_equiv, mia_refines
 from mialib.testkit import blackhole, gen_composable_pair, gen_pair
 
@@ -40,6 +41,13 @@ def test_dmts_embedding_shape():
     # the embedding flattens the alphabet
     assert e.alphabet.inputs == frozenset()
     assert e.alphabet.outputs == frozenset(["a", "b", "o"])
+
+
+def test_dmts_embedding_refuses_a_taken_universal_name():
+    u = universal_id("P")
+    p = make_ia("P", ["a"], [], p0, [(p0, "a", u)])
+    with pytest.raises(StateNameCollisionError):
+        embed_ia_to_dmts(p)
 
 
 def test_mia_embedding_keeps_carrier():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CORPUS, GOLDEN
-from mialib.frontend import (ParseError, export_dot, parse, parse_document,
-                             serialize, validate_document)
+from mialib.frontend import (MAX_NESTING, ParseError, export_dot, parse,
+                             parse_document, serialize, validate_document)
 from mialib.model import atom, make_automaton, pair_id, validate, wedge_id
 from mialib.testkit import gen_random
 
@@ -61,6 +61,18 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse("ia A { inputs: a; outputs: ;\n  initial s\n}")
     assert err.value.line == 3  # the missing ';' surfaces at the brace
+
+
+def test_state_name_nesting_limit():
+    def nested(depth: int) -> str:
+        return "mia M { initial " + "(" * depth + "s" + ")" * depth + "; }"
+
+    assert parse(nested(MAX_NESTING)).initial == atom("s")
+    with pytest.raises(ParseError) as err:
+        parse(nested(MAX_NESTING + 1))
+    assert "nested deeper" in err.value.message
+    with pytest.raises(ParseError):
+        parse(nested(5000))
 
 
 def test_braced_singleton_may_target_allowed():

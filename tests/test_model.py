@@ -3,9 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from mialib.model import (DMTS, IA, MIA, TAU, atom, make_automaton, make_ia,
-                          pair_id, rename_disjoint, tagged_id, universal_id,
-                          validate, vee_id, wedge_id, weak_closure)
+from mialib.model import (DMTS, IA, MIA, TAU, EmptiedMustError,
+                          StateNameCollisionError, atom, disjoint_operands,
+                          make_automaton, make_ia, pair_id, remove_states,
+                          rename_disjoint, tagged_id, universal_id, validate,
+                          vee_id, wedge_id, weak_closure)
 from mialib.testkit import gen_random
 
 s0, s1, s2, s3 = atom("s0"), atom("s1"), atom("s2"), atom("s3")
@@ -195,3 +197,20 @@ def test_rename_disjoint_same_object():
     assert not (a2.states & b2.states)
     assert a2.initial == tagged_id(atom("p"), "L")
     assert a2.may == frozenset([(a2.initial, "x", a2.initial)])
+
+
+def test_disjoint_operands_refuses_a_collision_tagging_cannot_fix():
+    # Atom names may contain operator characters: "a&b" collides with the
+    # conjunction of a and b, and after tagging "a@L&b" collides again.
+    p = make_automaton(DMTS, "p", [], ["x"], atom("a"))
+    q = make_automaton(DMTS, "q", [], ["x"], atom("b"),
+                       states=[atom("a&b"), atom("a@L&b")])
+    with pytest.raises(StateNameCollisionError):
+        disjoint_operands(p, q, wedge_id)
+
+
+def test_remove_states_refuses_to_empty_a_kept_must():
+    aut = make_automaton(DMTS, "a", [], ["x"], s0, may=[(s0, "x", s1)],
+                         must=[(s0, "x", [s1])])
+    with pytest.raises(EmptiedMustError):
+        remove_states(aut, [s1])
