@@ -13,14 +13,15 @@ from .model import (DMTS, IA, MIA, TAU, Alphabet, AlphabetMismatchError,
                     weak_closure, wedge_id)
 from .refinement import (RefinementWitness, dmts_refines, equiv, holds,
                          ia_refines, mia_equiv, mia_refines, refines)
-from .ia_ops import (Composition, IncompatibilitySet, ia_conjoin, ia_disjoin,
-                     ia_incompatible, ia_parallel_compose, ia_parallel_product)
-from .dmts_ops import (Conjunction, ConjunctiveProduct, InconsistencySet,
-                       dmts_conj_product, dmts_conjoin, dmts_disjoin,
-                       dmts_inconsistent, is_dmts_witness)
-from .mia_ops import (is_mia_witness, mia_conj_product, mia_conjoin,
-                      mia_disjoin, mia_incompatible, mia_parallel_compose,
+from .mia_ops import (Composition, Conjunction, ConjunctiveProduct,
+                      IncompatibilitySet, InconsistencySet, is_mia_witness,
+                      mia_conj_product, mia_conjoin, mia_disjoin,
+                      mia_incompatible, mia_parallel_compose,
                       mia_parallel_product, mia_inconsistent)
+from .ia_ops import (ia_conjoin, ia_disjoin, ia_incompatible,
+                     ia_parallel_compose, ia_parallel_product)
+from .dmts_ops import (dmts_conj_product, dmts_conjoin, dmts_disjoin,
+                       dmts_inconsistent, is_dmts_witness)
 from .embeddings import embed_ia_to_dmts, embed_ia_to_mia
 from .frontend import ParseError, export_dot, parse, parse_file, serialize
 

@@ -118,15 +118,9 @@ def _cmd_conjoin(args) -> int:
     flavor = _same_flavor(a, b)
     if flavor == IA:
         result = ia_ops.ia_conjoin(a, b)
-    elif flavor == DMTS:
-        conj = dmts_ops.dmts_conjoin(a, b)
-        if not conj.defined:
-            print("conjunction is inconsistent (no common implementation)",
-                  file=sys.stderr)
-            return UNDEFINED
-        result = conj.automaton
     else:
-        conj = mia_ops.mia_conjoin(a, b)
+        op = {DMTS: dmts_ops.dmts_conjoin, MIA: mia_ops.mia_conjoin}[flavor]
+        conj = op(a, b)
         if not conj.defined:
             print("conjunction is inconsistent (no common implementation)",
                   file=sys.stderr)

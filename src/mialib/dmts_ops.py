@@ -1,184 +1,29 @@
 """Conjunction, disjunction and witness checking for dMTS.
 
-Conjunction is two-staged: a conjunctive product over all state pairs whose
-rules match strong musts of one side with weak may-partners of the other,
-then removal of the least set of logically inconsistent pairs.  Parallel
-composition is deliberately absent for this flavor.
+A dMTS is a MIA without inputs, so every operator here is the MIA one with
+the result flavored ``dmts``: a conjunctive product over all state pairs
+whose rules match strong musts of one side with weak may-partners of the
+other, then removal of the least set of logically inconsistent pairs.
+Unlike the MIA product, the dMTS product does not carry its components,
+which no input escape could lead to.  Parallel composition is deliberately
+absent for this flavor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import (DMTS, TAU, ModalAutomaton, MustEdge, StateId,
-                    WeakClosure, disjoint_operands, make_automaton, pair_id,
-                    remove_states, require_flavor, require_same_alphabets,
-                    vee_id, weak_closure)
-
-Pair = tuple[StateId, StateId]
-
-
-@dataclass(frozen=True)
-class InconsistencySet:
-    """Least set of product states with unsatisfiable requirements.
-
-    ``provenance`` maps each member to the rule that forced it in: an
-    unmatched must on the left (``F1``) or right (``F2``) with its action,
-    or ``F3`` with the product must whose targets all became inconsistent.
-    """
-
-    members: frozenset[StateId]
-    provenance: dict
-
-    def __contains__(self, state: StateId) -> bool:
-        return state in self.members
-
-
-@dataclass(frozen=True)
-class ConjunctiveProduct:
-    """A conjunctive product together with its (renamed) operands.
-
-    ``pairs`` maps each pair state of the product to its component states;
-    inherited component states (MIA only) are not in the map.
-    """
-
-    automaton: ModalAutomaton
-    left: ModalAutomaton
-    right: ModalAutomaton
-    left_weak: WeakClosure
-    right_weak: WeakClosure
-    pairs: dict
-
-
-@dataclass(frozen=True)
-class Conjunction:
-    """Outcome of a conjunction: the pruned automaton, or inconsistent."""
-
-    product: ConjunctiveProduct
-    inconsistency: InconsistencySet
-    automaton: ModalAutomaton | None
-
-    @property
-    def defined(self) -> bool:
-        return self.automaton is not None
+from .mia_ops import (Conjunction, ConjunctiveProduct, InconsistencySet, Pair,
+                      _conj_product, _disjoin, _inconsistent, _prune,
+                      is_mia_witness)
+from .model import DMTS, ModalAutomaton
 
 
 def dmts_conj_product(p: ModalAutomaton, q: ModalAutomaton) -> ConjunctiveProduct:
     """Conjunctive product over the full pair space of two dMTSs."""
-    require_flavor(p, DMTS)
-    require_flavor(q, DMTS)
-    require_same_alphabets(p, q)
-    p, q = disjoint_operands(p, q, pair_id)
-    pw, qw = weak_closure(p), weak_closure(q)
-    actions = p.alphabet.actions
-
-    may: set[tuple[StateId, str, StateId]] = set()
-    must: set[tuple[StateId, str, frozenset[StateId]]] = set()
-    for ps in p.sorted_states:
-        for qs in q.sorted_states:
-            state = pair_id(ps, qs)
-            for a, p_targets in p.musts_from(ps):        # (Must1)
-                partners = qw.weak_succ(qs, a)
-                if partners:
-                    must.add((state, a, frozenset(
-                        pair_id(pt, qt) for pt in p_targets for qt in partners)))
-            for a, q_targets in q.musts_from(qs):        # (Must2)
-                partners = pw.weak_succ(ps, a)
-                if partners:
-                    must.add((state, a, frozenset(
-                        pair_id(pt, qt) for pt in partners for qt in q_targets)))
-            for pt in sorted(pw.weak_succ(ps, TAU)):     # (May1)
-                may.add((state, TAU, pair_id(pt, qs)))
-            for qt in sorted(qw.weak_succ(qs, TAU)):     # (May2)
-                may.add((state, TAU, pair_id(ps, qt)))
-            for alpha in sorted(actions) + [TAU]:        # (May3)
-                for pt in sorted(pw.weak_succ(ps, alpha)):
-                    for qt in sorted(qw.weak_succ(qs, alpha)):
-                        may.add((state, alpha, pair_id(pt, qt)))
-
-    pairs = {pair_id(ps, qs): (ps, qs) for ps in p.states for qs in q.states}
-    automaton = make_automaton(DMTS, f"{p.name}_and_{q.name}", (),
-                               p.alphabet.outputs,
-                               pair_id(p.initial, q.initial),
-                               may, must, states=pairs)
-    return ConjunctiveProduct(automaton=automaton, left=p, right=q,
-                              left_weak=pw, right_weak=qw, pairs=pairs)
-
-
-def _inconsistent(product: ConjunctiveProduct, outputs_only: bool) -> InconsistencySet:
-    """Least fixpoint of the inconsistency rules over a conjunctive product.
-
-    Seeds are pairs where one side requires an action the other cannot
-    weakly allow (restricted to outputs for MIA).  The closure step runs as
-    a backward worklist: every product must keeps a count of its still
-    consistent targets, and when a deletion empties that count the must's
-    source becomes inconsistent in turn.
-    """
-    aut = product.automaton
-    left, right = product.left, product.right
-    lw, rw = product.left_weak, product.right_weak
-    restricted = left.alphabet.outputs if outputs_only else left.alphabet.actions
-
-    members: set[StateId] = set()
-    provenance: dict = {}
-    worklist: list[StateId] = []
-
-    def push(state: StateId, cause: tuple) -> None:
-        if state not in members:
-            members.add(state)
-            provenance[state] = cause
-            worklist.append(state)
-
-    for state in aut.sorted_states:
-        if state not in product.pairs:
-            continue
-        ps, qs = product.pairs[state]
-        seeded = False
-        for a, _ in left.musts_from(ps):                 # (F1)
-            if a in restricted and not rw.can_weak(qs, a):
-                push(state, ("F1", a))
-                seeded = True
-                break
-        if seeded:
-            continue
-        for a, _ in right.musts_from(qs):                # (F2)
-            if a in restricted and not lw.can_weak(ps, a):
-                push(state, ("F2", a))
-                break
-
-    # (F3): per-must surviving-target counts; every pair entering the set is
-    # processed exactly once, decrementing each must that targets it
-    alive: dict[MustEdge, int] = {}
-    containing: dict[StateId, list] = {}
-    for edge in aut.sorted_must:
-        src, label, targets = edge
-        if src not in product.pairs:
-            continue
-        alive[edge] = len(targets)
-        for t in targets:
-            containing.setdefault(t, []).append(edge)
-    while worklist:
-        dead = worklist.pop()
-        for edge in containing.get(dead, ()):
-            alive[edge] -= 1
-            if alive[edge] == 0:
-                src, label, targets = edge
-                tgt = "{" + ",".join(sorted(t.text for t in targets)) + "}"
-                push(src, ("F3", f"{src} -{label}-> {tgt}"))
-    return InconsistencySet(members=frozenset(members), provenance=provenance)
+    return _conj_product(p, q, DMTS)
 
 
 def dmts_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
-    return _inconsistent(product, outputs_only=False)
-
-
-def _prune(product: ConjunctiveProduct, bad: InconsistencySet,
-           name: str) -> Conjunction:
-    aut = product.automaton
-    if aut.initial in bad.members:
-        return Conjunction(product=product, inconsistency=bad, automaton=None)
-    pruned = remove_states(aut, bad.members, name=name)
-    return Conjunction(product=product, inconsistency=bad, automaton=pruned)
+    return _inconsistent(product)
 
 
 def dmts_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> Conjunction:
@@ -190,48 +35,13 @@ def dmts_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> Conjunction:
 
 def dmts_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     """Least upper bound: fresh ``p|q`` states feed into the components."""
-    require_flavor(p, DMTS)
-    require_flavor(q, DMTS)
-    require_same_alphabets(p, q)
-    p, q = disjoint_operands(p, q, vee_id)
-    actions = p.alphabet.actions
-
-    may = set(p.may) | set(q.may)
-    must = set(p.must) | set(q.must)
-    for ps in p.sorted_states:
-        for qs in q.sorted_states:
-            v = vee_id(ps, qs)
-            for a in sorted(actions):                    # (Must)
-                for p_targets in p.must_sets(ps, a):
-                    for q_targets in q.must_sets(qs, a):
-                        must.add((v, a, frozenset(p_targets | q_targets)))
-            for alpha, pt in p.may_from(ps):             # (May1)
-                may.add((v, alpha, pt))
-            for alpha, qt in q.may_from(qs):             # (May2)
-                may.add((v, alpha, qt))
-
-    states = (set(p.states) | set(q.states)
-              | {vee_id(ps, qs) for ps in p.states for qs in q.states})
-    return make_automaton(DMTS, f"{p.name}_or_{q.name}", (), actions,
-                          vee_id(p.initial, q.initial), may, must,
-                          states=states)
+    return _disjoin(p, q, DMTS)
 
 
 def is_dmts_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
-    """Check the three witness conditions for a set of product pairs."""
-    left, right = product.left, product.right
-    lw, rw = product.left_weak, product.right_weak
-    aut = product.automaton
-    members = {pair_id(ps, qs) for ps, qs in w}
-    for ps, qs in w:
-        for a, _ in left.musts_from(ps):                 # (W1)
-            if not rw.can_weak(qs, a):
-                return False
-        for a, _ in right.musts_from(qs):                # (W2)
-            if not lw.can_weak(ps, a):
-                return False
-        state = pair_id(ps, qs)
-        for _, targets in aut.musts_from(state):         # (W3)
-            if not (targets & members):
-                return False
-    return True
+    """Check the three witness conditions for a set of product pairs.
+
+    Every dMTS action is an output and no product must leads into an
+    operand, so the MIA conditions are the dMTS ones.
+    """
+    return is_mia_witness(product, w)

@@ -2,53 +2,20 @@
 
 Conjunction and disjunction build on disjoint copies of their operands and
 add one fresh family of states (``p&q`` resp. ``p|q``) on top of the
-inherited component automata.  Parallel composition is the usual two-stage
-construction: a synchronized product over matched input/output actions,
-followed by pruning of all states from which an error state can be reached
-autonomously (by outputs or silent moves alone).
+inherited component automata.  Parallel composition is MIA composition
+with the result flavored ``ia``: an IA keeps its inputs as singleton musts
+and its outputs as mays, and on such automata "the partner has a must" and
+"the partner has a may" coincide on inputs, so the MIA error rule and
+pruning are the IA ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import (IA, TAU, ModalAutomaton, NotComposableError, StateId,
-                    disjoint_operands, make_ia, pair_id, require_flavor,
-                    require_same_alphabets, vee_id, wedge_id)
-
-Pair = tuple[StateId, StateId]
-
-
-@dataclass(frozen=True)
-class IncompatibilitySet:
-    """Error pairs and their backward closure under autonomous steps.
-
-    ``errors`` holds the immediate communication mismatches; ``incompatible``
-    additionally contains every product state that can reach an error by
-    output or silent transitions only.  ``provenance`` records per pair the
-    rule that pulled it in: ``error-(a)``/``error-(b)`` with the action, or
-    ``autonomous-step`` with the transition taken.
-    """
-
-    errors: frozenset[Pair]
-    incompatible: frozenset[Pair]
-    provenance: dict
-
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.incompatible
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Outcome of a parallel composition: the pruned automaton, or not."""
-
-    product: ModalAutomaton
-    incompatibility: IncompatibilitySet
-    automaton: ModalAutomaton | None
-
-    @property
-    def compatible(self) -> bool:
-        return self.automaton is not None
+from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
+                      _parallel_product, _prune_incompatible)
+from .model import (IA, TAU, ModalAutomaton, disjoint_operands, explore_pairs,
+                    make_ia, require_flavor, require_same_alphabets, vee_id,
+                    wedge_id)
 
 
 def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
@@ -56,35 +23,35 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     require_flavor(p, IA)
     require_flavor(q, IA)
     require_same_alphabets(p, q)
-    p, q = disjoint_operands(p, q, wedge_id)
+    p, q, pairs = disjoint_operands(p, q, wedge_id)
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
 
-    trans = set(p.may) | set(q.may)
-    for ps in p.sorted_states:
-        for qs in q.sorted_states:
-            w = wedge_id(ps, qs)
-            for a in sorted(inputs):
-                pt = p.may_targets(ps, a)
-                qt = q.may_targets(qs, a)
-                if pt and not qt:                       # (I1)
-                    trans.add((w, a, pt[0]))
-                elif qt and not pt:                     # (I2)
-                    trans.add((w, a, qt[0]))
-                elif pt and qt:                         # (I3)
-                    trans.add((w, a, wedge_id(pt[0], qt[0])))
-            for o in sorted(outputs):                   # (O)
-                for pt in p.may_targets(ps, o):
-                    for qt in q.may_targets(qs, o):
-                        trans.add((w, o, wedge_id(pt, qt)))
-            for pt in p.may_targets(ps, TAU):           # (T1)
-                trans.add((w, TAU, wedge_id(pt, qs)))
-            for qt in q.may_targets(qs, TAU):           # (T2)
-                trans.add((w, TAU, wedge_id(ps, qt)))
+    def rule(w):
+        ps, qs = w.parts
+        mays = []
+        for a in inputs:
+            pt = p.may_targets(ps, a)
+            qt = q.may_targets(qs, a)
+            if pt and not qt:                           # (I1)
+                mays.append((a, pt[0]))
+            elif qt and not pt:                         # (I2)
+                mays.append((a, qt[0]))
+            elif pt and qt:                             # (I3)
+                mays.append((a, wedge_id(pt[0], qt[0])))
+        for o in outputs:                               # (O)
+            for pt in p.may_targets(ps, o):
+                for qt in q.may_targets(qs, o):
+                    mays.append((o, wedge_id(pt, qt)))
+        for pt in p.may_targets(ps, TAU):               # (T1)
+            mays.append((TAU, wedge_id(pt, qs)))
+        for qt in q.may_targets(qs, TAU):               # (T2)
+            mays.append((TAU, wedge_id(ps, qt)))
+        return mays, ()
 
-    states = (set(p.states) | set(q.states)
-              | {wedge_id(ps, qs) for ps in p.states for qs in q.states})
+    states, trans, _ = explore_pairs(pairs, rule, p.states | q.states)
     return make_ia(f"{p.name}_and_{q.name}", inputs, outputs,
-                   wedge_id(p.initial, q.initial), trans, states=states)
+                   wedge_id(p.initial, q.initial), trans | p.may | q.may,
+                   states=states | p.states | q.states)
 
 
 def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
@@ -92,118 +59,41 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     require_flavor(p, IA)
     require_flavor(q, IA)
     require_same_alphabets(p, q)
-    p, q = disjoint_operands(p, q, vee_id)
-    inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
+    p, q, pairs = disjoint_operands(p, q, vee_id)
+    inputs = p.alphabet.inputs
 
-    trans = set(p.may) | set(q.may)
-    for ps in p.sorted_states:
-        for qs in q.sorted_states:
-            v = vee_id(ps, qs)
-            for a in sorted(inputs):                    # (I)
-                pt = p.may_targets(ps, a)
-                qt = q.may_targets(qs, a)
-                if pt and qt:
-                    trans.add((v, a, vee_id(pt[0], qt[0])))
-            for alpha in sorted(outputs) + [TAU]:       # (OT1), (OT2)
-                for pt in p.may_targets(ps, alpha):
-                    trans.add((v, alpha, pt))
-                for qt in q.may_targets(qs, alpha):
-                    trans.add((v, alpha, qt))
+    def rule(v):
+        ps, qs = v.parts
+        mays = []
+        for a in inputs:                                # (I)
+            pt = p.may_targets(ps, a)
+            qt = q.may_targets(qs, a)
+            if pt and qt:
+                mays.append((a, vee_id(pt[0], qt[0])))
+        for side, s in ((p, ps), (q, qs)):              # (OT1), (OT2)
+            mays.extend((alpha, t) for alpha, t in side.may_from(s)
+                        if alpha not in inputs)
+        return mays, ()
 
-    states = (set(p.states) | set(q.states)
-              | {vee_id(ps, qs) for ps in p.states for qs in q.states})
-    return make_ia(f"{p.name}_or_{q.name}", inputs, outputs,
-                   vee_id(p.initial, q.initial), trans, states=states)
-
-
-def composed_alphabets(p1: ModalAutomaton, p2: ModalAutomaton) -> tuple[frozenset[str], frozenset[str]]:
-    """Check composability and return the composed input/output alphabets."""
-    a1, a2 = p1.alphabet, p2.alphabet
-    shared = a1.actions & a2.actions
-    matched = (a1.inputs & a2.outputs) | (a1.outputs & a2.inputs)
-    for action in sorted(shared - matched):
-        raise NotComposableError(action)
-    inputs = (a1.inputs | a2.inputs) - (a1.outputs | a2.outputs)
-    outputs = (a1.outputs | a2.outputs) - (a1.inputs | a2.inputs)
-    return inputs, outputs
+    states, trans, _ = explore_pairs(pairs, rule, p.states | q.states)
+    return make_ia(f"{p.name}_or_{q.name}", inputs, p.alphabet.outputs,
+                   vee_id(p.initial, q.initial), trans | p.may | q.may,
+                   states=states | p.states | q.states)
 
 
 def ia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:
     """Synchronized product; matched actions become silent transitions."""
-    require_flavor(p1, IA)
-    require_flavor(p2, IA)
-    inputs, outputs = composed_alphabets(p1, p2)
-    a1, a2 = p1.alphabet.actions, p2.alphabet.actions
-
-    init = pair_id(p1.initial, p2.initial)
-    trans: set[tuple[StateId, str, StateId]] = set()
-    seen = {init}
-    stack = [init]
-    while stack:
-        cur = stack.pop()
-        s1, s2 = cur.parts
-        succ = []
-        for alpha, t1 in p1.may_from(s1):
-            if alpha not in a2:                          # (Par1)
-                succ.append((alpha, pair_id(t1, s2)))
-            else:                                        # (Par3)
-                for beta, t2 in p2.may_from(s2):
-                    if beta == alpha:
-                        succ.append((TAU, pair_id(t1, t2)))
-        for alpha, t2 in p2.may_from(s2):
-            if alpha not in a1:                          # (Par2)
-                succ.append((alpha, pair_id(s1, t2)))
-        for label, tgt in succ:
-            trans.add((cur, label, tgt))
-            if tgt not in seen:
-                seen.add(tgt)
-                stack.append(tgt)
-    return make_ia(f"{p1.name}_x_{p2.name}", inputs, outputs, init, trans,
-                   states=seen)
+    return _parallel_product(p1, p2, IA)
 
 
 def ia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
                     p2: ModalAutomaton) -> IncompatibilitySet:
     """Least set of product states that reach an error state autonomously."""
-    shared = p1.alphabet.actions & p2.alphabet.actions
-    errors = {}
-    for state in product.sorted_states:
-        s1, s2 = state.parts
-        for a in sorted(shared):
-            if a in p1.alphabet.outputs and p1.has_may(s1, a) and not p2.has_may(s2, a):
-                errors[state] = ("error-(a)", a)
-                break
-            if a in p2.alphabet.outputs and p2.has_may(s2, a) and not p1.has_may(s1, a):
-                errors[state] = ("error-(b)", a)
-                break
-
-    autonomous = product.alphabet.outputs | {TAU}
-    provenance = dict(errors)
-    incompatible = set(errors)
-    changed = True
-    while changed:
-        changed = False
-        for src, label, tgt in product.sorted_may:
-            if src in incompatible or label not in autonomous:
-                continue
-            if tgt in incompatible:
-                incompatible.add(src)
-                provenance[src] = ("autonomous-step", f"{src} -{label}-> {tgt}")
-                changed = True
-    return IncompatibilitySet(errors=frozenset(errors),
-                              incompatible=frozenset(incompatible),
-                              provenance=provenance)
+    return _incompatible(product, p1, p2)
 
 
 def ia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:
     """Product plus pruning; incompatible when the initial pair is pruned."""
     product = ia_parallel_product(p1, p2)
-    incompat = ia_incompatible(product, p1, p2)
-    if product.initial in incompat.incompatible:
-        return Composition(product=product, incompatibility=incompat, automaton=None)
-    keep = product.states - incompat.incompatible
-    trans = [(s, l, t) for s, l, t in product.may if s in keep and t in keep]
-    pruned = make_ia(f"{p1.name}_par_{p2.name}", product.alphabet.inputs,
-                     product.alphabet.outputs, product.initial, trans,
-                     states=keep)
-    return Composition(product=product, incompatibility=incompat, automaton=pruned)
+    return _prune_incompatible(product, ia_incompatible(product, p1, p2),
+                               f"{p1.name}_par_{p2.name}")

@@ -1,4 +1,4 @@
-"""All operators for Modal Interface Automata.
+"""All operators for Modal Interface Automata, and the IA and dMTS ones.
 
 Conjunction treats inputs like IA-conjunction (strong matching, escape to a
 component when only one side constrains the input) and outputs/tau like the
@@ -6,92 +6,254 @@ dMTS product (weak matching); inconsistency only ever arises from output
 requirements.  Parallel composition synchronizes matched actions into
 silent may-transitions and prunes incompatible states, removing every must
 that can reach the pruned zone together with exactly its underlying mays.
+
+An IA is a MIA whose only musts are its inputs, and a dMTS is a MIA without
+inputs, so the builders here take the flavor of their result: IA parallel
+composition, dMTS conjunction and dMTS disjunction run on them too.
 """
 
 from __future__ import annotations
 
-from .dmts_ops import (Conjunction, ConjunctiveProduct, InconsistencySet,
-                       _inconsistent, _prune)
-from .ia_ops import Composition, IncompatibilitySet, composed_alphabets
-from .model import (MIA, TAU, ModalAutomaton, StateId, disjoint_operands,
-                    make_automaton, pair_id, require_flavor,
+from dataclasses import dataclass
+
+from .model import (MIA, TAU, ModalAutomaton, MustEdge, NotComposableError,
+                    StateId, WeakClosure, disjoint_operands, explore_pairs,
+                    make_automaton, pair_id, remove_states, require_flavor,
                     require_same_alphabets, vee_id, weak_closure)
 
 Pair = tuple[StateId, StateId]
 
 
-def mia_conj_product(p: ModalAutomaton, q: ModalAutomaton) -> ConjunctiveProduct:
-    """Conjunctive product; carries the component automata alongside pairs."""
-    require_flavor(p, MIA)
-    require_flavor(q, MIA)
+@dataclass(frozen=True)
+class InconsistencySet:
+    """Least set of product states with unsatisfiable requirements.
+
+    ``provenance`` maps each member to the rule that forced it in: an
+    unmatched must on the left (``F1``) or right (``F2``) with its action,
+    or ``F3`` with the product must whose targets all became inconsistent.
+    """
+
+    members: frozenset[StateId]
+    provenance: dict
+
+    def __contains__(self, state: StateId) -> bool:
+        return state in self.members
+
+
+@dataclass(frozen=True)
+class ConjunctiveProduct:
+    """A conjunctive product together with its (renamed) operands.
+
+    ``pairs`` maps each pair state of the product to its component states;
+    inherited component states (MIA only) are not in the map.
+    """
+
+    automaton: ModalAutomaton
+    left: ModalAutomaton
+    right: ModalAutomaton
+    left_weak: WeakClosure
+    right_weak: WeakClosure
+    pairs: dict
+
+
+@dataclass(frozen=True)
+class Conjunction:
+    """Outcome of a conjunction: the pruned automaton, or inconsistent."""
+
+    product: ConjunctiveProduct
+    inconsistency: InconsistencySet
+    automaton: ModalAutomaton | None
+
+    @property
+    def defined(self) -> bool:
+        return self.automaton is not None
+
+
+@dataclass(frozen=True)
+class IncompatibilitySet:
+    """Error pairs and their backward closure under autonomous steps.
+
+    ``errors`` holds the immediate communication mismatches; ``incompatible``
+    additionally contains every product state that can reach an error by
+    output or silent transitions only.  ``provenance`` records per pair the
+    rule that pulled it in: ``error-(a)``/``error-(b)`` with the action, or
+    ``autonomous-step`` with the transition taken.
+    """
+
+    errors: frozenset[Pair]
+    incompatible: frozenset[Pair]
+    provenance: dict
+
+    def __contains__(self, pair: Pair) -> bool:
+        return pair in self.incompatible
+
+
+@dataclass(frozen=True)
+class Composition:
+    """Outcome of a parallel composition: the pruned automaton, or not."""
+
+    product: ModalAutomaton
+    incompatibility: IncompatibilitySet
+    automaton: ModalAutomaton | None
+
+    @property
+    def compatible(self) -> bool:
+        return self.automaton is not None
+
+
+# ---------------------------------------------------------------------------
+# Conjunction
+
+
+def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
+                  flavor: str) -> ConjunctiveProduct:
+    """Conjunctive product over the full pair space.
+
+    A dMTS has no inputs, so its product is the pair part alone; a MIA
+    product also carries both components, which the input escapes lead to.
+    """
+    require_flavor(p, flavor)
+    require_flavor(q, flavor)
     require_same_alphabets(p, q)
-    p, q = disjoint_operands(p, q, pair_id)
+    p, q, pairs = disjoint_operands(p, q, pair_id)
     pw, qw = weak_closure(p), weak_closure(q)
-    inputs = p.alphabet.inputs
-    outputs = p.alphabet.outputs
+    inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
+    silent_or_outputs = sorted(outputs) + [TAU]
 
-    may = set(p.may) | set(q.may)
-    must = set(p.must) | set(q.must)
-    for ps in p.sorted_states:
-        for qs in q.sorted_states:
-            state = pair_id(ps, qs)
-            for o, p_targets in p.musts_from(ps):        # (OMust1)
-                if o not in outputs:
-                    continue
-                partners = qw.weak_succ(qs, o)
-                if partners:
-                    must.add((state, o, frozenset(
-                        pair_id(pt, qt) for pt in p_targets for qt in partners)))
-            for o, q_targets in q.musts_from(qs):        # (OMust2)
-                if o not in outputs:
-                    continue
-                partners = pw.weak_succ(ps, o)
-                if partners:
-                    must.add((state, o, frozenset(
-                        pair_id(pt, qt) for pt in partners for qt in q_targets)))
-            for i in sorted(inputs):
-                p_sets = p.must_sets(ps, i)
-                q_sets = q.must_sets(qs, i)
-                if p_sets and not q_sets:                # (IMust1)
-                    must.add((state, i, p_sets[0]))
-                elif q_sets and not p_sets:              # (IMust2)
-                    must.add((state, i, q_sets[0]))
-                elif p_sets and q_sets:                  # (IMust3)
-                    must.add((state, i, frozenset(
-                        pair_id(pt, qt) for pt in p_sets[0] for qt in q_sets[0])))
-                p_mays = p.may_targets(ps, i)
-                q_mays = q.may_targets(qs, i)
-                if p_mays and not q_mays:                # (IMay1)
-                    for pt in p_mays:
-                        may.add((state, i, pt))
-                elif q_mays and not p_mays:              # (IMay2)
-                    for qt in q_mays:
-                        may.add((state, i, qt))
-                else:                                    # (IMay3)
-                    for pt in p_mays:
-                        for qt in q_mays:
-                            may.add((state, i, pair_id(pt, qt)))
-            for pt in sorted(pw.weak_succ(ps, TAU)):     # (May1)
-                may.add((state, TAU, pair_id(pt, qs)))
-            for qt in sorted(qw.weak_succ(qs, TAU)):     # (May2)
-                may.add((state, TAU, pair_id(ps, qt)))
-            for alpha in sorted(outputs) + [TAU]:        # (May3)
-                for pt in sorted(pw.weak_succ(ps, alpha)):
-                    for qt in sorted(qw.weak_succ(qs, alpha)):
-                        may.add((state, alpha, pair_id(pt, qt)))
+    def rule(state: StateId):
+        ps, qs = state.parts
+        mays, musts = [], []
+        for o, p_targets in p.musts_from(ps):            # (OMust1)
+            partners = qw.weak_succ(qs, o) if o in outputs else None
+            if partners:
+                musts.append((o, frozenset(
+                    pair_id(pt, qt) for pt in p_targets for qt in partners)))
+        for o, q_targets in q.musts_from(qs):            # (OMust2)
+            partners = pw.weak_succ(ps, o) if o in outputs else None
+            if partners:
+                musts.append((o, frozenset(
+                    pair_id(pt, qt) for pt in partners for qt in q_targets)))
+        for i in inputs:
+            p_sets = p.must_sets(ps, i)
+            q_sets = q.must_sets(qs, i)
+            if p_sets and not q_sets:                    # (IMust1)
+                musts.append((i, p_sets[0]))
+            elif q_sets and not p_sets:                  # (IMust2)
+                musts.append((i, q_sets[0]))
+            elif p_sets and q_sets:                      # (IMust3)
+                musts.append((i, frozenset(
+                    pair_id(pt, qt) for pt in p_sets[0] for qt in q_sets[0])))
+            p_mays = p.may_targets(ps, i)
+            q_mays = q.may_targets(qs, i)
+            if p_mays and not q_mays:                    # (IMay1)
+                mays.extend((i, pt) for pt in p_mays)
+            elif q_mays and not p_mays:                  # (IMay2)
+                mays.extend((i, qt) for qt in q_mays)
+            else:                                        # (IMay3)
+                mays.extend((i, pair_id(pt, qt))
+                            for pt in p_mays for qt in q_mays)
+        for pt in pw.weak_succ(ps, TAU):                 # (May1)
+            mays.append((TAU, pair_id(pt, qs)))
+        for qt in qw.weak_succ(qs, TAU):                 # (May2)
+            mays.append((TAU, pair_id(ps, qt)))
+        for alpha in silent_or_outputs:                  # (May3)
+            for pt in pw.weak_succ(ps, alpha):
+                for qt in qw.weak_succ(qs, alpha):
+                    mays.append((alpha, pair_id(pt, qt)))
+        return mays, musts
 
-    pairs = {pair_id(ps, qs): (ps, qs) for ps in p.states for qs in q.states}
-    states = set(p.states) | set(q.states) | set(pairs)
-    automaton = make_automaton(MIA, f"{p.name}_and_{q.name}", inputs, outputs,
-                               pair_id(p.initial, q.initial), may, must,
-                               states=states)
+    states, may, must = explore_pairs(pairs, rule, p.states | q.states)
+    if flavor == MIA:
+        states |= p.states | q.states
+        may |= p.may | q.may
+        must |= p.must | q.must
+    automaton = make_automaton(flavor, f"{p.name}_and_{q.name}", inputs,
+                               outputs, pair_id(p.initial, q.initial),
+                               may, must, states=states)
     return ConjunctiveProduct(automaton=automaton, left=p, right=q,
                               left_weak=pw, right_weak=qw, pairs=pairs)
 
 
+def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
+    """Least fixpoint of the inconsistency rules over a conjunctive product.
+
+    Seeds are pairs where one side requires an output the other cannot
+    weakly allow (every action of a dMTS is an output).  The closure step
+    runs as a backward worklist: every product must keeps a count of its
+    still consistent targets, and when a deletion empties that count the
+    must's source becomes inconsistent in turn.
+    """
+    aut = product.automaton
+    left, right = product.left, product.right
+    lw, rw = product.left_weak, product.right_weak
+    outputs = left.alphabet.outputs
+
+    members: set[StateId] = set()
+    provenance: dict = {}
+    worklist: list[StateId] = []
+
+    def push(state: StateId, cause: tuple) -> None:
+        if state not in members:
+            members.add(state)
+            provenance[state] = cause
+            worklist.append(state)
+
+    for state in aut.sorted_states:
+        if state not in product.pairs:
+            continue
+        ps, qs = product.pairs[state]
+        seeded = False
+        for a, _ in left.musts_from(ps):                 # (F1)
+            if a in outputs and not rw.can_weak(qs, a):
+                push(state, ("F1", a))
+                seeded = True
+                break
+        if seeded:
+            continue
+        for a, _ in right.musts_from(qs):                # (F2)
+            if a in outputs and not lw.can_weak(ps, a):
+                push(state, ("F2", a))
+                break
+
+    # (F3): per-must surviving-target counts; every pair entering the set is
+    # processed exactly once, decrementing each must that targets it
+    alive: dict[MustEdge, int] = {}
+    containing: dict[StateId, list] = {}
+    for edge in aut.sorted_must:
+        src, label, targets = edge
+        if src not in product.pairs:
+            continue
+        alive[edge] = len(targets)
+        for t in targets:
+            containing.setdefault(t, []).append(edge)
+    while worklist:
+        dead = worklist.pop()
+        for edge in containing.get(dead, ()):
+            alive[edge] -= 1
+            if alive[edge] == 0:
+                src, label, targets = edge
+                tgt = "{" + ",".join(sorted(t.text for t in targets)) + "}"
+                push(src, ("F3", f"{src} -{label}-> {tgt}"))
+    return InconsistencySet(members=frozenset(members), provenance=provenance)
+
+
+def _prune(product: ConjunctiveProduct, bad: InconsistencySet,
+           name: str) -> Conjunction:
+    aut = product.automaton
+    if aut.initial in bad.members:
+        return Conjunction(product=product, inconsistency=bad, automaton=None)
+    pruned = remove_states(aut, bad.members, name=name)
+    return Conjunction(product=product, inconsistency=bad, automaton=pruned)
+
+
+def mia_conj_product(p: ModalAutomaton, q: ModalAutomaton) -> ConjunctiveProduct:
+    """Conjunctive product; carries the component automata alongside pairs."""
+    return _conj_product(p, q, MIA)
+
+
 def mia_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
     """Inconsistency fixpoint; only output musts seed it, pairs only."""
-    return _inconsistent(product, outputs_only=True)
+    return _inconsistent(product)
 
 
 def mia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> Conjunction:
@@ -101,89 +263,110 @@ def mia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> Conjunction:
     return _prune(product, bad, f"{p.name}_and_{q.name}")
 
 
+# ---------------------------------------------------------------------------
+# Disjunction
+
+
+def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str) -> ModalAutomaton:
+    """Least upper bound: fresh ``p|q`` states feed into the components.
+
+    An input may at ``p|q`` needs both sides to allow the input; a dMTS has
+    no inputs, so there every may of either side is kept.
+    """
+    require_flavor(p, flavor)
+    require_flavor(q, flavor)
+    require_same_alphabets(p, q)
+    p, q, pairs = disjoint_operands(p, q, vee_id)
+    inputs = p.alphabet.inputs
+
+    def rule(state: StateId):
+        ps, qs = state.parts
+        musts = [(a, p_targets | q_targets)              # (Must)
+                 for a, p_targets in p.musts_from(ps)
+                 for q_targets in q.must_sets(qs, a)]
+        mays = [(alpha, pt) for alpha, pt in p.may_from(ps)      # (May1)
+                if alpha not in inputs or q.has_may(qs, alpha)]
+        mays += [(alpha, qt) for alpha, qt in q.may_from(qs)     # (May2)
+                 if alpha not in inputs or p.has_may(ps, alpha)]
+        return mays, musts
+
+    states, may, must = explore_pairs(pairs, rule, p.states | q.states)
+    return make_automaton(flavor, f"{p.name}_or_{q.name}", inputs,
+                          p.alphabet.outputs, vee_id(p.initial, q.initial),
+                          may | p.may | q.may, must | p.must | q.must,
+                          states=states | p.states | q.states)
+
+
 def mia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     """Least upper bound; input mays at ``p|q`` need both sides to agree."""
-    require_flavor(p, MIA)
-    require_flavor(q, MIA)
-    require_same_alphabets(p, q)
-    p, q = disjoint_operands(p, q, vee_id)
-    inputs = p.alphabet.inputs
-    actions = p.alphabet.actions
-
-    may = set(p.may) | set(q.may)
-    must = set(p.must) | set(q.must)
-    for ps in p.sorted_states:
-        for qs in q.sorted_states:
-            v = vee_id(ps, qs)
-            for a in sorted(actions):                    # (Must)
-                for p_targets in p.must_sets(ps, a):
-                    for q_targets in q.must_sets(qs, a):
-                        must.add((v, a, frozenset(p_targets | q_targets)))
-            for alpha, pt in p.may_from(ps):             # (May1)
-                if alpha in inputs and not q.has_may(qs, alpha):
-                    continue
-                may.add((v, alpha, pt))
-            for alpha, qt in q.may_from(qs):             # (May2)
-                if alpha in inputs and not p.has_may(ps, alpha):
-                    continue
-                may.add((v, alpha, qt))
-
-    states = (set(p.states) | set(q.states)
-              | {vee_id(ps, qs) for ps in p.states for qs in q.states})
-    return make_automaton(MIA, f"{p.name}_or_{q.name}", inputs,
-                          p.alphabet.outputs, vee_id(p.initial, q.initial),
-                          may, must, states=states)
+    return _disjoin(p, q, MIA)
 
 
-def mia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:
-    """Product over reachable pairs; musts lift componentwise."""
-    require_flavor(p1, MIA)
-    require_flavor(p2, MIA)
+# ---------------------------------------------------------------------------
+# Parallel composition
+
+
+def composed_alphabets(p1: ModalAutomaton, p2: ModalAutomaton) -> tuple[frozenset[str], frozenset[str]]:
+    """Check composability and return the composed input/output alphabets."""
+    a1, a2 = p1.alphabet, p2.alphabet
+    shared = a1.actions & a2.actions
+    matched = (a1.inputs & a2.outputs) | (a1.outputs & a2.inputs)
+    for action in sorted(shared - matched):
+        raise NotComposableError(action)
+    inputs = (a1.inputs | a2.inputs) - (a1.outputs | a2.outputs)
+    outputs = (a1.outputs | a2.outputs) - (a1.inputs | a2.inputs)
+    return inputs, outputs
+
+
+def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
+                      flavor: str) -> ModalAutomaton:
+    """Product over the pairs reachable from the initial pair.
+
+    Matched actions become silent mays; unmatched musts lift componentwise,
+    so the product of two IAs keeps its inputs as singleton musts.
+    """
+    require_flavor(p1, flavor)
+    require_flavor(p2, flavor)
     inputs, outputs = composed_alphabets(p1, p2)
     a1, a2 = p1.alphabet.actions, p2.alphabet.actions
 
-    init = pair_id(p1.initial, p2.initial)
-    may: set[tuple[StateId, str, StateId]] = set()
-    must: set[tuple[StateId, str, frozenset[StateId]]] = set()
-    seen = {init}
-    stack = [init]
-    while stack:
-        cur = stack.pop()
-        s1, s2 = cur.parts
-        new_may = []
-        for a, targets in p1.musts_from(s1):             # (Must1)
-            if a not in a2:
-                must.add((cur, a, frozenset(pair_id(t, s2) for t in targets)))
-        for a, targets in p2.musts_from(s2):             # (Must2)
-            if a not in a1:
-                must.add((cur, a, frozenset(pair_id(s1, t) for t in targets)))
+    def rule(state: StateId):
+        s1, s2 = state.parts
+        musts = [(a, frozenset(pair_id(t, s2) for t in targets))   # (Must1)
+                 for a, targets in p1.musts_from(s1) if a not in a2]
+        musts += [(a, frozenset(pair_id(s1, t) for t in targets))  # (Must2)
+                  for a, targets in p2.musts_from(s2) if a not in a1]
+        mays = []
         for alpha, t1 in p1.may_from(s1):
             if alpha not in a2:                          # (May1)
-                new_may.append((alpha, pair_id(t1, s2)))
+                mays.append((alpha, pair_id(t1, s2)))
             else:                                        # (May3)
-                for beta, t2 in p2.may_from(s2):
-                    if beta == alpha:
-                        new_may.append((TAU, pair_id(t1, t2)))
+                mays.extend((TAU, pair_id(t1, t2))
+                            for t2 in p2.may_targets(s2, alpha))
         for alpha, t2 in p2.may_from(s2):
             if alpha not in a1:                          # (May2)
-                new_may.append((alpha, pair_id(s1, t2)))
-        for label, tgt in new_may:
-            may.add((cur, label, tgt))
-            if tgt not in seen:
-                seen.add(tgt)
-                stack.append(tgt)
-    return make_automaton(MIA, f"{p1.name}_x_{p2.name}", inputs, outputs,
-                          init, may, must, states=seen)
+                mays.append((alpha, pair_id(s1, t2)))
+        return mays, musts
+
+    init = pair_id(p1.initial, p2.initial)
+    states, may, must = explore_pairs([init], rule)
+    return make_automaton(flavor, f"{p1.name}_x_{p2.name}", inputs, outputs,
+                          init, may, must, states=states)
 
 
-def mia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
-                     p2: ModalAutomaton) -> IncompatibilitySet:
-    """Error pairs (an output may the partner has no must for) plus closure."""
-    shared = p1.alphabet.actions & p2.alphabet.actions
+def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
+                  p2: ModalAutomaton) -> IncompatibilitySet:
+    """Error pairs (an output may the partner has no must for) plus closure.
+
+    The closure sweeps the autonomous (output and silent) edges in sorted
+    order until a sweep adds nothing; a pair's provenance is the edge that
+    pulled it in first.
+    """
+    shared = sorted(p1.alphabet.actions & p2.alphabet.actions)
     errors = {}
     for state in product.sorted_states:
         s1, s2 = state.parts
-        for a in sorted(shared):
+        for a in shared:
             if (a in p1.alphabet.outputs and p1.has_may(s1, a)
                     and not p2.has_must(s2, a)):
                 errors[state] = ("error-(a)", a)
@@ -194,15 +377,14 @@ def mia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
                 break
 
     autonomous = product.alphabet.outputs | {TAU}
+    edges = [edge for edge in product.sorted_may if edge[1] in autonomous]
     provenance = dict(errors)
     incompatible = set(errors)
     changed = True
     while changed:
         changed = False
-        for src, label, tgt in product.sorted_may:
-            if src in incompatible or label not in autonomous:
-                continue
-            if tgt in incompatible:
+        for src, label, tgt in edges:
+            if src not in incompatible and tgt in incompatible:
                 incompatible.add(src)
                 provenance[src] = ("autonomous-step", f"{src} -{label}-> {tgt}")
                 changed = True
@@ -211,11 +393,14 @@ def mia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
                               provenance=provenance)
 
 
-def mia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:
+def _prune_incompatible(product: ModalAutomaton, incompat: IncompatibilitySet,
+                        name: str) -> Composition:
     """Prune the product: besides transitions touching removed states, a
-    must with any removed target goes away along with its underlying mays."""
-    product = mia_parallel_product(p1, p2)
-    incompat = mia_incompatible(product, p1, p2)
+    must with any removed target goes away along with its underlying mays.
+
+    The musts of an IA product are singletons, so there this removes the
+    transitions touching removed states and nothing else.
+    """
     bad = incompat.incompatible
     if product.initial in bad:
         return Composition(product=product, incompatibility=incompat, automaton=None)
@@ -230,10 +415,29 @@ def mia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:
             removed_may.update((src, label, t) for t in targets)
     may = frozenset((s, l, t) for s, l, t in product.may
                     if s in keep and t in keep and (s, l, t) not in removed_may)
-    pruned = make_automaton(MIA, f"{p1.name}_par_{p2.name}",
-                            product.alphabet.inputs, product.alphabet.outputs,
-                            product.initial, may, must, states=keep)
+    pruned = make_automaton(product.flavor, name, product.alphabet.inputs,
+                            product.alphabet.outputs, product.initial, may,
+                            must, states=keep)
     return Composition(product=product, incompatibility=incompat, automaton=pruned)
+
+
+def mia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:
+    """Product over reachable pairs; musts lift componentwise."""
+    return _parallel_product(p1, p2, MIA)
+
+
+def mia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
+                     p2: ModalAutomaton) -> IncompatibilitySet:
+    """Error pairs (an output may the partner has no must for) plus closure."""
+    return _incompatible(product, p1, p2)
+
+
+def mia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:
+    """Product minus incompatible states; incompatible when the initial
+    pair is pruned."""
+    product = mia_parallel_product(p1, p2)
+    return _prune_incompatible(product, mia_incompatible(product, p1, p2),
+                               f"{p1.name}_par_{p2.name}")
 
 
 def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
@@ -242,8 +446,7 @@ def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
     lw, rw = product.left_weak, product.right_weak
     outputs = left.alphabet.outputs
     aut = product.automaton
-    members = {pair_id(ps, qs) for ps, qs in w}
-    component = set(left.states) | set(right.states)
+    allowed = {pair_id(ps, qs) for ps, qs in w} | left.states | right.states
     for ps, qs in w:
         for a, _ in left.musts_from(ps):                 # (W1)
             if a in outputs and not rw.can_weak(qs, a):
@@ -253,6 +456,6 @@ def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
                 return False
         state = pair_id(ps, qs)
         for _, targets in aut.musts_from(state):         # (W3)
-            if not (targets & (members | component)):
+            if targets.isdisjoint(allowed):
                 return False
     return True

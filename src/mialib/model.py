@@ -159,16 +159,6 @@ def universal_id(automaton_name: str) -> StateId:
     return tagged_id(atom("u"), automaton_name)
 
 
-def is_pair(state: StateId) -> bool:
-    return state.kind == StateId.PAIR
-
-
-def pair_parts(state: StateId) -> tuple[StateId, StateId]:
-    if state.kind != StateId.PAIR:
-        raise ValueError(f"{state} is not a pair state")
-    return state.parts
-
-
 # ---------------------------------------------------------------------------
 # Alphabet
 
@@ -190,9 +180,6 @@ class Alphabet:
 
     def is_input(self, label: str) -> bool:
         return label in self.inputs
-
-    def is_output(self, label: str) -> bool:
-        return label in self.outputs
 
 
 MayEdge = tuple[StateId, str, StateId]
@@ -327,11 +314,6 @@ def make_ia(name: str,
             must.add((src, label, frozenset([tgt])))
     return make_automaton(IA, name, inputs, outputs, initial, may, must,
                           states=states)
-
-
-def ia_transitions(aut: ModalAutomaton) -> frozenset[MayEdge]:
-    """The plain transition relation of an IA (its may-transitions)."""
-    return aut.may
 
 
 # ---------------------------------------------------------------------------
@@ -542,23 +524,54 @@ def _tag_states(aut: ModalAutomaton, tag: str) -> ModalAutomaton:
 
 
 def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
-                      combine) -> tuple[ModalAutomaton, ModalAutomaton]:
+                      combine) -> tuple[ModalAutomaton, ModalAutomaton, dict]:
     """Disjoint copies whose combined ids also avoid the component states.
 
     ``combine`` builds the fresh id for a state pair (pair, wedge or vee).
-    A collision can only occur when an operand already contains
-    operator-shaped names; one tagging round then separates everything.
+    Returns the two copies and the map from every combined id to its
+    component pair.  A collision can only occur when an operand already
+    contains operator-shaped names; one tagging round then separates
+    everything.
     """
     p, q = rename_disjoint(p, q)
-    fresh = {combine(a, b) for a in p.states for b in q.states}
-    if fresh & (p.states | q.states):
+    fresh = {combine(a, b): (a, b) for a in p.states for b in q.states}
+    if not fresh.keys().isdisjoint(p.states | q.states):
         p, q = _tag_states(p, "L"), _tag_states(q, "R")
-        fresh = {combine(a, b) for a in p.states for b in q.states}
-        clash = fresh & (p.states | q.states)
+        fresh = {combine(a, b): (a, b) for a in p.states for b in q.states}
+        clash = fresh.keys() & (p.states | q.states)
         if clash:
             raise StateNameCollisionError(
                 f"combined state {min(clash)} is also an operand state")
-    return p, q
+    return p, q, fresh
+
+
+def explore_pairs(seeds: Iterable[StateId], rule,
+                  inherited: frozenset[StateId] = frozenset()):
+    """Build a product over pair states by a worklist from ``seeds``.
+
+    ``rule(state)`` returns the ``(mays, musts)`` leaving one pair state,
+    as lists of ``(label, target)`` and ``(label, targets)``.  Every
+    may-target not in ``inherited`` (component states an operator keeps
+    as they are) is explored in turn.  Seeded with all pairs the product
+    keeps the full pair space; seeded with the initial pair it keeps the
+    reachable part.  Returns the explored states and the may and must
+    edges leaving them.
+    """
+    seen = set(seeds)
+    stack = list(seen)
+    may: set[MayEdge] = set()
+    must: set[MustEdge] = set()
+    while stack:
+        state = stack.pop()
+        mays, musts = rule(state)
+        for label, tgt in mays:
+            may.add((state, label, tgt))
+            if tgt not in seen and tgt not in inherited:
+                seen.add(tgt)
+                stack.append(tgt)
+        for label, targets in musts:
+            must.add((state, label, targets))
+    return seen, may, must
 
 
 def as_dmts(aut: ModalAutomaton, name: str | None = None) -> ModalAutomaton:

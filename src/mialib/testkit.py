@@ -395,16 +395,18 @@ def _structural(aut: ModalAutomaton, what: str) -> str | None:
 
 
 def _conjoin(flavor: str):
-    if flavor == IA:
-        return lambda a, b: ia_ops.ia_conjoin(a, b)
-    if flavor == DMTS:
-        return dmts_ops.dmts_conjoin
-    return mia_ops.mia_conjoin
+    return {IA: ia_ops.ia_conjoin, DMTS: dmts_ops.dmts_conjoin,
+            MIA: mia_ops.mia_conjoin}[flavor]
 
 
 def _disjoin(flavor: str):
     return {IA: ia_ops.ia_disjoin, DMTS: dmts_ops.dmts_disjoin,
             MIA: mia_ops.mia_disjoin}[flavor]
+
+
+def _compose(flavor: str):
+    return {IA: ia_ops.ia_parallel_compose,
+            MIA: mia_ops.mia_parallel_compose}[flavor]
 
 
 def _sample_triple(flavor: str):
@@ -552,7 +554,7 @@ def _check_mono(flavor: str):
 
 
 def _sample_par(flavor: str):
-    compose = ia_ops.ia_parallel_compose if flavor == IA else mia_ops.mia_parallel_compose
+    compose = _compose(flavor)
 
     def sample(rng: random.Random) -> dict:
         while True:
@@ -564,7 +566,7 @@ def _sample_par(flavor: str):
 
 
 def _check_par(flavor: str):
-    compose = ia_ops.ia_parallel_compose if flavor == IA else mia_ops.mia_parallel_compose
+    compose = _compose(flavor)
 
     def check(auts: dict) -> str | None:
         p1, q1, p2 = auts["p1"], auts["q1"], auts["p2"]
@@ -666,7 +668,7 @@ def _check_structural(flavor: str):
 
     def check(auts: dict) -> str | None:
         p, q = auts["p"], auts["q"]
-        results = [(_disjoin(flavor)(p, q), "disjunction")]
+        results = [(disjoin(p, q), "disjunction")]
         if flavor == IA:
             results.append((conjoin(p, q), "conjunction"))
         else:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS
 from mialib.cli import main
@@ -223,3 +228,41 @@ def test_incompatible_still_emits_diagnostics(tmp_path, capsys):
     assert main(["compose", p, q, "--emit-pruned-set"]) == 3
     out = capsys.readouterr().out
     assert "error-(a)" in out
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary bytes: never a traceback, never a verdict code
+
+
+_CORPUS_BYTES = [path.read_bytes() for path in sorted(CORPUS.glob("*.*"))]
+
+
+@st.composite
+def _mutated_corpus_file(draw) -> bytes:
+    data = draw(st.sampled_from(_CORPUS_BYTES))
+    start = draw(st.integers(0, len(data)))
+    cut = draw(st.integers(0, 16))
+    return data[:start] + draw(st.binary(max_size=16)) + data[start + cut:]
+
+
+# Every command on one file, or on the file twice: a self-refinement holds,
+# a self-conjunction is consistent and a self-composition shares no matched
+# action, so a readable file can only lead to 0 and an unreadable one to 2.
+_COMMANDS = (["validate"], ["dot"], ["embed", "--into", "mia"],
+             ["embed", "--into", "dmts"], ["refine", None], ["equiv", None],
+             ["conjoin", None], ["disjoin", None], ["compose", None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _mutated_corpus_file()))
+def test_cli_on_arbitrary_bytes_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.mia"
+        path.write_bytes(data)
+        for command in _COMMANDS:
+            argv = [str(path) if arg is None else arg for arg in command]
+            argv.append(str(path))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2), (argv[0], code)

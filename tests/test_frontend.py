@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, GOLDEN
 from mialib.frontend import (MAX_NESTING, ParseError, export_dot, parse,
                              parse_document, serialize, validate_document)
-from mialib.model import atom, make_automaton, pair_id, validate, wedge_id
+from mialib.model import (FLAVORS, atom, make_automaton, pair_id, tagged_id,
+                          validate, vee_id, wedge_id)
 from mialib.testkit import gen_random
 
 
@@ -162,6 +163,62 @@ def test_roundtrip_generated(flavor, seed):
     again = parse(serialize(aut))
     assert again.may == aut.may and again.must == aut.must
     assert again.initial == aut.initial and again.alphabet == aut.alphabet
+
+
+# Wrap a state name in one more operator; each step adds at most one level
+# of parentheses.  Sibling atoms are never state names of ``gen_random``.
+_WRAPS = {
+    "pair-l": lambda s, x: pair_id(s, atom(x)),
+    "pair-r": lambda s, x: pair_id(atom(x), s),
+    "wedge-l": lambda s, x: wedge_id(s, atom(x)),
+    "wedge-r": lambda s, x: wedge_id(atom(x), s),
+    "vee-l": lambda s, x: vee_id(s, atom(x)),
+    "vee-r": lambda s, x: vee_id(atom(x), s),
+    "tag": lambda s, x: tagged_id(s, x.upper()),
+}
+
+
+def _nesting(text: str) -> int:
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavor=st.sampled_from(FLAVORS), seed=st.integers(0, 10**6),
+       wraps=st.lists(st.tuples(st.sampled_from(sorted(_WRAPS)),
+                                st.sampled_from(["x", "y1", "z_"])),
+                      min_size=1, max_size=6),
+       depths=st.lists(st.integers(0, MAX_NESTING - 1) | st.just(MAX_NESTING - 1),
+                       min_size=1, max_size=8))
+def test_roundtrip_nested_operator_names(flavor, seed, wraps, depths):
+    base = gen_random(flavor, seed=seed, max_states=6, transition_density=0.5)
+    rename = {}
+    for k, state in enumerate(base.sorted_states):
+        name = state
+        for step in range(depths[k % len(depths)]):
+            kind, sibling = wraps[step % len(wraps)]
+            name = _WRAPS[kind](name, sibling)
+        rename[state] = name
+    aut = make_automaton(
+        flavor, base.name, base.alphabet.inputs, base.alphabet.outputs,
+        rename[base.initial],
+        may=[(rename[s], l, rename[t]) for s, l, t in base.may],
+        must=[(rename[s], l, [rename[t] for t in T]) for s, l, T in base.must],
+        states=rename.values())
+    assert max(_nesting(s.text) for s in aut.states) < MAX_NESTING
+
+    text = serialize(aut)
+    again = parse(text)
+    shown = ({aut.initial} | {s for s, _, _ in aut.may} | {t for _, _, t in aut.may}
+             | {s for s, _, _ in aut.must})
+    assert again.states == shown  # isolated states are not representable
+    assert (again.flavor, again.name, again.alphabet, again.initial) == \
+        (aut.flavor, aut.name, aut.alphabet, aut.initial)
+    assert again.may == aut.may and again.must == aut.must
+    assert serialize(again) == text
 
 
 # ---------------------------------------------------------------------------

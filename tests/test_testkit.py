@@ -58,7 +58,7 @@ def test_gen_pair_shares_alphabet():
 
 
 def test_gen_composable_pair_is_composable():
-    from mialib.ia_ops import composed_alphabets
+    from mialib.mia_ops import composed_alphabets
     for seed in range(25):
         a, b = gen_composable_pair(MIA, seed)
         composed_alphabets(a, b)  # raises if not composable
