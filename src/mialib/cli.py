@@ -104,7 +104,7 @@ def _cmd_refine(args) -> int:
                       _find_state(spec, args.spec_state))
     if witness.verdict:
         if args.witness:
-            for p, q in sorted(witness.pairs, key=lambda pq: (pq[0].text, pq[1].text)):
+            for p, q in sorted(witness.pairs):
                 print(f"{p.text} <= {q.text}")
         print("refinement holds")
         return OK

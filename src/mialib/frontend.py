@@ -119,6 +119,7 @@ class _Parser:
         self.toks = _lex(text)
         self.pos = 0
         self.depth = 0
+        self.ids: dict[tuple, StateId] = {}
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -146,19 +147,27 @@ class _Parser:
 
     # -- structured state ids ---------------------------------------------
 
+    def make_id(self, build, *parts) -> StateId:
+        """The document's one id for a state name, built on first mention."""
+        key = (build, *parts)
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = build(*parts)
+        return sid
+
     def state_id(self) -> StateId:
         left = self.postfix()
         while self.peek().kind == "punct" and self.peek().value in "&|":
             op = self.next().value
             right = self.postfix()
-            left = wedge_id(left, right) if op == "&" else vee_id(left, right)
+            left = self.make_id(wedge_id if op == "&" else vee_id, left, right)
         return left
 
     def postfix(self) -> StateId:
         tok = self.peek()
         if tok.kind == "ident":
             self.next()
-            sid = atom(tok.value)
+            sid = self.make_id(atom, tok.value)
         elif tok.kind == "punct" and tok.value == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"state name nested deeper than {MAX_NESTING} "
@@ -170,7 +179,7 @@ class _Parser:
             if sep.kind == "punct" and sep.value == ",":
                 second = self.state_id()
                 self.expect_punct(")")
-                sid = pair_id(first, second)
+                sid = self.make_id(pair_id, first, second)
             elif sep.kind == "punct" and sep.value == ")":
                 sid = first
             else:
@@ -182,7 +191,7 @@ class _Parser:
         while self.peek().kind == "punct" and self.peek().value == "@":
             self.next()
             tag = self.expect_ident("tag")
-            sid = tagged_id(sid, tag.value)
+            sid = self.make_id(tagged_id, sid, tag.value)
         return sid
 
     # -- document -----------------------------------------------------------
@@ -328,7 +337,7 @@ def _fmt_alphabet(label: str, actions) -> str:
 def _fmt_target(targets: frozenset[StateId]) -> str:
     if len(targets) == 1:
         return next(iter(targets)).text
-    return "{" + ", ".join(sorted(t.text for t in targets)) + "}"
+    return "{" + ", ".join(sorted(targets)) + "}"
 
 
 def serialize(aut: ModalAutomaton) -> str:
@@ -348,7 +357,7 @@ def serialize(aut: ModalAutomaton) -> str:
     lines.append(f"  initial {aut.initial.text};")
 
     if aut.flavor == IA:
-        for src, label, tgt in sorted(aut.may, key=lambda e: (e[0].text, e[1], e[2].text)):
+        for src, label, tgt in aut.sorted_may:
             lines.append(f"  {src.text} -{label}-> {tgt.text};")
     else:
         covered = set()
@@ -356,7 +365,7 @@ def serialize(aut: ModalAutomaton) -> str:
             lines.append(f"  must {src.text} -{label}-> {_fmt_target(targets)};")
             if label in aut.alphabet.inputs:
                 covered.update((src, label, t) for t in targets)
-        for src, label, tgt in sorted(aut.may, key=lambda e: (e[0].text, e[1], e[2].text)):
+        for src, label, tgt in aut.sorted_may:
             if (src, label, tgt) not in covered:
                 lines.append(f"  may {src.text} -{label}-> {tgt.text};")
     lines.append("}")
@@ -405,7 +414,7 @@ def export_dot(aut: ModalAutomaton) -> str:
             out.append(f"  {_q(src.text)} -> {_q(j)} [label={_q(text)} arrowhead=none];")
             for tgt in sorted(targets):
                 out.append(f"  {_q(j)} -> {_q(tgt.text)};")
-    for src, label, tgt in sorted(aut.may, key=lambda e: (e[0].text, e[1], e[2].text)):
+    for src, label, tgt in aut.sorted_may:
         if (src, label, tgt) in covered:
             continue
         text = _edge_label(aut, label)

@@ -24,6 +24,7 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     require_flavor(q, IA)
     require_same_alphabets(p, q)
     p, q, pairs = disjoint_operands(p, q, wedge_id)
+    ids = {pq: state for state, pq in pairs.items()}
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
 
     def rule(w):
@@ -37,20 +38,20 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
             elif qt and not pt:                         # (I2)
                 mays.append((a, qt[0]))
             elif pt and qt:                             # (I3)
-                mays.append((a, wedge_id(pt[0], qt[0])))
+                mays.append((a, ids[pt[0], qt[0]]))
         for o in outputs:                               # (O)
             for pt in p.may_targets(ps, o):
                 for qt in q.may_targets(qs, o):
-                    mays.append((o, wedge_id(pt, qt)))
+                    mays.append((o, ids[pt, qt]))
         for pt in p.may_targets(ps, TAU):               # (T1)
-            mays.append((TAU, wedge_id(pt, qs)))
+            mays.append((TAU, ids[pt, qs]))
         for qt in q.may_targets(qs, TAU):               # (T2)
-            mays.append((TAU, wedge_id(ps, qt)))
+            mays.append((TAU, ids[ps, qt]))
         return mays, ()
 
     states, trans, _ = explore_pairs(pairs, rule, p.states | q.states)
     return make_ia(f"{p.name}_and_{q.name}", inputs, outputs,
-                   wedge_id(p.initial, q.initial), trans | p.may | q.may,
+                   ids[p.initial, q.initial], trans | p.may | q.may,
                    states=states | p.states | q.states)
 
 
@@ -60,6 +61,7 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     require_flavor(q, IA)
     require_same_alphabets(p, q)
     p, q, pairs = disjoint_operands(p, q, vee_id)
+    ids = {pq: state for state, pq in pairs.items()}
     inputs = p.alphabet.inputs
 
     def rule(v):
@@ -69,7 +71,7 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
             pt = p.may_targets(ps, a)
             qt = q.may_targets(qs, a)
             if pt and qt:
-                mays.append((a, vee_id(pt[0], qt[0])))
+                mays.append((a, ids[pt[0], qt[0]]))
         for side, s in ((p, ps), (q, qs)):              # (OT1), (OT2)
             mays.extend((alpha, t) for alpha, t in side.may_from(s)
                         if alpha not in inputs)
@@ -77,7 +79,7 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
 
     states, trans, _ = explore_pairs(pairs, rule, p.states | q.states)
     return make_ia(f"{p.name}_or_{q.name}", inputs, p.alphabet.outputs,
-                   vee_id(p.initial, q.initial), trans | p.may | q.may,
+                   ids[p.initial, q.initial], trans | p.may | q.may,
                    states=states | p.states | q.states)
 
 

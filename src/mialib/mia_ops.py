@@ -116,6 +116,7 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
     require_flavor(q, flavor)
     require_same_alphabets(p, q)
     p, q, pairs = disjoint_operands(p, q, pair_id)
+    ids = {pq: state for state, pq in pairs.items()}
     pw, qw = weak_closure(p), weak_closure(q)
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
     silent_or_outputs = sorted(outputs) + [TAU]
@@ -127,12 +128,12 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
             partners = qw.weak_succ(qs, o) if o in outputs else None
             if partners:
                 musts.append((o, frozenset(
-                    pair_id(pt, qt) for pt in p_targets for qt in partners)))
+                    ids[pt, qt] for pt in p_targets for qt in partners)))
         for o, q_targets in q.musts_from(qs):            # (OMust2)
             partners = pw.weak_succ(ps, o) if o in outputs else None
             if partners:
                 musts.append((o, frozenset(
-                    pair_id(pt, qt) for pt in partners for qt in q_targets)))
+                    ids[pt, qt] for pt in partners for qt in q_targets)))
         for i in inputs:
             p_sets = p.must_sets(ps, i)
             q_sets = q.must_sets(qs, i)
@@ -142,7 +143,7 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
                 musts.append((i, q_sets[0]))
             elif p_sets and q_sets:                      # (IMust3)
                 musts.append((i, frozenset(
-                    pair_id(pt, qt) for pt in p_sets[0] for qt in q_sets[0])))
+                    ids[pt, qt] for pt in p_sets[0] for qt in q_sets[0])))
             p_mays = p.may_targets(ps, i)
             q_mays = q.may_targets(qs, i)
             if p_mays and not q_mays:                    # (IMay1)
@@ -150,16 +151,16 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
             elif q_mays and not p_mays:                  # (IMay2)
                 mays.extend((i, qt) for qt in q_mays)
             else:                                        # (IMay3)
-                mays.extend((i, pair_id(pt, qt))
+                mays.extend((i, ids[pt, qt])
                             for pt in p_mays for qt in q_mays)
         for pt in pw.weak_succ(ps, TAU):                 # (May1)
-            mays.append((TAU, pair_id(pt, qs)))
+            mays.append((TAU, ids[pt, qs]))
         for qt in qw.weak_succ(qs, TAU):                 # (May2)
-            mays.append((TAU, pair_id(ps, qt)))
+            mays.append((TAU, ids[ps, qt]))
         for alpha in silent_or_outputs:                  # (May3)
             for pt in pw.weak_succ(ps, alpha):
                 for qt in qw.weak_succ(qs, alpha):
-                    mays.append((alpha, pair_id(pt, qt)))
+                    mays.append((alpha, ids[pt, qt]))
         return mays, musts
 
     states, may, must = explore_pairs(pairs, rule, p.states | q.states)
@@ -168,7 +169,7 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
         may |= p.may | q.may
         must |= p.must | q.must
     automaton = make_automaton(flavor, f"{p.name}_and_{q.name}", inputs,
-                               outputs, pair_id(p.initial, q.initial),
+                               outputs, ids[p.initial, q.initial],
                                may, must, states=states)
     return ConjunctiveProduct(automaton=automaton, left=p, right=q,
                               left_weak=pw, right_weak=qw, pairs=pairs)
@@ -232,7 +233,7 @@ def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
             alive[edge] -= 1
             if alive[edge] == 0:
                 src, label, targets = edge
-                tgt = "{" + ",".join(sorted(t.text for t in targets)) + "}"
+                tgt = "{" + ",".join(sorted(targets)) + "}"
                 push(src, ("F3", f"{src} -{label}-> {tgt}"))
     return InconsistencySet(members=frozenset(members), provenance=provenance)
 
@@ -329,26 +330,34 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
     require_flavor(p2, flavor)
     inputs, outputs = composed_alphabets(p1, p2)
     a1, a2 = p1.alphabet.actions, p2.alphabet.actions
+    ids: dict[Pair, StateId] = {}
+
+    def pid(s1: StateId, s2: StateId) -> StateId:
+        """The one id of the pair ``(s1, s2)`` in this product."""
+        state = ids.get((s1, s2))
+        if state is None:
+            state = ids[s1, s2] = pair_id(s1, s2)
+        return state
 
     def rule(state: StateId):
         s1, s2 = state.parts
-        musts = [(a, frozenset(pair_id(t, s2) for t in targets))   # (Must1)
+        musts = [(a, frozenset(pid(t, s2) for t in targets))   # (Must1)
                  for a, targets in p1.musts_from(s1) if a not in a2]
-        musts += [(a, frozenset(pair_id(s1, t) for t in targets))  # (Must2)
+        musts += [(a, frozenset(pid(s1, t) for t in targets))  # (Must2)
                   for a, targets in p2.musts_from(s2) if a not in a1]
         mays = []
         for alpha, t1 in p1.may_from(s1):
             if alpha not in a2:                          # (May1)
-                mays.append((alpha, pair_id(t1, s2)))
+                mays.append((alpha, pid(t1, s2)))
             else:                                        # (May3)
-                mays.extend((TAU, pair_id(t1, t2))
+                mays.extend((TAU, pid(t1, t2))
                             for t2 in p2.may_targets(s2, alpha))
         for alpha, t2 in p2.may_from(s2):
             if alpha not in a1:                          # (May2)
-                mays.append((alpha, pair_id(s1, t2)))
+                mays.append((alpha, pid(s1, t2)))
         return mays, musts
 
-    init = pair_id(p1.initial, p2.initial)
+    init = pid(p1.initial, p2.initial)
     states, may, must = explore_pairs([init], rule)
     return make_automaton(flavor, f"{p1.name}_x_{p2.name}", inputs, outputs,
                           init, may, must, states=states)
@@ -446,15 +455,15 @@ def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
     lw, rw = product.left_weak, product.right_weak
     outputs = left.alphabet.outputs
     aut = product.automaton
-    allowed = {pair_id(ps, qs) for ps, qs in w} | left.states | right.states
-    for ps, qs in w:
+    ids = {(ps, qs): pair_id(ps, qs) for ps, qs in w}
+    allowed = {*ids.values(), *left.states, *right.states}
+    for (ps, qs), state in ids.items():
         for a, _ in left.musts_from(ps):                 # (W1)
             if a in outputs and not rw.can_weak(qs, a):
                 return False
         for a, _ in right.musts_from(qs):                # (W2)
             if a in outputs and not lw.can_weak(ps, a):
                 return False
-        state = pair_id(ps, qs)
         for _, targets in aut.musts_from(state):         # (W3)
             if targets.isdisjoint(allowed):
                 return False

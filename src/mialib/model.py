@@ -12,6 +12,13 @@ disjunctive Modal Transition Systems (dMTS) and Modal Interface Automata
 * ``mia`` -- inputs and outputs; at most one must-transition per input and
   state, and every input may-transition is underlain by that must.
 
+A state is a :class:`StateId`: a ``str`` whose value is its canonical
+name, so states hash, compare and sort as plain strings do, and the
+structure an operator gave the name stays readable from ``kind`` and
+``parts``.  Each state's id is built once: the parser keeps one id per name
+in a document, and the product builders keep one id per pair, so every
+transition endpoint is the object held in ``states``.
+
 All automata are immutable after construction and safe to share across
 threads.  Iteration over states and transitions is deterministic
 (lexicographic in the canonical state strings).
@@ -20,6 +27,7 @@ threads.  Iteration over states and transitions is deterministic
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 TAU = "tau"
@@ -63,14 +71,20 @@ class NotComposableError(MialibError):
 # Structured state identifiers
 
 
-class StateId:
+class StateId(str):
     """Structured state name recording operator provenance.
 
     A state id is an atom, a product pair ``(l,r)``, a conjunction ``l&r``,
     a disjunction ``l|r`` or a tagged id ``l@T`` (used both for disjoint
-    renaming and for universal states ``u@Name``).  Ids compare, hash and
-    sort by their canonical string, and distinct structures render to
-    distinct strings.
+    renaming and for universal states ``u@Name``).  ``kind`` and ``parts``
+    keep that structure, and distinct structures render to distinct
+    strings.
+
+    The id is a ``str`` whose value is its canonical text, so it hashes,
+    compares and sorts exactly as that text does, with the built-in string
+    operations.  ``text`` holds the same text as a plain ``str``.  Equality
+    is string equality: ``atom("a") == "a"`` holds, and an id and the plain
+    string of its text are the same dict key.  Ids are immutable.
     """
 
     __slots__ = ("kind", "parts", "text")
@@ -81,31 +95,32 @@ class StateId:
     VEE = "vee"
     TAG = "tag"
 
-    def __init__(self, kind: str, parts: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "text", _render(kind, parts))
+    def __new__(cls, kind: str, parts: tuple):
+        text = _render(kind, parts)
+        self = str.__new__(cls, text)
+        _set_kind(self, kind)
+        _set_parts(self, parts)
+        _set_text(self, text)
+        return self
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
+    def __setattr__(self, name, value):
         raise AttributeError("StateId is immutable")
 
-    def __eq__(self, other):
-        return isinstance(other, StateId) and self.text == other.text
-
-    def __hash__(self):
-        return hash(self.text)
-
-    def __lt__(self, other: "StateId"):
-        return self.text < other.text
-
-    def __le__(self, other: "StateId"):
-        return self.text <= other.text
+    def __delattr__(self, name):
+        raise AttributeError("StateId is immutable")
 
     def __repr__(self):
         return f"StateId({self.text!r})"
 
     def __str__(self):
         return self.text
+
+
+# The slots are written once, in ``__new__``, through their descriptors;
+# ``__setattr__`` refuses any later write.
+_set_kind = StateId.kind.__set__
+_set_parts = StateId.parts.__set__
+_set_text = StateId.text.__set__
 
 
 def _wrap(child: StateId) -> str:
@@ -187,10 +202,17 @@ MustEdge = tuple[StateId, str, frozenset[StateId]]
 
 
 def _freeze_must(must: Iterable) -> frozenset[MustEdge]:
-    out = set()
-    for src, label, targets in must:
-        out.add((src, label, frozenset(targets)))
-    return frozenset(out)
+    """The musts as a frozenset of edges with frozenset targets.
+
+    Musts that already have that form, such as those of another automaton
+    or of :func:`make_automaton`, are returned as they are; the check runs
+    in C, so the constructor does not rebuild them a second time.
+    """
+    if (type(must) is frozenset
+            and {*map(type, map(itemgetter(2), must))} <= {frozenset}):
+        return must
+    return frozenset([(src, label, frozenset(targets))
+                      for src, label, targets in must])
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +238,7 @@ class ModalAutomaton:
         object.__setattr__(self, "may", frozenset(self.may))
         object.__setattr__(self, "must", _freeze_must(self.must))
         may_by_src: dict[StateId, list] = {}
-        for src, label, tgt in sorted(self.may, key=_may_key):
+        for src, label, tgt in sorted(self.may):
             may_by_src.setdefault(src, []).append((label, tgt))
         must_by_src: dict[StateId, list] = {}
         for src, label, targets in sorted(self.must, key=_must_key):
@@ -232,7 +254,7 @@ class ModalAutomaton:
 
     @property
     def sorted_may(self) -> list[MayEdge]:
-        return sorted(self.may, key=_may_key)
+        return sorted(self.may)
 
     @property
     def sorted_must(self) -> list[MustEdge]:
@@ -259,14 +281,9 @@ class ModalAutomaton:
         return any(lab == label for (lab, _) in self.musts_from(state))
 
 
-def _may_key(edge: MayEdge):
-    src, label, tgt = edge
-    return (src.text, label, tgt.text)
-
-
 def _must_key(edge: MustEdge):
     src, label, targets = edge
-    return (src.text, label, tuple(sorted(t.text for t in targets)))
+    return (src, label, sorted(targets))
 
 
 def make_automaton(flavor: str,
@@ -366,7 +383,7 @@ def validate(aut: ModalAutomaton) -> list[Violation]:
     may_set = aut.may
     for src, label, targets in aut.sorted_must:
         subj = ("must", src, label, targets)
-        tgt_text = "{" + ",".join(sorted(t.text for t in targets)) + "}"
+        tgt_text = "{" + ",".join(sorted(targets)) + "}"
         if label == TAU:
             bad(Violation("tau-must", f"must {src} -tau-> {tgt_text}: silent musts are not allowed", subj))
             continue

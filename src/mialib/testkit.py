@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +31,19 @@ class SizeLimitError(MialibError):
 
 class UnknownSuiteError(MialibError):
     pass
+
+
+class InvalidGeneratedError(MialibError):
+    """A generator built an automaton that breaks a flavor invariant."""
+
+
+def _checked(aut: ModalAutomaton) -> ModalAutomaton:
+    problems = validate(aut)
+    if problems:
+        raise InvalidGeneratedError(
+            f"generated {aut.name} is invalid: "
+            + "; ".join(str(v) for v in problems))
+    return aut
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +124,8 @@ def _gen(flavor: str, inputs: list[str], outputs: list[str], max_states: int,
                     k = rng.randint(1, len(mays_here))
                     must.add((s, o, frozenset(rng.sample(mays_here, k))))
 
-    aut = make_automaton(flavor, f"g{rng.randrange(10**6)}", inputs, outputs,
-                         states[0], may, must, states=states)
-    assert not validate(aut), validate(aut)
-    return aut
+    return _checked(make_automaton(flavor, f"g{rng.randrange(10**6)}", inputs,
+                                   outputs, states[0], may, must, states=states))
 
 
 def gen_pair(flavor: str, seed, *, max_states: int = 4, max_actions: int = 3,
@@ -164,19 +176,17 @@ def weaken(aut: ModalAutomaton, rng: random.Random) -> ModalAutomaton:
     """
     under = {(s, l, t) for (s, l, T) in aut.must for t in T}
     may = set(aut.may)
-    for edge in sorted(may - under, key=lambda e: (e[0].text, e[1], e[2].text)):
+    for edge in sorted(may - under):
         if rng.random() < 0.4:
             may.discard(edge)
     must = set(aut.must)
     if aut.flavor != IA:
-        for (s, l, t) in sorted(may, key=lambda e: (e[0].text, e[1], e[2].text)):
+        for (s, l, t) in sorted(may):
             if l in aut.alphabet.outputs and rng.random() < 0.15:
                 must.add((s, l, frozenset([t])))
-    out = make_automaton(aut.flavor, aut.name + "_impl", aut.alphabet.inputs,
-                         aut.alphabet.outputs, aut.initial, may, must,
-                         states=aut.states)
-    assert not validate(out)
-    return out
+    return _checked(make_automaton(aut.flavor, aut.name + "_impl",
+                                   aut.alphabet.inputs, aut.alphabet.outputs,
+                                   aut.initial, may, must, states=aut.states))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +328,9 @@ def _drop_state(aut: ModalAutomaton, state: StateId) -> ModalAutomaton:
 
 def _shrink_candidates(aut: ModalAutomaton):
     under = {(s, l, t) for (s, l, T) in aut.must for t in T}
-    for edge in sorted(aut.must, key=lambda e: (e[0].text, e[1])):
+    for edge in sorted(aut.must, key=itemgetter(0, 1)):
         yield _drop_must(aut, edge)
-    for edge in sorted(aut.may - under, key=lambda e: (e[0].text, e[1], e[2].text)):
+    for edge in sorted(aut.may - under):
         yield _drop_may(aut, edge)
     for state in aut.sorted_states:
         if state != aut.initial:

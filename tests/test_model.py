@@ -3,12 +3,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from mialib.model import (DMTS, IA, MIA, TAU, EmptiedMustError,
-                          StateNameCollisionError, atom, disjoint_operands,
-                          make_automaton, make_ia, pair_id, remove_states,
-                          rename_disjoint, tagged_id, universal_id, validate,
-                          vee_id, wedge_id, weak_closure)
-from mialib.testkit import gen_random
+from mialib import dmts_ops, ia_ops, mia_ops
+from mialib.frontend import parse, serialize
+from mialib.model import (DMTS, IA, MIA, TAU, Alphabet, EmptiedMustError,
+                          ModalAutomaton, StateId, StateNameCollisionError, atom,
+                          disjoint_operands, make_automaton, make_ia, pair_id,
+                          remove_states, rename_disjoint, tagged_id,
+                          universal_id, validate, vee_id, wedge_id,
+                          weak_closure)
+from mialib.testkit import gen_composable_pair, gen_pair, gen_random
 
 s0, s1, s2, s3 = atom("s0"), atom("s1"), atom("s2"), atom("s3")
 
@@ -45,6 +48,100 @@ def test_distinct_ids_render_distinctly(a, b):
         assert a.text != b.text
     else:
         assert a == b
+
+
+_small_ids = st.recursive(
+    st.sampled_from("abcxyz").map(atom),
+    lambda ids: st.one_of(
+        st.tuples(ids, ids).map(lambda t: pair_id(*t)),
+        st.tuples(ids, ids).map(lambda t: wedge_id(*t)),
+        st.tuples(ids, ids).map(lambda t: vee_id(*t)),
+        st.tuples(ids, st.sampled_from(["L", "R"])).map(lambda t: tagged_id(*t))),
+    max_leaves=6)
+
+
+@given(_small_ids)
+def test_id_hashes_as_its_plain_text(a):
+    assert type(a.text) is str
+    assert hash(a) == hash(a.text)
+    assert str(a) == a.text and type(str(a)) is str
+
+
+@given(st.lists(_small_ids, max_size=8))
+def test_ids_sort_in_text_order(ids):
+    assert [s.text for s in sorted(ids)] == sorted(s.text for s in ids)
+
+
+def test_ids_are_immutable():
+    a = pair_id(atom("p"), atom("q"))
+    for name in ("kind", "parts", "text", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.kind, a.parts, a.text) == (StateId.PAIR, (atom("p"), atom("q")), "(p,q)")
+
+
+def test_id_equals_the_plain_string_of_its_text():
+    # documented behaviour: an id is a str whose value is its canonical text
+    assert atom("a") == "a"
+    assert pair_id(atom("a"), atom("b")) == "(a,b)"
+    assert {"(a,b)": 1}[pair_id(atom("a"), atom("b"))] == 1
+
+
+def _assert_shares_ids(aut: ModalAutomaton):
+    """Every may/must endpoint is the very object held in ``states``."""
+    held = {s: s for s in aut.states}
+    for src, _, tgt in aut.may:
+        assert held[src] is src and held[tgt] is tgt, (src, tgt)
+    for src, _, targets in aut.must:
+        assert held[src] is src, src
+        assert all(held[t] is t for t in targets), targets
+
+
+def _results(flavor, a, b):
+    if flavor == IA:
+        yield ia_ops.ia_conjoin(a, b)
+        yield ia_ops.ia_disjoin(a, b)
+    else:
+        conjoin, disjoin = {DMTS: (dmts_ops.dmts_conjoin, dmts_ops.dmts_disjoin),
+                            MIA: (mia_ops.mia_conjoin, mia_ops.mia_disjoin)}[flavor]
+        conj = conjoin(a, b)
+        yield conj.product.automaton
+        if conj.defined:
+            yield conj.automaton
+        yield disjoin(a, b)
+
+
+@pytest.mark.parametrize("flavor", [IA, DMTS, MIA])
+@pytest.mark.parametrize("seed", range(8))
+def test_parsed_documents_and_operator_results_share_state_ids(flavor, seed):
+    a, b = (parse(serialize(x)) for x in
+            gen_pair(flavor, seed, max_states=5, transition_density=0.5))
+    _assert_shares_ids(a)
+    _assert_shares_ids(b)
+    for result in _results(flavor, a, b):
+        _assert_shares_ids(result)
+    if flavor != DMTS:
+        compose = {IA: ia_ops.ia_parallel_compose,
+                   MIA: mia_ops.mia_parallel_compose}[flavor]
+        c1, c2 = (parse(serialize(x)) for x in
+                  gen_composable_pair(flavor, seed, max_states=5,
+                                      transition_density=0.5))
+        comp = compose(c1, c2)
+        _assert_shares_ids(comp.product)
+        if comp.compatible:
+            _assert_shares_ids(comp.automaton)
+
+
+def test_constructor_freezes_any_iterable_of_musts():
+    must = ((src, "a", [t]) for src, t in [(s0, s1), (s1, s0)])
+    aut = ModalAutomaton(flavor=DMTS, name="m", alphabet=Alphabet([], ["a"]),
+                         states={s0, s1}, initial=s0,
+                         may=[(s0, "a", s1), (s1, "a", s0)], must=must)
+    assert aut.must == {(s0, "a", frozenset([s1])), (s1, "a", frozenset([s0]))}
+    assert all(type(T) is frozenset for _, _, T in aut.must)
+    assert validate(aut) == []
 
 
 # ---------------------------------------------------------------------------

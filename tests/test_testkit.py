@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from mialib import mia_ops
+from mialib import mia_ops, testkit
 from mialib.frontend import parse_file
-from mialib.model import DMTS, IA, MIA, validate
+from mialib.model import DMTS, IA, MIA, MialibError, Violation, validate
 from mialib.refinement import holds, refines
-from mialib.testkit import (SizeLimitError, UnknownSuiteError, blackhole,
-                            gen_composable_pair, gen_over, gen_pair,
-                            gen_random, oracle_refines, recheck_witness,
-                            run_theorem_suite, shrink, weaken, SUITES)
+from mialib.testkit import (InvalidGeneratedError, SizeLimitError,
+                            UnknownSuiteError, blackhole, gen_composable_pair,
+                            gen_over, gen_pair, gen_random, oracle_refines,
+                            recheck_witness, run_theorem_suite, shrink, weaken,
+                            SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,17 @@ def test_gen_composable_pair_is_composable():
     for seed in range(25):
         a, b = gen_composable_pair(MIA, seed)
         composed_alphabets(a, b)  # raises if not composable
+
+
+def test_generator_self_checks_raise(monkeypatch):
+    spec = gen_random(MIA, seed=5, transition_density=0.5)
+    monkeypatch.setattr(testkit, "validate",
+                        lambda aut: [Violation("planted", "broken on purpose")])
+    with pytest.raises(InvalidGeneratedError, match="broken on purpose"):
+        gen_random(MIA, seed=5, transition_density=0.5)
+    with pytest.raises(InvalidGeneratedError):
+        weaken(spec, random.Random(0))
+    assert issubclass(InvalidGeneratedError, MialibError)
 
 
 def test_weaken_refines():
