@@ -13,7 +13,14 @@ The format names one automaton per file::
 dMTS files declare ``actions:`` instead of the input/output split, and IA
 files write plain transitions (``s0 -req-> s1;``) whose modality follows
 from the action kind.  In IA and MIA files an input must-declaration
-implies its underlying may-transitions.  ``#`` starts a line comment.
+implies its underlying may-transitions.
+
+One compiled regular expression splits the text into tokens: identifiers
+(runs of Unicode letters, digits and ``_``; keywords are identifiers),
+the punctuation ``{ } ( ) , ; : @ & | -`` and ``->``, line ends, blanks
+(space, tab, carriage return) and ``#`` comments, which run to the end of
+the line.  Any other character is a :class:`ParseError`.  Lines and
+columns count from 1, one column per character.
 
 State names produced by the operators (pairs ``(p,q)``, conjunctions
 ``p&q``, disjunctions ``p|q``, tags ``p@L``) parse back structurally, so
@@ -24,8 +31,10 @@ states are omitted when serializing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, NoReturn
 
 from .model import (DMTS, FLAVORS, IA, MIA, TAU, ModalAutomaton, StateId,
                     Violation, atom, make_automaton, pair_id, tagged_id,
@@ -44,12 +53,14 @@ class ParseError(MialibError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = set("{}(),;:@&|")
+# One alternative per token class, tried in order.  ``\w`` is Unicode-aware
+# and matches exactly the characters for which ``isalnum()`` holds, and ``_``.
+_TOKEN = re.compile(r"(?P<ident>\w+)|(?P<punct>->|[-{}(),;:@&|])|(?P<newline>\n)"
+                    r"|[ \t\r]+|(?P<comment>#.*)|(?P<bad>.)")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident | punct | dash | arrow | eof
+class _Tok(NamedTuple):
+    kind: str  # ident | punct | eof
     value: str
     line: int
     col: int
@@ -57,43 +68,21 @@ class _Tok:
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "-":
-            if text.startswith("->", i):
-                toks.append(_Tok("arrow", "->", line, col))
-                i += 2
-                col += 2
-            else:
-                toks.append(_Tok("dash", "-", line, col))
-                i += 1
-                col += 1
-        elif ch in _PUNCT:
-            toks.append(_Tok("punct", ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+    line, origin = 1, 0  # origin: the offset that column 1 stands for
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ident" or kind == "punct":
+            toks.append(_Tok(kind, m.group(), line, m.start() - origin + 1))
+        elif kind == "newline":
+            line, origin = line + 1, m.end()
+        elif kind == "comment":
+            # a comment advances no column: at the end of input the column
+            # is where the comment started
+            origin += m.end() - m.start()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line,
+                             m.start() - origin + 1)
+    toks.append(_Tok("eof", "", line, len(text) - origin + 1))
     return toks
 
 
@@ -115,6 +104,12 @@ class SourceDocument:
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    An identifier never equals a punctuation value, and the end of input is
+    the only empty token, so tokens are tested by their value alone.
+    """
+
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.pos = 0
@@ -129,14 +124,17 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Tok | None = None):
+    def at(self, *values: str) -> bool:
+        return self.toks[self.pos].value in values
+
+    def fail(self, message: str, tok: _Tok | None = None) -> NoReturn:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def expect_punct(self, ch: str) -> _Tok:
+    def expect(self, value: str, message: str = "") -> _Tok:
         tok = self.next()
-        if tok.kind != "punct" or tok.value != ch:
-            self.fail(f"expected {ch!r}, found {tok.value!r}", tok)
+        if tok.value != value:
+            self.fail(message or f"expected {value!r}, found {tok.value!r}", tok)
         return tok
 
     def expect_ident(self, what: str = "identifier") -> _Tok:
@@ -157,7 +155,7 @@ class _Parser:
 
     def state_id(self) -> StateId:
         left = self.postfix()
-        while self.peek().kind == "punct" and self.peek().value in "&|":
+        while self.at("&", "|"):
             op = self.next().value
             right = self.postfix()
             left = self.make_id(wedge_id if op == "&" else vee_id, left, right)
@@ -168,7 +166,7 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             sid = self.make_id(atom, tok.value)
-        elif tok.kind == "punct" and tok.value == "(":
+        elif tok.value == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"state name nested deeper than {MAX_NESTING} "
                           "parentheses", tok)
@@ -176,19 +174,18 @@ class _Parser:
             self.depth += 1
             first = self.state_id()
             sep = self.next()
-            if sep.kind == "punct" and sep.value == ",":
+            if sep.value == ",":
                 second = self.state_id()
-                self.expect_punct(")")
+                self.expect(")")
                 sid = self.make_id(pair_id, first, second)
-            elif sep.kind == "punct" and sep.value == ")":
+            elif sep.value == ")":
                 sid = first
             else:
                 self.fail("expected ',' or ')' in state name", sep)
             self.depth -= 1
         else:
             self.fail(f"expected state name, found {tok.value!r}", tok)
-            raise AssertionError
-        while self.peek().kind == "punct" and self.peek().value == "@":
+        while self.at("@"):
             self.next()
             tag = self.expect_ident("tag")
             sid = self.make_id(tagged_id, sid, tag.value)
@@ -204,44 +201,40 @@ class _Parser:
         flavor = head.value
         name = self.expect_ident("automaton name")
         spans[("header",)] = (head.line, head.col)
-        self.expect_punct("{")
+        self.expect("{")
 
         inputs: set[str] = set()
         outputs: set[str] = set()
-        while self.peek().kind == "ident" and self.peek().value in ("inputs", "outputs", "actions"):
+        while self.at("inputs", "outputs", "actions"):
             kind_tok = self.next()
             kind = kind_tok.value
             if kind == "actions" and flavor != DMTS:
                 self.fail("'actions' is only valid in dmts files", kind_tok)
             if kind in ("inputs", "outputs") and flavor == DMTS:
                 self.fail(f"'{kind}' is not valid in dmts files; use 'actions'", kind_tok)
-            self.expect_punct(":")
+            self.expect(":")
             spans[("alphabet", kind)] = (kind_tok.line, kind_tok.col)
             while self.peek().kind == "ident":
                 action = self.next()
                 if action.value == TAU:
                     self.fail("'tau' cannot be declared as an action", action)
                 (inputs if kind == "inputs" else outputs).add(action.value)
-                if self.peek().kind == "punct" and self.peek().value == ",":
-                    self.next()
-                else:
+                if not self.at(","):
                     break
-            self.expect_punct(";")
+                self.next()
+            self.expect(";")
 
-        init_tok = self.peek()
-        if not (init_tok.kind == "ident" and init_tok.value == "initial"):
-            self.fail("expected 'initial'", init_tok)
-        self.next()
+        init_tok = self.expect("initial", "expected 'initial'")
         initial = self.state_id()
         spans[("initial",)] = (init_tok.line, init_tok.col)
-        self.expect_punct(";")
+        self.expect(";")
 
         may: set = set()
         must: set = set()
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+        while not self.at("}"):
             self.transition(flavor, inputs, may, must, spans)
-        self.expect_punct("}")
-        if self.peek().kind != "eof":
+        self.expect("}")
+        if not self.at(""):
             self.fail("trailing input after closing '}'")
 
         automaton = make_automaton(flavor, name.value, inputs, outputs,
@@ -252,52 +245,47 @@ class _Parser:
                    spans: dict) -> None:
         tok = self.peek()
         modality = ""
-        if tok.kind == "ident" and tok.value in ("may", "must"):
-            modality = tok.value
-            self.next()
+        if self.at("may", "must"):
+            modality = self.next().value
         elif flavor != IA:
             # a bare transition only makes sense where modality is implied
-            if tok.kind != "ident" and not (tok.kind == "punct" and tok.value == "("):
+            if tok.kind != "ident" and tok.value != "(":
                 self.fail(f"expected transition, found {tok.value!r}", tok)
             self.fail("transitions in dmts/mia files need 'may' or 'must'", tok)
         src = self.state_id()
-        dash = self.next()
-        if dash.kind != "dash":
-            self.fail("expected '-label->'", dash)
+        self.expect("-", "expected '-label->'")
         label_tok = self.expect_ident("action label")
         label = label_tok.value
-        arrow = self.next()
-        if arrow.kind != "arrow":
-            self.fail("expected '->'", arrow)
+        self.expect("->", "expected '->'")
 
         targets: list[StateId] = []
-        braced = False
-        if self.peek().kind == "punct" and self.peek().value == "{":
-            braced = True
+        if self.at("{"):
             if flavor == IA:
                 self.fail("set targets are not allowed in ia files")
             self.next()
             targets.append(self.state_id())
-            while self.peek().kind == "punct" and self.peek().value == ",":
+            while self.at(","):
                 self.next()
                 targets.append(self.state_id())
-            self.expect_punct("}")
+            self.expect("}")
         else:
             targets.append(self.state_id())
-        self.expect_punct(";")
+        self.expect(";")
 
+        # a bare transition (IA files only) is a must exactly on an input
+        if not modality:
+            modality = "must" if label in inputs else "may"
         pos = (tok.line, tok.col)
-        if modality == "must" or (modality == "" and flavor == IA and label in inputs):
+        if modality == "must":
             if label == TAU:
-                raise ParseError("silent must-transitions are not allowed",
-                                 label_tok.line, label_tok.col)
+                self.fail("silent must-transitions are not allowed", label_tok)
             tset = frozenset(targets)
             must.add((src, label, tset))
             spans[("must", src, label, tset)] = pos
             if flavor in (IA, MIA) and label in inputs:
                 for t in targets:
                     may.add((src, label, t))
-        if modality in ("", "may") and not (modality == "" and flavor == IA and label in inputs):
+        else:
             if len(targets) > 1:
                 self.fail("may-transitions take a single target state", tok)
             may.add((src, label, targets[0]))
@@ -392,8 +380,13 @@ def export_dot(aut: ModalAutomaton) -> str:
     """Graphviz rendering: solid musts, dashed may-only transitions.
 
     Disjunctive musts are routed through a point-shaped junction node and
-    the initial state gets a double border.
+    the initial state gets a double border.  Junction nodes are named
+    ``__junction_<n>``, with more leading ``_`` while some state's name
+    starts with that prefix, so that no junction takes a state's name.
     """
+    prefix = "__junction_"
+    while any(state.startswith(prefix) for state in aut.states):
+        prefix = "_" + prefix
     out = [f"digraph {_q(aut.name)} {{", "  rankdir=LR;",
            "  node [shape=ellipse];"]
     for state in aut.sorted_states:
@@ -408,7 +401,7 @@ def export_dot(aut: ModalAutomaton) -> str:
             tgt = next(iter(targets))
             out.append(f"  {_q(src.text)} -> {_q(tgt.text)} [label={_q(text)}];")
         else:
-            j = f"__junction_{junction}"
+            j = f"{prefix}{junction}"
             junction += 1
             out.append(f"  {_q(j)} [shape=point label=\"\"];")
             out.append(f"  {_q(src.text)} -> {_q(j)} [label={_q(text)} arrowhead=none];")

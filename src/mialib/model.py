@@ -452,35 +452,23 @@ def _validate_mia(aut: ModalAutomaton, bad) -> None:
 
 @dataclass(frozen=True)
 class WeakClosure:
-    """Weak transition relations of one automaton.
+    """Weak transition relations of one automaton, as successor maps.
 
-    ``eps`` is the reflexive-transitive closure of silent may-steps.  For a
-    label ``l`` (actions and ``tau`` alike), ``weak[l]`` relates ``q`` to
-    ``q'`` when some silent run from ``q`` is followed by exactly one
-    ``l``-may-step ending in ``q'``; there are no trailing silent steps.
+    ``eps_map[q]`` is the set of states that silent may-steps reach from
+    ``q``, ``q`` included.  For a label ``l`` (actions and ``tau`` alike),
+    ``weak_map[q, l]`` holds ``q'`` when some silent run from ``q`` is
+    followed by exactly one ``l``-may-step ending in ``q'``; there are no
+    trailing silent steps.  Empty successor sets are not stored.
     """
 
-    eps: frozenset[tuple[StateId, StateId]]
-    weak: Mapping[str, frozenset[tuple[StateId, StateId]]]
-    _eps_succ: dict = field(default_factory=dict, repr=False, compare=False)
-    _weak_succ: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        eps_succ: dict[StateId, set[StateId]] = {}
-        for a, b in self.eps:
-            eps_succ.setdefault(a, set()).add(b)
-        weak_succ: dict[tuple[StateId, str], set[StateId]] = {}
-        for label, rel in self.weak.items():
-            for a, b in rel:
-                weak_succ.setdefault((a, label), set()).add(b)
-        object.__setattr__(self, "_eps_succ", {k: frozenset(v) for k, v in eps_succ.items()})
-        object.__setattr__(self, "_weak_succ", {k: frozenset(v) for k, v in weak_succ.items()})
+    eps_map: Mapping[StateId, frozenset[StateId]]
+    weak_map: Mapping[tuple[StateId, str], frozenset[StateId]]
 
     def eps_succ(self, state: StateId) -> frozenset[StateId]:
-        return self._eps_succ.get(state, frozenset([state]))
+        return self.eps_map.get(state, frozenset([state]))
 
     def weak_succ(self, state: StateId, label: str) -> frozenset[StateId]:
-        return self._weak_succ.get((state, label), frozenset())
+        return self.weak_map.get((state, label), frozenset())
 
     def weak_hat_succ(self, state: StateId, alpha: str) -> frozenset[StateId]:
         """Successors under the hat convention: tau matches by silent runs."""
@@ -489,12 +477,12 @@ class WeakClosure:
         return self.weak_succ(state, alpha)
 
     def can_weak(self, state: StateId, label: str) -> bool:
-        return bool(self.weak_succ(state, label))
+        return (state, label) in self.weak_map
 
 
 def weak_closure(aut: ModalAutomaton) -> WeakClosure:
     """Precompute the weak relations over the automaton's may-transitions."""
-    eps_succ: dict[StateId, set[StateId]] = {}
+    eps: dict[StateId, frozenset[StateId]] = {}
     for state in aut.sorted_states:
         seen = {state}
         stack = [state]
@@ -504,16 +492,14 @@ def weak_closure(aut: ModalAutomaton) -> WeakClosure:
                 if label == TAU and tgt not in seen:
                     seen.add(tgt)
                     stack.append(tgt)
-        eps_succ[state] = seen
-    eps = frozenset((s, t) for s, succ in eps_succ.items() for t in succ)
+        eps[state] = frozenset(seen)
 
-    labels = set(aut.alphabet.actions) | {TAU}
-    weak: dict[str, set[tuple[StateId, StateId]]] = {label: set() for label in labels}
+    weak: dict[tuple[StateId, str], set[StateId]] = {}
     for state in aut.sorted_states:
-        for mid in eps_succ[state]:
+        for mid in eps[state]:
             for label, tgt in aut.may_from(mid):
-                weak[label].add((state, tgt))
-    return WeakClosure(eps=eps, weak={k: frozenset(v) for k, v in weak.items()})
+                weak.setdefault((state, label), set()).add(tgt)
+    return WeakClosure(eps, {k: frozenset(v) for k, v in weak.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,44 @@ def test_comments_and_whitespace():
     assert aut.states == frozenset([atom("s")])
 
 
+def _error(text: str) -> tuple[str, int, int]:
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value.message, err.value.line, err.value.col
+
+
+def test_tab_and_crlf_columns():
+    # a tab and a carriage return each take one column; CRLF ends a line
+    doc = parse_document("mia M {\r\n\toutputs: o;\r\n\tinitial s;\r\n"
+                         "\t\tmay s -o-> t;\r\n}")
+    assert doc.spans[("alphabet", "outputs")] == (2, 2)
+    assert doc.spans[("initial",)] == (3, 2)
+    assert doc.spans[("may", atom("s"), "o", atom("t"))] == (4, 3)
+
+
+def test_end_of_input_column_after_a_trailing_comment():
+    # a comment advances no column: the end of input is where it started
+    assert _error("mia M { initial s;  # no closing brace") == \
+        ("expected transition, found ''", 1, 21)
+
+
+def test_double_dash_lexes_as_dash_then_arrow():
+    assert _error("mia M { outputs: o; initial s; may s --> t; }") == \
+        ("expected action label, found '->'", 1, 39)
+
+
+def test_unicode_identifiers():
+    aut = parse("mia M { inputs: é; outputs: ; initial x²; must x² -é-> 漢; }")
+    assert aut.alphabet.inputs == frozenset(["é"])
+    assert aut.must == frozenset([(atom("x²"), "é", frozenset([atom("漢")]))])
+
+
+def test_unexpected_character_position():
+    assert _error("mia M {\n  initial $;") == ("unexpected character '$'", 2, 11)
+    assert _error("mia M {\n\x0b initial s; }") == \
+        ("unexpected character '\\x0b'", 2, 1)
+
+
 @given(st.text(alphabet="iam dts{}();:,-><@&|#\ntau" + "xyz01", max_size=80))
 def test_parser_total_on_garbage(text):
     # bad input produces a positioned ParseError, never another exception
@@ -238,6 +276,17 @@ def test_dot_disjunctive_must_uses_junction():
     assert '"__junction_0" -> "a";' in dot
     assert '"__junction_0" -> "b";' in dot
     assert 'label="i?"' in dot
+
+
+def test_dot_junction_names_avoid_state_names():
+    aut = parse("dmts D { actions: a; initial s; must s -a-> {t, __junction_0}; "
+                "may __junction_0 -a-> s; }")
+    dot = export_dot(aut)
+    assert '"__junction_0" [label="__junction_0"];' in dot
+    assert '"___junction_0" [shape=point label=""];' in dot
+    assert '"___junction_0" -> "__junction_0";' in dot
+    assert '"__junction_0" -> "__junction_0"' not in dot
+    assert dot.count("shape=point") == 1
 
 
 def test_dot_blackhole():

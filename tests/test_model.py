@@ -33,23 +33,6 @@ def test_state_id_rendering():
     assert tagged_id(wedge_id(atom("a"), atom("b")), "L").text == "(a&b)@L"
 
 
-_ids = st.deferred(lambda: st.one_of(
-    st.sampled_from("abcxyz").map(atom),
-    st.tuples(_ids, _ids).map(lambda t: pair_id(*t)),
-    st.tuples(_ids, _ids).map(lambda t: wedge_id(*t)),
-    st.tuples(_ids, _ids).map(lambda t: vee_id(*t)),
-    st.tuples(_ids, st.sampled_from(["L", "R"])).map(lambda t: tagged_id(*t)),
-))
-
-
-@given(_ids, _ids)
-def test_distinct_ids_render_distinctly(a, b):
-    if (a.kind, a.parts) != (b.kind, b.parts):
-        assert a.text != b.text
-    else:
-        assert a == b
-
-
 _small_ids = st.recursive(
     st.sampled_from("abcxyz").map(atom),
     lambda ids: st.one_of(
@@ -58,6 +41,14 @@ _small_ids = st.recursive(
         st.tuples(ids, ids).map(lambda t: vee_id(*t)),
         st.tuples(ids, st.sampled_from(["L", "R"])).map(lambda t: tagged_id(*t))),
     max_leaves=6)
+
+
+@given(_small_ids, _small_ids)
+def test_distinct_ids_render_distinctly(a, b):
+    if (a.kind, a.parts) != (b.kind, b.parts):
+        assert a.text != b.text
+    else:
+        assert a == b
 
 
 @given(_small_ids)
@@ -201,15 +192,20 @@ def test_mia_two_input_musts_rejected():
 def test_weak_closure_reflexive_only_without_tau():
     aut = make_automaton(DMTS, "a", [], ["o"], s0)
     wc = weak_closure(aut)
-    assert wc.eps == frozenset([(s0, s0)])
+    assert wc.eps_succ(s0) == frozenset([s0])
 
 
 def test_weak_closure_no_trailing_tau():
     aut = make_automaton(DMTS, "a", [], ["o"], s0, may=[
         (s0, TAU, s1), (s1, TAU, s2), (s0, "o", s3)])
     wc = weak_closure(aut)
-    assert (s0, s3) in wc.weak["o"]
+    assert _weak_pairs(wc, aut, "o") == _enumerate_weak(aut, "o") == {(s0, s3)}
     assert wc.weak_succ(s0, "o") == frozenset([s3])
+
+
+def _weak_pairs(wc, aut, label):
+    """The weak ``label`` relation as pairs, read through ``weak_succ``."""
+    return {(s, t) for s in aut.states for t in wc.weak_succ(s, label)}
 
 
 def _enumerate_weak(aut, label):
@@ -239,8 +235,8 @@ def test_weak_closure_chain_matches_path_enumeration():
     wc = weak_closure(aut)
     expected = _enumerate_weak(aut, "o")
     assert expected == {(q, q2), (q1, q2)}
-    assert wc.weak["o"] == frozenset(expected)
-    assert (q, q3) not in wc.weak["o"]
+    assert _weak_pairs(wc, aut, "o") == expected
+    assert q3 not in wc.weak_succ(q, "o")
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -260,12 +256,13 @@ def test_weak_closure_properties(seed):
                 via_eps |= wc.weak_succ(mid, label)
             assert via_eps == set(wc.weak_succ(s, label))
         # matches the independent path enumeration as well
-        assert wc.weak[label] == frozenset(_enumerate_weak(aut, label))
+        assert _weak_pairs(wc, aut, label) == _enumerate_weak(aut, label)
 
 
 def test_weak_closure_idempotent_view():
     aut = gen_random(MIA, seed=9, transition_density=0.5)
-    assert weak_closure(aut).eps == weak_closure(aut).eps
+    first, second = weak_closure(aut), weak_closure(aut)
+    assert all(first.eps_succ(s) == second.eps_succ(s) for s in aut.states)
 
 
 # ---------------------------------------------------------------------------
