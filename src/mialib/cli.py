@@ -12,11 +12,11 @@ import sys
 from pathlib import Path
 
 from . import dmts_ops, embeddings, ia_ops, mia_ops
-from .frontend import ParseError, export_dot, parse_document, serialize, validate_document
+from .frontend import (ParseError, SourceDocument, export_dot, parse_document,
+                       serialize, validate_document)
 from .model import (DMTS, IA, MIA, MialibError, ModalAutomaton,
                     restrict_reachable)
 from .refinement import refines
-from .frontend import SourceDocument
 
 OK = 0
 CHECK_FAILED = 1
@@ -83,15 +83,8 @@ def _find_state(aut: ModalAutomaton, text: str | None):
 
 
 def _cmd_validate(args) -> int:
-    doc = _load(args.file)
-    problems = validate_document(doc)
-    for violation, span in problems:
-        where = f"{args.file}:{span[0]}:{span[1]}: " if span else f"{args.file}: "
-        print(where + str(violation), file=sys.stderr)
-    if problems:
-        return USAGE
-    print(f"{args.file}: valid {doc.automaton.flavor} "
-          f"({len(doc.automaton.states)} states)")
+    aut = _load_valid(args.file)
+    print(f"{args.file}: valid {aut.flavor} ({len(aut.states)} states)")
     return OK
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
-from .model import (DMTS, FLAVORS, IA, MIA, TAU, ModalAutomaton, StateId,
+from .model import (DMTS, FLAVORS, IA, TAU, ModalAutomaton, StateId,
                     Violation, atom, make_automaton, pair_id, tagged_id,
                     validate, vee_id, wedge_id)
 from .model import MialibError
@@ -282,7 +282,7 @@ class _Parser:
             tset = frozenset(targets)
             must.add((src, label, tset))
             spans[("must", src, label, tset)] = pos
-            if flavor in (IA, MIA) and label in inputs:
+            if label in inputs:
                 for t in targets:
                     may.add((src, label, t))
         else:

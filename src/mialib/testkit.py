@@ -6,20 +6,28 @@ an assumption set (revisiting a pair on the current path counts as success)
 and shares no code with the fixpoint checker, so the two can cross-validate
 each other.  Theorem suites draw seeded instances, check an algebraic law,
 and shrink plus serialize any counterexample.
+
+The suites come from one law table, ``_LAWS``: a name pattern, the flavors
+it holds for, a sampler ``(flavor, rng)`` and a check ``(flavor, automata)``
+returning a failure message or None.  A check reads the operators from
+``ia_ops``, ``dmts_ops`` and ``mia_ops`` when it runs, so a patched
+operator reaches every suite.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
 from . import dmts_ops, embeddings, ia_ops, mia_ops
 from .frontend import serialize
-from .model import (DMTS, FLAVORS, IA, MIA, TAU, MialibError, ModalAutomaton,
-                    StateId, atom, make_automaton, make_ia, validate)
+from .model import (DMTS, FLAVORS, IA, MIA, TAU, FlavorMismatchError,
+                    MialibError, ModalAutomaton, StateId, atom, make_automaton,
+                    make_ia, validate)
 from .refinement import dmts_refines, holds, mia_equiv, mia_refines, refines
 
 ORACLE_STATE_LIMIT = 7
@@ -71,15 +79,18 @@ def gen_random(flavor: str, *, max_states: int = 4, max_actions: int = 3,
     """Random valid automaton with a random alphabet, fixed by the seed."""
     rng = random.Random(f"{flavor}|{max_states}|{max_actions}|"
                         f"{transition_density}|{seed}")
-    k = rng.randint(1, max_actions)
-    actions = [f"a{i}" for i in range(k)]
-    if flavor == DMTS:
-        inputs: list[str] = []
-        outputs = actions
-    else:
-        inputs = [a for a in actions if rng.random() < 0.5]
-        outputs = [a for a in actions if a not in inputs]
+    inputs, outputs = _alphabet(flavor, max_actions, rng)
     return _gen(flavor, inputs, outputs, max_states, transition_density, rng)
+
+
+def _alphabet(flavor: str, max_actions: int,
+              rng: random.Random) -> tuple[list[str], list[str]]:
+    """Actions ``a0..``; outside dMTS each is an input with probability 1/2."""
+    actions = [f"a{i}" for i in range(rng.randint(1, max_actions))]
+    if flavor == DMTS:
+        return [], actions
+    inputs = [a for a in actions if rng.random() < 0.5]
+    return inputs, [a for a in actions if a not in inputs]
 
 
 def _gen(flavor: str, inputs: list[str], outputs: list[str], max_states: int,
@@ -93,30 +104,24 @@ def _gen(flavor: str, inputs: list[str], outputs: list[str], max_states: int,
         k = 1 + (rng.random() < 0.25 * density and n > 1)
         return rng.sample(states, min(k, n, k_max))
 
-    if flavor == IA:
-        for s in states:
+    for s in states:
+        if flavor == IA:
             for a in inputs:
                 if rng.random() < density:
                     t = rng.choice(states)
                     may.add((s, a, t))
                     must.add((s, a, frozenset([t])))
-            for o in list(outputs) + [TAU]:
-                p = density * (0.6 if o == TAU else 1.0)
-                if rng.random() < p:
-                    for t in targets(2):
-                        may.add((s, o, t))
-    else:
-        for s in states:
+        else:
             for i in sorted(inputs):
                 if rng.random() < density:
                     tset = targets(2)
                     must.add((s, i, frozenset(tset)))
                     may.update((s, i, t) for t in tset)
-            for o in list(outputs) + [TAU]:
-                p = density * (0.6 if o == TAU else 1.0)
-                if rng.random() < p:
-                    for t in targets(2):
-                        may.add((s, o, t))
+        for o in list(outputs) + [TAU]:
+            if rng.random() < density * (0.6 if o == TAU else 1.0):
+                for t in targets(2):
+                    may.add((s, o, t))
+        if flavor != IA:
             for o in sorted(outputs):
                 mays_here = sorted(t for (src, lab, t) in may
                                    if src == s and lab == o)
@@ -132,13 +137,7 @@ def gen_pair(flavor: str, seed, *, max_states: int = 4, max_actions: int = 3,
              transition_density: float = 0.35) -> tuple[ModalAutomaton, ModalAutomaton]:
     """Two automata over one shared random alphabet."""
     rng = random.Random(f"pair|{flavor}|{seed}")
-    k = rng.randint(1, max_actions)
-    actions = [f"a{i}" for i in range(k)]
-    if flavor == DMTS:
-        inputs, outputs = [], actions
-    else:
-        inputs = [a for a in actions if rng.random() < 0.5]
-        outputs = [a for a in actions if a not in inputs]
+    inputs, outputs = _alphabet(flavor, max_actions, rng)
     a = _gen(flavor, inputs, outputs, max_states, transition_density, rng)
     b = _gen(flavor, inputs, outputs, max_states, transition_density, rng)
     return a, b
@@ -146,7 +145,12 @@ def gen_pair(flavor: str, seed, *, max_states: int = 4, max_actions: int = 3,
 
 def gen_composable_pair(flavor: str, seed, *, max_states: int = 4,
                         transition_density: float = 0.35) -> tuple[ModalAutomaton, ModalAutomaton]:
-    """Two automata whose shared actions pair an output with an input."""
+    """Two IAs or MIAs whose shared actions pair an output with an input.
+
+    A dMTS has no inputs, so it is refused before any draw.
+    """
+    if flavor == DMTS:
+        raise FlavorMismatchError("parallel composition is not defined for dmts")
     rng = random.Random(f"composable|{flavor}|{seed}")
     shared = [f"c{i}" for i in range(rng.randint(0, 2))]
     in1, out1 = set(), set()
@@ -295,19 +299,14 @@ def recheck_witness(flavor: str, impl: ModalAutomaton, spec: ModalAutomaton,
 
 
 def _drop_may(aut: ModalAutomaton, edge) -> ModalAutomaton:
-    return make_automaton(aut.flavor, aut.name, aut.alphabet.inputs,
-                          aut.alphabet.outputs, aut.initial,
-                          aut.may - {edge}, aut.must, states=aut.states)
+    return replace(aut, may=aut.may - {edge})
 
 
 def _drop_must(aut: ModalAutomaton, edge) -> ModalAutomaton:
     src, label, targets = edge
-    may = set(aut.may)
-    if aut.flavor != DMTS and label in aut.alphabet.inputs:
-        may -= {(src, label, t) for t in targets}
-    return make_automaton(aut.flavor, aut.name, aut.alphabet.inputs,
-                          aut.alphabet.outputs, aut.initial, may,
-                          aut.must - {edge}, states=aut.states)
+    # an input must takes its underlying mays with it
+    under = {(src, label, t) for t in targets if label in aut.alphabet.inputs}
+    return replace(aut, may=aut.may - under, must=aut.must - {edge})
 
 
 def _drop_state(aut: ModalAutomaton, state: StateId) -> ModalAutomaton:
@@ -319,11 +318,9 @@ def _drop_state(aut: ModalAutomaton, state: StateId) -> ModalAutomaton:
         T2 = frozenset(T - {state})
         if T2:
             must.add((s, l, T2))
-        elif aut.flavor != DMTS and l in aut.alphabet.inputs:
+        elif l in aut.alphabet.inputs:
             may -= {(s, l, t) for t in T}
-    return make_automaton(aut.flavor, aut.name, aut.alphabet.inputs,
-                          aut.alphabet.outputs, aut.initial, may, must,
-                          states=aut.states - {state})
+    return replace(aut, may=may, must=must, states=aut.states - {state})
 
 
 def _shrink_candidates(aut: ModalAutomaton):
@@ -404,209 +401,193 @@ def _structural(aut: ModalAutomaton, what: str) -> str | None:
     return None
 
 
-def _conjoin(flavor: str):
-    return {IA: ia_ops.ia_conjoin, DMTS: dmts_ops.dmts_conjoin,
-            MIA: mia_ops.mia_conjoin}[flavor]
+def _op(flavor: str, name: str):
+    """``<flavor>_ops.<flavor>_<name>`` as the module holds it now."""
+    module = {IA: ia_ops, DMTS: dmts_ops, MIA: mia_ops}[flavor]
+    return getattr(module, f"{flavor}_{name}")
 
 
-def _disjoin(flavor: str):
-    return {IA: ia_ops.ia_disjoin, DMTS: dmts_ops.dmts_disjoin,
-            MIA: mia_ops.mia_disjoin}[flavor]
+def _conjunction(flavor: str, p: ModalAutomaton,
+                 q: ModalAutomaton) -> tuple[ModalAutomaton | None, frozenset]:
+    """``p ^ q`` (None when inconsistent) and the states it must not keep."""
+    conj = _op(flavor, "conjoin")(p, q)
+    if flavor == IA:
+        return conj, frozenset()
+    return conj.automaton, conj.inconsistency.members
 
 
-def _compose(flavor: str):
-    return {IA: ia_ops.ia_parallel_compose,
-            MIA: mia_ops.mia_parallel_compose}[flavor]
+def _sample_one(flavor: str, rng: random.Random) -> dict:
+    return {"a": gen_random(flavor, seed=rng.random(), transition_density=0.4)}
 
 
-def _sample_triple(flavor: str):
-    def sample(rng: random.Random) -> dict:
-        p, q = gen_pair(flavor, rng.random())
-        r = _gen(flavor, sorted(p.alphabet.inputs), sorted(p.alphabet.outputs),
-                 4, 0.35, rng)
-        return {"p": p, "q": q, "r": r}
-    return sample
+def _sample_pair(flavor: str, rng: random.Random) -> dict:
+    return dict(zip(("p", "q"), gen_pair(flavor, rng.random())))
 
 
-def _sample_refining_plus(flavor: str):
-    def sample(rng: random.Random) -> dict:
-        q, r = gen_pair(flavor, rng.random())
-        p = weaken(q, rng)
-        return {"p": p, "q": q, "r": r}
-    return sample
+def _sample_oracle_pair(flavor: str, rng: random.Random) -> dict:
+    return dict(zip(("p", "q"), gen_pair(flavor, rng.random(), max_states=6)))
 
 
-def _check_refl(flavor: str):
-    def check(auts: dict) -> str | None:
-        a = auts["a"]
-        for state in a.sorted_states:
-            if not refines(a, a, state, state).verdict:
-                return f"refinement not reflexive at {state}"
-        return None
-    return check
+def _sample_composable(flavor: str, rng: random.Random) -> dict:
+    return dict(zip(("p", "q"), gen_composable_pair(flavor, rng.random())))
 
 
-def _check_trans(flavor: str):
-    def check(auts: dict) -> str | None:
-        a, b, c = auts["a"], auts["b"], auts["c"]
-        if not (holds(a, b) and holds(b, c)):
-            return None  # precondition broken (can happen while shrinking)
-        if not holds(a, c):
-            return "transitivity violated"
-        return None
-    return check
+def _sample_triple(flavor: str, rng: random.Random) -> dict:
+    p, q = gen_pair(flavor, rng.random())
+    r = _gen(flavor, sorted(p.alphabet.inputs), sorted(p.alphabet.outputs),
+             4, 0.35, rng)
+    return {"p": p, "q": q, "r": r}
 
 
-def _sample_chain(flavor: str):
-    def sample(rng: random.Random) -> dict:
-        # Rejection sampling over a mixed candidate stream: derived chains
-        # are frequent hits, independent draws keep the distribution honest.
-        while True:
-            if rng.random() < 0.5:
-                c = gen_random(flavor, max_states=4, seed=rng.random(),
-                               transition_density=0.4)
-                b = weaken(c, rng)
-                a = weaken(b, rng)
-            else:
-                c, b = gen_pair(flavor, rng.random())
-                a = weaken(b, rng)
-            if holds(a, b) and holds(b, c):
-                return {"a": a, "b": b, "c": c}
-    return sample
+def _sample_refining_plus(flavor: str, rng: random.Random) -> dict:
+    q, r = gen_pair(flavor, rng.random())
+    return {"p": weaken(q, rng), "q": q, "r": r}
 
 
-def _check_oracle(flavor: str):
-    def check(auts: dict) -> str | None:
-        p, q = auts["p"], auts["q"]
-        witness = refines(p, q)
-        expected = oracle_refines(flavor, p, q)
-        if witness.verdict != expected:
-            return (f"checker says {witness.verdict}, oracle says {expected}")
-        if witness.verdict and not recheck_witness(flavor, p, q, witness.pairs):
-            return "holds-witness failed independent clause re-check"
-        return None
-    return check
+def _sample_chain(flavor: str, rng: random.Random) -> dict:
+    # Rejection sampling over a mixed candidate stream: derived chains
+    # are frequent hits, independent draws keep the distribution honest.
+    while True:
+        if rng.random() < 0.5:
+            c = gen_random(flavor, max_states=4, seed=rng.random(),
+                           transition_density=0.4)
+            b = weaken(c, rng)
+            a = weaken(b, rng)
+        else:
+            c, b = gen_pair(flavor, rng.random())
+            a = weaken(b, rng)
+        if holds(a, b) and holds(b, c):
+            return {"a": a, "b": b, "c": c}
 
 
-def _check_glb(flavor: str):
-    conjoin = _conjoin(flavor)
-
-    def check(auts: dict) -> str | None:
-        p, q, r = auts["p"], auts["q"], auts["r"]
-        below_both = holds(r, p) and holds(r, q)
-        if flavor == IA:
-            c = conjoin(p, q)
-            bad = _structural(c, "conjunction")
-            if bad:
-                return bad
-            if below_both != holds(r, c):
-                return "glb law violated: r<=p and r<=q iff r<=p^q"
-            return None
-        conj = conjoin(p, q)
-        if conj.defined:
-            bad = _structural(conj.automaton, "conjunction")
-            if bad:
-                return bad
-            survivors = conj.inconsistency.members & conj.automaton.states
-            if survivors:
-                return f"inconsistent state survived pruning: {sorted(survivors)[0]}"
-            if below_both != holds(r, conj.automaton):
-                return "glb law violated: r<=p and r<=q iff r<=p^q"
-        elif below_both:
-            return "common implementation exists but conjunction undefined"
-        return None
-    return check
+def _sample_par(flavor: str, rng: random.Random) -> dict:
+    while True:
+        q1, p2 = gen_composable_pair(flavor, rng.random())
+        if _op(flavor, "parallel_compose")(q1, p2).compatible:
+            return {"p1": weaken(q1, rng), "q1": q1, "p2": p2}
 
 
-def _check_lub(flavor: str):
-    disjoin = _disjoin(flavor)
+def _check_refl(flavor: str, auts: dict) -> str | None:
+    a = auts["a"]
+    for state in a.sorted_states:
+        if not refines(a, a, state, state).verdict:
+            return f"refinement not reflexive at {state}"
+    return None
 
-    def check(auts: dict) -> str | None:
-        p, q, r = auts["p"], auts["q"], auts["r"]
-        d = disjoin(p, q)
-        bad = _structural(d, "disjunction")
+
+def _check_trans(flavor: str, auts: dict) -> str | None:
+    a, b, c = auts["a"], auts["b"], auts["c"]
+    if not (holds(a, b) and holds(b, c)):
+        return None  # precondition broken (can happen while shrinking)
+    if not holds(a, c):
+        return "transitivity violated"
+    return None
+
+
+def _check_oracle(flavor: str, auts: dict) -> str | None:
+    p, q = auts["p"], auts["q"]
+    witness = refines(p, q)
+    expected = oracle_refines(flavor, p, q)
+    if witness.verdict != expected:
+        return (f"checker says {witness.verdict}, oracle says {expected}")
+    if witness.verdict and not recheck_witness(flavor, p, q, witness.pairs):
+        return "holds-witness failed independent clause re-check"
+    return None
+
+
+def _check_glb(flavor: str, auts: dict) -> str | None:
+    p, q, r = auts["p"], auts["q"], auts["r"]
+    below_both = holds(r, p) and holds(r, q)
+    conj, inconsistent = _conjunction(flavor, p, q)
+    if conj is None:
+        return ("common implementation exists but conjunction undefined"
+                if below_both else None)
+    bad = _structural(conj, "conjunction")
+    if bad:
+        return bad
+    survivors = inconsistent & conj.states
+    if survivors:
+        return f"inconsistent state survived pruning: {sorted(survivors)[0]}"
+    if below_both != holds(r, conj):
+        return "glb law violated: r<=p and r<=q iff r<=p^q"
+    return None
+
+
+def _check_lub(flavor: str, auts: dict) -> str | None:
+    p, q, r = auts["p"], auts["q"], auts["r"]
+    d = _op(flavor, "disjoin")(p, q)
+    bad = _structural(d, "disjunction")
+    if bad:
+        return bad
+    if holds(d, r) != (holds(p, r) and holds(q, r)):
+        return "lub law violated: p v q <= r iff p<=r and q<=r"
+    return None
+
+
+def _check_mono(flavor: str, auts: dict) -> str | None:
+    p, q, r = auts["p"], auts["q"], auts["r"]
+    if not holds(p, q):
+        return None  # precondition broken while shrinking
+    disjoin = _op(flavor, "disjoin")
+    dp, dq = disjoin(p, r), disjoin(q, r)
+    for aut, what in ((dp, "p v r"), (dq, "q v r")):
+        bad = _structural(aut, what)
         if bad:
             return bad
-        if holds(d, r) != (holds(p, r) and holds(q, r)):
-            return "lub law violated: p v q <= r iff p<=r and q<=r"
+    if not holds(dp, dq):
+        return "disjunction not monotone: p<=q but not p v r <= q v r"
+    cp, _ = _conjunction(flavor, p, r)
+    if cp is not None:
+        cq, _ = _conjunction(flavor, q, r)
+        if cq is None:
+            return "p^r defined but q^r undefined although p<=q"
+        if not holds(cp, cq):
+            return "conjunction not monotone: p^r <= q^r fails"
+    return None
+
+
+def _check_structural(flavor: str, auts: dict) -> str | None:
+    p, q = auts["p"], auts["q"]
+    results = [(_op(flavor, "disjoin")(p, q), "disjunction")]
+    conj, inconsistent = _conjunction(flavor, p, q)
+    if conj is not None:
+        results.append((conj, "conjunction"))
+        if inconsistent & conj.states:
+            return "inconsistent state survived pruning"
+    for aut, what in results:
+        bad = _structural(aut, what)
+        if bad:
+            return bad
+        for _, _, targets in aut.must:
+            if not targets:
+                return f"{what} has an empty must target set"
+    return None
+
+
+def _check_par(flavor: str, auts: dict) -> str | None:
+    p1, q1, p2 = auts["p1"], auts["q1"], auts["p2"]
+    if not holds(p1, q1):
         return None
-    return check
-
-
-def _check_mono(flavor: str):
-    conjoin = _conjoin(flavor)
-    disjoin = _disjoin(flavor)
-
-    def check(auts: dict) -> str | None:
-        p, q, r = auts["p"], auts["q"], auts["r"]
-        if not holds(p, q):
-            return None  # precondition broken while shrinking
-        dp, dq = disjoin(p, r), disjoin(q, r)
-        for aut, what in ((dp, "p v r"), (dq, "q v r")):
-            bad = _structural(aut, what)
-            if bad:
-                return bad
-        if not holds(dp, dq):
-            return "disjunction not monotone: p<=q but not p v r <= q v r"
-        if flavor == IA:
-            if not holds(conjoin(p, r), conjoin(q, r)):
-                return "conjunction not monotone"
-            return None
-        cp = conjoin(p, r)
-        if cp.defined:
-            cq = conjoin(q, r)
-            if not cq.defined:
-                return "p^r defined but q^r undefined although p<=q"
-            if not holds(cp.automaton, cq.automaton):
-                return "conjunction not monotone: p^r <= q^r fails"
+    compose = _op(flavor, "parallel_compose")
+    spec_comp = compose(q1, p2)
+    if not spec_comp.compatible:
         return None
-    return check
+    impl_comp = compose(p1, p2)
+    if not impl_comp.compatible:
+        return "p1<=q1 and q1,p2 compatible, but p1,p2 incompatible"
+    for comp, what in ((impl_comp, "p1|p2"), (spec_comp, "q1|p2")):
+        bad = _structural(comp.automaton, what)
+        if bad:
+            return bad
+        leftover = comp.incompatibility.incompatible & comp.automaton.states
+        if leftover:
+            return f"incompatible state survived pruning: {sorted(leftover)[0]}"
+    if not holds(impl_comp.automaton, spec_comp.automaton):
+        return "parallel composition not compositional: p1|p2 <= q1|p2 fails"
+    return None
 
 
-def _sample_par(flavor: str):
-    compose = _compose(flavor)
-
-    def sample(rng: random.Random) -> dict:
-        while True:
-            q1, p2 = gen_composable_pair(flavor, rng.random())
-            if compose(q1, p2).compatible:
-                p1 = weaken(q1, rng)
-                return {"p1": p1, "q1": q1, "p2": p2}
-    return sample
-
-
-def _check_par(flavor: str):
-    compose = _compose(flavor)
-
-    def check(auts: dict) -> str | None:
-        p1, q1, p2 = auts["p1"], auts["q1"], auts["p2"]
-        if not holds(p1, q1):
-            return None
-        spec_comp = compose(q1, p2)
-        if not spec_comp.compatible:
-            return None
-        impl_comp = compose(p1, p2)
-        if not impl_comp.compatible:
-            return "p1<=q1 and q1,p2 compatible, but p1,p2 incompatible"
-        for comp, what in ((impl_comp, "p1|p2"), (spec_comp, "q1|p2")):
-            bad = _structural(comp.automaton, what)
-            if bad:
-                return bad
-            leftover = comp.incompatibility.incompatible & comp.automaton.states
-            if leftover:
-                return f"incompatible state survived pruning: {sorted(leftover)[0]}"
-        if not holds(impl_comp.automaton, spec_comp.automaton):
-            return "parallel composition not compositional: p1|p2 <= q1|p2 fails"
-        return None
-    return check
-
-
-def _sample_ia_pair(rng: random.Random) -> dict:
-    p, q = gen_pair(IA, rng.random())
-    return {"p": p, "q": q}
-
-
-def _check_embed_refines(auts: dict) -> str | None:
+def _check_embed_refines(flavor: str, auts: dict) -> str | None:
     p, q = auts["p"], auts["q"]
     direct = holds(p, q)
     via_mia = mia_refines(embeddings.embed_ia_to_mia(p),
@@ -620,7 +601,7 @@ def _check_embed_refines(auts: dict) -> str | None:
     return None
 
 
-def _check_embed_hom_conj(auts: dict) -> str | None:
+def _check_embed_hom_conj(flavor: str, auts: dict) -> str | None:
     p, q = auts["p"], auts["q"]
     lhs = mia_ops.mia_conjoin(embeddings.embed_ia_to_mia(p),
                               embeddings.embed_ia_to_mia(q))
@@ -635,12 +616,7 @@ def _check_embed_hom_conj(auts: dict) -> str | None:
     return None
 
 
-def _sample_composable_ia(rng: random.Random) -> dict:
-    p, q = gen_composable_pair(IA, rng.random())
-    return {"p": p, "q": q}
-
-
-def _check_embed_hom_par(auts: dict) -> str | None:
+def _check_embed_hom_par(flavor: str, auts: dict) -> str | None:
     p, q = auts["p"], auts["q"]
     ia_comp = ia_ops.ia_parallel_compose(p, q)
     mia_comp = mia_ops.mia_parallel_compose(embeddings.embed_ia_to_mia(p),
@@ -648,14 +624,13 @@ def _check_embed_hom_par(auts: dict) -> str | None:
     if ia_comp.compatible != mia_comp.compatible:
         return (f"compatibility differs: ia {ia_comp.compatible}, "
                 f"embedded {mia_comp.compatible}")
-    if ia_comp.compatible:
-        if not mia_equiv(mia_comp.automaton,
-                         embeddings.embed_ia_to_mia(ia_comp.automaton)):
-            return "embedding is not homomorphic for parallel composition"
+    if ia_comp.compatible and not mia_equiv(
+            mia_comp.automaton, embeddings.embed_ia_to_mia(ia_comp.automaton)):
+        return "embedding is not homomorphic for parallel composition"
     return None
 
 
-def _check_embed_dmts_oneway(auts: dict) -> str | None:
+def _check_embed_dmts_oneway(flavor: str, auts: dict) -> str | None:
     p, q = auts["p"], auts["q"]
     ep = embeddings.embed_ia_to_dmts(p)
     eq = embeddings.embed_ia_to_dmts(q)
@@ -672,62 +647,28 @@ def _check_embed_dmts_oneway(auts: dict) -> str | None:
     return None
 
 
-def _check_structural(flavor: str):
-    conjoin = _conjoin(flavor)
-    disjoin = _disjoin(flavor)
-
-    def check(auts: dict) -> str | None:
-        p, q = auts["p"], auts["q"]
-        results = [(disjoin(p, q), "disjunction")]
-        if flavor == IA:
-            results.append((conjoin(p, q), "conjunction"))
-        else:
-            conj = conjoin(p, q)
-            if conj.defined:
-                results.append((conj.automaton, "conjunction"))
-                if conj.inconsistency.members & conj.automaton.states:
-                    return "inconsistent state survived pruning"
-        for aut, what in results:
-            bad = _structural(aut, what)
-            if bad:
-                return bad
-            for _, _, targets in aut.must:
-                if not targets:
-                    return f"{what} has an empty must target set"
-        return None
-    return check
+# (name pattern, flavors, sampler, check): one suite per listed flavor.
+_LAWS = (
+    ("{}-refl", FLAVORS, _sample_one, _check_refl),
+    ("{}-trans", FLAVORS, _sample_chain, _check_trans),
+    ("{}-oracle", FLAVORS, _sample_oracle_pair, _check_oracle),
+    ("{}-glb", FLAVORS, _sample_triple, _check_glb),
+    ("{}-lub", FLAVORS, _sample_triple, _check_lub),
+    ("{}-mono", FLAVORS, _sample_refining_plus, _check_mono),
+    ("{}-structural", FLAVORS, _sample_pair, _check_structural),
+    ("{}-par-comp", (IA, MIA), _sample_par, _check_par),
+    ("embed-refines", (IA,), _sample_pair, _check_embed_refines),
+    ("ia-embedding-hom", (IA,), _sample_pair, _check_embed_hom_conj),
+    ("ia-embedding-hom-par", (IA,), _sample_composable, _check_embed_hom_par),
+    ("embed-dmts-oneway", (IA,), _sample_pair, _check_embed_dmts_oneway),
+)
 
 
 def _registry() -> dict[str, _Suite]:
-    suites: dict[str, _Suite] = {}
-
-    def add(name, sample, check):
-        suites[name] = _Suite(name, sample, check)
-
-    for flavor in FLAVORS:
-        add(f"{flavor}-refl",
-            (lambda fl: lambda rng: {"a": gen_random(fl, seed=rng.random(),
-                                                     transition_density=0.4)})(flavor),
-            _check_refl(flavor))
-        add(f"{flavor}-trans", _sample_chain(flavor), _check_trans(flavor))
-        add(f"{flavor}-oracle",
-            (lambda fl: lambda rng: dict(zip(("p", "q"), gen_pair(fl, rng.random(),
-                                                                  max_states=6))))(flavor),
-            _check_oracle(flavor))
-        add(f"{flavor}-glb", _sample_triple(flavor), _check_glb(flavor))
-        add(f"{flavor}-lub", _sample_triple(flavor), _check_lub(flavor))
-        add(f"{flavor}-mono", _sample_refining_plus(flavor), _check_mono(flavor))
-        add(f"{flavor}-structural",
-            (lambda fl: lambda rng: dict(zip(("p", "q"),
-                                             gen_pair(fl, rng.random()))))(flavor),
-            _check_structural(flavor))
-    for flavor in (IA, MIA):
-        add(f"{flavor}-par-comp", _sample_par(flavor), _check_par(flavor))
-    add("embed-refines", _sample_ia_pair, _check_embed_refines)
-    add("ia-embedding-hom", _sample_ia_pair, _check_embed_hom_conj)
-    add("ia-embedding-hom-par", _sample_composable_ia, _check_embed_hom_par)
-    add("embed-dmts-oneway", _sample_ia_pair, _check_embed_dmts_oneway)
-    return suites
+    suites = (_Suite(pattern.format(flavor), partial(sample, flavor),
+                     partial(check, flavor))
+              for pattern, flavors, sample, check in _LAWS for flavor in flavors)
+    return {suite.name: suite for suite in suites}
 
 
 SUITES = _registry()

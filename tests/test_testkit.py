@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from mialib import mia_ops, testkit
-from mialib.frontend import parse_file
-from mialib.model import DMTS, IA, MIA, MialibError, Violation, validate
+from mialib import dmts_ops, ia_ops, mia_ops, testkit
+from mialib.frontend import parse_file, serialize
+from mialib.model import (DMTS, FLAVORS, IA, MIA, FlavorMismatchError,
+                          MialibError, ModalAutomaton, Violation, validate)
 from mialib.refinement import holds, refines
 from mialib.testkit import (InvalidGeneratedError, SizeLimitError,
                             UnknownSuiteError, blackhole, gen_composable_pair,
@@ -63,6 +67,17 @@ def test_gen_composable_pair_is_composable():
     for seed in range(25):
         a, b = gen_composable_pair(MIA, seed)
         composed_alphabets(a, b)  # raises if not composable
+
+
+def test_gen_composable_pair_refuses_dmts(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(testkit, "random", SimpleNamespace(Random=no_draws))
+    for seed in range(200):
+        with pytest.raises(FlavorMismatchError,
+                           match="parallel composition is not defined for dmts"):
+            gen_composable_pair(DMTS, seed)
 
 
 def test_generator_self_checks_raise(monkeypatch):
@@ -174,3 +189,68 @@ def test_shrink_keeps_failure():
     assert check(small) == "has musts"
     assert len(small["p"].must) <= len(p.must)
     assert validate(small["p"]) == []
+
+
+def _pin(aut: ModalAutomaton) -> bytes:
+    # serialize drops isolated states, so they are listed as well
+    states = " ".join(sorted(state.text for state in aut.states))
+    return (serialize(aut) + states + "\n").encode("utf-8")
+
+
+SAMPLES_DIGEST = "f853f5765c264a1b61745694bbe3675c8a53754e6caeb07254abd3ba367eac3d"
+
+
+def test_suite_samples_are_pinned():
+    digest = hashlib.sha256()
+    for name in sorted(SUITES):
+        for trial in range(20):
+            auts = SUITES[name].sample(random.Random(f"{name}|0|{trial}"))
+            for key in sorted(auts):
+                digest.update(key.encode("utf-8") + _pin(auts[key]))
+    for seed in range(20):
+        for flavor in FLAVORS:
+            digest.update(_pin(gen_random(flavor, seed=seed)))
+            for aut in gen_pair(flavor, seed):
+                digest.update(_pin(aut))
+        for flavor in (IA, MIA):
+            for aut in gen_composable_pair(flavor, seed):
+                digest.update(_pin(aut))
+    assert digest.hexdigest() == SAMPLES_DIGEST
+
+
+def _with_unknown_action(result):
+    """An operator result whose automaton has a may on an undeclared action."""
+    if isinstance(result, ModalAutomaton):
+        planted = (result.initial, "planted", result.initial)
+        return dataclasses.replace(result, may=result.may | {planted})
+    if result.automaton is None:
+        return result
+    return dataclasses.replace(
+        result, automaton=_with_unknown_action(result.automaton))
+
+
+@pytest.mark.parametrize("suite, operator", [
+    *((f"{flavor}-{law}", operator) for flavor in FLAVORS
+      for law, operator in (("glb", "conjoin"), ("lub", "disjoin"),
+                            ("mono", "disjoin"), ("structural", "conjoin"))),
+    ("ia-par-comp", "parallel_compose"), ("mia-par-comp", "parallel_compose")])
+def test_law_suites_see_patched_operators(suite, operator, tmp_path,
+                                          monkeypatch):
+    flavor = suite.split("-")[0]
+    module = {IA: ia_ops, DMTS: dmts_ops, MIA: mia_ops}[flavor]
+    name = f"{flavor}_{operator}"
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: _with_unknown_action(real(*args)))
+    report = run_theorem_suite(suite, trials=10, seed=0, out_dir=tmp_path)
+    assert report.failures
+    assert "is invalid: [unknown-action]" in report.failures[0].message
+
+
+def test_ia_glb_sees_a_conjunction_that_returns_its_left_operand(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(ia_ops, "ia_conjoin", lambda p, q: p)
+    report = run_theorem_suite("ia-glb", trials=30, seed=0, out_dir=tmp_path)
+    assert report.failures
+    assert report.failures[0].message == (
+        "glb law violated: r<=p and r<=q iff r<=p^q")
