@@ -14,12 +14,12 @@ composition, dMTS conjunction and dMTS disjunction run on them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (MIA, TAU, ModalAutomaton, MustEdge, NotComposableError,
-                    StateId, WeakClosure, disjoint_operands, explore_pairs,
-                    make_automaton, pair_id, remove_states, require_flavor,
-                    require_same_alphabets, vee_id, weak_closure)
+                    StateId, disjoint_operands, explore_pairs, make_automaton,
+                    pair_id, remove_states, require_flavor,
+                    require_same_alphabets, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -51,8 +51,6 @@ class ConjunctiveProduct:
     automaton: ModalAutomaton
     left: ModalAutomaton
     right: ModalAutomaton
-    left_weak: WeakClosure
-    right_weak: WeakClosure
     pairs: dict
 
 
@@ -117,7 +115,7 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
     require_same_alphabets(p, q)
     p, q, pairs = disjoint_operands(p, q, pair_id)
     ids = {pq: state for state, pq in pairs.items()}
-    pw, qw = weak_closure(p), weak_closure(q)
+    pw, qw = p.weak, q.weak
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
     silent_or_outputs = sorted(outputs) + [TAU]
 
@@ -172,7 +170,21 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
                                outputs, ids[p.initial, q.initial],
                                may, must, states=states)
     return ConjunctiveProduct(automaton=automaton, left=p, right=q,
-                              left_weak=pw, right_weak=qw, pairs=pairs)
+                              pairs=pairs)
+
+
+def _unmatched_output(left: ModalAutomaton, right: ModalAutomaton,
+                      ps: StateId, qs: StateId) -> tuple[str, str] | None:
+    """``("F1", a)`` if ``ps`` must do an output ``a`` that ``qs`` cannot
+    weakly allow, ``("F2", a)`` for the converse, else None."""
+    outputs = left.alphabet.outputs
+    for a, _ in left.musts_from(ps):                     # (F1)
+        if a in outputs and not right.weak.can_weak(qs, a):
+            return ("F1", a)
+    for a, _ in right.musts_from(qs):                    # (F2)
+        if a in outputs and not left.weak.can_weak(ps, a):
+            return ("F2", a)
+    return None
 
 
 def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
@@ -186,8 +198,6 @@ def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
     """
     aut = product.automaton
     left, right = product.left, product.right
-    lw, rw = product.left_weak, product.right_weak
-    outputs = left.alphabet.outputs
 
     members: set[StateId] = set()
     provenance: dict = {}
@@ -199,22 +209,10 @@ def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
             provenance[state] = cause
             worklist.append(state)
 
-    for state in aut.sorted_states:
-        if state not in product.pairs:
-            continue
-        ps, qs = product.pairs[state]
-        seeded = False
-        for a, _ in left.musts_from(ps):                 # (F1)
-            if a in outputs and not rw.can_weak(qs, a):
-                push(state, ("F1", a))
-                seeded = True
-                break
-        if seeded:
-            continue
-        for a, _ in right.musts_from(qs):                # (F2)
-            if a in outputs and not lw.can_weak(ps, a):
-                push(state, ("F2", a))
-                break
+    for state, (ps, qs) in sorted(product.pairs.items()):
+        cause = _unmatched_output(left, right, ps, qs)
+        if cause is not None:
+            push(state, cause)
 
     # (F3): per-must surviving-target counts; every pair entering the set is
     # processed exactly once, decrementing each must that targets it
@@ -413,20 +411,10 @@ def _prune_incompatible(product: ModalAutomaton, incompat: IncompatibilitySet,
     bad = incompat.incompatible
     if product.initial in bad:
         return Composition(product=product, incompatibility=incompat, automaton=None)
-
-    keep = product.states - bad
-    removed_may = set()
-    must = set()
-    for src, label, targets in product.must:
-        if src in keep and not (targets & bad):
-            must.add((src, label, targets))
-        else:
-            removed_may.update((src, label, t) for t in targets)
-    may = frozenset((s, l, t) for s, l, t in product.may
-                    if s in keep and t in keep and (s, l, t) not in removed_may)
-    pruned = make_automaton(product.flavor, name, product.alphabet.inputs,
-                            product.alphabet.outputs, product.initial, may,
-                            must, states=keep)
+    doomed = {edge for edge in product.must if not edge[2].isdisjoint(bad)}
+    under = {(src, label, t) for src, label, targets in doomed for t in targets}
+    kept = replace(product, may=product.may - under, must=product.must - doomed)
+    pruned = remove_states(kept, bad, name=name)
     return Composition(product=product, incompatibility=incompat, automaton=pruned)
 
 
@@ -452,18 +440,12 @@ def mia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:
 def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
     """Witness conditions with the must checks restricted to outputs."""
     left, right = product.left, product.right
-    lw, rw = product.left_weak, product.right_weak
-    outputs = left.alphabet.outputs
     aut = product.automaton
     ids = {(ps, qs): pair_id(ps, qs) for ps, qs in w}
     allowed = {*ids.values(), *left.states, *right.states}
     for (ps, qs), state in ids.items():
-        for a, _ in left.musts_from(ps):                 # (W1)
-            if a in outputs and not rw.can_weak(qs, a):
-                return False
-        for a, _ in right.musts_from(qs):                # (W2)
-            if a in outputs and not lw.can_weak(ps, a):
-                return False
+        if _unmatched_output(left, right, ps, qs):       # (W1), (W2)
+            return False
         for _, targets in aut.musts_from(state):         # (W3)
             if targets.isdisjoint(allowed):
                 return False

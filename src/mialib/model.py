@@ -22,11 +22,17 @@ transition endpoint is the object held in ``states``.
 All automata are immutable after construction and safe to share across
 threads.  Iteration over states and transitions is deterministic
 (lexicographic in the canonical state strings).
+
+An automaton stores only its seven fields; its views (sorted states and
+edges, the index behind ``may_from``/``musts_from``, the weak closure
+``weak``) are derived once, on first access, and kept.  Two threads may
+both compute a view at first; they get equal values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -219,6 +225,19 @@ def _freeze_must(must: Iterable) -> frozenset[MustEdge]:
 # The automaton
 
 
+class _derived:
+    """A view computed on first access and kept in the instance ``__dict__``,
+    where later lookups find it (a non-data descriptor)."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, aut, owner=None):
+        if aut is None:
+            return self
+        return aut.__dict__.setdefault(self.name, self.compute(aut))
+
+
 @dataclass(frozen=True)
 class ModalAutomaton:
     """Finite automaton with may- and disjunctive must-transitions."""
@@ -230,35 +249,39 @@ class ModalAutomaton:
     initial: StateId
     may: frozenset[MayEdge]
     must: frozenset[MustEdge]
-    _may_by_src: dict = field(default_factory=dict, repr=False, compare=False)
-    _must_by_src: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
         object.__setattr__(self, "may", frozenset(self.may))
         object.__setattr__(self, "must", _freeze_must(self.must))
-        may_by_src: dict[StateId, list] = {}
-        for src, label, tgt in sorted(self.may):
-            may_by_src.setdefault(src, []).append((label, tgt))
-        must_by_src: dict[StateId, list] = {}
-        for src, label, targets in sorted(self.must, key=_must_key):
-            must_by_src.setdefault(src, []).append((label, targets))
-        object.__setattr__(self, "_may_by_src", may_by_src)
-        object.__setattr__(self, "_must_by_src", must_by_src)
 
-    # -- deterministic views ------------------------------------------------
+    # -- derived views ------------------------------------------------------
 
-    @property
-    def sorted_states(self) -> list[StateId]:
-        return sorted(self.states)
+    @_derived
+    def sorted_states(self) -> tuple[StateId, ...]:
+        return tuple(sorted(self.states))
 
-    @property
-    def sorted_may(self) -> list[MayEdge]:
-        return sorted(self.may)
+    @_derived
+    def sorted_may(self) -> tuple[MayEdge, ...]:
+        return tuple(sorted(self.may))
 
-    @property
-    def sorted_must(self) -> list[MustEdge]:
-        return sorted(self.must, key=_must_key)
+    @_derived
+    def sorted_must(self) -> tuple[MustEdge, ...]:
+        return tuple(sorted(self.must, key=_must_key))
+
+    @_derived
+    def weak(self) -> WeakClosure:
+        return weak_closure(self)
+
+    @_derived
+    def _may_by_src(self) -> dict[StateId, list[tuple[str, StateId]]]:
+        return {src: [edge[1:] for edge in edges]
+                for src, edges in groupby(self.sorted_may, itemgetter(0))}
+
+    @_derived
+    def _must_by_src(self) -> dict[StateId, list[tuple[str, frozenset[StateId]]]]:
+        return {src: [edge[1:] for edge in edges]
+                for src, edges in groupby(self.sorted_must, itemgetter(0))}
 
     # -- local lookups ------------------------------------------------------
 
@@ -297,14 +320,10 @@ def make_automaton(flavor: str,
     """Build an automaton, collecting states from transition endpoints."""
     may = frozenset(may)
     must = _freeze_must(must)
-    all_states = set(states)
-    all_states.add(initial)
-    for src, _, tgt in may:
-        all_states.add(src)
-        all_states.add(tgt)
-    for src, _, targets in must:
-        all_states.add(src)
-        all_states.update(targets)
+    # A set keeps the first of equal members: states, initial, endpoints.
+    all_states = {*states, initial, *map(itemgetter(0), may),
+                  *map(itemgetter(2), may), *map(itemgetter(0), must)}
+    all_states.update(*map(itemgetter(2), must))
     return ModalAutomaton(flavor=flavor, name=name,
                           alphabet=Alphabet(frozenset(inputs), frozenset(outputs)),
                           states=frozenset(all_states), initial=initial,

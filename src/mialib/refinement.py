@@ -31,7 +31,7 @@ from itertools import compress
 
 from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, ModalAutomaton,
                     StateId, reachable_states, require_flavor,
-                    require_same_alphabets, weak_closure)
+                    require_same_alphabets)
 
 Pair = tuple[StateId, StateId]
 
@@ -88,7 +88,6 @@ class _Checker:
     def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
                  impl_state: StateId, spec_state: StateId):
         domain = _may_domain(flavor, spec.alphabet.outputs)
-        spec_weak = weak_closure(spec)
         # Dependency closure from the roots is enough: eliminating a pair
         # outside it can never affect the verdict.
         self.impl_states = sorted(reachable_states(impl, impl_state))
@@ -118,7 +117,7 @@ class _Checker:
             self.spec_musts.append([(a, sorted(q_index[t] for t in targets))
                                     for a, targets in spec.musts_from(q)])
             self.spec_hat.append({
-                alpha: sorted(q_index[t] for t in spec_weak.weak_hat_succ(q, alpha))
+                alpha: sorted(q_index[t] for t in spec.weak.weak_hat_succ(q, alpha))
                 for alpha in labels})
 
         n = len(self.impl_states) * nq

@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -325,7 +324,7 @@ def _drop_state(aut: ModalAutomaton, state: StateId) -> ModalAutomaton:
 
 def _shrink_candidates(aut: ModalAutomaton):
     under = {(s, l, t) for (s, l, T) in aut.must for t in T}
-    for edge in sorted(aut.must, key=itemgetter(0, 1)):
+    for edge in aut.sorted_must:
         yield _drop_must(aut, edge)
     for edge in sorted(aut.may - under):
         yield _drop_may(aut, edge)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from mialib import dmts_ops, ia_ops, mia_ops
+from mialib import dmts_ops, ia_ops, mia_ops, model
 from mialib.frontend import parse, serialize
+from mialib.refinement import refines
 from mialib.model import (DMTS, IA, MIA, TAU, Alphabet, EmptiedMustError,
                           ModalAutomaton, StateId, StateNameCollisionError, atom,
                           disjoint_operands, make_automaton, make_ia, pair_id,
@@ -133,6 +136,52 @@ def test_constructor_freezes_any_iterable_of_musts():
     assert aut.must == {(s0, "a", frozenset([s1])), (s1, "a", frozenset([s0]))}
     assert all(type(T) is frozenset for _, _, T in aut.must)
     assert validate(aut) == []
+
+
+def test_constructor_takes_only_the_seven_fields():
+    with pytest.raises(TypeError):
+        ModalAutomaton(flavor=DMTS, name="m", alphabet=Alphabet([], ["a"]),
+                       states={s0}, initial=s0, may=[], must=[],
+                       _may_by_src={})
+
+
+def test_views_are_sorted_tuples_and_follow_replace():
+    aut = make_automaton(DMTS, "a", [], ["x", "y"], s1,
+                         may=[(s2, "x", s0), (s1, "y", s2), (s1, "x", s2),
+                              (s0, "x", s1)],
+                         must=[(s1, "y", [s2]), (s1, "x", [s2, s0]),
+                               (s1, "x", [s2])])
+    assert aut.sorted_states == (s0, s1, s2)
+    assert aut.sorted_may == tuple(sorted(aut.may))
+    assert aut.sorted_must == ((s1, "x", frozenset([s0, s2])),
+                               (s1, "x", frozenset([s2])),
+                               (s1, "y", frozenset([s2])))
+    assert aut.sorted_may is aut.sorted_may
+    assert aut.may_from(s1) == [("x", s2), ("y", s2)]
+    assert aut.weak.weak_succ(s0, "x") == {s1}
+
+    # the shrinker rebuilds with dataclasses.replace: the copy derives anew
+    changed = dataclasses.replace(aut, may=aut.may - {(s0, "x", s1)}
+                                  | {(s0, TAU, s2)})
+    assert changed.sorted_may == tuple(sorted(changed.may))
+    assert changed.may_from(s0) == [(TAU, s2)]
+    assert changed.weak.weak_succ(s0, "x") == {s0}
+    assert aut.may_from(s0) == [("x", s1)]
+
+
+def test_weak_closure_computed_once_per_automaton(monkeypatch):
+    calls = []
+    real = model.weak_closure
+
+    def counting(aut):
+        calls.append(aut)
+        return real(aut)
+
+    monkeypatch.setattr(model, "weak_closure", counting)
+    aut = gen_random(MIA, seed=2, transition_density=0.5)
+    for state in aut.sorted_states:
+        assert refines(aut, aut, state, state).holds
+    assert calls == [aut]
 
 
 # ---------------------------------------------------------------------------

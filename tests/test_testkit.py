@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -189,6 +193,45 @@ def test_shrink_keeps_failure():
     assert check(small) == "has musts"
     assert len(small["p"].must) <= len(p.must)
     assert validate(small["p"]) == []
+
+
+# Faults parallel composition (the initial pair loses its output mays),
+# runs one suite and prints a digest of the shrunk counterexamples.
+_SHRINK_SCRIPT = """
+import dataclasses, hashlib, sys
+from pathlib import Path
+from mialib import mia_ops, testkit
+
+real = mia_ops.mia_parallel_product
+
+def broken(p1, p2):
+    prod = real(p1, p2)
+    outputs = prod.alphabet.outputs
+    return dataclasses.replace(prod, may=frozenset(
+        e for e in prod.may if e[0] != prod.initial or e[1] not in outputs))
+
+mia_ops.mia_parallel_product = broken
+report = testkit.run_theorem_suite("mia-par-comp", 12, 3, out_dir=sys.argv[1])
+digest = hashlib.sha256()
+for failure in report.failures:
+    digest.update(failure.message.encode())
+    for path in failure.files:
+        digest.update(Path(path).read_bytes())
+print(len(report.failures), digest.hexdigest())
+"""
+
+
+def test_shrink_order_does_not_follow_the_hash_seed(tmp_path):
+    src = str(Path(testkit.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _SHRINK_SCRIPT, str(tmp_path / seed)],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert not outputs[0].startswith("0 ")
+    assert outputs[0] == outputs[1]
 
 
 def _pin(aut: ModalAutomaton) -> bytes:
