@@ -15,12 +15,16 @@ files write plain transitions (``s0 -req-> s1;``) whose modality follows
 from the action kind.  In IA and MIA files an input must-declaration
 implies its underlying may-transitions.
 
-One compiled regular expression splits the text into tokens: identifiers
-(runs of Unicode letters, digits and ``_``; keywords are identifiers),
-the punctuation ``{ } ( ) , ; : @ & | -`` and ``->``, line ends, blanks
-(space, tab, carriage return) and ``#`` comments, which run to the end of
-the line.  Any other character is a :class:`ParseError`.  Lines and
-columns count from 1, one column per character.
+One compiled regular expression splits the text into a flat list of token
+values: identifiers (runs of Unicode letters, digits and ``_``; keywords
+are identifiers), the punctuation ``{ } ( ) , ; : @ & | -`` and ``->``,
+and ``#`` comments, which run to the end of the line and are dropped.
+Between tokens only blanks (space, tab, carriage return) and line ends may
+stand; any other character is a :class:`ParseError`.  A token keeps just
+its start offset.  Lines and columns, counted from 1 with one column per
+character, are computed from an offset only where one is read: for the
+declaration spans of a :class:`SourceDocument`, counting on from the
+previous declaration, and for a :class:`ParseError`.
 
 State names produced by the operators (pairs ``(p,q)``, conjunctions
 ``p&q``, disjunctions ``p|q``, tags ``p@L``) parse back structurally, so
@@ -33,8 +37,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .model import (DMTS, FLAVORS, IA, TAU, ModalAutomaton, StateId,
                     Violation, atom, make_automaton, pair_id, tagged_id,
@@ -53,37 +58,48 @@ class ParseError(MialibError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-# One alternative per token class, tried in order.  ``\w`` is Unicode-aware
-# and matches exactly the characters for which ``isalnum()`` holds, and ``_``.
-_TOKEN = re.compile(r"(?P<ident>\w+)|(?P<punct>->|[-{}(),;:@&|])|(?P<newline>\n)"
-                    r"|[ \t\r]+|(?P<comment>#.*)|(?P<bad>.)")
+# Tokens and comments; ``\w`` is Unicode-aware and matches exactly the
+# characters for which ``isalnum()`` holds, and ``_``.  Splitting on this
+# pattern leaves the text between tokens, which may hold only blanks and
+# line ends.
+_TOKEN = re.compile(r"(\w+|->|[-{}(),;:@&|]|#.*)")
+_NOT_BLANK = re.compile(r"[^ \t\r\n]")
+
+# Every token that is not an identifier; the empty one ends the input.
+_NOT_IDENT = frozenset(["", "->", "-", "{", "}", "(", ")", ",", ";", ":",
+                        "@", "&", "|"])
+# Tokens that continue a state name after an identifier.
+_NAME_OPS = frozenset(["&", "|", "@"])
 
 
-class _Tok(NamedTuple):
-    kind: str  # ident | punct | eof
-    value: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column of an offset, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, origin = 1, 0  # origin: the offset that column 1 stands for
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "ident" or kind == "punct":
-            toks.append(_Tok(kind, m.group(), line, m.start() - origin + 1))
-        elif kind == "newline":
-            line, origin = line + 1, m.end()
-        elif kind == "comment":
-            # a comment advances no column: at the end of input the column
-            # is where the comment started
-            origin += m.end() - m.start()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line,
-                             m.start() - origin + 1)
-    toks.append(_Tok("eof", "", line, len(text) - origin + 1))
-    return toks
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The token values and their start offsets, ending with the empty token.
+
+    A comment advances no column: when the input ends in one, the end of
+    input is placed where the comment starts.
+    """
+    parts = _TOKEN.split(text)
+    toks = parts[1::2]
+    toks.append("")
+    # running lengths: every second one is where a token (or the end) starts
+    offs = list(accumulate(map(len, parts)))[::2]
+    if _NOT_BLANK.search("".join(parts[::2])):
+        for gap, end in zip(parts[::2], offs):
+            bad = _NOT_BLANK.search(gap)
+            if bad:
+                raise ParseError(f"unexpected character {bad.group()!r}",
+                                 *_position(text, end - len(gap) + bad.start()))
+    if "#" in text:
+        if toks[-2][0] == "#" and not parts[-1]:
+            offs[-1] = offs[-2]
+        keep = [not tok.startswith("#") for tok in toks]
+        toks, offs = list(compress(toks, keep)), list(compress(offs, keep))
+    return toks, offs
 
 
 # ---------------------------------------------------------------------------
@@ -103,50 +119,66 @@ class SourceDocument:
     spans: dict = field(default_factory=dict)
 
 
+class _Atoms(dict):
+    """The document's one id per atom name, built on first mention."""
+
+    def __missing__(self, name: str) -> StateId:
+        sid = self[name] = atom(name)
+        return sid
+
+
 class _Parser:
-    """Recursive descent over the token list.
+    """Recursive descent over the token values, read by index.
 
     An identifier never equals a punctuation value, and the end of input is
-    the only empty token, so tokens are tested by their value alone.
+    the only empty token, so tokens are tested by their value alone.  Token
+    positions are offsets; a line and column is worked out only for a
+    declaration's span, counting on from the previous span, and for an
+    error.
     """
 
     def __init__(self, text: str):
-        self.toks = _lex(text)
+        self.text = text
+        self.toks, self.offs = _lex(text)
         self.pos = 0
         self.depth = 0
-        self.ids: dict[tuple, StateId] = {}
+        self.atoms = _Atoms()
+        self.ids: dict = {}
+        # the span cursor: the offset counted up to, its line and line start
+        self.counted, self.line, self.line_start = 0, 1, 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def span(self, i: int) -> tuple[int, int]:
+        """Line and column of token ``i``; spans are taken in text order."""
+        offset, text = self.offs[i], self.text
+        newlines = text.count("\n", self.counted, offset)
+        if newlines:
+            self.line += newlines
+            self.line_start = text.rfind("\n", self.counted, offset) + 1
+        self.counted = offset
+        return self.line, offset - self.line_start + 1
 
-    def next(self) -> _Tok:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, message: str, i: int | None = None) -> NoReturn:
+        offset = self.offs[self.pos if i is None else i]
+        raise ParseError(message, *_position(self.text, offset))
 
-    def at(self, *values: str) -> bool:
-        return self.toks[self.pos].value in values
+    def expect(self, value: str, message: str = "") -> int:
+        i = self.pos
+        if self.toks[i] != value:
+            self.fail(message or f"expected {value!r}, found {self.toks[i]!r}", i)
+        self.pos = i + 1
+        return i
 
-    def fail(self, message: str, tok: _Tok | None = None) -> NoReturn:
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def expect(self, value: str, message: str = "") -> _Tok:
-        tok = self.next()
-        if tok.value != value:
-            self.fail(message or f"expected {value!r}, found {tok.value!r}", tok)
-        return tok
-
-    def expect_ident(self, what: str = "identifier") -> _Tok:
-        tok = self.next()
-        if tok.kind != "ident":
-            self.fail(f"expected {what}, found {tok.value!r}", tok)
-        return tok
+    def expect_ident(self, what: str = "identifier") -> int:
+        i = self.pos
+        if self.toks[i] in _NOT_IDENT:
+            self.fail(f"expected {what}, found {self.toks[i]!r}", i)
+        self.pos = i + 1
+        return i
 
     # -- structured state ids ---------------------------------------------
 
     def make_id(self, build, *parts) -> StateId:
-        """The document's one id for a state name, built on first mention."""
+        """The document's one id for a composite name, built on first mention."""
         key = (build, *parts)
         sid = self.ids.get(key)
         if sid is None:
@@ -154,142 +186,158 @@ class _Parser:
         return sid
 
     def state_id(self) -> StateId:
+        toks, i = self.toks, self.pos
+        name = toks[i]
+        if name not in _NOT_IDENT and toks[i + 1] not in _NAME_OPS:
+            self.pos = i + 1  # a bare identifier, the common case
+            return self.atoms[name]
         left = self.postfix()
-        while self.at("&", "|"):
-            op = self.next().value
-            right = self.postfix()
-            left = self.make_id(wedge_id if op == "&" else vee_id, left, right)
+        while toks[self.pos] == "&" or toks[self.pos] == "|":
+            build = wedge_id if toks[self.pos] == "&" else vee_id
+            self.pos += 1
+            left = self.make_id(build, left, self.postfix())
         return left
 
     def postfix(self) -> StateId:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            sid = self.make_id(atom, tok.value)
-        elif tok.value == "(":
+        toks, i = self.toks, self.pos
+        value = toks[i]
+        if value not in _NOT_IDENT:
+            self.pos = i + 1
+            sid = self.atoms[value]
+        elif value == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"state name nested deeper than {MAX_NESTING} "
-                          "parentheses", tok)
-            self.next()
+                          "parentheses", i)
+            self.pos = i + 1
             self.depth += 1
             first = self.state_id()
-            sep = self.next()
-            if sep.value == ",":
+            sep = self.pos
+            self.pos = sep + 1
+            if toks[sep] == ",":
                 second = self.state_id()
                 self.expect(")")
                 sid = self.make_id(pair_id, first, second)
-            elif sep.value == ")":
+            elif toks[sep] == ")":
                 sid = first
             else:
                 self.fail("expected ',' or ')' in state name", sep)
             self.depth -= 1
         else:
-            self.fail(f"expected state name, found {tok.value!r}", tok)
-        while self.at("@"):
-            self.next()
+            self.fail(f"expected state name, found {value!r}", i)
+        while toks[self.pos] == "@":
+            self.pos += 1
             tag = self.expect_ident("tag")
-            sid = self.make_id(tagged_id, sid, tag.value)
+            sid = self.make_id(tagged_id, sid, toks[tag])
         return sid
 
     # -- document -----------------------------------------------------------
 
     def document(self) -> tuple[ModalAutomaton, dict]:
+        toks = self.toks
         spans: dict = {}
         head = self.expect_ident("flavor (ia, dmts or mia)")
-        if head.value not in FLAVORS:
-            self.fail(f"unknown flavor {head.value!r}", head)
-        flavor = head.value
-        name = self.expect_ident("automaton name")
-        spans[("header",)] = (head.line, head.col)
+        flavor = toks[head]
+        if flavor not in FLAVORS:
+            self.fail(f"unknown flavor {flavor!r}", head)
+        name = toks[self.expect_ident("automaton name")]
+        spans[("header",)] = self.span(head)
         self.expect("{")
 
         inputs: set[str] = set()
         outputs: set[str] = set()
-        while self.at("inputs", "outputs", "actions"):
-            kind_tok = self.next()
-            kind = kind_tok.value
+        while toks[self.pos] in ("inputs", "outputs", "actions"):
+            kind_at = self.pos
+            kind = toks[kind_at]
             if kind == "actions" and flavor != DMTS:
-                self.fail("'actions' is only valid in dmts files", kind_tok)
+                self.fail("'actions' is only valid in dmts files", kind_at)
             if kind in ("inputs", "outputs") and flavor == DMTS:
-                self.fail(f"'{kind}' is not valid in dmts files; use 'actions'", kind_tok)
+                self.fail(f"'{kind}' is not valid in dmts files; use 'actions'", kind_at)
+            self.pos += 1
             self.expect(":")
-            spans[("alphabet", kind)] = (kind_tok.line, kind_tok.col)
-            while self.peek().kind == "ident":
-                action = self.next()
-                if action.value == TAU:
-                    self.fail("'tau' cannot be declared as an action", action)
-                (inputs if kind == "inputs" else outputs).add(action.value)
-                if not self.at(","):
+            spans[("alphabet", kind)] = self.span(kind_at)
+            while toks[self.pos] not in _NOT_IDENT:
+                action = toks[self.pos]
+                if action == TAU:
+                    self.fail("'tau' cannot be declared as an action")
+                (inputs if kind == "inputs" else outputs).add(action)
+                self.pos += 1
+                if toks[self.pos] != ",":
                     break
-                self.next()
+                self.pos += 1
             self.expect(";")
 
-        init_tok = self.expect("initial", "expected 'initial'")
+        init_at = self.expect("initial", "expected 'initial'")
         initial = self.state_id()
-        spans[("initial",)] = (init_tok.line, init_tok.col)
+        spans[("initial",)] = self.span(init_at)
         self.expect(";")
 
         may: set = set()
         must: set = set()
-        while not self.at("}"):
+        while toks[self.pos] != "}":
             self.transition(flavor, inputs, may, must, spans)
-        self.expect("}")
-        if not self.at(""):
+        self.pos += 1
+        if toks[self.pos]:
             self.fail("trailing input after closing '}'")
 
-        automaton = make_automaton(flavor, name.value, inputs, outputs,
+        automaton = make_automaton(flavor, name, inputs, outputs,
                                    initial, may, must)
         return automaton, spans
 
     def transition(self, flavor: str, inputs: set[str], may: set, must: set,
                    spans: dict) -> None:
-        tok = self.peek()
-        modality = ""
-        if self.at("may", "must"):
-            modality = self.next().value
+        toks = self.toks
+        start = self.pos
+        modality = toks[start]
+        if modality == "may" or modality == "must":
+            self.pos = start + 1
         elif flavor != IA:
             # a bare transition only makes sense where modality is implied
-            if tok.kind != "ident" and tok.value != "(":
-                self.fail(f"expected transition, found {tok.value!r}", tok)
-            self.fail("transitions in dmts/mia files need 'may' or 'must'", tok)
+            if modality in _NOT_IDENT and modality != "(":
+                self.fail(f"expected transition, found {modality!r}", start)
+            self.fail("transitions in dmts/mia files need 'may' or 'must'", start)
+        else:
+            modality = ""
         src = self.state_id()
-        self.expect("-", "expected '-label->'")
-        label_tok = self.expect_ident("action label")
-        label = label_tok.value
-        self.expect("->", "expected '->'")
+        i = self.pos
+        if toks[i] != "-":
+            self.fail("expected '-label->'", i)
+        label = toks[i + 1]
+        if label in _NOT_IDENT:
+            self.fail(f"expected action label, found {label!r}", i + 1)
+        if toks[i + 2] != "->":
+            self.fail("expected '->'", i + 2)
+        self.pos = i + 3
 
-        targets: list[StateId] = []
-        if self.at("{"):
+        if toks[i + 3] == "{":
             if flavor == IA:
                 self.fail("set targets are not allowed in ia files")
-            self.next()
-            targets.append(self.state_id())
-            while self.at(","):
-                self.next()
+            self.pos = i + 4
+            targets = [self.state_id()]
+            while toks[self.pos] == ",":
+                self.pos += 1
                 targets.append(self.state_id())
             self.expect("}")
         else:
-            targets.append(self.state_id())
+            targets = [self.state_id()]
         self.expect(";")
 
         # a bare transition (IA files only) is a must exactly on an input
         if not modality:
             modality = "must" if label in inputs else "may"
-        pos = (tok.line, tok.col)
         if modality == "must":
             if label == TAU:
-                self.fail("silent must-transitions are not allowed", label_tok)
+                self.fail("silent must-transitions are not allowed", i + 1)
             tset = frozenset(targets)
             must.add((src, label, tset))
-            spans[("must", src, label, tset)] = pos
+            spans[("must", src, label, tset)] = self.span(start)
             if label in inputs:
                 for t in targets:
                     may.add((src, label, t))
         else:
             if len(targets) > 1:
-                self.fail("may-transitions take a single target state", tok)
+                self.fail("may-transitions take a single target state", start)
             may.add((src, label, targets[0]))
-            spans[("may", src, label, targets[0])] = pos
+            spans[("may", src, label, targets[0])] = self.span(start)
 
 
 def parse_document(text: str) -> SourceDocument:
@@ -318,6 +366,10 @@ def validate_document(doc: SourceDocument) -> list[tuple[Violation, tuple[int, i
 # Serializer
 
 
+# A state name whose first token is ``may`` or ``must``.
+_KEYWORD_LED = re.compile(r"(?:may|must)(?!\w)")
+
+
 def _fmt_alphabet(label: str, actions) -> str:
     return f"  {label}: {', '.join(sorted(actions))};"
 
@@ -332,7 +384,9 @@ def serialize(aut: ModalAutomaton) -> str:
     """Render in canonical order; reparsing yields the same automaton.
 
     Canonical order is lexicographic over the rendered transition lines.
-    MIA input-mays underlying a must are implied and not written.  States
+    MIA input-mays underlying a must are implied and not written.  IA lines
+    are bare, except where the source's name starts with ``may`` or
+    ``must``: they carry the modality keyword (``must`` on an input).  States
     that appear in no transition and are not initial cannot be expressed in
     the format and are dropped.
     """
@@ -345,8 +399,14 @@ def serialize(aut: ModalAutomaton) -> str:
     lines.append(f"  initial {aut.initial.text};")
 
     if aut.flavor == IA:
+        # a bare line whose source name starts with a modality keyword would
+        # be read as carrying it, so such lines get the keyword they imply
+        led = {state for state in aut.states if _KEYWORD_LED.match(state)}
         for src, label, tgt in aut.sorted_may:
-            lines.append(f"  {src.text} -{label}-> {tgt.text};")
+            keyword = ""
+            if src in led:
+                keyword = "must " if label in aut.alphabet.inputs else "may "
+            lines.append(f"  {keyword}{src.text} -{label}-> {tgt.text};")
     else:
         covered = set()
         for src, label, targets in aut.sorted_must:

@@ -391,16 +391,23 @@ def validate(aut: ModalAutomaton) -> list[Violation]:
     if aut.initial not in aut.states:
         bad(Violation("initial-state", f"initial state {aut.initial} not in state set"))
 
+    states = aut.states
     labels = alph.actions
+    known = labels | {TAU}
     for src, label, tgt in aut.sorted_may:
+        if src in states and tgt in states and label in known:
+            continue
         subj = ("may", src, label, tgt)
-        if src not in aut.states or tgt not in aut.states:
+        if src not in states or tgt not in states:
             bad(Violation("unknown-state", f"may {src} -{label}-> {tgt} leaves the state set", subj))
-        if label != TAU and label not in labels:
+        if label not in known:
             bad(Violation("unknown-action", f"may {src} -{label}-> {tgt} uses an undeclared action", subj))
 
-    may_set = aut.may
+    lacking = _lacking_mays(aut)
     for src, label, targets in aut.sorted_must:
+        if (label != TAU and label in labels and targets and src in states
+                and targets <= states and (src, label) not in lacking):
+            continue
         subj = ("must", src, label, targets)
         tgt_text = "{" + ",".join(sorted(targets)) + "}"
         if label == TAU:
@@ -410,10 +417,10 @@ def validate(aut: ModalAutomaton) -> list[Violation]:
             bad(Violation("unknown-action", f"must {src} -{label}-> {tgt_text} uses an undeclared action", subj))
         if not targets:
             bad(Violation("empty-must-target", f"must {src} -{label}-> {{}} has no targets", subj))
-        if src not in aut.states or any(t not in aut.states for t in targets):
+        if src not in states or not targets <= states:
             bad(Violation("unknown-state", f"must {src} -{label}-> {tgt_text} leaves the state set", subj))
         for t in sorted(targets):
-            if (src, label, t) not in may_set:
+            if (src, label, t) not in aut.may:
                 bad(Violation("syntactic-consistency",
                               f"must {src} -{label}-> {tgt_text} lacks underlying may to {t}", subj))
 
@@ -424,45 +431,69 @@ def validate(aut: ModalAutomaton) -> list[Violation]:
     return out
 
 
+def _lacking_mays(aut: ModalAutomaton) -> set[tuple[StateId, str]]:
+    """Source and label of every must with a target lacking its underlying may."""
+    underlying = {(src, label, t) for src, label, targets in aut.must for t in targets}
+    return {edge[:2] for edge in underlying - aut.may}
+
+
+def _by_state_and_input(aut: ModalAutomaton, edges) -> dict:
+    """``(state, input) -> [last fields]`` of sorted edges, in their order.
+
+    Only states of the automaton and its inputs appear, so the keys come in
+    the order of a loop over the sorted states and, inside, the sorted inputs.
+    """
+    inputs, states = aut.alphabet.inputs, aut.states
+    return {key: [edge[2] for edge in group]
+            for key, group in groupby(edges, itemgetter(0, 1))
+            if key[1] in inputs and key[0] in states}
+
+
 def _validate_ia(aut: ModalAutomaton, bad) -> None:
-    alph = aut.alphabet
+    inputs = aut.alphabet.inputs
     for src, label, targets in aut.sorted_must:
+        if label in inputs and len(targets) == 1:
+            continue
         subj = ("must", src, label, targets)
-        if label not in alph.inputs:
+        if label not in inputs:
             bad(Violation("ia-output-must",
                           f"must {src} -{label}->: IA musts exist only for inputs", subj))
         if len(targets) != 1:
             bad(Violation("ia-must-shape",
                           f"must {src} -{label}-> has {len(targets)} targets; IA musts are singletons", subj))
     must_pairs = {(src, label) for src, label, _ in aut.must}
-    for state in aut.sorted_states:
-        for a in sorted(aut.alphabet.inputs):
-            targets = aut.may_targets(state, a)
-            if len(targets) > 1:
-                bad(Violation("ia-input-determinism",
-                              f"{state} has {len(targets)} transitions on input {a}",
-                              ("may", state, a, targets[0])))
+    for (state, a), targets in _by_state_and_input(aut, aut.sorted_may).items():
+        if len(targets) > 1:
+            bad(Violation("ia-input-determinism",
+                          f"{state} has {len(targets)} transitions on input {a}",
+                          ("may", state, a, targets[0])))
+        if (state, a) not in must_pairs:
             for t in targets:
-                if (state, a) not in must_pairs:
-                    bad(Violation("ia-input-encoding",
-                                  f"input may {state} -{a}-> {t} lacks its singleton must",
-                                  ("may", state, a, t)))
+                bad(Violation("ia-input-encoding",
+                              f"input may {state} -{a}-> {t} lacks its singleton must",
+                              ("may", state, a, t)))
 
 
 def _validate_mia(aut: ModalAutomaton, bad) -> None:
-    for state in aut.sorted_states:
-        for i in sorted(aut.alphabet.inputs):
-            sets = aut.must_sets(state, i)
-            if len(sets) > 1:
-                bad(Violation("mia-input-must-unique",
-                              f"{state} has {len(sets)} distinct musts on input {i}",
-                              ("must", state, i, sets[0])))
-            covered = set().union(*sets) if sets else set()
-            for t in aut.may_targets(state, i):
-                if t not in covered:
-                    bad(Violation("mia-input-may-under-must",
-                                  f"input may {state} -{i}-> {t} is not underlain by an {i}-must",
-                                  ("may", state, i, t)))
+    # Violations are gathered per (state, input) and reported in that order.
+    found: dict[tuple[StateId, str], list[Violation]] = {}
+    sets_at = _by_state_and_input(aut, aut.sorted_must)
+    for (state, i), sets in sets_at.items():
+        if len(sets) > 1:
+            found[state, i] = [Violation("mia-input-must-unique",
+                                         f"{state} has {len(sets)} distinct musts on input {i}",
+                                         ("must", state, i, sets[0]))]
+    for (state, i), targets in _by_state_and_input(aut, aut.sorted_may).items():
+        covered = set().union(*sets_at.get((state, i), ()))
+        for t in targets:
+            if t not in covered:
+                found.setdefault((state, i), []).append(Violation(
+                    "mia-input-may-under-must",
+                    f"input may {state} -{i}-> {t} is not underlain by an {i}-must",
+                    ("may", state, i, t)))
+    for key in sorted(found):
+        for violation in found[key]:
+            bad(violation)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import CORPUS, GOLDEN
 from mialib.frontend import (MAX_NESTING, ParseError, export_dot, parse,
                              parse_document, serialize, validate_document)
-from mialib.model import (FLAVORS, atom, make_automaton, pair_id, tagged_id,
-                          validate, vee_id, wedge_id)
+from mialib.model import (FLAVORS, atom, make_automaton, make_ia, pair_id,
+                          tagged_id, validate, vee_id, wedge_id)
 from mialib.testkit import gen_random
 
 
@@ -201,6 +201,27 @@ def test_roundtrip_generated(flavor, seed):
     again = parse(serialize(aut))
     assert again.may == aut.may and again.must == aut.must
     assert again.initial == aut.initial and again.alphabet == aut.alphabet
+
+
+@pytest.mark.parametrize("source", [atom("may"), atom("must"),
+                                    tagged_id(atom("may"), "L"),
+                                    wedge_id(atom("must"), atom("x"))])
+def test_roundtrip_ia_states_named_like_modality_keywords(source):
+    """A bare IA line must not start with ``may``/``must``: it would be read
+    as that keyword.  Such lines carry the keyword the transition implies."""
+    other = atom("must") if source == "may" else atom("may")
+    aut = make_ia("A", ["i"], ["o"], source,
+                  [(source, "o", other), (source, "tau", other),
+                   (other, "i", source), (source, "i", atom("mayor"))])
+    text = serialize(aut)
+    lines = {line.strip() for line in text.splitlines()}
+    assert f"may {source.text} -o-> {other.text};" in lines
+    assert f"may {source.text} -tau-> {other.text};" in lines
+    assert f"must {source.text} -i-> mayor;" in lines
+    again = parse(text)
+    assert again == aut
+    assert validate(again) == []
+    assert serialize(again) == text
 
 
 # Wrap a state name in one more operator; each step adds at most one level

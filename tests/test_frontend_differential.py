@@ -10,7 +10,8 @@ that does not, the same exception type, message, line and column.
 The inputs are seeded and fixed: the corpus and the golden files, mutants
 of them, random token soups, random Unicode text, Unicode identifiers,
 documents cut short after a trailing comment, and state names nested
-around ``MAX_NESTING`` parentheses.
+around ``MAX_NESTING`` parentheses.  A second test takes serialized
+operator results of more than 1000 states, whole and cut short.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from mialib.frontend import MAX_NESTING, ParseError, parse_document, serialize
 from mialib.model import (DMTS, FLAVORS, IA, MIA, TAU, ModalAutomaton, StateId,
                           atom, make_automaton, pair_id, tagged_id, vee_id,
                           wedge_id)
-from mialib.testkit import gen_random
+from mialib.ia_ops import ia_conjoin
+from mialib.mia_ops import mia_conj_product, mia_disjoin
+from mialib.testkit import gen_over, gen_pair, gen_random
 
 # ---------------------------------------------------------------------------
 # Reference: the character-loop lexer and its parser, frozen
@@ -433,3 +436,34 @@ def test_tokenizer_and_parser_match_the_character_loop_reference():
     mismatches = [(text, ref, new) for text, (ref, new) in zip(texts, outcomes)
                   if ref != new]
     assert not mismatches, (len(mismatches), mismatches[:3])
+
+
+def _large_documents() -> list[str]:
+    """Serialized operator results of more than 1000 states: an IA
+    conjunction (wedges of tagged atoms), a MIA conjunctive product (pairs of
+    tagged atoms) and a product of a disjunction (pairs holding a vee)."""
+    p, q = gen_pair(IA, 13, max_states=40, transition_density=0.3)
+    a, b = gen_pair(MIA, 18, max_states=40, transition_density=0.3)
+    c = gen_over(MIA, a.alphabet.inputs, a.alphabet.outputs, max_states=40, seed=0)
+    d = gen_over(MIA, a.alphabet.inputs, a.alphabet.outputs, max_states=2, seed=0)
+    auts = [ia_conjoin(p, q), mia_conj_product(a, b).automaton,
+            mia_conj_product(mia_disjoin(c, d), a).automaton]
+    kinds = {part.kind for aut in auts for state in aut.states
+             for part in (state, *state.parts) if isinstance(part, StateId)}
+    assert kinds == {StateId.ATOM, StateId.PAIR, StateId.WEDGE, StateId.VEE, StateId.TAG}
+    assert min(len(aut.states) for aut in auts) >= 1000
+    return [serialize(aut) for aut in auts]
+
+
+def test_parser_matches_the_reference_on_large_documents():
+    rng = random.Random(8)
+    texts = []
+    for text in _large_documents():
+        # the whole document, and cut short deep inside with an error
+        texts.append(text)
+        cut = rng.randrange(len(text) // 2, len(text))
+        texts += [text[:cut] + "$", text[:cut] + " # cut", text[:cut] + "\n}\n"]
+    outcomes = [(_outcome(_reference, text), _outcome(_current, text)) for text in texts]
+    assert sum(type(ref[0]) is str for ref, _ in outcomes) >= 3
+    mismatches = [k for k, (ref, new) in enumerate(outcomes) if ref != new]
+    assert not mismatches, mismatches
