@@ -2,7 +2,8 @@
 
 Exit codes: 0 when a check holds or an operation succeeds, 1 when a
 refinement or equivalence query fails, 2 for usage, parse or validation
-errors, 3 when a conjunction is inconsistent or a composition incompatible.
+errors and for output that cannot be written, 3 when a conjunction is
+inconsistent or a composition incompatible.
 
 A command runs with cyclic garbage collection switched off (see
 :func:`main`); the library itself never touches the collector.
@@ -16,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import dmts_ops, embeddings, ia_ops, mia_ops
-from .frontend import (ParseError, SourceDocument, export_dot, parse_document,
-                       serialize, validate_document)
+from .frontend import (ParseError, export_dot, parse_document, serialize,
+                       validate_document)
 from .model import (DMTS, IA, MIA, MialibError, ModalAutomaton,
                     restrict_reachable)
 from .refinement import refines
@@ -34,7 +35,7 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load(path: str) -> SourceDocument:
+def _load_valid(path: str) -> ModalAutomaton:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -46,11 +47,6 @@ def _load(path: str) -> SourceDocument:
         doc = parse_document(text)
     except ParseError as exc:
         raise _CliError(f"{path}:{exc.line}:{exc.col}: {exc.message}")
-    return doc
-
-
-def _load_valid(path: str) -> ModalAutomaton:
-    doc = _load(path)
     problems = validate_document(doc)
     if problems:
         lines = []
@@ -71,10 +67,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _same_flavor(a: ModalAutomaton, b: ModalAutomaton) -> str:
+def _load_two(left: str, right: str) -> tuple[ModalAutomaton, ModalAutomaton, str]:
+    """Both operands, valid and of one flavor, and that flavor."""
+    a = _load_valid(left)
+    b = _load_valid(right)
     if a.flavor != b.flavor:
         raise _CliError(f"flavor mismatch: {a.name} is {a.flavor}, {b.name} is {b.flavor}")
-    return a.flavor
+    return a, b, a.flavor
 
 
 def _find_state(aut: ModalAutomaton, text: str | None):
@@ -93,9 +92,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    impl = _load_valid(args.impl)
-    spec = _load_valid(args.spec)
-    _same_flavor(impl, spec)
+    impl, spec, _ = _load_two(args.impl, args.spec)
     witness = refines(impl, spec,
                       _find_state(impl, args.impl_state),
                       _find_state(spec, args.spec_state))
@@ -110,9 +107,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_conjoin(args) -> int:
-    a = _load_valid(args.left)
-    b = _load_valid(args.right)
-    flavor = _same_flavor(a, b)
+    a, b, flavor = _load_two(args.left, args.right)
     if flavor == IA:
         result = ia_ops.ia_conjoin(a, b)
     else:
@@ -130,9 +125,7 @@ def _cmd_conjoin(args) -> int:
 
 
 def _cmd_disjoin(args) -> int:
-    a = _load_valid(args.left)
-    b = _load_valid(args.right)
-    flavor = _same_flavor(a, b)
+    a, b, flavor = _load_two(args.left, args.right)
     op = {IA: ia_ops.ia_disjoin, DMTS: dmts_ops.dmts_disjoin,
           MIA: mia_ops.mia_disjoin}[flavor]
     result = op(a, b)
@@ -143,9 +136,7 @@ def _cmd_disjoin(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    a = _load_valid(args.left)
-    b = _load_valid(args.right)
-    flavor = _same_flavor(a, b)
+    a, b, flavor = _load_two(args.left, args.right)
     if flavor == DMTS:
         raise _CliError("parallel composition is not defined for dmts")
     op = ia_ops.ia_parallel_compose if flavor == IA else mia_ops.mia_parallel_compose
@@ -182,9 +173,7 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    a = _load_valid(args.left)
-    b = _load_valid(args.right)
-    _same_flavor(a, b)
+    a, b, _ = _load_two(args.left, args.right)
     forward = refines(a, b)
     backward = refines(b, a)
     if forward.verdict and backward.verdict:
@@ -261,11 +250,19 @@ def main(argv: list[str] | None = None) -> int:
     A command allocates millions of tuples and state ids that never form
     cycles, so the collector would scan them for nothing; the little cyclic
     garbage a command leaves (argparse's) is collected once GC is back on.
+
+    Standard output is flushed before returning, so a failed write to it
+    (a full disk, a closed pipe) is one error line and exit code 2.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        print(f"<stdout>: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE
     finally:
         if enabled:
             gc.enable()

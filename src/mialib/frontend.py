@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, compress
 from pathlib import Path
 from typing import NoReturn
 
-from .model import (DMTS, FLAVORS, IA, TAU, ModalAutomaton, StateId,
-                    Violation, atom, make_automaton, pair_id, tagged_id,
-                    validate, vee_id, wedge_id)
+from .model import (DMTS, FLAVORS, IA, TAU, IdTable, ModalAutomaton, StateId,
+                    Violation, atom, make_automaton, validate)
 from .model import MialibError
 
 
@@ -119,14 +119,6 @@ class SourceDocument:
     spans: dict = field(default_factory=dict)
 
 
-class _Atoms(dict):
-    """The document's one id per atom name, built on first mention."""
-
-    def __missing__(self, name: str) -> StateId:
-        sid = self[name] = atom(name)
-        return sid
-
-
 class _Parser:
     """Recursive descent over the token values, read by index.
 
@@ -134,7 +126,8 @@ class _Parser:
     the only empty token, so tokens are tested by their value alone.  Token
     positions are offsets; a line and column is worked out only for a
     declaration's span, counting on from the previous span, and for an
-    error.
+    error.  The document's one id per name is kept in one table per kind
+    of name: atoms keyed by their name, composite names by their parts.
     """
 
     def __init__(self, text: str):
@@ -142,8 +135,10 @@ class _Parser:
         self.toks, self.offs = _lex(text)
         self.pos = 0
         self.depth = 0
-        self.atoms = _Atoms()
-        self.ids: dict = {}
+        self.atoms = IdTable(atom)
+        self.pairs, self.wedges, self.vees, self.tags = (
+            IdTable(partial(StateId, kind)) for kind in
+            (StateId.PAIR, StateId.WEDGE, StateId.VEE, StateId.TAG))
         # the span cursor: the offset counted up to, its line and line start
         self.counted, self.line, self.line_start = 0, 1, 0
 
@@ -177,14 +172,6 @@ class _Parser:
 
     # -- structured state ids ---------------------------------------------
 
-    def make_id(self, build, *parts) -> StateId:
-        """The document's one id for a composite name, built on first mention."""
-        key = (build, *parts)
-        sid = self.ids.get(key)
-        if sid is None:
-            sid = self.ids[key] = build(*parts)
-        return sid
-
     def state_id(self) -> StateId:
         toks, i = self.toks, self.pos
         name = toks[i]
@@ -193,9 +180,9 @@ class _Parser:
             return self.atoms[name]
         left = self.postfix()
         while toks[self.pos] == "&" or toks[self.pos] == "|":
-            build = wedge_id if toks[self.pos] == "&" else vee_id
+            table = self.wedges if toks[self.pos] == "&" else self.vees
             self.pos += 1
-            left = self.make_id(build, left, self.postfix())
+            left = table[left, self.postfix()]
         return left
 
     def postfix(self) -> StateId:
@@ -216,7 +203,7 @@ class _Parser:
             if toks[sep] == ",":
                 second = self.state_id()
                 self.expect(")")
-                sid = self.make_id(pair_id, first, second)
+                sid = self.pairs[first, second]
             elif toks[sep] == ")":
                 sid = first
             else:
@@ -227,7 +214,7 @@ class _Parser:
         while toks[self.pos] == "@":
             self.pos += 1
             tag = self.expect_ident("tag")
-            sid = self.make_id(tagged_id, sid, toks[tag])
+            sid = self.tags[sid, toks[tag]]
         return sid
 
     # -- document -----------------------------------------------------------

@@ -14,17 +14,13 @@ from __future__ import annotations
 from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
                       _parallel_product, _prune_incompatible)
 from .model import (IA, TAU, ModalAutomaton, disjoint_operands, explore_pairs,
-                    make_ia, require_flavor, require_same_alphabets, vee_id,
-                    wedge_id)
+                    make_ia, require_operands, vee_id, wedge_id)
 
 
 def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     """Greatest lower bound of two IAs with common alphabets."""
-    require_flavor(p, IA)
-    require_flavor(q, IA)
-    require_same_alphabets(p, q)
-    p, q, pairs = disjoint_operands(p, q, wedge_id)
-    ids = {pq: state for state, pq in pairs.items()}
+    require_operands(p, q, IA)
+    p, q, ids = disjoint_operands(p, q, wedge_id)
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
 
     def rule(w):
@@ -49,7 +45,7 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
             mays.append((TAU, ids[ps, qt]))
         return mays, ()
 
-    states, trans, _ = explore_pairs(pairs, rule, p.states | q.states)
+    states, trans, _ = explore_pairs(ids.values(), rule, p.states | q.states)
     return make_ia(f"{p.name}_and_{q.name}", inputs, outputs,
                    ids[p.initial, q.initial], trans | p.may | q.may,
                    states=states | p.states | q.states)
@@ -57,11 +53,8 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
 
 def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     """Least upper bound of two IAs: inputs synchronize, outputs commit."""
-    require_flavor(p, IA)
-    require_flavor(q, IA)
-    require_same_alphabets(p, q)
-    p, q, pairs = disjoint_operands(p, q, vee_id)
-    ids = {pq: state for state, pq in pairs.items()}
+    require_operands(p, q, IA)
+    p, q, ids = disjoint_operands(p, q, vee_id)
     inputs = p.alphabet.inputs
 
     def rule(v):
@@ -77,7 +70,7 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
                         if alpha not in inputs)
         return mays, ()
 
-    states, trans, _ = explore_pairs(pairs, rule, p.states | q.states)
+    states, trans, _ = explore_pairs(ids.values(), rule, p.states | q.states)
     return make_ia(f"{p.name}_or_{q.name}", inputs, p.alphabet.outputs,
                    ids[p.initial, q.initial], trans | p.may | q.may,
                    states=states | p.states | q.states)

@@ -15,11 +15,12 @@ composition, dMTS conjunction and dMTS disjunction run on them too.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .model import (MIA, TAU, ModalAutomaton, MustEdge, NotComposableError,
-                    StateId, disjoint_operands, explore_pairs, make_automaton,
-                    pair_id, remove_states, require_flavor,
-                    require_same_alphabets, vee_id)
+from .model import (MIA, TAU, IdTable, ModalAutomaton, MustEdge,
+                    NotComposableError, StateId, disjoint_operands,
+                    explore_pairs, make_automaton, pair_id, remove_states,
+                    require_flavor, require_operands, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -110,11 +111,8 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
     A dMTS has no inputs, so its product is the pair part alone; a MIA
     product also carries both components, which the input escapes lead to.
     """
-    require_flavor(p, flavor)
-    require_flavor(q, flavor)
-    require_same_alphabets(p, q)
-    p, q, pairs = disjoint_operands(p, q, pair_id)
-    ids = {pq: state for state, pq in pairs.items()}
+    require_operands(p, q, flavor)
+    p, q, ids = disjoint_operands(p, q, pair_id)
     pw, qw = p.weak, q.weak
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
     silent_or_outputs = sorted(outputs) + [TAU]
@@ -161,7 +159,7 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
                     mays.append((alpha, ids[pt, qt]))
         return mays, musts
 
-    states, may, must = explore_pairs(pairs, rule, p.states | q.states)
+    states, may, must = explore_pairs(ids.values(), rule, p.states | q.states)
     if flavor == MIA:
         states |= p.states | q.states
         may |= p.may | q.may
@@ -170,7 +168,7 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
                                outputs, ids[p.initial, q.initial],
                                may, must, states=states)
     return ConjunctiveProduct(automaton=automaton, left=p, right=q,
-                              pairs=pairs)
+                              pairs={state: pq for pq, state in ids.items()})
 
 
 def _unmatched_output(left: ModalAutomaton, right: ModalAutomaton,
@@ -272,10 +270,8 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str) -> ModalAutomato
     An input may at ``p|q`` needs both sides to allow the input; a dMTS has
     no inputs, so there every may of either side is kept.
     """
-    require_flavor(p, flavor)
-    require_flavor(q, flavor)
-    require_same_alphabets(p, q)
-    p, q, pairs = disjoint_operands(p, q, vee_id)
+    require_operands(p, q, flavor)
+    p, q, ids = disjoint_operands(p, q, vee_id)
     inputs = p.alphabet.inputs
 
     def rule(state: StateId):
@@ -289,9 +285,9 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str) -> ModalAutomato
                  if alpha not in inputs or p.has_may(ps, alpha)]
         return mays, musts
 
-    states, may, must = explore_pairs(pairs, rule, p.states | q.states)
+    states, may, must = explore_pairs(ids.values(), rule, p.states | q.states)
     return make_automaton(flavor, f"{p.name}_or_{q.name}", inputs,
-                          p.alphabet.outputs, vee_id(p.initial, q.initial),
+                          p.alphabet.outputs, ids[p.initial, q.initial],
                           may | p.may | q.may, must | p.must | q.must,
                           states=states | p.states | q.states)
 
@@ -328,34 +324,27 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
     require_flavor(p2, flavor)
     inputs, outputs = composed_alphabets(p1, p2)
     a1, a2 = p1.alphabet.actions, p2.alphabet.actions
-    ids: dict[Pair, StateId] = {}
-
-    def pid(s1: StateId, s2: StateId) -> StateId:
-        """The one id of the pair ``(s1, s2)`` in this product."""
-        state = ids.get((s1, s2))
-        if state is None:
-            state = ids[s1, s2] = pair_id(s1, s2)
-        return state
+    ids = IdTable(partial(StateId, StateId.PAIR))
 
     def rule(state: StateId):
         s1, s2 = state.parts
-        musts = [(a, frozenset(pid(t, s2) for t in targets))   # (Must1)
+        musts = [(a, frozenset(ids[t, s2] for t in targets))   # (Must1)
                  for a, targets in p1.musts_from(s1) if a not in a2]
-        musts += [(a, frozenset(pid(s1, t) for t in targets))  # (Must2)
+        musts += [(a, frozenset(ids[s1, t] for t in targets))  # (Must2)
                   for a, targets in p2.musts_from(s2) if a not in a1]
         mays = []
         for alpha, t1 in p1.may_from(s1):
             if alpha not in a2:                          # (May1)
-                mays.append((alpha, pid(t1, s2)))
+                mays.append((alpha, ids[t1, s2]))
             else:                                        # (May3)
-                mays.extend((TAU, pid(t1, t2))
+                mays.extend((TAU, ids[t1, t2])
                             for t2 in p2.may_targets(s2, alpha))
         for alpha, t2 in p2.may_from(s2):
             if alpha not in a1:                          # (May2)
-                mays.append((alpha, pid(s1, t2)))
+                mays.append((alpha, ids[s1, t2]))
         return mays, musts
 
-    init = pid(p1.initial, p2.initial)
+    init = ids[p1.initial, p2.initial]
     states, may, must = explore_pairs([init], rule)
     return make_automaton(flavor, f"{p1.name}_x_{p2.name}", inputs, outputs,
                           init, may, must, states=states)

@@ -15,9 +15,11 @@ disjunctive Modal Transition Systems (dMTS) and Modal Interface Automata
 A state is a :class:`StateId`: a ``str`` whose value is its canonical
 name, so states hash, compare and sort as plain strings do, and the
 structure an operator gave the name stays readable from ``kind`` and
-``parts``.  Each state's id is built once: the parser keeps one id per name
-in a document, and the product builders keep one id per pair, so every
-transition endpoint is the object held in ``states``.
+``parts``.  Each state's id is built once per document or product, so
+every transition endpoint and the initial state is the object held in
+``states``: the parser and the parallel product keep an :class:`IdTable`
+that builds a name's or pair's id on first mention, and the full-pair
+products read the complete pair table of :func:`disjoint_operands`.
 
 All automata are immutable after construction and safe to share across
 threads.  Iteration over states and transitions is deterministic
@@ -178,6 +180,26 @@ def tagged_id(inner: StateId, tag: str) -> StateId:
 def universal_id(automaton_name: str) -> StateId:
     """The fresh catch-all state added by the dMTS embedding."""
     return tagged_id(atom("u"), automaton_name)
+
+
+class IdTable(dict):
+    """One id per key within one build: a missing key's id is built once,
+    by ``build(key)``, and kept.
+
+    The parser keys atoms by their name (``build=atom``) and composite
+    names by their parts; the parallel product keys its pair states by
+    their component pair.
+    """
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key) -> StateId:
+        sid = self[key] = self.build(key)
+        return sid
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +603,21 @@ def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
     """Disjoint copies whose combined ids also avoid the component states.
 
     ``combine`` builds the fresh id for a state pair (pair, wedge or vee).
-    Returns the two copies and the map from every combined id to its
-    component pair.  A collision can only occur when an operand already
+    Returns the two copies and the table from every component pair to its
+    one combined id.  A collision can only occur when an operand already
     contains operator-shaped names; one tagging round then separates
     everything.
     """
     p, q = rename_disjoint(p, q)
-    fresh = {combine(a, b): (a, b) for a in p.states for b in q.states}
-    if not fresh.keys().isdisjoint(p.states | q.states):
+    ids = {(a, b): combine(a, b) for a in p.states for b in q.states}
+    if not (p.states | q.states).isdisjoint(ids.values()):
         p, q = _tag_states(p, "L"), _tag_states(q, "R")
-        fresh = {combine(a, b): (a, b) for a in p.states for b in q.states}
-        clash = fresh.keys() & (p.states | q.states)
+        ids = {(a, b): combine(a, b) for a in p.states for b in q.states}
+        clash = (p.states | q.states).intersection(ids.values())
         if clash:
             raise StateNameCollisionError(
                 f"combined state {min(clash)} is also an operand state")
-    return p, q, fresh
+    return p, q, ids
 
 
 def explore_pairs(seeds: Iterable[StateId], rule,
@@ -685,6 +707,13 @@ def restrict_reachable(aut: ModalAutomaton) -> ModalAutomaton:
     if keep == aut.states:
         return aut
     return remove_states(aut, aut.states - keep)
+
+
+def require_operands(a: ModalAutomaton, b: ModalAutomaton, flavor: str) -> None:
+    """Both operands have ``flavor`` and they share their alphabets."""
+    require_flavor(a, flavor)
+    require_flavor(b, flavor)
+    require_same_alphabets(a, b)
 
 
 def require_same_alphabets(a: ModalAutomaton, b: ModalAutomaton) -> None:

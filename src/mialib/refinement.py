@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, ModalAutomaton,
-                    StateId, reachable_states, require_flavor,
-                    require_same_alphabets)
+                    StateId, reachable_states, require_operands)
 
 Pair = tuple[StateId, StateId]
 
@@ -257,9 +256,7 @@ def ia_refines(impl: ModalAutomaton, spec: ModalAutomaton,
                impl_state: StateId | None = None,
                spec_state: StateId | None = None) -> RefinementWitness:
     """Alternating simulation between IA states."""
-    require_flavor(impl, IA)
-    require_flavor(spec, IA)
-    require_same_alphabets(impl, spec)
+    require_operands(impl, spec, IA)
     return _decide(impl, spec, IA, impl_state, spec_state)
 
 
@@ -267,9 +264,7 @@ def dmts_refines(impl: ModalAutomaton, spec: ModalAutomaton,
                  impl_state: StateId | None = None,
                  spec_state: StateId | None = None) -> RefinementWitness:
     """Observational modal refinement between dMTS states."""
-    require_flavor(impl, DMTS)
-    require_flavor(spec, DMTS)
-    require_same_alphabets(impl, spec)
+    require_operands(impl, spec, DMTS)
     return _decide(impl, spec, DMTS, impl_state, spec_state)
 
 
@@ -277,9 +272,7 @@ def mia_refines(impl: ModalAutomaton, spec: ModalAutomaton,
                 impl_state: StateId | None = None,
                 spec_state: StateId | None = None) -> RefinementWitness:
     """Observational MIA refinement; input mays are implicitly allowed."""
-    require_flavor(impl, MIA)
-    require_flavor(spec, MIA)
-    require_same_alphabets(impl, spec)
+    require_operands(impl, spec, MIA)
     return _decide(impl, spec, MIA, impl_state, spec_state)
 
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS
+from mialib import dmts_ops, ia_ops, mia_ops
 from mialib.cli import main
-from mialib.frontend import parse
+from mialib.frontend import parse, serialize
+from mialib.model import restrict_reachable
 
 
 @pytest.fixture()
@@ -97,6 +103,25 @@ def test_disjoin_reachable_flag(files, capsys):
     assert aut.initial.text == "p0|q0"
 
 
+@pytest.mark.parametrize("left, right, conjoin", [
+    ("fig01_p.ia", "fig01_q.ia", ia_ops.ia_conjoin),
+    ("fig04_p.dmts", "fig04_q.dmts",
+     lambda a, b: dmts_ops.dmts_conjoin(a, b).automaton),
+    ("fig11_p.mia", "fig11_q.mia",
+     lambda a, b: mia_ops.mia_conjoin(a, b).automaton),
+], ids=["ia", "dmts", "mia"])
+def test_conjoin_reachable_flag(left, right, conjoin, files, capsys):
+    a, b = files(left), files(right)
+    assert main(["conjoin", a, b, "--reachable"]) == 0
+    reachable = capsys.readouterr().out
+    assert main(["conjoin", a, b]) == 0
+    full = capsys.readouterr().out
+    expected = restrict_reachable(conjoin(parse(Path(a).read_text()),
+                                          parse(Path(b).read_text())))
+    assert reachable == serialize(expected)
+    assert reachable != full
+
+
 # ---------------------------------------------------------------------------
 # Exit code 1: refinement or equivalence fails
 
@@ -169,6 +194,32 @@ def test_unwritable_output_exit_2(files, tmp_path, capsys):
     assert main(["embed", "--into", "mia", files("fig01_p.ia"),
                  "-o", str(tmp_path)]) == 2
     assert str(tmp_path) in capsys.readouterr().err
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command", ["dot", "validate"])
+def test_failed_stdout_write_exit_2(command, files, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main([command, files("fig08_p.mia")]) == 2
+    assert capsys.readouterr().err == f"<stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_to_a_full_device_exit_2(files):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep
+           + os.environ.get("PYTHONPATH", "")}
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "mialib.cli", "dot",
+                              files("fig08_p.mia")], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("<stdout>: ")
 
 
 def test_unknown_subcommand_exit_2(capsys):

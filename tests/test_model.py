@@ -9,7 +9,7 @@ from mialib import dmts_ops, ia_ops, mia_ops, model
 from mialib.frontend import parse, serialize
 from mialib.refinement import refines
 from mialib.model import (DMTS, IA, MIA, TAU, Alphabet, EmptiedMustError,
-                          ModalAutomaton, StateId, StateNameCollisionError, atom,
+                          IdTable, ModalAutomaton, StateId, StateNameCollisionError, atom,
                           disjoint_operands, make_automaton, make_ia, pair_id,
                           remove_states, rename_disjoint, tagged_id,
                           universal_id, validate, vee_id, wedge_id,
@@ -84,8 +84,10 @@ def test_id_equals_the_plain_string_of_its_text():
 
 
 def _assert_shares_ids(aut: ModalAutomaton):
-    """Every may/must endpoint is the very object held in ``states``."""
+    """The initial state and every may/must endpoint is the very object
+    held in ``states``."""
     held = {s: s for s in aut.states}
+    assert held[aut.initial] is aut.initial, aut.initial
     for src, _, tgt in aut.may:
         assert held[src] is src and held[tgt] is tgt, (src, tgt)
     for src, _, targets in aut.must:
@@ -116,6 +118,8 @@ def test_parsed_documents_and_operator_results_share_state_ids(flavor, seed):
     _assert_shares_ids(b)
     for result in _results(flavor, a, b):
         _assert_shares_ids(result)
+        # composite names (pairs, wedges, vees, tags) parse to shared ids too
+        _assert_shares_ids(parse(serialize(result)))
     if flavor != DMTS:
         compose = {IA: ia_ops.ia_parallel_compose,
                    MIA: mia_ops.mia_parallel_compose}[flavor]
@@ -340,6 +344,28 @@ def test_rename_disjoint_same_object():
     assert not (a2.states & b2.states)
     assert a2.initial == tagged_id(atom("p"), "L")
     assert a2.may == frozenset([(a2.initial, "x", a2.initial)])
+
+
+def test_id_table_builds_each_missing_key_once():
+    built = []
+
+    def build(key):
+        built.append(key)
+        return pair_id(*key)
+    table = IdTable(build)
+    first = table[s0, s1]
+    assert table[s0, s1] is first and table[atom("s0"), "s1"] is first
+    assert first == "(s0,s1)"
+    assert built == [(s0, s1)]
+
+
+def test_disjoint_operands_maps_each_pair_to_its_one_id():
+    p = make_automaton(DMTS, "p", [], ["x"], s0, may=[(s0, "x", s1)])
+    q = make_automaton(DMTS, "q", [], ["x"], s0)
+    p2, q2, ids = disjoint_operands(p, q, wedge_id)
+    assert ids == {(a, b): wedge_id(a, b) for a in p2.states for b in q2.states}
+    assert all(sid.parts == key for key, sid in ids.items())
+    assert len(ids) == 2
 
 
 def test_disjoint_operands_refuses_a_collision_tagging_cannot_fix():
