@@ -12,7 +12,9 @@ A command runs with cyclic garbage collection switched off (see
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +35,22 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int = USAGE):
         super().__init__(message)
         self.code = code
+
+
+def _err(text: str) -> None:
+    try:
+        print(text, file=sys.stderr)
+    except OSError:  # nowhere left to report it
+        _discard(sys.stderr)
+
+
+def _discard(stream) -> None:
+    """Point *stream* at the null device, so the flush at exit cannot fail."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        fd = stream.fileno()  # an in-process capture has none
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
 
 
 def _load_valid(path: str) -> ModalAutomaton:
@@ -102,7 +120,7 @@ def _cmd_refine(args) -> int:
                 print(f"{p.text} <= {q.text}")
         print("refinement holds")
         return OK
-    print(f"refinement fails: {witness.failure}", file=sys.stderr)
+    _err(f"refinement fails: {witness.failure}")
     return CHECK_FAILED
 
 
@@ -114,21 +132,20 @@ def _cmd_conjoin(args) -> int:
         op = {DMTS: dmts_ops.dmts_conjoin, MIA: mia_ops.mia_conjoin}[flavor]
         conj = op(a, b)
         if not conj.defined:
-            print("conjunction is inconsistent (no common implementation)",
-                  file=sys.stderr)
+            _err("conjunction is inconsistent (no common implementation)")
             return UNDEFINED
         result = conj.automaton
-    if args.reachable:
-        result = restrict_reachable(result)
-    _emit(serialize(result), args.output)
-    return OK
+    return _emit_result(result, args)
 
 
 def _cmd_disjoin(args) -> int:
     a, b, flavor = _load_two(args.left, args.right)
     op = {IA: ia_ops.ia_disjoin, DMTS: dmts_ops.dmts_disjoin,
           MIA: mia_ops.mia_disjoin}[flavor]
-    result = op(a, b)
+    return _emit_result(op(a, b), args)
+
+
+def _emit_result(result: ModalAutomaton, args) -> int:
     if args.reachable:
         result = restrict_reachable(result)
     _emit(serialize(result), args.output)
@@ -148,7 +165,7 @@ def _cmd_compose(args) -> int:
             rule, detail = comp.incompatibility.provenance[state]
             print(f"{state.text}  [{rule}: {detail}]")
     if not comp.compatible:
-        print("automata are incompatible (initial state pruned)", file=sys.stderr)
+        _err("automata are incompatible (initial state pruned)")
         return UNDEFINED
     _emit(serialize(comp.automaton), args.output)
     return OK
@@ -158,11 +175,8 @@ def _cmd_embed(args) -> int:
     a = _load_valid(args.file)
     if a.flavor != IA:
         raise _CliError(f"embed expects an ia automaton, got {a.flavor}")
-    if args.into == DMTS:
-        result = embeddings.embed_ia_to_dmts(a)
-    else:
-        result = embeddings.embed_ia_to_mia(a)
-    _emit(serialize(result), args.output)
+    embed = {DMTS: embeddings.embed_ia_to_dmts, MIA: embeddings.embed_ia_to_mia}
+    _emit(serialize(embed[args.into](a)), args.output)
     return OK
 
 
@@ -180,11 +194,9 @@ def _cmd_equiv(args) -> int:
         print("equivalent")
         return OK
     if not forward.verdict:
-        print(f"{a.name} does not refine {b.name}: {forward.failure}",
-              file=sys.stderr)
+        _err(f"{a.name} does not refine {b.name}: {forward.failure}")
     if not backward.verdict:
-        print(f"{b.name} does not refine {a.name}: {backward.failure}",
-              file=sys.stderr)
+        _err(f"{b.name} does not refine {a.name}: {backward.failure}")
     return CHECK_FAILED
 
 
@@ -194,53 +206,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Interface automata and modal interface automata toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a file against its flavor rules")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_validate)
+    def command(name, fn, help, *positionals):
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("refine", help="check refinement IMPL <= SPEC")
-    p.add_argument("impl")
-    p.add_argument("spec")
+    command("validate", _cmd_validate, "check a file against its flavor rules",
+            "file")
+
+    p = command("refine", _cmd_refine, "check refinement IMPL <= SPEC",
+                "impl", "spec")
     p.add_argument("--impl-state")
     p.add_argument("--spec-state")
     p.add_argument("--witness", action="store_true",
                    help="print the relation pairs on success")
-    p.set_defaults(fn=_cmd_refine)
 
     for name, fn in (("conjoin", _cmd_conjoin), ("disjoin", _cmd_disjoin)):
-        p = sub.add_parser(name, help=f"{name} two automata of one flavor")
-        p.add_argument("left")
-        p.add_argument("right")
+        p = command(name, fn, f"{name} two automata of one flavor",
+                    "left", "right")
         p.add_argument("-o", "--output")
         p.add_argument("--reachable", action="store_true",
                        help="drop states unreachable from the initial state")
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("compose", help="parallel composition with pruning")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = command("compose", _cmd_compose, "parallel composition with pruning",
+                "left", "right")
     p.add_argument("-o", "--output")
     p.add_argument("--emit-product", action="store_true",
                    help="print the unpruned product to stdout")
     p.add_argument("--emit-pruned-set", action="store_true",
                    help="print the incompatible states with provenance")
-    p.set_defaults(fn=_cmd_compose)
 
-    p = sub.add_parser("embed", help="embed an ia into dmts or mia")
+    p = command("embed", _cmd_embed, "embed an ia into dmts or mia")
     p.add_argument("--into", choices=(DMTS, MIA), required=True)
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_embed)
 
-    p = sub.add_parser("dot", help="export Graphviz")
-    p.add_argument("file")
+    p = command("dot", _cmd_dot, "export Graphviz", "file")
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_dot)
-
-    p = sub.add_parser("equiv", help="check mutual refinement")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=_cmd_equiv)
+    command("equiv", _cmd_equiv, "check mutual refinement", "left", "right")
     return parser
 
 
@@ -252,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     garbage a command leaves (argparse's) is collected once GC is back on.
 
     Standard output is flushed before returning, so a failed write to it
-    (a full disk, a closed pipe) is one error line and exit code 2.
+    (a full disk, a closed pipe) is one error line and exit code 2. It is the
+    only ``OSError`` to get here: :func:`_err` and the file errors never do.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -261,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except OSError as exc:
-        print(f"<stdout>: {exc.strerror or exc}", file=sys.stderr)
+        _discard(sys.stdout)
+        _err(f"<stdout>: {exc.strerror or exc}")
         return USAGE
     finally:
         if enabled:
@@ -277,10 +284,10 @@ def _run(argv: list[str] | None) -> int:
     try:
         return args.fn(args)
     except _CliError as exc:
-        print(str(exc), file=sys.stderr)
+        _err(str(exc))
         return exc.code
     except MialibError as exc:
-        print(str(exc), file=sys.stderr)
+        _err(str(exc))
         return USAGE
 
 

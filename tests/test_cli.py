@@ -208,18 +208,47 @@ def test_failed_stdout_write_exit_2(command, files, monkeypatch, capsys):
     assert capsys.readouterr().err == f"<stdout>: {os.strerror(errno.ENOSPC)}\n"
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_stdout_to_a_full_device_exit_2(files):
+def test_failed_stderr_write_keeps_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stderr", _FullStdout())
+    assert main(["validate", "no-such-file.mia"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _cli_env(buffered: bool) -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep
            + os.environ.get("PYTHONPATH", "")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# A buffered stdout fails only at the flush and keeps its bytes; the
+# interpreter's exit-time flush must not fail a second time.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["dot", "validate"])
+def test_stdout_to_a_full_device_exit_2(command, buffered, files):
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "mialib.cli", command,
+                              files("fig08_p.mia")], stdout=full,
+                             stderr=subprocess.PIPE, text=True,
+                             env=_cli_env(buffered))
+    assert run.returncode == 2
+    assert run.stderr == f"<stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_stdout_and_stderr_to_a_full_device_exit_2(buffered, files):
     with open("/dev/full", "w") as full:
         run = subprocess.run([sys.executable, "-m", "mialib.cli", "dot",
                               files("fig08_p.mia")], stdout=full,
-                             stderr=subprocess.PIPE, text=True, env=env)
+                             stderr=full, env=_cli_env(buffered))
     assert run.returncode == 2
-    assert "Traceback" not in run.stderr
-    assert run.stderr.startswith("<stdout>: ")
 
 
 def test_unknown_subcommand_exit_2(capsys):
