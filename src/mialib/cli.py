@@ -37,9 +37,9 @@ class _CliError(Exception):
         self.code = code
 
 
-def _err(text: str) -> None:
+def _err(text: str, end: str = "\n") -> None:
     try:
-        print(text, file=sys.stderr)
+        print(text, file=sys.stderr, end=end)
     except OSError:  # nowhere left to report it
         _discard(sys.stderr)
 
@@ -200,8 +200,19 @@ def _cmd_equiv(args) -> int:
     return CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and usage on stdout fail like any other stdout write (argparse
+    drops the error from Python 3.11 on); text for stderr goes to :func:`_err`."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        elif message:
+            _err(message, end="")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mia",
         description="Interface automata and modal interface automata toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -343,10 +343,7 @@ def parse_file(path) -> ModalAutomaton:
 
 def validate_document(doc: SourceDocument) -> list[tuple[Violation, tuple[int, int] | None]]:
     """Validate and attach source positions where a declaration is known."""
-    out = []
-    for violation in validate(doc.automaton):
-        out.append((violation, doc.spans.get(violation.subject)))
-    return out
+    return [(v, doc.spans.get(v.subject)) for v in validate(doc.automaton)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +367,14 @@ def _fmt_target(targets: frozenset[StateId]) -> str:
 def serialize(aut: ModalAutomaton) -> str:
     """Render in canonical order; reparsing yields the same automaton.
 
-    Canonical order is lexicographic over the rendered transition lines.
-    MIA input-mays underlying a must are implied and not written.  IA lines
-    are bare, except where the source's name starts with ``may`` or
-    ``must``: they carry the modality keyword (``must`` on an input).  States
-    that appear in no transition and are not initial cannot be expressed in
-    the format and are dropped.
+    An IA has one line per may, in (source, action, target) order.  A dMTS
+    or MIA lists its musts in (source, action, sorted targets) order, so
+    ``must a -x-> {a1, c};`` comes before ``must a -x-> b;``, and then its
+    mays in (source, action, target) order, leaving out the MIA input-mays
+    a must implies.  IA lines are bare, except where the source's name
+    starts with ``may`` or ``must``: they carry the modality keyword
+    (``must`` on an input).  States that appear in no transition and are
+    not initial cannot be expressed in the format and are dropped.
     """
     lines = [f"{aut.flavor} {aut.name} {{"]
     if aut.flavor == DMTS:
@@ -418,7 +417,7 @@ def _q(text: str) -> str:
 def _edge_label(aut: ModalAutomaton, label: str) -> str:
     if label == TAU:
         return TAU
-    if aut.alphabet.is_input(label):
+    if label in aut.alphabet.inputs:
         return f"{label}?"
     return f"{label}!"
 

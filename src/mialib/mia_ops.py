@@ -70,21 +70,22 @@ class Conjunction:
 
 @dataclass(frozen=True)
 class IncompatibilitySet:
-    """Error pairs and their backward closure under autonomous steps.
+    """Error states and their backward closure under autonomous steps.
 
-    ``errors`` holds the immediate communication mismatches; ``incompatible``
-    additionally contains every product state that can reach an error by
-    output or silent transitions only.  ``provenance`` records per pair the
-    rule that pulled it in: ``error-(a)``/``error-(b)`` with the action, or
+    ``errors`` holds the product states with an immediate communication
+    mismatch; ``incompatible`` additionally contains every product state
+    that can reach an error by output or silent transitions only.
+    ``provenance`` records per state the rule that pulled it in:
+    ``error-(a)``/``error-(b)`` with the action, or
     ``autonomous-step`` with the transition taken.
     """
 
-    errors: frozenset[Pair]
-    incompatible: frozenset[Pair]
+    errors: frozenset[StateId]
+    incompatible: frozenset[StateId]
     provenance: dict
 
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.incompatible
+    def __contains__(self, state: StateId) -> bool:
+        return state in self.incompatible
 
 
 @dataclass(frozen=True)

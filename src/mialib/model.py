@@ -221,9 +221,6 @@ class Alphabet:
     def actions(self) -> frozenset[str]:
         return self.inputs | self.outputs
 
-    def is_input(self, label: str) -> bool:
-        return label in self.inputs
-
 
 MayEdge = tuple[StateId, str, StateId]
 MustEdge = tuple[StateId, str, frozenset[StateId]]
@@ -417,34 +414,30 @@ def validate(aut: ModalAutomaton) -> list[Violation]:
     labels = alph.actions
     known = labels | {TAU}
     for src, label, tgt in aut.sorted_may:
-        if src in states and tgt in states and label in known:
-            continue
-        subj = ("may", src, label, tgt)
         if src not in states or tgt not in states:
-            bad(Violation("unknown-state", f"may {src} -{label}-> {tgt} leaves the state set", subj))
+            bad(Violation("unknown-state", f"may {src} -{label}-> {tgt} leaves the state set",
+                          ("may", src, label, tgt)))
         if label not in known:
-            bad(Violation("unknown-action", f"may {src} -{label}-> {tgt} uses an undeclared action", subj))
+            bad(Violation("unknown-action", f"may {src} -{label}-> {tgt} uses an undeclared action",
+                          ("may", src, label, tgt)))
 
-    lacking = _lacking_mays(aut)
-    for src, label, targets in aut.sorted_must:
-        if (label != TAU and label in labels and targets and src in states
-                and targets <= states and (src, label) not in lacking):
-            continue
-        subj = ("must", src, label, targets)
-        tgt_text = "{" + ",".join(sorted(targets)) + "}"
+    may = aut.may
+    for edge in aut.sorted_must:
+        src, label, targets = edge
         if label == TAU:
-            bad(Violation("tau-must", f"must {src} -tau-> {tgt_text}: silent musts are not allowed", subj))
+            bad(_must_violation("tau-must", edge, ": silent musts are not allowed"))
             continue
         if label not in labels:
-            bad(Violation("unknown-action", f"must {src} -{label}-> {tgt_text} uses an undeclared action", subj))
+            bad(_must_violation("unknown-action", edge, " uses an undeclared action"))
         if not targets:
-            bad(Violation("empty-must-target", f"must {src} -{label}-> {{}} has no targets", subj))
+            bad(_must_violation("empty-must-target", edge, " has no targets"))
         if src not in states or not targets <= states:
-            bad(Violation("unknown-state", f"must {src} -{label}-> {tgt_text} leaves the state set", subj))
-        for t in sorted(targets):
-            if (src, label, t) not in aut.may:
-                bad(Violation("syntactic-consistency",
-                              f"must {src} -{label}-> {tgt_text} lacks underlying may to {t}", subj))
+            bad(_must_violation("unknown-state", edge, " leaves the state set"))
+        lacking = [t for t in targets if (src, label, t) not in may]
+        if lacking:
+            for t in sorted(lacking):
+                bad(_must_violation("syntactic-consistency", edge,
+                                    f" lacks underlying may to {t}"))
 
     if aut.flavor == IA:
         _validate_ia(aut, bad)
@@ -453,10 +446,11 @@ def validate(aut: ModalAutomaton) -> list[Violation]:
     return out
 
 
-def _lacking_mays(aut: ModalAutomaton) -> set[tuple[StateId, str]]:
-    """Source and label of every must with a target lacking its underlying may."""
-    underlying = {(src, label, t) for src, label, targets in aut.must for t in targets}
-    return {edge[:2] for edge in underlying - aut.may}
+def _must_violation(rule: str, edge: MustEdge, what: str) -> Violation:
+    """A violation of ``rule`` by the must ``edge``, its text followed by ``what``."""
+    src, label, targets = edge
+    return Violation(rule, f"must {src} -{label}-> {{{','.join(sorted(targets))}}}{what}",
+                     ("must", *edge))
 
 
 def _by_state_and_input(aut: ModalAutomaton, edges) -> dict:
@@ -474,15 +468,14 @@ def _by_state_and_input(aut: ModalAutomaton, edges) -> dict:
 def _validate_ia(aut: ModalAutomaton, bad) -> None:
     inputs = aut.alphabet.inputs
     for src, label, targets in aut.sorted_must:
-        if label in inputs and len(targets) == 1:
-            continue
-        subj = ("must", src, label, targets)
         if label not in inputs:
             bad(Violation("ia-output-must",
-                          f"must {src} -{label}->: IA musts exist only for inputs", subj))
+                          f"must {src} -{label}->: IA musts exist only for inputs",
+                          ("must", src, label, targets)))
         if len(targets) != 1:
             bad(Violation("ia-must-shape",
-                          f"must {src} -{label}-> has {len(targets)} targets; IA musts are singletons", subj))
+                          f"must {src} -{label}-> has {len(targets)} targets; IA musts are singletons",
+                          ("must", src, label, targets)))
     must_pairs = {(src, label) for src, label, _ in aut.must}
     for (state, a), targets in _by_state_and_input(aut, aut.sorted_may).items():
         if len(targets) > 1:
@@ -649,10 +642,10 @@ def explore_pairs(seeds: Iterable[StateId], rule,
     return seen, may, must
 
 
-def as_dmts(aut: ModalAutomaton, name: str | None = None) -> ModalAutomaton:
+def as_dmts(aut: ModalAutomaton) -> ModalAutomaton:
     """View an IA or MIA as a dMTS by flattening the input/output split."""
     return ModalAutomaton(
-        flavor=DMTS, name=name or aut.name,
+        flavor=DMTS, name=aut.name,
         alphabet=Alphabet(frozenset(), aut.alphabet.actions),
         states=aut.states, initial=aut.initial, may=aut.may, must=aut.must)
 

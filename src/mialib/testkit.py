@@ -30,6 +30,7 @@ from .model import (DMTS, FLAVORS, IA, MIA, TAU, FlavorMismatchError,
 from .refinement import dmts_refines, holds, mia_equiv, mia_refines, refines
 
 ORACLE_STATE_LIMIT = 7
+SHRINK_BUDGET = 400  # candidates one shrink may try
 
 
 class SizeLimitError(MialibError):
@@ -116,14 +117,14 @@ def _gen(flavor: str, inputs: list[str], outputs: list[str], max_states: int,
                     tset = targets(2)
                     must.add((s, i, frozenset(tset)))
                     may.update((s, i, t) for t in tset)
+        drawn = {}
         for o in list(outputs) + [TAU]:
             if rng.random() < density * (0.6 if o == TAU else 1.0):
-                for t in targets(2):
-                    may.add((s, o, t))
+                drawn[o] = targets(2)
+                may.update((s, o, t) for t in drawn[o])
         if flavor != IA:
             for o in sorted(outputs):
-                mays_here = sorted(t for (src, lab, t) in may
-                                   if src == s and lab == o)
+                mays_here = sorted(drawn.get(o, ()))
                 if mays_here and rng.random() < density * 0.7:
                     k = rng.randint(1, len(mays_here))
                     must.add((s, o, frozenset(rng.sample(mays_here, k))))
@@ -219,9 +220,7 @@ def _o_weak_hat(aut: ModalAutomaton, s: StateId, alpha: str) -> set[StateId]:
     return out
 
 
-def oracle_refines(flavor: str, impl: ModalAutomaton, spec: ModalAutomaton,
-                   impl_state: StateId | None = None,
-                   spec_state: StateId | None = None) -> bool:
+def oracle_refines(flavor: str, impl: ModalAutomaton, spec: ModalAutomaton) -> bool:
     """Decide refinement by game-tree search with an assumed-pairs set.
 
     A pair revisited on the current path succeeds coinductively.  Results
@@ -268,8 +267,7 @@ def oracle_refines(flavor: str, impl: ModalAutomaton, spec: ModalAutomaton,
             proven.add((p, q))
         return True, frozenset(used)
 
-    ok, _ = search(impl_state or impl.initial, spec_state or spec.initial,
-                   frozenset())
+    ok, _ = search(impl.initial, spec.initial, frozenset())
     return ok
 
 
@@ -333,18 +331,17 @@ def _shrink_candidates(aut: ModalAutomaton):
             yield _drop_state(aut, state)
 
 
-def shrink(inputs: dict, check: Callable[[dict], str | None],
-           budget: int = 400) -> dict:
+def shrink(inputs: dict, check: Callable[[dict], str | None]) -> dict:
     """Greedy minimization keeping the law violated; validity-preserving."""
     current = dict(inputs)
     spent = 0
     improved = True
-    while improved and spent < budget:
+    while improved and spent < SHRINK_BUDGET:
         improved = False
         for key in sorted(current):
             for candidate in _shrink_candidates(current[key]):
                 spent += 1
-                if spent >= budget:
+                if spent >= SHRINK_BUDGET:
                     break
                 if validate(candidate):
                     continue
@@ -358,7 +355,7 @@ def shrink(inputs: dict, check: Callable[[dict], str | None],
                     current = trial
                     improved = True
                     break
-            if improved or spent >= budget:
+            if improved or spent >= SHRINK_BUDGET:
                 break
     return current
 
@@ -557,9 +554,6 @@ def _check_structural(flavor: str, auts: dict) -> str | None:
         bad = _structural(aut, what)
         if bad:
             return bad
-        for _, _, targets in aut.must:
-            if not targets:
-                return f"{what} has an empty must target set"
     return None
 
 

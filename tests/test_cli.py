@@ -214,6 +214,30 @@ def test_failed_stderr_write_keeps_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["refine", "--help"]])
+def test_failed_help_write_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"<stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+class _FullStderr(io.StringIO):
+    """A stderr that keeps every text it is given and then fails."""
+
+    def write(self, text):
+        super().write(text)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_usage_error_write_is_not_a_stdout_error(monkeypatch, capsys):
+    stderr = _FullStderr()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["--no-such-flag"]) == 2
+    assert "mia: error: " in stderr.getvalue()
+    assert "<stdout>" not in stderr.getvalue()
+    assert capsys.readouterr().out == ""
+
+
 def _cli_env(buffered: bool) -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep
@@ -235,6 +259,21 @@ def test_stdout_to_a_full_device_exit_2(command, buffered, files):
         run = subprocess.run([sys.executable, "-m", "mialib.cli", command,
                               files("fig08_p.mia")], stdout=full,
                              stderr=subprocess.PIPE, text=True,
+                             env=_cli_env(buffered))
+    assert run.returncode == 2
+    assert run.stderr == f"<stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+# argparse drops a failed help write from Python 3.11 on; the CLI does not.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["refine", "--help"]],
+                         ids=["help", "refine-help"])
+def test_help_to_a_full_device_exit_2(argv, buffered):
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "mialib.cli", *argv],
+                             stdout=full, stderr=subprocess.PIPE, text=True,
                              env=_cli_env(buffered))
     assert run.returncode == 2
     assert run.stderr == f"<stdout>: {os.strerror(errno.ENOSPC)}\n"

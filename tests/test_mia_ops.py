@@ -11,7 +11,7 @@ from mialib.mia_ops import (is_mia_witness, mia_conj_product, mia_conjoin,
                             mia_parallel_compose, mia_parallel_product)
 from mialib.model import (MIA, TAU, as_dmts, atom, pair_id,
                           restrict_reachable, validate)
-from mialib.dmts_ops import dmts_conj_product, dmts_inconsistent
+from mialib.dmts_ops import dmts_conj_product, dmts_inconsistent, is_dmts_witness
 from mialib.refinement import (dmts_refines, holds, mia_equiv,
                                mia_refines)
 from mialib.testkit import gen_composable_pair, gen_pair, gen_random, weaken
@@ -344,6 +344,17 @@ def test_witness_rejects_unmatched_output_requirement():
     q = mia("mia q { inputs: ; outputs: o; initial q0; }")
     prod = mia_conj_product(p, q)
     assert not is_mia_witness(prod, {(p0, q0)})
+
+
+def test_witness_rejects_a_must_whose_targets_leave_the_set():
+    # (W3): the product must at (p0,q0) reaches only (p1,q1)
+    p = mia("mia p { inputs: ; outputs: o; initial p0; must p0 -o-> p1; may p0 -o-> p1; }")
+    q = mia("mia q { inputs: ; outputs: o; initial q0; may q0 -o-> q1; }")
+    for prod, is_witness in ((mia_conj_product(p, q), is_mia_witness),
+                             (dmts_conj_product(as_dmts(p), as_dmts(q)),
+                              is_dmts_witness)):
+        assert not is_witness(prod, {(p0, q0)})
+        assert is_witness(prod, {(p0, q0), (p1, q1)})
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from mialib import dmts_ops, ia_ops, mia_ops, model
 from mialib.frontend import parse, serialize
-from mialib.refinement import refines
+from mialib.refinement import dmts_refines, refines
 from mialib.model import (DMTS, IA, MIA, TAU, Alphabet, EmptiedMustError,
                           IdTable, ModalAutomaton, StateId, StateNameCollisionError, atom,
                           disjoint_operands, make_automaton, make_ia, pair_id,
-                          remove_states, rename_disjoint, tagged_id,
+                          reachable_states, remove_states, rename_disjoint, tagged_id,
                           universal_id, validate, vee_id, wedge_id,
                           weak_closure)
 from mialib.testkit import gen_composable_pair, gen_pair, gen_random
@@ -216,6 +216,16 @@ def test_syntactic_consistency_required():
                          may=[], must=[(s0, "a", [s1])])
     rules = {v.rule for v in validate(aut)}
     assert "syntactic-consistency" in rules
+
+
+def test_refinement_runs_on_a_must_target_without_a_may():
+    # Invalid on purpose: the checkers stay usable on such automata.
+    aut = make_automaton(DMTS, "bad", [], ["a"], s0, must=[(s0, "a", [s1])])
+    assert [v.rule for v in validate(aut)] == ["syntactic-consistency"]
+    assert s1 in reachable_states(aut)
+    w = dmts_refines(aut, aut)
+    assert w.verdict
+    assert w.pairs == {(s0, s0), (s0, s1), (s1, s1)}
 
 
 def test_tau_must_rejected():

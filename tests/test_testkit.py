@@ -12,9 +12,10 @@ from types import SimpleNamespace
 import pytest
 
 from mialib import dmts_ops, ia_ops, mia_ops, testkit
-from mialib.frontend import parse_file, serialize
+from mialib.frontend import parse, parse_file, serialize
 from mialib.model import (DMTS, FLAVORS, IA, MIA, FlavorMismatchError,
-                          MialibError, ModalAutomaton, Violation, validate)
+                          MialibError, ModalAutomaton, Violation, atom,
+                          validate)
 from mialib.refinement import holds, refines
 from mialib.testkit import (InvalidGeneratedError, SizeLimitError,
                             UnknownSuiteError, blackhole, gen_composable_pair,
@@ -137,6 +138,21 @@ def test_oracle_agrees_with_checker(flavor):
         assert w.verdict == oracle_refines(flavor, p, q)
         if w.verdict:
             assert recheck_witness(flavor, p, q, w.pairs)
+
+
+def test_recheck_witness_rejects_a_broken_clause():
+    # p's output o is a must; q allows o but does not require it.
+    p = parse("mia P { inputs: ; outputs: o; initial p0; "
+              "must p0 -o-> p1; may p0 -o-> p1; }")
+    q = parse("mia Q { inputs: ; outputs: o; initial q0; may q0 -o-> q1; }")
+    p0, p1, q0, q1 = map(atom, ("p0", "p1", "q0", "q1"))
+    # (ii): p0's o-move to p1 has no partner pair (p1, q1)
+    assert not recheck_witness(MIA, p, q, {(p0, q0)})
+    assert recheck_witness(MIA, p, q, {(p0, q0), (p1, q1)})
+    # (i): the spec p requires o at p0 and q has no must to match it
+    assert not recheck_witness(MIA, q, p, {(q0, p0)})
+    w = refines(p, q)
+    assert w.verdict and recheck_witness(MIA, p, q, w.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +304,25 @@ def test_law_suites_see_patched_operators(suite, operator, tmp_path,
     report = run_theorem_suite(suite, trials=10, seed=0, out_dir=tmp_path)
     assert report.failures
     assert "is invalid: [unknown-action]" in report.failures[0].message
+
+
+def _with_empty_must(aut):
+    """``aut`` with a must from its initial state to no target at all."""
+    label = min(aut.alphabet.actions)
+    return dataclasses.replace(aut, must=aut.must | {(aut.initial, label, frozenset())})
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_structural_suites_see_an_empty_must_target(flavor, tmp_path,
+                                                    monkeypatch):
+    module = {IA: ia_ops, DMTS: dmts_ops, MIA: mia_ops}[flavor]
+    name = f"{flavor}_disjoin"
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: _with_empty_must(real(*args)))
+    report = run_theorem_suite(f"{flavor}-structural", trials=10, seed=0,
+                               out_dir=tmp_path)
+    assert report.failures
+    assert "is invalid: [empty-must-target]" in report.failures[0].message
 
 
 def test_ia_glb_sees_a_conjunction_that_returns_its_left_operand(
