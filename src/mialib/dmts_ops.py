@@ -30,7 +30,7 @@ def dmts_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> Conjunction:
     """Conjunctive product minus its inconsistent states."""
     product = dmts_conj_product(p, q)
     bad = dmts_inconsistent(product)
-    return _prune(product, bad, f"{p.name}_and_{q.name}")
+    return _prune(product, bad)
 
 
 def dmts_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:

@@ -8,8 +8,10 @@ refinement.
 
 from __future__ import annotations
 
-from .model import (DMTS, IA, MIA, Alphabet, ModalAutomaton,
-                    StateNameCollisionError, require_flavor, universal_id)
+from dataclasses import replace
+
+from .model import (IA, MIA, ModalAutomaton, StateNameCollisionError, as_dmts,
+                    require_flavor, universal_id)
 
 
 def embed_ia_to_dmts(p: ModalAutomaton) -> ModalAutomaton:
@@ -28,7 +30,6 @@ def embed_ia_to_dmts(p: ModalAutomaton) -> ModalAutomaton:
             f"{p.name} already has a state named {u}, the universal state")
 
     may = set(p.may)
-    must = set(p.must)
     for state in p.sorted_states:
         for a in sorted(inputs):
             if not p.has_may(state, a):
@@ -36,11 +37,8 @@ def embed_ia_to_dmts(p: ModalAutomaton) -> ModalAutomaton:
     for a in sorted(actions):
         may.add((u, a, u))
 
-    return ModalAutomaton(
-        flavor=DMTS, name=f"{p.name}_as_dmts",
-        alphabet=Alphabet(frozenset(), actions),
-        states=p.states | {u}, initial=p.initial,
-        may=frozenset(may), must=frozenset(must))
+    return replace(as_dmts(p), name=f"{p.name}_as_dmts",
+                   states=p.states | {u}, may=frozenset(may))
 
 
 def embed_ia_to_mia(p: ModalAutomaton) -> ModalAutomaton:
@@ -50,6 +48,4 @@ def embed_ia_to_mia(p: ModalAutomaton) -> ModalAutomaton:
     of an IA are already kept as mays with singleton musts on inputs.
     """
     require_flavor(p, IA)
-    return ModalAutomaton(
-        flavor=MIA, name=f"{p.name}_as_mia", alphabet=p.alphabet,
-        states=p.states, initial=p.initial, may=p.may, must=p.must)
+    return replace(p, flavor=MIA, name=f"{p.name}_as_mia")

@@ -20,7 +20,7 @@ from functools import partial
 from .model import (MIA, TAU, IdTable, ModalAutomaton, MustEdge,
                     NotComposableError, StateId, disjoint_operands,
                     explore_pairs, make_automaton, pair_id, remove_states,
-                    require_flavor, require_operands, vee_id)
+                    require_flavor, require_operands, targets_text, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -36,9 +36,6 @@ class InconsistencySet:
 
     members: frozenset[StateId]
     provenance: dict
-
-    def __contains__(self, state: StateId) -> bool:
-        return state in self.members
 
 
 @dataclass(frozen=True)
@@ -83,9 +80,6 @@ class IncompatibilitySet:
     errors: frozenset[StateId]
     incompatible: frozenset[StateId]
     provenance: dict
-
-    def __contains__(self, state: StateId) -> bool:
-        return state in self.incompatible
 
 
 @dataclass(frozen=True)
@@ -230,17 +224,15 @@ def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
             alive[edge] -= 1
             if alive[edge] == 0:
                 src, label, targets = edge
-                tgt = "{" + ",".join(sorted(targets)) + "}"
-                push(src, ("F3", f"{src} -{label}-> {tgt}"))
+                push(src, ("F3", f"{src} -{label}-> {targets_text(targets)}"))
     return InconsistencySet(members=frozenset(members), provenance=provenance)
 
 
-def _prune(product: ConjunctiveProduct, bad: InconsistencySet,
-           name: str) -> Conjunction:
+def _prune(product: ConjunctiveProduct, bad: InconsistencySet) -> Conjunction:
     aut = product.automaton
     if aut.initial in bad.members:
         return Conjunction(product=product, inconsistency=bad, automaton=None)
-    pruned = remove_states(aut, bad.members, name=name)
+    pruned = remove_states(aut, bad.members)
     return Conjunction(product=product, inconsistency=bad, automaton=pruned)
 
 
@@ -258,7 +250,7 @@ def mia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> Conjunction:
     """Conjunctive product minus inconsistent pairs; a MIA when defined."""
     product = mia_conj_product(p, q)
     bad = mia_inconsistent(product)
-    return _prune(product, bad, f"{p.name}_and_{q.name}")
+    return _prune(product, bad)
 
 
 # ---------------------------------------------------------------------------

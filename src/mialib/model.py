@@ -33,7 +33,7 @@ both compute a view at first; they get equal values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -120,9 +120,6 @@ class StateId(str):
     def __repr__(self):
         return f"StateId({self.text!r})"
 
-    def __str__(self):
-        return self.text
-
 
 # The slots are written once, in ``__new__``, through their descriptors;
 # ``__setattr__`` refuses any later write.
@@ -200,6 +197,11 @@ class IdTable(dict):
     def __missing__(self, key) -> StateId:
         sid = self[key] = self.build(key)
         return sid
+
+
+def targets_text(targets: Iterable[StateId]) -> str:
+    """A must's target set as ``{a,b}``, in text order."""
+    return "{" + ",".join(sorted(targets)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +451,7 @@ def validate(aut: ModalAutomaton) -> list[Violation]:
 def _must_violation(rule: str, edge: MustEdge, what: str) -> Violation:
     """A violation of ``rule`` by the must ``edge``, its text followed by ``what``."""
     src, label, targets = edge
-    return Violation(rule, f"must {src} -{label}-> {{{','.join(sorted(targets))}}}{what}",
+    return Violation(rule, f"must {src} -{label}-> {targets_text(targets)}{what}",
                      ("must", *edge))
 
 
@@ -517,20 +519,19 @@ def _validate_mia(aut: ModalAutomaton, bad) -> None:
 
 @dataclass(frozen=True)
 class WeakClosure:
-    """Weak transition relations of one automaton, as successor maps.
+    """Weak transition relations of one automaton, as one successor map.
 
-    ``eps_map[q]`` is the set of states that silent may-steps reach from
-    ``q``, ``q`` included.  For a label ``l`` (actions and ``tau`` alike),
-    ``weak_map[q, l]`` holds ``q'`` when some silent run from ``q`` is
-    followed by exactly one ``l``-may-step ending in ``q'``; there are no
-    trailing silent steps.  Empty successor sets are not stored.
+    For a label ``l`` (actions and ``tau`` alike), ``weak_map[q, l]`` holds
+    ``q'`` when some silent run from ``q`` is followed by exactly one
+    ``l``-may-step ending in ``q'``; there are no trailing silent steps.
+    Empty successor sets are not stored.  The silent closure of ``q`` is
+    ``q`` plus its weak ``tau`` successors, so it is not stored either.
     """
 
-    eps_map: Mapping[StateId, frozenset[StateId]]
     weak_map: Mapping[tuple[StateId, str], frozenset[StateId]]
 
     def eps_succ(self, state: StateId) -> frozenset[StateId]:
-        return self.eps_map.get(state, frozenset([state]))
+        return self.weak_succ(state, TAU) | {state}
 
     def weak_succ(self, state: StateId, label: str) -> frozenset[StateId]:
         return self.weak_map.get((state, label), frozenset())
@@ -547,7 +548,7 @@ class WeakClosure:
 
 def weak_closure(aut: ModalAutomaton) -> WeakClosure:
     """Precompute the weak relations over the automaton's may-transitions."""
-    eps: dict[StateId, frozenset[StateId]] = {}
+    weak: dict[tuple[StateId, str], set[StateId]] = {}
     for state in aut.sorted_states:
         seen = {state}
         stack = [state]
@@ -557,14 +558,10 @@ def weak_closure(aut: ModalAutomaton) -> WeakClosure:
                 if label == TAU and tgt not in seen:
                     seen.add(tgt)
                     stack.append(tgt)
-        eps[state] = frozenset(seen)
-
-    weak: dict[tuple[StateId, str], set[StateId]] = {}
-    for state in aut.sorted_states:
-        for mid in eps[state]:
+        for mid in seen:
             for label, tgt in aut.may_from(mid):
                 weak.setdefault((state, label), set()).add(tgt)
-    return WeakClosure(eps, {k: frozenset(v) for k, v in weak.items()})
+    return WeakClosure({k: frozenset(v) for k, v in weak.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +581,8 @@ def rename_disjoint(a: ModalAutomaton, b: ModalAutomaton) -> tuple[ModalAutomato
 
 def _tag_states(aut: ModalAutomaton, tag: str) -> ModalAutomaton:
     ren = {s: tagged_id(s, tag) for s in aut.states}
-    return ModalAutomaton(
-        flavor=aut.flavor, name=aut.name, alphabet=aut.alphabet,
-        states=frozenset(ren.values()), initial=ren[aut.initial],
+    return replace(
+        aut, states=frozenset(ren.values()), initial=ren[aut.initial],
         may=frozenset((ren[s], l, ren[t]) for s, l, t in aut.may),
         must=frozenset((ren[s], l, frozenset(ren[t] for t in T)) for s, l, T in aut.must))
 
@@ -644,10 +640,8 @@ def explore_pairs(seeds: Iterable[StateId], rule,
 
 def as_dmts(aut: ModalAutomaton) -> ModalAutomaton:
     """View an IA or MIA as a dMTS by flattening the input/output split."""
-    return ModalAutomaton(
-        flavor=DMTS, name=aut.name,
-        alphabet=Alphabet(frozenset(), aut.alphabet.actions),
-        states=aut.states, initial=aut.initial, may=aut.may, must=aut.must)
+    return replace(aut, flavor=DMTS,
+                   alphabet=Alphabet(frozenset(), aut.alphabet.actions))
 
 
 def reachable_states(aut: ModalAutomaton, start: StateId | None = None) -> frozenset[StateId]:
@@ -689,9 +683,8 @@ def remove_states(aut: ModalAutomaton, dead: Iterable[StateId],
             raise EmptiedMustError(
                 f"pruning emptied must {s} -{l}-> at a surviving state")
         must.add((s, l, T2))
-    return ModalAutomaton(flavor=aut.flavor, name=name or aut.name,
-                          alphabet=aut.alphabet, states=keep,
-                          initial=aut.initial, may=may, must=frozenset(must))
+    return replace(aut, name=name or aut.name, states=keep, may=may,
+                   must=frozenset(must))
 
 
 def restrict_reachable(aut: ModalAutomaton) -> ModalAutomaton:

@@ -29,8 +29,9 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, ModalAutomaton,
-                    StateId, reachable_states, require_operands)
+from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, MialibError,
+                    ModalAutomaton, StateId, reachable_states, require_operands,
+                    targets_text)
 
 Pair = tuple[StateId, StateId]
 
@@ -62,10 +63,6 @@ class RefinementWitness:
     pairs: frozenset[Pair]
     verdict: bool
     failure: FailureCertificate | None = None
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict
 
 
 def _may_domain(flavor: str, outputs: frozenset[str]) -> frozenset[str] | None:
@@ -230,7 +227,7 @@ class _Checker:
         impl_state, spec_state = self.impl_states[p], self.spec_states[q]
         clause, (label, target) = self.elim_cause[x]
         if clause == "i":
-            tgt = "{" + ",".join(self.spec_states[t].text for t in target) + "}"
+            tgt = targets_text(self.spec_states[t] for t in target)
             transition = f"spec must {spec_state} -{label}-> {tgt}"
         else:
             # An impl may keeps its target as the pair base p2 * nq.
@@ -244,12 +241,14 @@ def _decide(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
             impl_state: StateId | None, spec_state: StateId | None) -> RefinementWitness:
     impl_state = impl.initial if impl_state is None else impl_state
     spec_state = spec.initial if spec_state is None else spec_state
+    for aut, state in ((impl, impl_state), (spec, spec_state)):
+        if state not in aut.states:
+            raise MialibError(f"{state} is not a state of {aut.name}")
     checker = _Checker(impl, spec, flavor, impl_state, spec_state)
     checker.run()
-    if checker.alive[checker.root]:
-        return RefinementWitness(kind=flavor, pairs=checker.pairs(), verdict=True)
-    return RefinementWitness(kind=flavor, pairs=checker.pairs(), verdict=False,
-                             failure=checker.certificate())
+    verdict = bool(checker.alive[checker.root])
+    return RefinementWitness(kind=flavor, pairs=checker.pairs(), verdict=verdict,
+                             failure=None if verdict else checker.certificate())
 
 
 def ia_refines(impl: ModalAutomaton, spec: ModalAutomaton,
@@ -286,26 +285,21 @@ def refines(impl: ModalAutomaton, spec: ModalAutomaton,
     if impl.flavor != spec.flavor:
         raise FlavorMismatchError(
             f"cannot compare {impl.flavor} against {spec.flavor}")
+    if impl.flavor not in _BY_FLAVOR:
+        raise FlavorMismatchError(f"no refinement for flavor {impl.flavor!r}")
     return _BY_FLAVOR[impl.flavor](impl, spec, impl_state, spec_state)
 
 
-def holds(impl: ModalAutomaton, spec: ModalAutomaton,
-          impl_state: StateId | None = None,
-          spec_state: StateId | None = None) -> bool:
-    return refines(impl, spec, impl_state, spec_state).verdict
+def holds(impl: ModalAutomaton, spec: ModalAutomaton) -> bool:
+    """Whether ``impl`` refines ``spec`` from their initial states."""
+    return refines(impl, spec).verdict
 
 
-def mia_equiv(a: ModalAutomaton, b: ModalAutomaton,
-              a_state: StateId | None = None,
-              b_state: StateId | None = None) -> bool:
+def mia_equiv(a: ModalAutomaton, b: ModalAutomaton) -> bool:
     """Mutual MIA refinement."""
-    return (mia_refines(a, b, a_state, b_state).verdict
-            and mia_refines(b, a, b_state, a_state).verdict)
+    return mia_refines(a, b).verdict and mia_refines(b, a).verdict
 
 
-def equiv(a: ModalAutomaton, b: ModalAutomaton,
-          a_state: StateId | None = None,
-          b_state: StateId | None = None) -> bool:
+def equiv(a: ModalAutomaton, b: ModalAutomaton) -> bool:
     """Mutual refinement in the automata's shared flavor."""
-    return (refines(a, b, a_state, b_state).verdict
-            and refines(b, a, b_state, a_state).verdict)
+    return refines(a, b).verdict and refines(b, a).verdict

@@ -5,13 +5,14 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from mialib import dmts_ops, ia_ops, mia_ops, model
+from mialib import dmts_ops, ia_ops, mia_ops, model, testkit
 from mialib.frontend import parse, serialize
 from mialib.refinement import dmts_refines, refines
 from mialib.model import (DMTS, IA, MIA, TAU, Alphabet, EmptiedMustError,
-                          IdTable, ModalAutomaton, StateId, StateNameCollisionError, atom,
-                          disjoint_operands, make_automaton, make_ia, pair_id,
-                          reachable_states, remove_states, rename_disjoint, tagged_id,
+                          FlavorMismatchError, IdTable, ModalAutomaton, StateId,
+                          StateNameCollisionError, atom, disjoint_operands,
+                          make_automaton, make_ia, pair_id, reachable_states,
+                          remove_states, rename_disjoint, restrict_reachable, tagged_id,
                           universal_id, validate, vee_id, wedge_id,
                           weak_closure)
 from mialib.testkit import gen_composable_pair, gen_pair, gen_random
@@ -184,7 +185,7 @@ def test_weak_closure_computed_once_per_automaton(monkeypatch):
     monkeypatch.setattr(model, "weak_closure", counting)
     aut = gen_random(MIA, seed=2, transition_density=0.5)
     for state in aut.sorted_states:
-        assert refines(aut, aut, state, state).holds
+        assert refines(aut, aut, state, state).verdict
     assert calls == [aut]
 
 
@@ -393,3 +394,25 @@ def test_remove_states_refuses_to_empty_a_kept_must():
                          must=[(s0, "x", [s1])])
     with pytest.raises(EmptiedMustError):
         remove_states(aut, [s1])
+
+
+def test_restrict_reachable_keeps_an_automaton_reachable_throughout():
+    aut = make_automaton(DMTS, "a", [], ["x"], s0,
+                         may=[(s0, "x", s1), (s1, "x", s0)])
+    assert restrict_reachable(aut) is aut
+
+
+def test_operators_refuse_operands_of_another_flavor():
+    p, q = gen_pair(DMTS, 0)
+    with pytest.raises(FlavorMismatchError, match="is dmts, expected mia"):
+        mia_ops.mia_conjoin(p, q)
+    p1, p2 = gen_composable_pair(MIA, 0)
+    with pytest.raises(FlavorMismatchError, match="is mia, expected ia"):
+        ia_ops.ia_parallel_compose(p1, p2)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_silent_closure_is_the_state_and_its_weak_tau_successors(seed):
+    aut = gen_random(MIA, seed=seed, transition_density=0.6)
+    for state in aut.states:
+        assert aut.weak.eps_succ(state) == testkit._o_eps(aut, state)

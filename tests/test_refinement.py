@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from conftest import load
 from mialib.model import (DMTS, IA, MIA, TAU, AlphabetMismatchError,
-                          FlavorMismatchError, as_dmts, atom, make_automaton,
-                          make_ia)
+                          FlavorMismatchError, MialibError, as_dmts, atom,
+                          make_automaton, make_ia)
 from mialib.refinement import (dmts_refines, equiv, holds, ia_refines,
                                mia_equiv, mia_refines, refines)
 from mialib.testkit import (blackhole, gen_pair, gen_random, oracle_refines,
@@ -123,6 +126,19 @@ def test_mixed_flavors_rejected():
     b = gen_random(MIA, seed=1)
     with pytest.raises(FlavorMismatchError):
         refines(a, b)
+
+
+def test_unknown_flavor_rejected():
+    a = dataclasses.replace(load("fig08_p.mia"), flavor="lts")
+    with pytest.raises(FlavorMismatchError, match="lts"):
+        refines(a, a)
+
+
+@pytest.mark.parametrize("start", [(atom("nosuch"), None), (None, atom("nosuch"))])
+def test_start_state_outside_the_automaton_rejected(start):
+    a = load("fig08_p.mia")
+    with pytest.raises(MialibError, match="nosuch is not a state of fig08_p"):
+        refines(a, a, *start)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from mialib import dmts_ops, ia_ops, mia_ops, testkit
+from mialib import dmts_ops, embeddings, ia_ops, mia_ops, testkit
 from mialib.frontend import parse, parse_file, serialize
 from mialib.model import (DMTS, FLAVORS, IA, MIA, FlavorMismatchError,
                           MialibError, ModalAutomaton, Violation, atom,
-                          validate)
+                          make_automaton, validate)
 from mialib.refinement import holds, refines
 from mialib.testkit import (InvalidGeneratedError, SizeLimitError,
                             UnknownSuiteError, blackhole, gen_composable_pair,
@@ -211,6 +212,53 @@ def test_shrink_keeps_failure():
     assert validate(small["p"]) == []
 
 
+def test_shrink_never_checks_an_invalid_candidate():
+    s0, s1 = atom("s0"), atom("s1")
+    # every candidate that keeps the undeclared action is invalid
+    bad = make_automaton(DMTS, "bad", [], ["x"], s0,
+                         may=[(s0, "x", s1), (s1, "undeclared", s1)])
+    checked = []
+
+    def check(auts):
+        checked.append(auts["p"])
+        return "fails"
+
+    small = shrink({"p": bad}, check)
+    assert checked and all(validate(aut) == [] for aut in checked)
+    assert validate(small["p"]) == []
+
+
+def test_shrink_skips_a_candidate_whose_check_raises():
+    s0, s1, s2 = atom("s0"), atom("s1"), atom("s2")
+    kept = (s0, "x", s2)
+    aut = make_automaton(DMTS, "a", [], ["x"], s0, may=[(s0, "x", s1), kept])
+
+    def check(auts):
+        if kept not in auts["p"].may:
+            raise MialibError("undefined without the kept edge")
+        return "fails"
+
+    small = shrink({"p": aut}, check)
+    assert small["p"].may == {kept}
+    assert small["p"].states == {s0, s2}
+
+
+def test_shrink_stops_at_its_budget(monkeypatch):
+    monkeypatch.setattr(testkit, "SHRINK_BUDGET", 5)
+    states = [atom(f"s{i}") for i in range(8)]
+    chain = make_automaton(DMTS, "chain", [], ["x"], states[0],
+                           may=[(a, "x", b) for a, b in zip(states, states[1:])])
+    checked = []
+
+    def check(auts):
+        checked.append(auts)
+        return "fails"
+
+    small = shrink({"p": chain}, check)
+    assert 0 < len(checked) < 5
+    assert next(testkit._shrink_candidates(small["p"]), None) is not None
+
+
 # Faults parallel composition (the initial pair loses its output mays),
 # runs one suite and prints a digest of the shrunk counterexamples.
 _SHRINK_SCRIPT = """
@@ -332,3 +380,156 @@ def test_ia_glb_sees_a_conjunction_that_returns_its_left_operand(
     assert report.failures
     assert report.failures[0].message == (
         "glb law violated: r<=p and r<=q iff r<=p^q")
+
+
+# ---------------------------------------------------------------------------
+# Every failure message of the law checks, from a planted fault
+
+
+def _patch(m, module, name, fault):
+    """Let ``module.name`` answer ``fault(real, *args)``, ``real`` being the
+    function it replaces."""
+    real = getattr(module, name)
+    m.setattr(module, name, lambda *args: fault(real, *args))
+
+
+def _flipped(witness):
+    return dataclasses.replace(witness, verdict=not witness.verdict)
+
+
+def _undefined(outcome):
+    """A conjunction that came out inconsistent, or a composition that came
+    out incompatible."""
+    return dataclasses.replace(outcome, automaton=None)
+
+
+def _unpruned(conj):
+    """A conjunction that keeps its inconsistent states."""
+    if not conj.defined:
+        return conj
+    return dataclasses.replace(conj, automaton=conj.product.automaton)
+
+
+def _unpruned_composition(comp):
+    """A composition that keeps its incompatible states."""
+    if not comp.compatible:
+        return comp
+    return dataclasses.replace(comp, automaton=comp.product)
+
+
+def _without_transitions(comp):
+    """A composition whose automaton lost every transition."""
+    if not comp.compatible:
+        return comp
+    return dataclasses.replace(comp, automaton=dataclasses.replace(
+        comp.automaton, may=frozenset(), must=frozenset()))
+
+
+# (suite, message start, plant(m, auts)): the plant sets up its fault
+# through the monkeypatch ``m``, after the sample is drawn.
+_PLANTED = [
+    ("ia-refl", "refinement not reflexive at ",
+     lambda m, auts: _patch(m, testkit, "refines",
+                            lambda real, *args: dataclasses.replace(
+                                real(*args), verdict=False))),
+    ("dmts-trans", "transitivity violated",
+     lambda m, auts: m.setattr(testkit, "holds", lambda x, y: not (
+         x is auts["a"] and y is auts["c"]))),
+    ("mia-oracle", "checker says ",
+     lambda m, auts: _patch(m, testkit, "refines",
+                            lambda real, p, q: _flipped(real(p, q)))),
+    ("mia-oracle", "holds-witness failed independent clause re-check",
+     lambda m, auts: _patch(m, testkit, "refines",
+                            lambda real, p, q: dataclasses.replace(
+                                real(p, q),
+                                pairs=frozenset([(p.initial, q.initial)])))),
+    ("mia-glb", "common implementation exists but conjunction undefined",
+     lambda m, auts: _patch(m, mia_ops, "mia_conjoin",
+                            lambda real, p, q: _undefined(real(p, q)))),
+    ("dmts-glb", "inconsistent state survived pruning: ",
+     lambda m, auts: _patch(m, dmts_ops, "dmts_conjoin",
+                            lambda real, p, q: _unpruned(real(p, q)))),
+    ("mia-glb", "inconsistent state survived pruning: ",
+     lambda m, auts: _patch(m, mia_ops, "mia_conjoin",
+                            lambda real, p, q: _unpruned(real(p, q)))),
+    ("mia-structural", "inconsistent state survived pruning",
+     lambda m, auts: _patch(m, mia_ops, "mia_conjoin",
+                            lambda real, p, q: _unpruned(real(p, q)))),
+    ("ia-lub", "lub law violated: p v q <= r iff p<=r and q<=r",
+     lambda m, auts: _patch(m, ia_ops, "ia_disjoin", lambda real, p, q: blackhole(
+         p.alphabet.inputs, p.alphabet.outputs))),
+    ("mia-mono", "disjunction not monotone: p<=q but not p v r <= q v r",
+     lambda m, auts: _patch(m, mia_ops, "mia_disjoin", lambda real, x, r: (
+         x if x is auts["q"] else real(x, r)))),
+    ("mia-mono", "p^r defined but q^r undefined although p<=q",
+     lambda m, auts: _patch(m, mia_ops, "mia_conjoin", lambda real, x, r: (
+         _undefined(real(x, r)) if x is auts["q"] else real(x, r)))),
+    ("mia-mono", "conjunction not monotone: p^r <= q^r fails",
+     lambda m, auts: _patch(m, mia_ops, "mia_conjoin", lambda real, x, r: (
+         dataclasses.replace(real(x, r), automaton=mia_ops.mia_disjoin(x, r))
+         if x is auts["p"] else real(x, r)))),
+    ("ia-par-comp", "p1<=q1 and q1,p2 compatible, but p1,p2 incompatible",
+     lambda m, auts: _patch(m, ia_ops, "ia_parallel_compose", lambda real, x, p2: (
+         _undefined(real(x, p2)) if x is auts["p1"] else real(x, p2)))),
+    ("mia-par-comp", "incompatible state survived pruning: ",
+     lambda m, auts: _patch(m, mia_ops, "mia_parallel_compose",
+                            lambda real, p1, p2: _unpruned_composition(
+                                real(p1, p2)))),
+    ("mia-par-comp", "parallel composition not compositional: "
+                     "p1|p2 <= q1|p2 fails",
+     lambda m, auts: m.setattr(testkit, "holds",
+                               lambda x, y: x is auts["p1"])),
+    ("embed-refines", "ia refinement False but mia embedding True",
+     lambda m, auts: _patch(m, embeddings, "embed_ia_to_mia",
+                            lambda real, a: real(auts["q"]))),
+    ("embed-refines", "ia refinement False but dmts embedding True",
+     lambda m, auts: _patch(m, embeddings, "embed_ia_to_dmts",
+                            lambda real, a: real(auts["q"]))),
+    ("ia-embedding-hom", "conjunction of embeddings unexpectedly inconsistent",
+     lambda m, auts: _patch(m, mia_ops, "mia_conjoin",
+                            lambda real, p, q: _undefined(real(p, q)))),
+    ("ia-embedding-hom", "embedded conjunction is invalid: [unknown-action]",
+     lambda m, auts: _patch(m, mia_ops, "mia_conjoin",
+                            lambda real, p, q: _with_unknown_action(real(p, q)))),
+    ("ia-embedding-hom", "embedding is not homomorphic for conjunction",
+     lambda m, auts: _patch(m, ia_ops, "ia_conjoin", lambda real, p, q: p)),
+    ("ia-embedding-hom-par", "compatibility differs: ia True, embedded False",
+     lambda m, auts: _patch(m, mia_ops, "mia_parallel_compose",
+                            lambda real, p, q: _undefined(real(p, q)))),
+    ("ia-embedding-hom-par",
+     "embedding is not homomorphic for parallel composition",
+     lambda m, auts: _patch(m, ia_ops, "ia_parallel_compose",
+                            lambda real, p, q: _without_transitions(real(p, q)))),
+    ("embed-dmts-oneway",
+     "conjunction of dmts embeddings unexpectedly inconsistent",
+     lambda m, auts: _patch(m, dmts_ops, "dmts_conjoin",
+                            lambda real, p, q: _undefined(real(p, q)))),
+    ("embed-dmts-oneway",
+     "embedded conjunction does not refine conjoined embeddings",
+     lambda m, auts: _patch(m, ia_ops, "ia_conjoin",
+                            lambda real, p, q: ia_ops.ia_disjoin(p, q))),
+    ("embed-dmts-oneway",
+     "disjoined embeddings do not refine the embedded disjunction",
+     lambda m, auts: _patch(m, dmts_ops, "dmts_disjoin",
+                            lambda real, p, q: dataclasses.replace(
+                                real(p, q), must=frozenset()))),
+]
+
+
+def _planted_messages(suite, plant, trials=40):
+    """The check's message on each of the suite's samples at seed 0, with
+    the fault planted for that sample."""
+    law = SUITES[suite]
+    for trial in range(trials):
+        auts = law.sample(random.Random(f"{suite}|0|{trial}"))
+        with pytest.MonkeyPatch.context() as m:
+            plant(m, auts)
+            yield law.check(auts)
+
+
+@pytest.mark.parametrize("suite, message, plant", _PLANTED, ids=[
+    f"{suite}:" + "-".join(re.findall(r"\w+", message)[:6])
+    for suite, message, _ in _PLANTED])
+def test_law_checks_report_planted_faults(suite, message, plant):
+    assert any(text and text.startswith(message)
+               for text in _planted_messages(suite, plant))
