@@ -21,6 +21,15 @@ plain integers and transitions are per-state lists of integers; state ids
 reappear only in the witness and in the failure certificate.  Because the
 numbering follows text order, the elimination order, the witness and the
 certificate are the ones a checker over state ids sorted by text yields.
+
+A pass visits pairs in order; a pair that fails is eliminated and re-queues
+the pairs whose last passing check cited it.  Citations are kept in flat
+integer watch lists, not in per-pair sets.  Pairs that fail on labels alone
+(a spec must label the impl state has no must for, or an impl may label
+with no weak spec match) are marked up front and eliminated at their place
+in the first pass without a check.  The checker stores only the order of
+elimination: why a pair failed is derived again for the certificate, by
+rechecking it against the pairs eliminated before it.
 """
 
 from __future__ import annotations
@@ -72,6 +81,31 @@ def _may_domain(flavor: str, outputs: frozenset[str]) -> frozenset[str] | None:
     return outputs | {TAU}
 
 
+# Multiplying a one-item array is several times cheaper than calling the
+# array constructor, which matters on the many checks of a few pairs.
+_ZERO = array("i", [0])
+# The label screen costs time linear in the states of each side and saves
+# checks in proportion to their product, so it is built only when both sides
+# have at least this many states.
+_SCREEN_MIN_STATES = 16
+
+
+class _AliveAt:
+    """The alive set as it stood while pair ``x`` had its failing check.
+
+    The pairs dead then are exactly those eliminated before ``x``; ``x``
+    itself was still alive during its own check.
+    """
+
+    __slots__ = ("order", "mine")
+
+    def __init__(self, order: array, x: int):
+        self.order, self.mine = order, order[x]
+
+    def __getitem__(self, y: int) -> bool:
+        return not 0 < self.order[y] < self.mine
+
+
 class _Checker:
     """Global elimination over densely numbered state pairs.
 
@@ -79,6 +113,24 @@ class _Checker:
     ``(p, q)`` is the integer ``p * nq + q``.  Rank order is text order, so
     every integer sort below visits pairs, partners and citers in the order
     a sort by state text would.
+
+    A pair that passes its check cites the pairs it relied on, in flat watch
+    lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
+    list it sits (each list runs from ``head`` along ``nxt``).  Every passing
+    check appends a fresh run of entries, so an entry belongs to its citer's
+    last passing check, and is current, when ``e >= since[who[e]]``.  A pair
+    that dies re-queues its alive, current citers in sorted order.
+
+    Some pairs fail on labels alone: the spec state has a must label on
+    which the impl state has no must, or the impl state has a may label with
+    no weak spec match.  Such a pair fails its first check whatever else is
+    alive.  When both sides have at least ``_SCREEN_MIN_STATES`` states,
+    ``_label_screen`` marks such pairs beforehand and each dies at its own
+    place in the first pass without a check, re-queueing its citers like
+    any other.
+
+    Only the elimination order is stored.  Why a pair died is derived again
+    when the certificate asks (``cause``).
     """
 
     def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
@@ -117,49 +169,91 @@ class _Checker:
                 for alpha in labels})
 
         n = len(self.impl_states) * nq
-        self.alive = bytearray(b"\x01") * n
+        # 1 while alive, 0 once eliminated; 2 marks an alive pair that fails
+        # on labels alone and dies at its turn in the first pass.
+        if min(len(self.impl_states), nq) >= _SCREEN_MIN_STATES:
+            self.alive = self._label_screen()
+        else:
+            self.alive = bytearray(b"\x01") * n
         # 0 while alive, else the 1-based position in the elimination order.
-        self.elim_order = array("i", bytes(4 * n))
-        # Why a pair died: ("i", the unmatched spec must) or ("ii", the
-        # unmatched impl may), as entries of spec_musts and impl_mays.
-        self.elim_cause: dict[int, tuple[str, tuple]] = {}
-        # cited[x]: the partners x's last successful check relied on.
-        # citers[d] may keep pairs that no longer cite d; they are filtered
-        # out against cited when d dies.
-        self.cited: list[set[int] | None] = [None] * n
-        self.citers: list[set[int] | None] = [None] * n
+        self.elim_order = _ZERO * n
 
     def run(self) -> None:
-        alive, cited, citers = self.alive, self.cited, self.citers
-        pending = range(len(alive))
+        alive, order, check = self.alive, self.elim_order, self._check
+        n = len(alive)
+        since, head = _ZERO * n, _ZERO * n
+        # Entry 0 ends every list.
+        who, nxt = _ZERO * 1, _ZERO * 1
+        pending = range(n)
         counter = 0
         while pending:
             batch, pending = pending, []
             for x in batch:
-                if not alive[x]:
-                    continue
-                cause, deps = self._check(x)
-                if cause is None:
-                    cited[x] = deps
-                    for d in deps:
-                        if citers[d] is None:
-                            citers[d] = {x}
-                        else:
-                            citers[d].add(x)
+                state = alive[x]
+                if state == 1:
+                    cited: list[int] = []
+                    if check(x, alive, cited) is None:
+                        e = since[x] = len(who)
+                        for d in cited:
+                            who.append(x)
+                            nxt.append(head[d])
+                            head[d] = e
+                            e += 1
+                        continue
+                elif not state:
                     continue
                 counter += 1
                 alive[x] = 0
-                self.elim_order[x] = counter
-                self.elim_cause[x] = cause
-                if citers[x]:
-                    pending.extend(sorted(c for c in citers[x]
-                                          if alive[c] and x in cited[c]))
-                citers[x] = None
+                order[x] = counter
+                e = head[x]
+                if e:
+                    citers = set()
+                    while e:
+                        c = who[e]
+                        if alive[c] and e >= since[c]:
+                            citers.add(c)
+                        e = nxt[e]
+                    pending.extend(sorted(citers))
 
-    def _check(self, x: int) -> tuple[tuple[str, tuple] | None, set[int]]:
+    def _label_screen(self) -> bytearray:
+        """The initial ``alive``: 2 where the pair fails on labels alone.
+
+        Labels become bits; impl states with the same must and may labels
+        share one row.
+        """
+        bit: dict[str, int] = {}
+
+        def mask(labels) -> int:
+            m = 0
+            for a in labels:
+                m |= bit.setdefault(a, 1 << len(bit))
+            return m
+
+        spec_side = [(mask(a for a, _ in musts),
+                      mask(a for a, targets in hat.items() if targets))
+                     for musts, hat in zip(self.spec_musts, self.spec_hat)]
+        rows: dict[tuple[int, int], bytes] = {}
+        out = []
+        for musts, mays in zip(self.impl_musts, self.impl_mays):
+            sig = (mask(musts), mask(alpha for alpha, _ in mays))
+            row = rows.get(sig)
+            if row is None:
+                has_must, has_may = sig
+                row = rows[sig] = bytes([
+                    2 if need & ~has_must or has_may & ~matched else 1
+                    for need, matched in spec_side])
+            out.append(row)
+        return bytearray(b"".join(out))
+
+    def _check(self, x: int, alive: bytearray | _AliveAt,
+               cited: list[int]) -> tuple[str, tuple] | None:
+        """None if pair ``x`` passes against ``alive``, else why it fails.
+
+        The reason is ``("i", the unmatched spec must)`` or ``("ii", the
+        unmatched impl may)``, as entries of spec_musts and impl_mays.  The
+        partners a passing check relied on are appended to ``cited``.
+        """
         p, q = divmod(x, self.nq)
-        alive = self.alive
-        cited: set[int] = set()
         # clause (i): spec musts flow to impl musts.
         impl_musts = self.impl_musts[p]
         for must in self.spec_musts[q]:
@@ -174,21 +268,25 @@ class _Checker:
                     else:
                         break
                 else:
-                    cited.update(picks)
+                    cited += picks
                     break
             else:
-                return ("i", must), cited
+                return "i", must
         # clause (ii): impl mays flow to weak spec mays.
         hat = self.spec_hat[q]
         for may in self.impl_mays[p]:
             alpha, base = may
             for q2 in hat[alpha]:
                 if alive[base + q2]:
-                    cited.add(base + q2)
+                    cited.append(base + q2)
                     break
             else:
-                return ("ii", may), cited
-        return None, cited
+                return "ii", may
+        return None
+
+    def cause(self, x: int) -> tuple[str, tuple]:
+        """Why the eliminated pair ``x`` failed, rechecked as it stood then."""
+        return self._check(x, _AliveAt(self.elim_order, x), [])
 
     def pairs(self) -> frozenset[Pair]:
         P, Q, nq = self.impl_states, self.spec_states, self.nq
@@ -199,14 +297,15 @@ class _Checker:
         """Walk blame from the root to the first eliminated ancestor."""
         x = self.root
         while True:
-            blamed = self._blamed_successor(x)
+            cause = self.cause(x)
+            blamed = self._blamed_successor(x, cause[0])
             if blamed is None:
-                return self._describe(x)
+                return self._describe(x, cause)
             x = blamed
 
-    def _blamed_successor(self, x: int) -> int | None:
+    def _blamed_successor(self, x: int, clause: str) -> int | None:
         p, q = divmod(x, self.nq)
-        if self.elim_cause[x][0] == "i":
+        if clause == "i":
             impl_musts = self.impl_musts[p]
             candidates = [base + q2 for a, spec_targets in self.spec_musts[q]
                           for impl_targets in impl_musts.get(a, ())
@@ -222,10 +321,10 @@ class _Checker:
             return None
         return min(eliminated)[1]
 
-    def _describe(self, x: int) -> FailureCertificate:
+    def _describe(self, x: int, cause: tuple[str, tuple]) -> FailureCertificate:
         p, q = divmod(x, self.nq)
         impl_state, spec_state = self.impl_states[p], self.spec_states[q]
-        clause, (label, target) = self.elim_cause[x]
+        clause, (label, target) = cause
         if clause == "i":
             tgt = targets_text(self.spec_states[t] for t in target)
             transition = f"spec must {spec_state} -{label}-> {tgt}"

@@ -486,6 +486,8 @@ def _check_oracle(flavor: str, auts: dict) -> str | None:
     expected = oracle_refines(flavor, p, q)
     if witness.verdict != expected:
         return (f"checker says {witness.verdict}, oracle says {expected}")
+    if witness.verdict and (p.initial, q.initial) not in witness.pairs:
+        return "holds-witness lacks the root pair"
     if witness.verdict and not recheck_witness(flavor, p, q, witness.pairs):
         return "holds-witness failed independent clause re-check"
     return None

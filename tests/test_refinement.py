@@ -52,6 +52,24 @@ def test_ia_missing_input_fails():
     assert w.failure.clause == "i"
 
 
+def test_label_doomed_pair_requeues_its_citer():
+    # (p0, q0) is checked first and passes by citing (p1, q1), which fails
+    # on labels alone (q1 has no b).  Only the re-queue when (p1, q1) dies
+    # brings (p0, q0) back to fail.  The tau fan-outs from p2 and q0 give
+    # both sides enough states for the label screen to be built.
+    impl = make_ia("impl", [], ["a", "b"], p0,
+                   [(p0, "a", p1), (p1, "b", p2)]
+                   + [(p2, TAU, atom(f"s{i:02}")) for i in range(16)])
+    spec = make_ia("spec", [], ["a", "b"], q0,
+                   [(q0, "a", q1)]
+                   + [(q0, TAU, atom(f"r{i:02}")) for i in range(16)])
+    w = ia_refines(impl, spec)
+    assert not w.verdict
+    assert str(w.failure) == ("pair p1 <= q1 violates clause (ii) "
+                              "on impl may p1 -b-> p2")
+    assert (p0, q0) not in w.pairs and (p2, q1) in w.pairs
+
+
 def test_ia_alphabet_mismatch():
     a = make_ia("a", ["x"], [], p0, [])
     b = make_ia("b", ["y"], [], q0, [])

@@ -198,6 +198,19 @@ def test_fault_injection_produces_counterexample(tmp_path, monkeypatch):
         parse_file(path)  # counterexamples are serialized and reparseable
 
 
+@pytest.mark.parametrize("flavor", [IA, DMTS, MIA])
+def test_oracle_suite_rejects_a_witness_without_the_root_pair(flavor, tmp_path,
+                                                              monkeypatch):
+    # An empty relation passes the clause re-check trivially.
+    real = testkit.refines
+    monkeypatch.setattr(testkit, "refines", lambda p, q: dataclasses.replace(
+        real(p, q), pairs=frozenset()))
+    report = run_theorem_suite(f"{flavor}-oracle", trials=40, seed=0,
+                               out_dir=tmp_path)
+    assert not report.passed
+    assert report.failures[0].message == "holds-witness lacks the root pair"
+
+
 def test_shrink_keeps_failure():
     p = gen_random(MIA, seed=4, transition_density=0.6)
 
