@@ -29,16 +29,12 @@ def embed_ia_to_dmts(p: ModalAutomaton) -> ModalAutomaton:
         raise StateNameCollisionError(
             f"{p.name} already has a state named {u}, the universal state")
 
-    may = set(p.may)
-    for state in p.sorted_states:
-        for a in sorted(inputs):
-            if not p.has_may(state, a):
-                may.add((state, a, u))
-    for a in sorted(actions):
-        may.add((u, a, u))
+    added = {(state, a, u) for state in p.states for a in inputs
+             if not p.has_may(state, a)}
+    added.update((u, a, u) for a in actions)
 
     return replace(as_dmts(p), name=f"{p.name}_as_dmts",
-                   states=p.states | {u}, may=frozenset(may))
+                   states=p.states | {u}, may=p.may | added)
 
 
 def embed_ia_to_mia(p: ModalAutomaton) -> ModalAutomaton:

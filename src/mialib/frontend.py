@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate, compress
 from pathlib import Path
 from typing import NoReturn
@@ -112,9 +111,8 @@ MAX_NESTING = 200
 
 @dataclass
 class SourceDocument:
-    """A parsed file: its text, the automaton and per-declaration positions."""
+    """A parsed file: the automaton and per-declaration positions."""
 
-    text: str
     automaton: ModalAutomaton
     spans: dict = field(default_factory=dict)
 
@@ -126,8 +124,8 @@ class _Parser:
     the only empty token, so tokens are tested by their value alone.  Token
     positions are offsets; a line and column is worked out only for a
     declaration's span, counting on from the previous span, and for an
-    error.  The document's one id per name is kept in one table per kind
-    of name: atoms keyed by their name, composite names by their parts.
+    error.  The document's one id per name is kept in two tables: atoms
+    keyed by their name, composite names by their kind and parts.
     """
 
     def __init__(self, text: str):
@@ -136,9 +134,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.atoms = IdTable(atom)
-        self.pairs, self.wedges, self.vees, self.tags = (
-            IdTable(partial(StateId, kind)) for kind in
-            (StateId.PAIR, StateId.WEDGE, StateId.VEE, StateId.TAG))
+        self.composites = IdTable(lambda key: StateId(*key))
         # the span cursor: the offset counted up to, its line and line start
         self.counted, self.line, self.line_start = 0, 1, 0
 
@@ -180,9 +176,9 @@ class _Parser:
             return self.atoms[name]
         left = self.postfix()
         while toks[self.pos] == "&" or toks[self.pos] == "|":
-            table = self.wedges if toks[self.pos] == "&" else self.vees
+            kind = StateId.WEDGE if toks[self.pos] == "&" else StateId.VEE
             self.pos += 1
-            left = table[left, self.postfix()]
+            left = self.composites[kind, (left, self.postfix())]
         return left
 
     def postfix(self) -> StateId:
@@ -203,7 +199,7 @@ class _Parser:
             if toks[sep] == ",":
                 second = self.state_id()
                 self.expect(")")
-                sid = self.pairs[first, second]
+                sid = self.composites[StateId.PAIR, (first, second)]
             elif toks[sep] == ")":
                 sid = first
             else:
@@ -214,7 +210,7 @@ class _Parser:
         while toks[self.pos] == "@":
             self.pos += 1
             tag = self.expect_ident("tag")
-            sid = self.tags[sid, toks[tag]]
+            sid = self.composites[StateId.TAG, (sid, toks[tag])]
         return sid
 
     # -- document -----------------------------------------------------------
@@ -329,7 +325,7 @@ class _Parser:
 
 def parse_document(text: str) -> SourceDocument:
     automaton, spans = _Parser(text).document()
-    return SourceDocument(text=text, automaton=automaton, spans=spans)
+    return SourceDocument(automaton=automaton, spans=spans)
 
 
 def parse(text: str) -> ModalAutomaton:

@@ -125,25 +125,24 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
             if partners:
                 musts.append((o, frozenset(
                     ids[pt, qt] for pt in partners for qt in q_targets)))
+        # A valid MIA state has at most one must per input, and its input
+        # mays are exactly that must's targets.  So a side has input mays
+        # just when it has the must, and (IMay1)-(IMay3) allow exactly the
+        # targets (IMust1)-(IMust3) require.
         for i in inputs:
             p_sets = p.must_sets(ps, i)
             q_sets = q.must_sets(qs, i)
-            if p_sets and not q_sets:                    # (IMust1)
-                musts.append((i, p_sets[0]))
-            elif q_sets and not p_sets:                  # (IMust2)
-                musts.append((i, q_sets[0]))
-            elif p_sets and q_sets:                      # (IMust3)
-                musts.append((i, frozenset(
-                    ids[pt, qt] for pt in p_sets[0] for qt in q_sets[0])))
-            p_mays = p.may_targets(ps, i)
-            q_mays = q.may_targets(qs, i)
-            if p_mays and not q_mays:                    # (IMay1)
-                mays.extend((i, pt) for pt in p_mays)
-            elif q_mays and not p_mays:                  # (IMay2)
-                mays.extend((i, qt) for qt in q_mays)
-            else:                                        # (IMay3)
-                mays.extend((i, ids[pt, qt])
-                            for pt in p_mays for qt in q_mays)
+            if p_sets and q_sets:                        # (IMust3)
+                targets = frozenset(
+                    ids[pt, qt] for pt in p_sets[0] for qt in q_sets[0])
+            elif p_sets:                                 # (IMust1)
+                targets = p_sets[0]
+            elif q_sets:                                 # (IMust2)
+                targets = q_sets[0]
+            else:
+                continue
+            musts.append((i, targets))
+            mays.extend((i, t) for t in targets)         # (IMay1)-(IMay3)
         for pt in pw.weak_succ(ps, TAU):                 # (May1)
             mays.append((TAU, ids[pt, qs]))
         for qt in qw.weak_succ(qs, TAU):                 # (May2)
@@ -395,8 +394,9 @@ def _prune_incompatible(product: ModalAutomaton, incompat: IncompatibilitySet,
         return Composition(product=product, incompatibility=incompat, automaton=None)
     doomed = {edge for edge in product.must if not edge[2].isdisjoint(bad)}
     under = {(src, label, t) for src, label, targets in doomed for t in targets}
-    kept = replace(product, may=product.may - under, must=product.must - doomed)
-    pruned = remove_states(kept, bad, name=name)
+    kept = replace(product, name=name, may=product.may - under,
+                   must=product.must - doomed)
+    pruned = remove_states(kept, bad)
     return Composition(product=product, incompatibility=incompat, automaton=pruned)
 
 

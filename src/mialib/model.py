@@ -184,8 +184,8 @@ class IdTable(dict):
     by ``build(key)``, and kept.
 
     The parser keys atoms by their name (``build=atom``) and composite
-    names by their parts; the parallel product keys its pair states by
-    their component pair.
+    names by their kind and parts; the parallel product keys its pair
+    states by their component pair.
     """
 
     __slots__ = ("build",)
@@ -549,7 +549,7 @@ class WeakClosure:
 def weak_closure(aut: ModalAutomaton) -> WeakClosure:
     """Precompute the weak relations over the automaton's may-transitions."""
     weak: dict[tuple[StateId, str], set[StateId]] = {}
-    for state in aut.sorted_states:
+    for state in aut.states:
         seen = {state}
         stack = [state]
         while stack:
@@ -663,8 +663,7 @@ def reachable_states(aut: ModalAutomaton, start: StateId | None = None) -> froze
     return frozenset(seen)
 
 
-def remove_states(aut: ModalAutomaton, dead: Iterable[StateId],
-                  name: str | None = None) -> ModalAutomaton:
+def remove_states(aut: ModalAutomaton, dead: Iterable[StateId]) -> ModalAutomaton:
     """Delete states: drop transitions touching them and shrink must targets.
 
     A must whose target set empties out must have its source among the
@@ -683,8 +682,7 @@ def remove_states(aut: ModalAutomaton, dead: Iterable[StateId],
             raise EmptiedMustError(
                 f"pruning emptied must {s} -{l}-> at a surviving state")
         must.add((s, l, T2))
-    return replace(aut, name=name or aut.name, states=keep, may=may,
-                   must=frozenset(must))
+    return replace(aut, states=keep, may=may, must=frozenset(must))
 
 
 def restrict_reachable(aut: ModalAutomaton) -> ModalAutomaton:

@@ -49,9 +49,13 @@ Pair = tuple[StateId, StateId]
 class FailureCertificate:
     """Root cause of a failed refinement check.
 
-    ``pair`` is the first structurally failing pair reached from the initial
-    pair by following, at each step, the earliest-eliminated pair that the
-    failing obligation needed.  ``clause`` is ``"i"`` or ``"ii"`` and
+    ``pair`` is reached from the initial pair by stepping, at each pair, to
+    the earliest eliminated of all the successor pairs that its failed
+    clause inspects and that died before it: for clause (i) every pairing
+    of impl and spec must targets on a spec must label, for clause (ii)
+    every impl may target with every weak spec match.  That successor need
+    not be one the unmatched transition relied on.  ``pair`` is the first
+    pair with no such successor.  ``clause`` is ``"i"`` or ``"ii"`` and
     ``transition`` describes the unmatched must (clause i, on the
     specification side) or may (clause ii, on the implementation side).
     """
@@ -218,29 +222,22 @@ class _Checker:
     def _label_screen(self) -> bytearray:
         """The initial ``alive``: 2 where the pair fails on labels alone.
 
-        Labels become bits; impl states with the same must and may labels
-        share one row.
+        A spec state needs its must labels and matches the labels with a
+        weak match; impl states with the same must and may labels share
+        one row.
         """
-        bit: dict[str, int] = {}
-
-        def mask(labels) -> int:
-            m = 0
-            for a in labels:
-                m |= bit.setdefault(a, 1 << len(bit))
-            return m
-
-        spec_side = [(mask(a for a, _ in musts),
-                      mask(a for a, targets in hat.items() if targets))
+        spec_side = [({a for a, _ in musts},
+                      {a for a, targets in hat.items() if targets})
                      for musts, hat in zip(self.spec_musts, self.spec_hat)]
-        rows: dict[tuple[int, int], bytes] = {}
+        rows: dict[tuple[frozenset, frozenset], bytes] = {}
         out = []
         for musts, mays in zip(self.impl_musts, self.impl_mays):
-            sig = (mask(musts), mask(alpha for alpha, _ in mays))
+            sig = (frozenset(musts), frozenset(alpha for alpha, _ in mays))
             row = rows.get(sig)
             if row is None:
                 has_must, has_may = sig
                 row = rows[sig] = bytes([
-                    2 if need & ~has_must or has_may & ~matched else 1
+                    1 if need <= has_must and has_may <= matched else 2
                     for need, matched in spec_side])
             out.append(row)
         return bytearray(b"".join(out))

@@ -147,6 +147,13 @@ def test_fig06_mia_conjunction_isomorphic_to_q():
     assert len(reach.may) == len(q.may)
 
 
+def test_fig06_conjunction_golden():
+    # (IMust1) at (p0,q2), (IMust2) at (p1,q0), (IMust3) at (p0,q0) and an
+    # output must at (p1,q1); the input mays under them are not printed
+    p, q = load("fig06_p.mia"), load("fig06_q.mia")
+    assert serialize(mia_conjoin(p, q).automaton) == golden_text("fig06_conj.mia")
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_reachability_trim_preserves_verdicts(seed):
     p, q = gen_pair(MIA, seed)

@@ -7,11 +7,13 @@ import pytest
 from conftest import load
 from mialib.model import (DMTS, IA, MIA, TAU, AlphabetMismatchError,
                           FlavorMismatchError, MialibError, as_dmts, atom,
-                          make_automaton, make_ia)
-from mialib.refinement import (dmts_refines, equiv, holds, ia_refines,
+                          make_automaton, make_ia, reachable_states)
+from mialib.refinement import (_SCREEN_MIN_STATES, _Checker, _may_domain,
+                               dmts_refines, equiv, holds, ia_refines,
                                mia_equiv, mia_refines, refines)
 from mialib.testkit import (blackhole, gen_pair, gen_random, oracle_refines,
                             recheck_witness, weaken)
+from test_refinement_large_differential import _instance
 
 import random
 
@@ -206,3 +208,36 @@ def test_mia_coarser_than_dmts_reading():
             hits += 1
             assert mia_refines(p, q).verdict
     assert hits > 5  # the premise fires often enough to mean something
+
+
+@pytest.mark.parametrize("flavor", [IA, DMTS, MIA])
+def test_label_screen_marks_exactly_the_label_failures(flavor):
+    # The doomed pairs are recomputed from the automata: a spec must label
+    # with no impl must on it, or an impl may label in the clause-(ii)
+    # domain with no weak spec match.
+    doomed_seen = 0
+    for seed in range(6):
+        impl, spec = _instance(flavor, seed)
+        checker = _Checker(impl, spec, flavor, impl.initial, spec.initial)
+        assert min(len(checker.impl_states), checker.nq) >= _SCREEN_MIN_STATES
+        domain = _may_domain(flavor, spec.alphabet.outputs)
+        impl_musts, spec_musts, impl_mays = {}, {}, {}
+        for labels, edges in ((impl_musts, impl.must), (spec_musts, spec.must),
+                              (impl_mays, impl.may)):
+            for src, label, _ in edges:
+                labels.setdefault(src, set()).add(label)
+        expected = set()
+        for p in reachable_states(impl, impl.initial):
+            inspected = [label for label in impl_mays.get(p, ())
+                         if domain is None or label in domain]
+            for q in reachable_states(spec, spec.initial):
+                if not spec_musts.get(q, set()) <= impl_musts.get(p, set()) or any(
+                        not spec.weak.weak_hat_succ(q, label) for label in inspected):
+                    expected.add((p, q))
+        nq = checker.nq
+        marked = {(checker.impl_states[x // nq], checker.spec_states[x % nq])
+                  for x, state in enumerate(checker.alive) if state == 2}
+        assert set(checker.alive) <= {1, 2}
+        assert marked == expected, f"{flavor} seed {seed}"
+        doomed_seen += len(expected)
+    assert doomed_seen > 0

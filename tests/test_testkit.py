@@ -395,6 +395,26 @@ def test_ia_glb_sees_a_conjunction_that_returns_its_left_operand(
         "glb law violated: r<=p and r<=q iff r<=p^q")
 
 
+@pytest.mark.parametrize("flavor", [IA, MIA])
+def test_composition_law_on_pruned_compositions(flavor):
+    # The par-comp suites' sampler rarely draws a composition that is
+    # compatible yet prunes states, so these are scanned for directly.
+    compose = testkit._op(flavor, "parallel_compose")
+    pruned = 0
+    seed = 0
+    while pruned < 40:
+        q1, p2 = gen_composable_pair(flavor, seed, max_states=5,
+                                     transition_density=0.5)
+        spec_comp = compose(q1, p2)
+        if spec_comp.compatible and spec_comp.incompatibility.incompatible:
+            pruned += 1
+            assert spec_comp.incompatibility.incompatible.isdisjoint(
+                spec_comp.automaton.states)
+            auts = {"p1": weaken(q1, random.Random(seed)), "q1": q1, "p2": p2}
+            assert testkit._check_par(flavor, auts) is None, f"seed {seed}"
+        seed += 1
+
+
 # ---------------------------------------------------------------------------
 # Every failure message of the law checks, from a planted fault
 
