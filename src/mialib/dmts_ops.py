@@ -11,7 +11,7 @@ absent for this flavor.
 
 from __future__ import annotations
 
-from .mia_ops import (Conjunction, ConjunctiveProduct, InconsistencySet, Pair,
+from .mia_ops import (Conjunction, ConjunctiveProduct, InconsistencySet,
                       _conj_product, _disjoin, _inconsistent, _prune,
                       is_mia_witness)
 from .model import DMTS, ModalAutomaton
@@ -38,10 +38,6 @@ def dmts_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
     return _disjoin(p, q, DMTS)
 
 
-def is_dmts_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
-    """Check the three witness conditions for a set of product pairs.
-
-    Every dMTS action is an output and no product must leads into an
-    operand, so the MIA conditions are the dMTS ones.
-    """
-    return is_mia_witness(product, w)
+# Every dMTS action is an output and no product must leads into an operand,
+# so the MIA witness conditions are the dMTS ones.
+is_dmts_witness = is_mia_witness

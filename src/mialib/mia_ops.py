@@ -44,12 +44,17 @@ class ConjunctiveProduct:
 
     ``pairs`` maps each pair state of the product to its component states;
     inherited component states (MIA only) are not in the map.
+    ``unmatched`` maps each pair state where one side must do an output
+    the other cannot weakly allow to its first such must: ``("F1", a)``
+    on the left, else ``("F2", a)`` on the right.  It seeds both the
+    inconsistency fixpoint and the witness conditions (W1)/(W2).
     """
 
     automaton: ModalAutomaton
     left: ModalAutomaton
     right: ModalAutomaton
     pairs: dict
+    unmatched: dict
 
 
 @dataclass(frozen=True)
@@ -111,20 +116,29 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
     pw, qw = p.weak, q.weak
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
     silent_or_outputs = sorted(outputs) + [TAU]
+    unmatched: dict = {}
 
     def rule(state: StateId):
         ps, qs = state.parts
         mays, musts = [], []
         for o, p_targets in p.musts_from(ps):            # (OMust1)
-            partners = qw.weak_succ(qs, o) if o in outputs else None
+            if o not in outputs:
+                continue
+            partners = qw.weak_succ(qs, o)
             if partners:
                 musts.append((o, frozenset(
                     ids[pt, qt] for pt in p_targets for qt in partners)))
+            else:                                        # (F1)
+                unmatched.setdefault(state, ("F1", o))
         for o, q_targets in q.musts_from(qs):            # (OMust2)
-            partners = pw.weak_succ(ps, o) if o in outputs else None
+            if o not in outputs:
+                continue
+            partners = pw.weak_succ(ps, o)
             if partners:
                 musts.append((o, frozenset(
                     ids[pt, qt] for pt in partners for qt in q_targets)))
+            else:                                        # (F2)
+                unmatched.setdefault(state, ("F2", o))
         # A valid MIA state has at most one must per input, and its input
         # mays are exactly that must's targets.  So a side has input mays
         # just when it has the must, and (IMay1)-(IMay3) allow exactly the
@@ -162,35 +176,21 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
                                outputs, ids[p.initial, q.initial],
                                may, must, states=states)
     return ConjunctiveProduct(automaton=automaton, left=p, right=q,
-                              pairs={state: pq for pq, state in ids.items()})
-
-
-def _unmatched_output(left: ModalAutomaton, right: ModalAutomaton,
-                      ps: StateId, qs: StateId) -> tuple[str, str] | None:
-    """``("F1", a)`` if ``ps`` must do an output ``a`` that ``qs`` cannot
-    weakly allow, ``("F2", a)`` for the converse, else None."""
-    outputs = left.alphabet.outputs
-    for a, _ in left.musts_from(ps):                     # (F1)
-        if a in outputs and not right.weak.can_weak(qs, a):
-            return ("F1", a)
-    for a, _ in right.musts_from(qs):                    # (F2)
-        if a in outputs and not left.weak.can_weak(ps, a):
-            return ("F2", a)
-    return None
+                              pairs={state: pq for pq, state in ids.items()},
+                              unmatched=unmatched)
 
 
 def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
     """Least fixpoint of the inconsistency rules over a conjunctive product.
 
-    Seeds are pairs where one side requires an output the other cannot
-    weakly allow (every action of a dMTS is an output).  The closure step
-    runs as a backward worklist: every product must keeps a count of its
-    still consistent targets, and when a deletion empties that count the
-    must's source becomes inconsistent in turn.
+    Seeds are the product's ``unmatched`` pairs in text order: one side
+    requires an output the other cannot weakly allow (every action of a
+    dMTS is an output).  The closure step runs as a backward worklist:
+    every product must keeps a count of its still consistent targets, and
+    when a deletion empties that count the must's source becomes
+    inconsistent in turn.
     """
     aut = product.automaton
-    left, right = product.left, product.right
-
     members: set[StateId] = set()
     provenance: dict = {}
     worklist: list[StateId] = []
@@ -201,10 +201,8 @@ def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
             provenance[state] = cause
             worklist.append(state)
 
-    for state, (ps, qs) in sorted(product.pairs.items()):
-        cause = _unmatched_output(left, right, ps, qs)
-        if cause is not None:
-            push(state, cause)
+    for state in sorted(product.unmatched):
+        push(state, product.unmatched[state])
 
     # (F3): per-must surviving-target counts; every pair entering the set is
     # processed exactly once, decrementing each must that targets it
@@ -298,8 +296,8 @@ def composed_alphabets(p1: ModalAutomaton, p2: ModalAutomaton) -> tuple[frozense
     a1, a2 = p1.alphabet, p2.alphabet
     shared = a1.actions & a2.actions
     matched = (a1.inputs & a2.outputs) | (a1.outputs & a2.inputs)
-    for action in sorted(shared - matched):
-        raise NotComposableError(action)
+    if shared - matched:
+        raise NotComposableError(min(shared - matched))
     inputs = (a1.inputs | a2.inputs) - (a1.outputs | a2.outputs)
     outputs = (a1.outputs | a2.outputs) - (a1.inputs | a2.inputs)
     return inputs, outputs
@@ -346,23 +344,26 @@ def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
                   p2: ModalAutomaton) -> IncompatibilitySet:
     """Error pairs (an output may the partner has no must for) plus closure.
 
-    The closure sweeps the autonomous (output and silent) edges in sorted
-    order until a sweep adds nothing; a pair's provenance is the edge that
-    pulled it in first.
+    A pair's error is its smallest such action, found in one walk over each
+    side's mays.  The closure sweeps the autonomous (output and silent)
+    edges in sorted order until a sweep adds nothing; a pair's provenance
+    is the edge that pulled it in first.
     """
-    shared = sorted(p1.alphabet.actions & p2.alphabet.actions)
+    out1 = p1.alphabet.outputs & p2.alphabet.actions
+    out2 = p2.alphabet.outputs & p1.alphabet.actions
     errors = {}
     for state in product.sorted_states:
         s1, s2 = state.parts
-        for a in shared:
-            if (a in p1.alphabet.outputs and p1.has_may(s1, a)
-                    and not p2.has_must(s2, a)):
-                errors[state] = ("error-(a)", a)
-                break
-            if (a in p2.alphabet.outputs and p2.has_may(s2, a)
-                    and not p1.has_must(s1, a)):
-                errors[state] = ("error-(b)", a)
-                break
+        # mays are listed in label order, so each walk's first hit is its
+        # side's smallest; no action is an output of both sides
+        a = next((a for a, _ in p1.may_from(s1)
+                  if a in out1 and not p2.has_must(s2, a)), None)
+        b = next((b for b, _ in p2.may_from(s2)
+                  if b in out2 and not p1.has_must(s1, b)), None)
+        if a is not None and (b is None or a < b):
+            errors[state] = ("error-(a)", a)
+        elif b is not None:
+            errors[state] = ("error-(b)", b)
 
     autonomous = product.alphabet.outputs | {TAU}
     edges = [edge for edge in product.sorted_may if edge[1] in autonomous]
@@ -421,12 +422,11 @@ def mia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:
 
 def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
     """Witness conditions with the must checks restricted to outputs."""
-    left, right = product.left, product.right
     aut = product.automaton
-    ids = {(ps, qs): pair_id(ps, qs) for ps, qs in w}
-    allowed = {*ids.values(), *left.states, *right.states}
-    for (ps, qs), state in ids.items():
-        if _unmatched_output(left, right, ps, qs):       # (W1), (W2)
+    pairs = {pair_id(ps, qs) for ps, qs in w}
+    allowed = pairs | product.left.states | product.right.states
+    for state in pairs:
+        if state in product.unmatched:                   # (W1), (W2)
             return False
         for _, targets in aut.musts_from(state):         # (W3)
             if targets.isdisjoint(allowed):

@@ -133,11 +133,11 @@ def _gen(flavor: str, inputs: list[str], outputs: list[str], max_states: int,
                                    outputs, states[0], may, must, states=states))
 
 
-def gen_pair(flavor: str, seed, *, max_states: int = 4, max_actions: int = 3,
+def gen_pair(flavor: str, seed, *, max_states: int = 4,
              transition_density: float = 0.35) -> tuple[ModalAutomaton, ModalAutomaton]:
-    """Two automata over one shared random alphabet."""
+    """Two automata over one shared random alphabet of at most 3 actions."""
     rng = random.Random(f"pair|{flavor}|{seed}")
-    inputs, outputs = _alphabet(flavor, max_actions, rng)
+    inputs, outputs = _alphabet(flavor, 3, rng)
     a = _gen(flavor, inputs, outputs, max_states, transition_density, rng)
     b = _gen(flavor, inputs, outputs, max_states, transition_density, rng)
     return a, b

@@ -9,7 +9,7 @@ from mialib.frontend import parse, serialize
 from mialib.mia_ops import (is_mia_witness, mia_conj_product, mia_conjoin,
                             mia_disjoin, mia_incompatible, mia_inconsistent,
                             mia_parallel_compose, mia_parallel_product)
-from mialib.model import (MIA, TAU, as_dmts, atom, pair_id,
+from mialib.model import (DMTS, MIA, TAU, as_dmts, atom, pair_id,
                           restrict_reachable, validate)
 from mialib.dmts_ops import dmts_conj_product, dmts_inconsistent, is_dmts_witness
 from mialib.refinement import (dmts_refines, holds, mia_equiv,
@@ -116,6 +116,55 @@ def test_component_states_never_inconsistent():
         prod = mia_conj_product(p, q)
         F = mia_inconsistent(prod)
         assert all(m in prod.pairs for m in F.members)
+
+
+def _flavored_conj_product(flavor, p, q):
+    if flavor == MIA:
+        return mia_conj_product(p, q)
+    return dmts_conj_product(as_dmts(p), as_dmts(q))
+
+
+def _unmatched_by_hand(product):
+    """(F1)/(F2) per pair, recomputed from the operands' weak closures."""
+    left, right = product.left, product.right
+    outputs = left.alphabet.outputs
+    expected = {}
+    for state, (ps, qs) in product.pairs.items():
+        for rule, side, other, s, t in (("F1", left, right, ps, qs),
+                                        ("F2", right, left, qs, ps)):
+            hits = [a for a, _ in side.musts_from(s)
+                    if a in outputs and not other.weak.can_weak(t, a)]
+            if hits:
+                expected[state] = (rule, hits[0])
+                break
+    return expected
+
+
+@pytest.mark.parametrize("flavor", [MIA, DMTS])
+def test_product_records_the_first_unmatched_output_must(flavor):
+    # At the root pair the left must b and the right must a both lack a
+    # weak partner, and (F1) comes first.  The MIA operands add an
+    # unmatched left input must, which is no (F1) at all.
+    inputs, extra = ("a0", "must p0 -a0-> p1; may p0 -a0-> p1;") \
+        if flavor == MIA else ("", "")
+    p = mia(f"""mia p {{ inputs: {inputs}; outputs: a, b; initial p0; {extra}
+               must p0 -b-> p1; may p0 -b-> p1; }}""")
+    q = mia(f"""mia q {{ inputs: {inputs}; outputs: a, b; initial q0;
+               must q0 -a-> q1; may q0 -a-> q1; }}""")
+    product = _flavored_conj_product(flavor, p, q)
+    assert product.unmatched[pair_id(p0, q0)] == ("F1", "b")
+
+
+@pytest.mark.parametrize("flavor", [MIA, DMTS])
+def test_product_unmatched_equals_a_recomputation(flavor):
+    # a MIA pair where both sides fail is rare: 3 of these 300 seeds
+    rules = set()
+    for seed in range(300):
+        p, q = gen_pair(flavor, seed, transition_density=0.5)
+        product = _flavored_conj_product(flavor, p, q)
+        assert product.unmatched == _unmatched_by_hand(product)
+        rules |= {rule for rule, _ in product.unmatched.values()}
+    assert rules == {"F1", "F2"}
 
 
 # ---------------------------------------------------------------------------
