@@ -21,8 +21,7 @@ from pathlib import Path
 from . import dmts_ops, embeddings, ia_ops, mia_ops
 from .frontend import (ParseError, export_dot, parse_document, serialize,
                        validate_document)
-from .model import (DMTS, IA, MIA, MialibError, ModalAutomaton,
-                    restrict_reachable)
+from .model import DMTS, IA, MIA, MialibError, ModalAutomaton
 from .refinement import refines
 
 OK = 0
@@ -127,28 +126,23 @@ def _cmd_refine(args) -> int:
 def _cmd_conjoin(args) -> int:
     a, b, flavor = _load_two(args.left, args.right)
     if flavor == IA:
-        result = ia_ops.ia_conjoin(a, b)
+        result = ia_ops.ia_conjoin(a, b, reachable=args.reachable)
     else:
         op = {DMTS: dmts_ops.dmts_conjoin, MIA: mia_ops.mia_conjoin}[flavor]
-        conj = op(a, b)
+        conj = op(a, b, reachable=args.reachable)
         if not conj.defined:
             _err("conjunction is inconsistent (no common implementation)")
             return UNDEFINED
         result = conj.automaton
-    return _emit_result(result, args)
+    _emit(serialize(result), args.output)
+    return OK
 
 
 def _cmd_disjoin(args) -> int:
     a, b, flavor = _load_two(args.left, args.right)
     op = {IA: ia_ops.ia_disjoin, DMTS: dmts_ops.dmts_disjoin,
           MIA: mia_ops.mia_disjoin}[flavor]
-    return _emit_result(op(a, b), args)
-
-
-def _emit_result(result: ModalAutomaton, args) -> int:
-    if args.reachable:
-        result = restrict_reachable(result)
-    _emit(serialize(result), args.output)
+    _emit(serialize(op(a, b, reachable=args.reachable)), args.output)
     return OK
 
 

@@ -17,25 +17,33 @@ from .mia_ops import (Conjunction, ConjunctiveProduct, InconsistencySet,
 from .model import DMTS, ModalAutomaton
 
 
-def dmts_conj_product(p: ModalAutomaton, q: ModalAutomaton) -> ConjunctiveProduct:
-    """Conjunctive product over the full pair space of two dMTSs."""
-    return _conj_product(p, q, DMTS)
+def dmts_conj_product(p: ModalAutomaton, q: ModalAutomaton, *,
+                      reachable: bool = False) -> ConjunctiveProduct:
+    """Conjunctive product over the full pair space of two dMTSs, or over
+    the pairs reachable from the initial one."""
+    return _conj_product(p, q, DMTS, reachable)
 
 
 def dmts_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
     return _inconsistent(product)
 
 
-def dmts_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> Conjunction:
-    """Conjunctive product minus its inconsistent states."""
-    product = dmts_conj_product(p, q)
+def dmts_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
+                 reachable: bool = False) -> Conjunction:
+    """Conjunctive product minus its inconsistent states; with
+    ``reachable`` only the part reachable from the initial pair."""
+    # a replacement dmts_conj_product that takes only the operands
+    # still serves the default call
+    product = (dmts_conj_product(p, q, reachable=True) if reachable
+               else dmts_conj_product(p, q))
     bad = dmts_inconsistent(product)
-    return _prune(product, bad)
+    return _prune(product, bad, reachable)
 
 
-def dmts_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
+def dmts_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
+                 reachable: bool = False) -> ModalAutomaton:
     """Least upper bound: fresh ``p|q`` states feed into the components."""
-    return _disjoin(p, q, DMTS)
+    return _disjoin(p, q, DMTS, reachable)
 
 
 # Every dMTS action is an output and no product must leads into an operand,

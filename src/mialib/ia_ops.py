@@ -14,11 +14,14 @@ from __future__ import annotations
 from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
                       _parallel_product, _prune_incompatible)
 from .model import (IA, TAU, ModalAutomaton, disjoint_operands, explore_pairs,
-                    make_ia, require_operands, vee_id, wedge_id)
+                    make_ia, pair_seeds, require_operands, restrict_reachable,
+                    vee_id, wedge_id)
 
 
-def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
-    """Greatest lower bound of two IAs with common alphabets."""
+def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
+               reachable: bool = False) -> ModalAutomaton:
+    """Greatest lower bound of two IAs with common alphabets; with
+    ``reachable`` only the part reachable from the initial pair."""
     require_operands(p, q, IA)
     p, q, ids = disjoint_operands(p, q, wedge_id)
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
@@ -45,14 +48,18 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
             mays.append((TAU, ids[ps, qt]))
         return mays, ()
 
-    states, trans, _ = explore_pairs(ids.values(), rule, p.states | q.states)
-    return make_ia(f"{p.name}_and_{q.name}", inputs, outputs,
-                   ids[p.initial, q.initial], trans | p.may | q.may,
-                   states=states | p.states | q.states)
+    states, trans, _ = explore_pairs(pair_seeds(ids, p, q, reachable), rule,
+                                     p.states | q.states)
+    result = make_ia(f"{p.name}_and_{q.name}", inputs, outputs,
+                     ids[p.initial, q.initial], trans | p.may | q.may,
+                     states=states | p.states | q.states)
+    return restrict_reachable(result) if reachable else result
 
 
-def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
-    """Least upper bound of two IAs: inputs synchronize, outputs commit."""
+def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
+               reachable: bool = False) -> ModalAutomaton:
+    """Least upper bound of two IAs: inputs synchronize, outputs commit;
+    with ``reachable`` only the part reachable from the initial pair."""
     require_operands(p, q, IA)
     p, q, ids = disjoint_operands(p, q, vee_id)
     inputs = p.alphabet.inputs
@@ -70,10 +77,12 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
                         if alpha not in inputs)
         return mays, ()
 
-    states, trans, _ = explore_pairs(ids.values(), rule, p.states | q.states)
-    return make_ia(f"{p.name}_or_{q.name}", inputs, p.alphabet.outputs,
-                   ids[p.initial, q.initial], trans | p.may | q.may,
-                   states=states | p.states | q.states)
+    states, trans, _ = explore_pairs(pair_seeds(ids, p, q, reachable), rule,
+                                     p.states | q.states)
+    result = make_ia(f"{p.name}_or_{q.name}", inputs, p.alphabet.outputs,
+                     ids[p.initial, q.initial], trans | p.may | q.may,
+                     states=states | p.states | q.states)
+    return restrict_reachable(result) if reachable else result
 
 
 def ia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:

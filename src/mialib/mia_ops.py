@@ -19,8 +19,9 @@ from functools import partial
 
 from .model import (MIA, TAU, IdTable, ModalAutomaton, MustEdge,
                     NotComposableError, StateId, disjoint_operands,
-                    explore_pairs, make_automaton, pair_id, remove_states,
-                    require_flavor, require_operands, targets_text, vee_id)
+                    explore_pairs, make_automaton, pair_id, pair_seeds,
+                    remove_states, require_flavor, require_operands,
+                    restrict_reachable, targets_text, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -104,9 +105,10 @@ class Composition:
 # Conjunction
 
 
-def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
-                  flavor: str) -> ConjunctiveProduct:
-    """Conjunctive product over the full pair space.
+def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
+                  reachable: bool = False) -> ConjunctiveProduct:
+    """Conjunctive product over the full pair space, or with ``reachable``
+    over the pairs reachable from the initial pair.
 
     A dMTS has no inputs, so its product is the pair part alone; a MIA
     product also carries both components, which the input escapes lead to.
@@ -167,7 +169,9 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
                     mays.append((alpha, ids[pt, qt]))
         return mays, musts
 
-    states, may, must = explore_pairs(ids.values(), rule, p.states | q.states)
+    states, may, must = explore_pairs(pair_seeds(ids, p, q, reachable), rule,
+                                      p.states | q.states)
+    pairs = {state: state.parts for state in states}
     if flavor == MIA:
         states |= p.states | q.states
         may |= p.may | q.may
@@ -176,7 +180,7 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton,
                                outputs, ids[p.initial, q.initial],
                                may, must, states=states)
     return ConjunctiveProduct(automaton=automaton, left=p, right=q,
-                              pairs={state: pq for pq, state in ids.items()},
+                              pairs=pairs,
                               unmatched=unmatched)
 
 
@@ -225,17 +229,23 @@ def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
     return InconsistencySet(members=frozenset(members), provenance=provenance)
 
 
-def _prune(product: ConjunctiveProduct, bad: InconsistencySet) -> Conjunction:
+def _prune(product: ConjunctiveProduct, bad: InconsistencySet,
+           reachable: bool = False) -> Conjunction:
+    """Drop the inconsistent states, then with ``reachable`` every state
+    the initial one no longer reaches."""
     aut = product.automaton
     if aut.initial in bad.members:
         return Conjunction(product=product, inconsistency=bad, automaton=None)
     pruned = remove_states(aut, bad.members)
+    if reachable:
+        pruned = restrict_reachable(pruned)
     return Conjunction(product=product, inconsistency=bad, automaton=pruned)
 
 
-def mia_conj_product(p: ModalAutomaton, q: ModalAutomaton) -> ConjunctiveProduct:
+def mia_conj_product(p: ModalAutomaton, q: ModalAutomaton, *,
+                     reachable: bool = False) -> ConjunctiveProduct:
     """Conjunctive product; carries the component automata alongside pairs."""
-    return _conj_product(p, q, MIA)
+    return _conj_product(p, q, MIA, reachable)
 
 
 def mia_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
@@ -243,22 +253,32 @@ def mia_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
     return _inconsistent(product)
 
 
-def mia_conjoin(p: ModalAutomaton, q: ModalAutomaton) -> Conjunction:
-    """Conjunctive product minus inconsistent pairs; a MIA when defined."""
-    product = mia_conj_product(p, q)
+def mia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
+                reachable: bool = False) -> Conjunction:
+    """Conjunctive product minus inconsistent pairs; a MIA when defined.
+
+    With ``reachable`` only the part reachable from the initial pair is
+    built and kept.
+    """
+    # a replacement mia_conj_product that takes only the operands
+    # still serves the default call
+    product = (mia_conj_product(p, q, reachable=True) if reachable
+               else mia_conj_product(p, q))
     bad = mia_inconsistent(product)
-    return _prune(product, bad)
+    return _prune(product, bad, reachable)
 
 
 # ---------------------------------------------------------------------------
 # Disjunction
 
 
-def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str) -> ModalAutomaton:
+def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
+            reachable: bool = False) -> ModalAutomaton:
     """Least upper bound: fresh ``p|q`` states feed into the components.
 
     An input may at ``p|q`` needs both sides to allow the input; a dMTS has
-    no inputs, so there every may of either side is kept.
+    no inputs, so there every may of either side is kept.  With
+    ``reachable`` only the part reachable from the initial pair is kept.
     """
     require_operands(p, q, flavor)
     p, q, ids = disjoint_operands(p, q, vee_id)
@@ -275,16 +295,19 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str) -> ModalAutomato
                  if alpha not in inputs or p.has_may(ps, alpha)]
         return mays, musts
 
-    states, may, must = explore_pairs(ids.values(), rule, p.states | q.states)
-    return make_automaton(flavor, f"{p.name}_or_{q.name}", inputs,
-                          p.alphabet.outputs, ids[p.initial, q.initial],
-                          may | p.may | q.may, must | p.must | q.must,
-                          states=states | p.states | q.states)
+    states, may, must = explore_pairs(pair_seeds(ids, p, q, reachable), rule,
+                                      p.states | q.states)
+    result = make_automaton(flavor, f"{p.name}_or_{q.name}", inputs,
+                            p.alphabet.outputs, ids[p.initial, q.initial],
+                            may | p.may | q.may, must | p.must | q.must,
+                            states=states | p.states | q.states)
+    return restrict_reachable(result) if reachable else result
 
 
-def mia_disjoin(p: ModalAutomaton, q: ModalAutomaton) -> ModalAutomaton:
+def mia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
+                reachable: bool = False) -> ModalAutomaton:
     """Least upper bound; input mays at ``p|q`` need both sides to agree."""
-    return _disjoin(p, q, MIA)
+    return _disjoin(p, q, MIA, reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +388,9 @@ def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
         elif b is not None:
             errors[state] = ("error-(b)", b)
 
+    if not errors:  # the closure only grows from errors
+        return IncompatibilitySet(errors=frozenset(), incompatible=frozenset(),
+                                  provenance={})
     autonomous = product.alphabet.outputs | {TAU}
     edges = [edge for edge in product.sorted_may if edge[1] in autonomous]
     provenance = dict(errors)
@@ -388,11 +414,15 @@ def _prune_incompatible(product: ModalAutomaton, incompat: IncompatibilitySet,
     must with any removed target goes away along with its underlying mays.
 
     The musts of an IA product are singletons, so there this removes the
-    transitions touching removed states and nothing else.
+    transitions touching removed states and nothing else.  With nothing
+    to remove, the result is the product itself, renamed to ``name``.
     """
     bad = incompat.incompatible
     if product.initial in bad:
         return Composition(product=product, incompatibility=incompat, automaton=None)
+    if not bad:
+        return Composition(product=product, incompatibility=incompat,
+                           automaton=replace(product, name=name))
     doomed = {edge for edge in product.must if not edge[2].isdisjoint(bad)}
     under = {(src, label, t) for src, label, targets in doomed for t in targets}
     kept = replace(product, name=name, may=product.may - under,

@@ -609,6 +609,13 @@ def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
     return p, q, ids
 
 
+def pair_seeds(ids: dict, p: ModalAutomaton, q: ModalAutomaton,
+               reachable: bool):
+    """Where a full-pair product starts: its initial pair alone when only
+    the part reachable from it is kept, else every pair of ``ids``."""
+    return [ids[p.initial, q.initial]] if reachable else ids.values()
+
+
 def explore_pairs(seeds: Iterable[StateId], rule,
                   inherited: frozenset[StateId] = frozenset()):
     """Build a product over pair states by a worklist from ``seeds``.
@@ -616,10 +623,11 @@ def explore_pairs(seeds: Iterable[StateId], rule,
     ``rule(state)`` returns the ``(mays, musts)`` leaving one pair state,
     as lists of ``(label, target)`` and ``(label, targets)``.  Every
     may-target not in ``inherited`` (component states an operator keeps
-    as they are) is explored in turn.  Seeded with all pairs the product
-    keeps the full pair space; seeded with the initial pair it keeps the
-    reachable part.  Returns the explored states and the may and must
-    edges leaving them.
+    as they are) is explored in turn.  Seeded with all pairs (see
+    :func:`pair_seeds`) the product keeps the full pair space; seeded with
+    the initial pair it keeps the pairs reachable by may-steps, which for
+    valid operands include every must target.  Returns the explored
+    states and the may and must edges leaving them.
     """
     seen = set(seeds)
     stack = list(seen)
@@ -668,9 +676,12 @@ def remove_states(aut: ModalAutomaton, dead: Iterable[StateId]) -> ModalAutomato
 
     A must whose target set empties out must have its source among the
     deleted states as well; otherwise :class:`EmptiedMustError` is raised
-    rather than the must repaired.
+    rather than the must repaired.  When none of ``dead`` is a state of
+    ``aut``, ``aut`` itself is returned.
     """
     dead = frozenset(dead)
+    if dead.isdisjoint(aut.states):
+        return aut
     keep = aut.states - dead
     may = frozenset((s, l, t) for s, l, t in aut.may if s in keep and t in keep)
     must = set()

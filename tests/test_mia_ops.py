@@ -373,6 +373,17 @@ def test_fig12_input_determinism_matters():
     assert serialize(compat_q.automaton) == golden_text("fig12_qr.mia")
 
 
+def test_composition_without_incompatible_states_keeps_the_product():
+    p, q = load("fig08_p.mia"), load("fig08_qprime.mia")
+    comp = mia_parallel_compose(p, q)
+    assert comp.compatible
+    assert comp.incompatibility.incompatible == frozenset()
+    aut, product = comp.automaton, comp.product
+    assert (aut.states, aut.may, aut.must) == (product.states, product.may,
+                                               product.must)
+    assert aut.name == f"{p.name}_par_{q.name}"
+
+
 # ---------------------------------------------------------------------------
 # Witness laws
 

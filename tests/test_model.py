@@ -396,6 +396,13 @@ def test_remove_states_refuses_to_empty_a_kept_must():
         remove_states(aut, [s1])
 
 
+def test_remove_states_returns_its_argument_when_nothing_goes():
+    aut = make_automaton(DMTS, "a", [], ["x"], s0, may=[(s0, "x", s1)],
+                         must=[(s0, "x", [s1])])
+    assert remove_states(aut, []) is aut
+    assert remove_states(aut, [atom("nosuch")]) is aut
+
+
 def test_restrict_reachable_keeps_an_automaton_reachable_throughout():
     aut = make_automaton(DMTS, "a", [], ["x"], s0,
                          may=[(s0, "x", s1), (s1, "x", s0)])
