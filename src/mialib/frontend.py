@@ -26,6 +26,13 @@ character, are computed from an offset only where one is read: for the
 declaration spans of a :class:`SourceDocument`, counting on from the
 previous declaration, and for a :class:`ParseError`.
 
+A document in the exact layout :func:`serialize` writes, with atom names
+only, is read without lexing: one compiled pattern for the header and one
+for each transition line.  It gives the same automaton, spans and ids as
+the token parser.  Anything that does not match exactly, or that the token
+parser would read differently or reject, is read by the token parser
+instead, so every :class:`ParseError` comes from one place.
+
 State names produced by the operators (pairs ``(p,q)``, conjunctions
 ``p&q``, disjunctions ``p|q``, tags ``p@L``) parse back structurally, so
 serialized results are themselves valid input.  Only states that occur in
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, compress
 from pathlib import Path
 from typing import NoReturn
@@ -115,6 +123,27 @@ class SourceDocument:
 
     automaton: ModalAutomaton
     spans: dict = field(default_factory=dict)
+
+    def implied_at(self, subject: tuple | None) -> tuple[int, int] | None:
+        """Where the may ``subject`` is implied, if it has no declaration.
+
+        An input must implies a may to each of its targets; such a may
+        takes the position of the earliest must that implies it.
+        """
+        if not subject or subject[0] != "may":
+            return None
+        return self._implied.get(subject[1:])
+
+    @cached_property
+    def _implied(self) -> dict:
+        inputs = self.automaton.alphabet.inputs
+        implied: dict = {}
+        for key, at in self.spans.items():
+            if key[0] == "must" and key[2] in inputs:
+                for t in key[3]:
+                    edge = (key[1], key[2], t)
+                    implied[edge] = min(at, implied.get(edge, at))
+        return implied
 
 
 class _Parser:
@@ -323,9 +352,86 @@ class _Parser:
             spans[("may", src, label, targets[0])] = self.span(start)
 
 
-def parse_document(text: str) -> SourceDocument:
-    automaton, spans = _Parser(text).document()
+# ---------------------------------------------------------------------------
+# Documents in the serializer's layout
+
+_ACTIONS = r"((?:\w+(?:, \w+)*)?);\n"
+_PLAIN_HEAD = re.compile(
+    r"(?:(dmts) (\w+) \{\n  actions: " + _ACTIONS + r"|(ia|mia) (\w+) \{\n"
+    r"  inputs: " + _ACTIONS + r"  outputs: " + _ACTIONS + r")  initial (\w+);\n")
+# A whole line: modality (none on a bare IA line), source, label, and one
+# target or a set of them.
+_PLAIN_LINE = re.compile(r"^  (?:(may|must) )?(\w+) -(\w+)-> "
+                         r"(?:(\w+)|\{(\w+(?:, \w+)*)\});\n", re.M)
+
+
+def _plain_document(text: str) -> SourceDocument | None:
+    """The document, if it is in the layout :func:`serialize` writes, with
+    atom names only, and the token parser would read it the same way.
+
+    Anything else returns None, and the token parser reads the document.
+    """
+    head = _PLAIN_HEAD.match(text)
+    if head is None or not text.endswith("\n}\n"):
+        return None
+    start, end = head.end(), len(text) - 2
+    rows = _PLAIN_LINE.findall(text, start, end)
+    # each row is one whole line, so the rows cover the body when they
+    # are as many as its lines
+    if len(rows) != text.count("\n", start, end):
+        return None
+    dmts_name, actions, flavor, name, ins, outs, init = head.groups()[1:]
+    spans: dict = {("header",): (1, 1)}
+    if flavor is None:
+        flavor, name, inputs, outputs = DMTS, dmts_name, set(), {*actions.split(", ")}
+        spans[("alphabet", "actions")] = (2, 3)
+    else:
+        inputs, outputs = {*ins.split(", ")}, {*outs.split(", ")}
+        spans[("alphabet", "inputs")], spans[("alphabet", "outputs")] = (2, 3), (3, 3)
+    # an empty alphabet line splits into the one name ""
+    inputs.discard("")
+    outputs.discard("")
+    if TAU in inputs or TAU in outputs:
+        return None
+    # the header lines so far hold one span each
+    spans[("initial",)] = (len(spans) + 1, 3)
+    ids = IdTable(atom)
+    initial = ids[init]
+    may: set = set()
+    must: set = set()
+    for line, (modality, src, label, tgt, tset) in enumerate(rows, len(spans) + 1):
+        src = ids[src]
+        if not modality:
+            if flavor != IA:
+                return None
+            modality = "must" if label in inputs else "may"
+        if modality == "may":
+            if tset:
+                return None
+            edge = (src, label, ids[tgt])
+            may.add(edge)
+            spans["may", *edge] = (line, 3)
+        elif label == TAU or tset and flavor == IA:
+            return None
+        else:
+            targets = frozenset([ids[t] for t in tset.split(", ")] if tset else [ids[tgt]])
+            must.add((src, label, targets))
+            spans["must", src, label, targets] = (line, 3)
+            if label in inputs:
+                may.update([(src, label, t) for t in targets])
+    # a name that is a modality keyword can read as one
+    if "may" in ids or "must" in ids:
+        return None
+    automaton = make_automaton(flavor, name, inputs, outputs, initial, may, must)
     return SourceDocument(automaton=automaton, spans=spans)
+
+
+def parse_document(text: str) -> SourceDocument:
+    doc = _plain_document(text)
+    if doc is None:
+        automaton, spans = _Parser(text).document()
+        doc = SourceDocument(automaton=automaton, spans=spans)
+    return doc
 
 
 def parse(text: str) -> ModalAutomaton:

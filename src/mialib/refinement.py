@@ -333,8 +333,10 @@ class _Checker:
                                   transition=transition)
 
 
-def _decide(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
-            impl_state: StateId | None, spec_state: StateId | None) -> RefinementWitness:
+def _run(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
+         impl_state: StateId | None, spec_state: StateId | None) -> _Checker:
+    """The checker, run from the start states (default: the initial ones)."""
+    require_operands(impl, spec, flavor)
     impl_state = impl.initial if impl_state is None else impl_state
     spec_state = spec.initial if spec_state is None else spec_state
     for aut, state in ((impl, impl_state), (spec, spec_state)):
@@ -342,16 +344,28 @@ def _decide(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
             raise MialibError(f"{state} is not a state of {aut.name}")
     checker = _Checker(impl, spec, flavor, impl_state, spec_state)
     checker.run()
+    return checker
+
+
+def _decide(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
+            impl_state: StateId | None, spec_state: StateId | None) -> RefinementWitness:
+    checker = _run(impl, spec, flavor, impl_state, spec_state)
     verdict = bool(checker.alive[checker.root])
     return RefinementWitness(kind=flavor, pairs=checker.pairs(), verdict=verdict,
                              failure=None if verdict else checker.certificate())
+
+
+def _verdict(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str) -> bool:
+    """The verdict of :func:`_decide` from the initial states, without the
+    witness's pairs or certificate."""
+    checker = _run(impl, spec, flavor, None, None)
+    return bool(checker.alive[checker.root])
 
 
 def ia_refines(impl: ModalAutomaton, spec: ModalAutomaton,
                impl_state: StateId | None = None,
                spec_state: StateId | None = None) -> RefinementWitness:
     """Alternating simulation between IA states."""
-    require_operands(impl, spec, IA)
     return _decide(impl, spec, IA, impl_state, spec_state)
 
 
@@ -359,7 +373,6 @@ def dmts_refines(impl: ModalAutomaton, spec: ModalAutomaton,
                  impl_state: StateId | None = None,
                  spec_state: StateId | None = None) -> RefinementWitness:
     """Observational modal refinement between dMTS states."""
-    require_operands(impl, spec, DMTS)
     return _decide(impl, spec, DMTS, impl_state, spec_state)
 
 
@@ -367,35 +380,40 @@ def mia_refines(impl: ModalAutomaton, spec: ModalAutomaton,
                 impl_state: StateId | None = None,
                 spec_state: StateId | None = None) -> RefinementWitness:
     """Observational MIA refinement; input mays are implicitly allowed."""
-    require_operands(impl, spec, MIA)
     return _decide(impl, spec, MIA, impl_state, spec_state)
 
 
 _BY_FLAVOR = {IA: ia_refines, DMTS: dmts_refines, MIA: mia_refines}
 
 
-def refines(impl: ModalAutomaton, spec: ModalAutomaton,
-            impl_state: StateId | None = None,
-            spec_state: StateId | None = None) -> RefinementWitness:
-    """Dispatch on flavor; both automata must share it."""
+def _shared_flavor(impl: ModalAutomaton, spec: ModalAutomaton) -> str:
+    """The flavor both automata have, if refinement is defined for it."""
     if impl.flavor != spec.flavor:
         raise FlavorMismatchError(
             f"cannot compare {impl.flavor} against {spec.flavor}")
     if impl.flavor not in _BY_FLAVOR:
         raise FlavorMismatchError(f"no refinement for flavor {impl.flavor!r}")
-    return _BY_FLAVOR[impl.flavor](impl, spec, impl_state, spec_state)
+    return impl.flavor
+
+
+def refines(impl: ModalAutomaton, spec: ModalAutomaton,
+            impl_state: StateId | None = None,
+            spec_state: StateId | None = None) -> RefinementWitness:
+    """Dispatch on flavor; both automata must share it."""
+    return _BY_FLAVOR[_shared_flavor(impl, spec)](impl, spec, impl_state, spec_state)
 
 
 def holds(impl: ModalAutomaton, spec: ModalAutomaton) -> bool:
     """Whether ``impl`` refines ``spec`` from their initial states."""
-    return refines(impl, spec).verdict
+    return _verdict(impl, spec, _shared_flavor(impl, spec))
 
 
 def mia_equiv(a: ModalAutomaton, b: ModalAutomaton) -> bool:
     """Mutual MIA refinement."""
-    return mia_refines(a, b).verdict and mia_refines(b, a).verdict
+    return _verdict(a, b, MIA) and _verdict(b, a, MIA)
 
 
 def equiv(a: ModalAutomaton, b: ModalAutomaton) -> bool:
     """Mutual refinement in the automata's shared flavor."""
-    return refines(a, b).verdict and refines(b, a).verdict
+    flavor = _shared_flavor(a, b)
+    return _verdict(a, b, flavor) and _verdict(b, a, flavor)

@@ -27,7 +27,7 @@ from .frontend import serialize
 from .model import (DMTS, FLAVORS, IA, MIA, TAU, FlavorMismatchError,
                     MialibError, ModalAutomaton, StateId, atom, make_automaton,
                     make_ia, validate)
-from .refinement import dmts_refines, holds, mia_equiv, mia_refines, refines
+from .refinement import holds, mia_equiv, refines
 
 ORACLE_STATE_LIMIT = 7
 SHRINK_BUDGET = 400  # candidates one shrink may try
@@ -585,10 +585,8 @@ def _check_par(flavor: str, auts: dict) -> str | None:
 def _check_embed_refines(flavor: str, auts: dict) -> str | None:
     p, q = auts["p"], auts["q"]
     direct = holds(p, q)
-    via_mia = mia_refines(embeddings.embed_ia_to_mia(p),
-                          embeddings.embed_ia_to_mia(q)).verdict
-    via_dmts = dmts_refines(embeddings.embed_ia_to_dmts(p),
-                            embeddings.embed_ia_to_dmts(q)).verdict
+    via_mia = holds(embeddings.embed_ia_to_mia(p), embeddings.embed_ia_to_mia(q))
+    via_dmts = holds(embeddings.embed_ia_to_dmts(p), embeddings.embed_ia_to_dmts(q))
     if direct != via_mia:
         return f"ia refinement {direct} but mia embedding {via_mia}"
     if direct != via_dmts:
@@ -632,12 +630,11 @@ def _check_embed_dmts_oneway(flavor: str, auts: dict) -> str | None:
     conj = dmts_ops.dmts_conjoin(ep, eq)
     if not conj.defined:
         return "conjunction of dmts embeddings unexpectedly inconsistent"
-    if not dmts_refines(embeddings.embed_ia_to_dmts(ia_ops.ia_conjoin(p, q)),
-                        conj.automaton).verdict:
+    if not holds(embeddings.embed_ia_to_dmts(ia_ops.ia_conjoin(p, q)),
+                 conj.automaton):
         return "embedded conjunction does not refine conjoined embeddings"
     disj = dmts_ops.dmts_disjoin(ep, eq)
-    if not dmts_refines(disj,
-                        embeddings.embed_ia_to_dmts(ia_ops.ia_disjoin(p, q))).verdict:
+    if not holds(disj, embeddings.embed_ia_to_dmts(ia_ops.ia_disjoin(p, q))):
         return "disjoined embeddings do not refine the embedded disjunction"
     return None
 

@@ -167,6 +167,14 @@ def test_validation_error_exit_2(files, capsys):
     assert "ia-input-determinism" in capsys.readouterr().err
 
 
+def test_violation_on_an_implied_may_has_its_must_position(files, capsys):
+    # line 6 declares ``s -a-> t;``, the input must that implies the may
+    path = files("invalid_nondet.ia")
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"{path}:6:3: [ia-input-determinism] s has 2 transitions on input a")
+
+
 def test_flavor_mismatch_exit_2(files, capsys):
     assert main(["conjoin", files("fig06_p.mia"), files("fig06_q.dmts")]) == 2
     assert "flavor mismatch" in capsys.readouterr().err

@@ -161,6 +161,42 @@ def test_start_state_outside_the_automaton_rejected(start):
         refines(a, a, *start)
 
 
+@pytest.mark.parametrize("flavor", [IA, DMTS, MIA])
+def test_verdict_only_checks_match_the_witness(flavor, monkeypatch):
+    pairs = [gen_pair(flavor, seed, max_states=6) for seed in range(80)]
+    pairs += [(p, p) for p, _ in pairs[:10]]
+    expected = [(refines(p, q).verdict, refines(q, p).verdict) for p, q in pairs]
+    assert {forward for forward, _ in expected} == {True, False}
+    assert any(forward and backward for forward, backward in expected)
+
+    def refuse(self):
+        raise AssertionError("a verdict-only check built a witness")
+    monkeypatch.setattr(_Checker, "pairs", refuse)
+    monkeypatch.setattr(_Checker, "certificate", refuse)
+    for (p, q), (forward, backward) in zip(pairs, expected):
+        assert holds(p, q) == forward
+        assert equiv(p, q) == (forward and backward)
+        if flavor == MIA:
+            assert mia_equiv(p, q) == (forward and backward)
+
+
+def test_verdict_only_checks_raise_as_refines():
+    ia, mia = gen_random(IA, seed=1), gen_random(MIA, seed=1)
+    other = make_ia("other", ["fresh"], [], atom("s"), [])
+    lts = dataclasses.replace(mia, flavor="lts")
+    for a, b, checks in ((ia, mia, (holds, equiv)), (ia, other, (holds, equiv)),
+                         (lts, lts, (holds, equiv)), (ia, ia, (mia_equiv,)),
+                         (mia, dataclasses.replace(mia, alphabet=other.alphabet),
+                          (mia_equiv,))):
+        reference = refines if checks[0] is holds else mia_refines
+        with pytest.raises(MialibError) as want:
+            reference(a, b)
+        for check in checks:
+            with pytest.raises(type(want.value)) as got:
+                check(a, b)
+            assert str(got.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # Cross-flavor properties
 
