@@ -68,7 +68,6 @@ def _load_valid(path: str) -> ModalAutomaton:
     if problems:
         lines = []
         for violation, span in problems:
-            span = span or doc.implied_at(violation.subject)
             where = f"{path}:{span[0]}:{span[1]}: " if span else f"{path}: "
             lines.append(where + str(violation))
         raise _CliError("\n".join(lines))

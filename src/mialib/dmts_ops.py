@@ -32,10 +32,7 @@ def dmts_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
                  reachable: bool = False) -> Conjunction:
     """Conjunctive product minus its inconsistent states; with
     ``reachable`` only the part reachable from the initial pair."""
-    # a replacement dmts_conj_product that takes only the operands
-    # still serves the default call
-    product = (dmts_conj_product(p, q, reachable=True) if reachable
-               else dmts_conj_product(p, q))
+    product = dmts_conj_product(p, q, reachable=reachable)
     bad = dmts_inconsistent(product)
     return _prune(product, bad, reachable)
 

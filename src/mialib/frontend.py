@@ -43,8 +43,7 @@ states are omitted when serializing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import accumulate, compress
 from pathlib import Path
 from typing import NoReturn
@@ -119,31 +118,11 @@ MAX_NESTING = 200
 
 @dataclass
 class SourceDocument:
-    """A parsed file: the automaton and per-declaration positions."""
+    """A parsed file: the automaton, and the line and column where each
+    declaration starts, keyed as a ``Violation.subject`` names it."""
 
     automaton: ModalAutomaton
-    spans: dict = field(default_factory=dict)
-
-    def implied_at(self, subject: tuple | None) -> tuple[int, int] | None:
-        """Where the may ``subject`` is implied, if it has no declaration.
-
-        An input must implies a may to each of its targets; such a may
-        takes the position of the earliest must that implies it.
-        """
-        if not subject or subject[0] != "may":
-            return None
-        return self._implied.get(subject[1:])
-
-    @cached_property
-    def _implied(self) -> dict:
-        inputs = self.automaton.alphabet.inputs
-        implied: dict = {}
-        for key, at in self.spans.items():
-            if key[0] == "must" and key[2] in inputs:
-                for t in key[3]:
-                    edge = (key[1], key[2], t)
-                    implied[edge] = min(at, implied.get(edge, at))
-        return implied
+    spans: dict
 
 
 class _Parser:
@@ -444,8 +423,23 @@ def parse_file(path) -> ModalAutomaton:
 
 
 def validate_document(doc: SourceDocument) -> list[tuple[Violation, tuple[int, int] | None]]:
-    """Validate and attach source positions where a declaration is known."""
-    return [(v, doc.spans.get(v.subject)) for v in validate(doc.automaton)]
+    """Validate, and place each violation at its subject's declaration.
+
+    A may that only input musts imply is placed at the earliest of them;
+    any other violation without a declared subject gets None."""
+    aut, spans = doc.automaton, doc.spans
+    return [(v, spans.get(v.subject) or _implied_position(aut, spans, v.subject))
+            for v in validate(aut)]
+
+
+def _implied_position(aut: ModalAutomaton, spans: dict, subject: tuple | None):
+    """The earliest position of an input must that implies the may ``subject``."""
+    if not subject or subject[0] != "may" or subject[2] not in aut.alphabet.inputs:
+        return None
+    _, src, label, tgt = subject
+    musts = (("must", src, label, T) for a, T in aut.musts_from(src)
+             if a == label and tgt in T)
+    return min(filter(None, map(spans.get, musts)), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -260,10 +260,7 @@ def mia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
     With ``reachable`` only the part reachable from the initial pair is
     built and kept.
     """
-    # a replacement mia_conj_product that takes only the operands
-    # still serves the default call
-    product = (mia_conj_product(p, q, reachable=True) if reachable
-               else mia_conj_product(p, q))
+    product = mia_conj_product(p, q, reachable=reachable)
     bad = mia_inconsistent(product)
     return _prune(product, bad, reachable)
 

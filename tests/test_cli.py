@@ -175,6 +175,14 @@ def test_violation_on_an_implied_may_has_its_must_position(files, capsys):
         f"{path}:6:3: [ia-input-determinism] s has 2 transitions on input a")
 
 
+def test_violation_without_a_subject_has_no_position(tmp_path, capsys):
+    path = write(tmp_path, "overlap.ia",
+                 "ia M {\n  inputs: a;\n  outputs: a;\n  initial s;\n}\n")
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"{path}: [alphabet-disjoint] actions both input and output: ['a']")
+
+
 def test_flavor_mismatch_exit_2(files, capsys):
     assert main(["conjoin", files("fig06_p.mia"), files("fig06_q.dmts")]) == 2
     assert "flavor mismatch" in capsys.readouterr().err

@@ -167,6 +167,24 @@ def test_validate_document_reports_spans():
                for rule, span in spanned)
 
 
+def test_validate_document_places_an_implied_may_at_its_must():
+    # line 6 declares ``s -a-> t;``, the input must that implies the may
+    doc = parse_document((CORPUS / "invalid_nondet.ia").read_text(encoding="utf-8"))
+    [(violation, span)] = validate_document(doc)
+    assert violation.rule == "ia-input-determinism"
+    assert ("may", atom("s"), "a", atom("t")) not in doc.spans
+    assert span == (6, 3)
+
+
+def test_validate_document_keeps_an_explicit_may_position():
+    # the may to t is implied by line 2 and declared again on line 4
+    doc = parse_document("ia Bad { inputs: a; outputs: ; initial s;\n"
+                         "  s -a-> t;\n  s -a-> u;\n  may s -a-> t;\n}")
+    [(violation, span)] = validate_document(doc)
+    assert violation.subject == ("may", atom("s"), "a", atom("t"))
+    assert span == (4, 3)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,8 @@ from mialib.model import (DMTS, MIA, TAU, as_dmts, atom, pair_id,
 from mialib.dmts_ops import dmts_conj_product, dmts_inconsistent, is_dmts_witness
 from mialib.refinement import (dmts_refines, holds, mia_equiv,
                                mia_refines)
-from mialib.testkit import gen_composable_pair, gen_pair, gen_random, weaken
+from mialib.testkit import (gen_composable_pair, gen_over, gen_pair, gen_random,
+                             weaken)
 
 p0, p1, p2 = atom("p0"), atom("p1"), atom("p2")
 q0, q1, q2 = atom("q0"), atom("q1"), atom("q2")
@@ -124,19 +126,22 @@ def _flavored_conj_product(flavor, p, q):
     return dmts_conj_product(as_dmts(p), as_dmts(q))
 
 
+def _first_unmatched(side, s, other, t):
+    """The first output must of ``side`` at ``s`` that ``other`` cannot
+    weakly allow at ``t``, or None."""
+    return next((a for a, _ in side.musts_from(s) if a in side.alphabet.outputs
+                 and not other.weak.can_weak(t, a)), None)
+
+
 def _unmatched_by_hand(product):
     """(F1)/(F2) per pair, recomputed from the operands' weak closures."""
     left, right = product.left, product.right
-    outputs = left.alphabet.outputs
     expected = {}
     for state, (ps, qs) in product.pairs.items():
-        for rule, side, other, s, t in (("F1", left, right, ps, qs),
-                                        ("F2", right, left, qs, ps)):
-            hits = [a for a, _ in side.musts_from(s)
-                    if a in outputs and not other.weak.can_weak(t, a)]
-            if hits:
-                expected[state] = (rule, hits[0])
-                break
+        f1 = _first_unmatched(left, ps, right, qs)
+        f2 = _first_unmatched(right, qs, left, ps)
+        if f1 or f2:
+            expected[state] = ("F1", f1) if f1 else ("F2", f2)
     return expected
 
 
@@ -165,6 +170,34 @@ def test_product_unmatched_equals_a_recomputation(flavor):
         assert product.unmatched == _unmatched_by_hand(product)
         rules |= {rule for rule, _ in product.unmatched.values()}
     assert rules == {"F1", "F2"}
+
+
+def _outputs_required(aut):
+    """``aut`` with every output may also required, as a singleton must."""
+    outputs = aut.alphabet.outputs
+    return replace(aut, must=aut.must | {(s, o, frozenset([t]))
+                                         for s, o, t in aut.may if o in outputs})
+
+
+def test_unmatched_prefers_the_left_side_where_both_sides_fail():
+    # With every output may required, about half of these pairs have a
+    # product state where both sides require an output the other lacks.
+    reached = 0
+    for k in range(100):
+        p, q = (_outputs_required(gen_over(MIA, ["i0"], ["o0", "o1"], max_states=5,
+                                           transition_density=0.5, seed=seed))
+                for seed in (2 * k, 2 * k + 1))
+        assert validate(p) == [] and validate(q) == []
+        product = mia_conj_product(p, q)
+        assert product.unmatched == _unmatched_by_hand(product)
+        provenance = mia_inconsistent(product).provenance
+        assert {state: provenance[state] for state in product.unmatched} \
+            == product.unmatched
+        left, right = product.left, product.right
+        reached += any(_first_unmatched(left, ps, right, qs)
+                       and _first_unmatched(right, qs, left, ps)
+                       for ps, qs in product.pairs.values())
+    assert reached >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,8 @@ def test_fault_injection_produces_counterexample(tmp_path, monkeypatch):
     # break conjunction: silently forget the escape rules for inputs
     real = mia_ops.mia_conj_product
 
-    def broken(p, q):
-        prod = real(p, q)
+    def broken(p, q, **kwargs):
+        prod = real(p, q, **kwargs)
         aut = prod.automaton
         pruned_must = frozenset(
             (s, l, T) for (s, l, T) in aut.must

@@ -8,7 +8,9 @@ apart from names and from building the sorted views and the per-source
 index itself.  On the corpus, the golden files and seeded invalid mutants
 of all three flavors at up to a few hundred states, ``validate`` must give
 the same ``Violation`` list (rule, message, subject, order), and
-``validate_document`` the same spans.
+``validate_document`` the same positions as ``_ref_positions``: a frozen
+copy of the rule that placed a may only input musts imply at the earliest
+of them, with declared subjects keeping their own span.
 """
 
 from __future__ import annotations
@@ -150,6 +152,18 @@ def _ref_validate_mia(aut: ModalAutomaton, views: _Views, bad) -> None:
                     bad(Violation("mia-input-may-under-must",
                                   f"input may {state} -{i}-> {t} is not underlain by an {i}-must",
                                   ("may", state, i, t)))
+
+
+def _ref_positions(doc) -> dict:
+    """Position of every declared subject and of every implied input may."""
+    inputs = doc.automaton.alphabet.inputs
+    implied: dict = {}
+    for key, at in doc.spans.items():
+        if key[0] == "must" and key[2] in inputs:
+            for t in key[3]:
+                edge = ("may", key[1], key[2], t)
+                implied[edge] = min(at, implied.get(edge, at))
+    return {**implied, **doc.spans}
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +321,17 @@ def test_validation_matches_the_per_state_scans():
 def test_validate_document_spans_match():
     texts = _corpus_documents()
     texts += [serialize(aut) for aut in _mutants() if aut.flavor in FLAVORS]
-    checked = spanned = 0
+    checked = spanned = implied = 0
     for text in texts:
         try:
             doc = parse_document(text)
         except ParseError:
             continue
-        expected = [(v, doc.spans.get(v.subject)) for v in _ref_validate(doc.automaton)]
+        positions = _ref_positions(doc)
+        expected = [(v, positions.get(v.subject)) for v in _ref_validate(doc.automaton)]
         assert validate_document(doc) == expected
         checked += 1
         spanned += sum(span is not None for _, span in expected)
-    assert checked >= 200 and spanned >= 100
+        implied += sum(span is not None and v.subject not in doc.spans
+                       for v, span in expected)
+    assert checked >= 200 and spanned >= 100 and implied >= 50
