@@ -37,7 +37,9 @@ State names produced by the operators (pairs ``(p,q)``, conjunctions
 ``p&q``, disjunctions ``p|q``, tags ``p@L``) parse back structurally, so
 serialized results are themselves valid input.  Only states that occur in
 the initial declaration or some transition are representable; isolated
-states are omitted when serializing.
+states are omitted when serializing.  A state name nests at most
+``MAX_NESTING`` parentheses and holds at most ``MAX_COMPOSITES`` operators
+(``&``, ``|``, ``@`` and ``,``), 200 each; past either it is refused.
 """
 
 from __future__ import annotations
@@ -114,6 +116,9 @@ def _lex(text: str) -> tuple[list[str], list[int]]:
 # State names are parsed by recursive descent, two frames per parenthesis;
 # deeper input is refused before it can exhaust the interpreter's stack.
 MAX_NESTING = 200
+# Each operator of a state name builds an id holding its part of the text,
+# so a name's ids hold up to as many times its text as it has operators.
+MAX_COMPOSITES = 200
 
 
 @dataclass
@@ -141,6 +146,7 @@ class _Parser:
         self.toks, self.offs = _lex(text)
         self.pos = 0
         self.depth = 0
+        self.built = 0  # composite ids of the state name being read
         self.atoms = IdTable(atom)
         self.composites = IdTable(lambda key: StateId(*key))
         # the span cursor: the offset counted up to, its line and line start
@@ -167,6 +173,12 @@ class _Parser:
         self.pos = i + 1
         return i
 
+    def operator(self, i: int) -> None:
+        """Count the id the operator at token ``i`` will build."""
+        self.built += 1
+        if self.built > MAX_COMPOSITES:
+            self.fail(f"state name built with more than {MAX_COMPOSITES} operators", i)
+
     def expect_ident(self, what: str = "identifier") -> int:
         i = self.pos
         if self.toks[i] in _NOT_IDENT:
@@ -182,9 +194,12 @@ class _Parser:
         if name not in _NOT_IDENT and toks[i + 1] not in _NAME_OPS:
             self.pos = i + 1  # a bare identifier, the common case
             return self.atoms[name]
+        if not self.depth:
+            self.built = 0  # a new name
         left = self.postfix()
         while toks[self.pos] == "&" or toks[self.pos] == "|":
             kind = StateId.WEDGE if toks[self.pos] == "&" else StateId.VEE
+            self.operator(self.pos)
             self.pos += 1
             left = self.composites[kind, (left, self.postfix())]
         return left
@@ -205,6 +220,7 @@ class _Parser:
             sep = self.pos
             self.pos = sep + 1
             if toks[sep] == ",":
+                self.operator(sep)
                 second = self.state_id()
                 self.expect(")")
                 sid = self.composites[StateId.PAIR, (first, second)]
@@ -216,6 +232,7 @@ class _Parser:
         else:
             self.fail(f"expected state name, found {value!r}", i)
         while toks[self.pos] == "@":
+            self.operator(self.pos)
             self.pos += 1
             tag = self.expect_ident("tag")
             sid = self.composites[StateId.TAG, (sid, toks[tag])]

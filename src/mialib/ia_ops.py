@@ -2,11 +2,11 @@
 
 Conjunction and disjunction build on disjoint copies of their operands and
 add one fresh family of states (``p&q`` resp. ``p|q``) on top of the
-inherited component automata.  Parallel composition is MIA composition
-with the result flavored ``ia``: an IA keeps its inputs as singleton musts
-and its outputs as mays, and on such automata "the partner has a must" and
-"the partner has a may" coincide on inputs, so the MIA error rule and
-pruning are the IA ones.
+components, kept as they are as far as the result reaches them.  Parallel
+composition is MIA composition with the result flavored ``ia``: an IA
+keeps its inputs as singleton musts and its outputs as mays, and on such
+automata "the partner has a must" and "the partner has a may" coincide on
+inputs, so the MIA error rule and pruning are the IA ones.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
                       _parallel_product, _prune_incompatible)
 from .model import (IA, TAU, ModalAutomaton, disjoint_operands, explore_pairs,
-                    make_ia, pair_seeds, require_operands, restrict_reachable,
-                    vee_id, wedge_id)
+                    make_ia, require_operands, vee_id, wedge_id)
 
 
 def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
@@ -48,12 +47,10 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
             mays.append((TAU, ids[ps, qt]))
         return mays, ()
 
-    states, trans, _ = explore_pairs(pair_seeds(ids, p, q, reachable), rule,
-                                     p.states | q.states)
-    result = make_ia(f"{p.name}_and_{q.name}", inputs, outputs,
-                     ids[p.initial, q.initial], trans | p.may | q.may,
-                     states=states | p.states | q.states)
-    return restrict_reachable(result) if reachable else result
+    init = ids[p.initial, q.initial]
+    states, trans, _ = explore_pairs(ids, init, rule, (p, q), reachable)
+    return make_ia(f"{p.name}_and_{q.name}", inputs, outputs, init, trans,
+                   states=states)
 
 
 def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
@@ -77,12 +74,10 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
                         if alpha not in inputs)
         return mays, ()
 
-    states, trans, _ = explore_pairs(pair_seeds(ids, p, q, reachable), rule,
-                                     p.states | q.states)
-    result = make_ia(f"{p.name}_or_{q.name}", inputs, p.alphabet.outputs,
-                     ids[p.initial, q.initial], trans | p.may | q.may,
-                     states=states | p.states | q.states)
-    return restrict_reachable(result) if reachable else result
+    init = ids[p.initial, q.initial]
+    states, trans, _ = explore_pairs(ids, init, rule, (p, q), reachable)
+    return make_ia(f"{p.name}_or_{q.name}", inputs, p.alphabet.outputs, init,
+                   trans, states=states)
 
 
 def ia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:

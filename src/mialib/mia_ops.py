@@ -19,9 +19,9 @@ from functools import partial
 
 from .model import (MIA, TAU, IdTable, ModalAutomaton, MustEdge,
                     NotComposableError, StateId, disjoint_operands,
-                    explore_pairs, make_automaton, pair_id, pair_seeds,
-                    remove_states, require_flavor, require_operands,
-                    restrict_reachable, targets_text, vee_id)
+                    explore_pairs, make_automaton, pair_id, remove_states,
+                    require_flavor, require_operands, restrict_reachable,
+                    targets_text, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -44,7 +44,7 @@ class ConjunctiveProduct:
     """A conjunctive product together with its (renamed) operands.
 
     ``pairs`` maps each pair state of the product to its component states;
-    inherited component states (MIA only) are not in the map.
+    the component states a MIA product inherits are not in the map.
     ``unmatched`` maps each pair state where one side must do an output
     the other cannot weakly allow to its first such must: ``("F1", a)``
     on the left, else ``("F2", a)`` on the right.  It seeds both the
@@ -111,17 +111,18 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
     over the pairs reachable from the initial pair.
 
     A dMTS has no inputs, so its product is the pair part alone; a MIA
-    product also carries both components, which the input escapes lead to.
+    product also carries the components its input escapes lead to.
     """
     require_operands(p, q, flavor)
     p, q, ids = disjoint_operands(p, q, pair_id)
     pw, qw = p.weak, q.weak
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
     silent_or_outputs = sorted(outputs) + [TAU]
+    pairs: dict = {}
     unmatched: dict = {}
 
     def rule(state: StateId):
-        ps, qs = state.parts
+        ps, qs = pairs[state] = state.parts
         mays, musts = [], []
         for o, p_targets in p.musts_from(ps):            # (OMust1)
             if o not in outputs:
@@ -169,19 +170,13 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
                     mays.append((alpha, ids[pt, qt]))
         return mays, musts
 
-    states, may, must = explore_pairs(pair_seeds(ids, p, q, reachable), rule,
-                                      p.states | q.states)
-    pairs = {state: state.parts for state in states}
-    if flavor == MIA:
-        states |= p.states | q.states
-        may |= p.may | q.may
-        must |= p.must | q.must
+    init = ids[p.initial, q.initial]
+    states, may, must = explore_pairs(ids, init, rule,
+                                      (p, q) if flavor == MIA else (), reachable)
     automaton = make_automaton(flavor, f"{p.name}_and_{q.name}", inputs,
-                               outputs, ids[p.initial, q.initial],
-                               may, must, states=states)
+                               outputs, init, may, must, states=states)
     return ConjunctiveProduct(automaton=automaton, left=p, right=q,
-                              pairs=pairs,
-                              unmatched=unmatched)
+                              pairs=pairs, unmatched=unmatched)
 
 
 def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
@@ -275,7 +270,7 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
 
     An input may at ``p|q`` needs both sides to allow the input; a dMTS has
     no inputs, so there every may of either side is kept.  With
-    ``reachable`` only the part reachable from the initial pair is kept.
+    ``reachable`` only the part reachable from the initial pair is built.
     """
     require_operands(p, q, flavor)
     p, q, ids = disjoint_operands(p, q, vee_id)
@@ -292,13 +287,10 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
                  if alpha not in inputs or p.has_may(ps, alpha)]
         return mays, musts
 
-    states, may, must = explore_pairs(pair_seeds(ids, p, q, reachable), rule,
-                                      p.states | q.states)
-    result = make_automaton(flavor, f"{p.name}_or_{q.name}", inputs,
-                            p.alphabet.outputs, ids[p.initial, q.initial],
-                            may | p.may | q.may, must | p.must | q.must,
-                            states=states | p.states | q.states)
-    return restrict_reachable(result) if reachable else result
+    init = ids[p.initial, q.initial]
+    states, may, must = explore_pairs(ids, init, rule, (p, q), reachable)
+    return make_automaton(flavor, f"{p.name}_or_{q.name}", inputs,
+                          p.alphabet.outputs, init, may, must, states=states)
 
 
 def mia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
@@ -355,7 +347,7 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
         return mays, musts
 
     init = ids[p1.initial, p2.initial]
-    states, may, must = explore_pairs([init], rule)
+    states, may, must = explore_pairs(ids, init, rule)
     return make_automaton(flavor, f"{p1.name}_x_{p2.name}", inputs, outputs,
                           init, may, must, states=states)
 
@@ -451,11 +443,11 @@ def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
     """Witness conditions with the must checks restricted to outputs."""
     aut = product.automaton
     pairs = {pair_id(ps, qs) for ps, qs in w}
-    allowed = pairs | product.left.states | product.right.states
     for state in pairs:
         if state in product.unmatched:                   # (W1), (W2)
             return False
         for _, targets in aut.musts_from(state):         # (W3)
-            if targets.isdisjoint(allowed):
+            # a target in ``w`` or in a component will do
+            if all(t in product.pairs and t not in pairs for t in targets):
                 return False
     return True

@@ -609,36 +609,33 @@ def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
     return p, q, ids
 
 
-def pair_seeds(ids: dict, p: ModalAutomaton, q: ModalAutomaton,
-               reachable: bool):
-    """Where a full-pair product starts: its initial pair alone when only
-    the part reachable from it is kept, else every pair of ``ids``."""
-    return [ids[p.initial, q.initial]] if reachable else ids.values()
+def explore_pairs(ids: dict, initial: StateId, rule,
+                  inherited: tuple = (), reachable: bool = True):
+    """Build a product over the pair states of ``ids`` by a worklist.
 
-
-def explore_pairs(seeds: Iterable[StateId], rule,
-                  inherited: frozenset[StateId] = frozenset()):
-    """Build a product over pair states by a worklist from ``seeds``.
-
-    ``rule(state)`` returns the ``(mays, musts)`` leaving one pair state,
-    as lists of ``(label, target)`` and ``(label, targets)``.  Every
-    may-target not in ``inherited`` (component states an operator keeps
-    as they are) is explored in turn.  Seeded with all pairs (see
-    :func:`pair_seeds`) the product keeps the full pair space; seeded with
-    the initial pair it keeps the pairs reachable by may-steps, which for
-    valid operands include every must target.  Returns the explored
-    states and the may and must edges leaving them.
+    A state of an ``inherited`` automaton (a component the product keeps
+    as it is) leaves by that automaton's own edges; any other state is a
+    pair, and ``rule(pair)`` returns the ``(mays, musts)`` leaving it, as
+    lists of ``(label, target)`` and ``(label, targets)``.  Every may-target
+    is explored in turn.  With ``reachable`` the walk starts from
+    ``initial`` and keeps what it reaches, which for valid operands holds
+    every must target; otherwise it starts from every pair and inherited
+    state.  Returns the explored states and the may and must edges leaving
+    them: the whole product.
     """
-    seen = set(seeds)
+    owner = {s: aut for aut in inherited for s in aut.states}
+    seen = {initial} if reachable else {*ids.values(), *owner}
     stack = list(seen)
     may: set[MayEdge] = set()
     must: set[MustEdge] = set()
     while stack:
         state = stack.pop()
-        mays, musts = rule(state)
+        aut = owner.get(state)
+        mays, musts = (rule(state) if aut is None
+                       else (aut.may_from(state), aut.musts_from(state)))
         for label, tgt in mays:
             may.add((state, label, tgt))
-            if tgt not in seen and tgt not in inherited:
+            if tgt not in seen:
                 seen.add(tgt)
                 stack.append(tgt)
         for label, targets in musts:
@@ -698,10 +695,7 @@ def remove_states(aut: ModalAutomaton, dead: Iterable[StateId]) -> ModalAutomato
 
 def restrict_reachable(aut: ModalAutomaton) -> ModalAutomaton:
     """Drop states unreachable from the initial state."""
-    keep = reachable_states(aut)
-    if keep == aut.states:
-        return aut
-    return remove_states(aut, aut.states - keep)
+    return remove_states(aut, aut.states - reachable_states(aut))
 
 
 def require_operands(a: ModalAutomaton, b: ModalAutomaton, flavor: str) -> None:

@@ -206,6 +206,14 @@ def test_deeply_nested_state_exit_2(tmp_path, capsys):
     assert "nested deeper" in capsys.readouterr().err
 
 
+def test_overlong_state_name_exit_2(tmp_path, capsys):
+    chain = write(tmp_path, "chain.mia",
+                  "mia M {\n  initial a" + "&a" * 8000 + ";\n}\n")
+    assert main(["validate", chain]) == 2
+    assert capsys.readouterr().err == (
+        f"{chain}:2:412: state name built with more than 200 operators\n")
+
+
 def test_unwritable_output_exit_2(files, tmp_path, capsys):
     assert main(["embed", "--into", "mia", files("fig01_p.ia"),
                  "-o", str(tmp_path)]) == 2

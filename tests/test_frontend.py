@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, GOLDEN
-from mialib.frontend import (MAX_NESTING, ParseError, export_dot, parse,
-                             parse_document, serialize, validate_document)
+from mialib.frontend import (MAX_COMPOSITES, MAX_NESTING, ParseError, _Parser,
+                             export_dot, parse, parse_document, serialize,
+                             validate_document)
 from mialib.model import (FLAVORS, atom, make_automaton, make_ia, pair_id,
                           tagged_id, validate, vee_id, wedge_id)
 from mialib.testkit import gen_random
@@ -74,6 +75,34 @@ def test_state_name_nesting_limit():
     assert "nested deeper" in err.value.message
     with pytest.raises(ParseError):
         parse(nested(5000))
+
+
+def _chain(name: str) -> str:
+    return ("mia M {\n  outputs: o;\n  initial " + name + ";\n  may " + name
+            + " -o-> " + name + ";\n}\n")
+
+
+def _operator_col(name: str, k: int) -> int:
+    """Column of the ``k``-th operator (from 1) of ``name`` in :func:`_chain`."""
+    at = [i for i, ch in enumerate(name) if ch in "&|@,"][k - 1]
+    return len("  initial ") + at + 1
+
+
+@pytest.mark.parametrize("head, step", [("a", "&a"), ("a", "|a"), ("a", "@t"),
+                                        ("(a,b)", "&a"), ("(a@t,b)", "@L")])
+def test_state_name_operator_limit(head, step):
+    ops = sum(head.count(ch) for ch in "&|@,")
+    at_bound = head + step * (MAX_COMPOSITES - ops)
+    # the bound holds for each name, not for the document
+    assert len(parse(_chain(at_bound)).states) == 1
+    for extra in (1, 8000):
+        over = at_bound + step * extra
+        parser = _Parser(_chain(over))
+        with pytest.raises(ParseError) as err:
+            parser.document()
+        assert (err.value.line, err.value.col) == (3, _operator_col(over, MAX_COMPOSITES + 1))
+        assert f"more than {MAX_COMPOSITES} operators" in err.value.message
+        assert len(parser.composites) == MAX_COMPOSITES  # none built past it
 
 
 def test_braced_singleton_may_target_allowed():

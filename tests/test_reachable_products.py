@@ -6,8 +6,10 @@ serialize to the same bytes as ``restrict_reachable(op(p, q))`` and be
 defined exactly when the full result is.  The small seeded pairs leave many
 pairs unreachable; the 20-60 state operands, every state reachable, go past
 the oracle's 7-state limit; and operands with operator-shaped state names
-make ``disjoint_operands`` run its tagging round first.  Four figure pairs
-pin the ``--reachable`` output of the library and the CLI to golden files.
+either make ``disjoint_operands`` run its tagging round first, or, fed back
+from an earlier result, are inherited untagged.  Four figure pairs pin the
+``--reachable`` output of the library and the CLI to golden files.  A
+conjunctive product seeded from its initial pair holds nothing unreachable.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import pytest
 
 from conftest import CORPUS, golden_text, load
 from mialib.cli import main
-from mialib.dmts_ops import dmts_conjoin, dmts_disjoin
+from mialib.dmts_ops import dmts_conj_product, dmts_conjoin, dmts_disjoin
 from mialib.frontend import serialize
 from mialib.ia_ops import ia_conjoin, ia_disjoin
-from mialib.mia_ops import mia_conjoin, mia_disjoin
-from mialib.model import (DMTS, IA, MIA, TAU, ModalAutomaton, StateId, atom,
-                          disjoint_operands, make_automaton, pair_id,
-                          restrict_reachable, vee_id, wedge_id)
+from mialib.mia_ops import mia_conj_product, mia_conjoin, mia_disjoin
+from mialib.model import (DMTS, IA, MIA, TAU, ModalAutomaton, StateId, as_dmts,
+                          atom, disjoint_operands, make_automaton, pair_id,
+                          reachable_states, restrict_reachable, vee_id,
+                          wedge_id)
 from mialib.testkit import gen_pair, weaken
 
 from test_refinement_differential import _automaton
@@ -113,16 +116,21 @@ def test_large_reachable_operands(name):
         assert cases["undefined"] >= 1, cases
 
 
+def _renamed(q: ModalAutomaton) -> ModalAutomaton:
+    """``q`` with its states ``s0, s1, ...`` renamed ``t0, t1, ...``."""
+    names = {s: atom("t" + s.text[1:]) for s in q.states}
+    return make_automaton(q.flavor, q.name, q.alphabet.inputs,
+                          q.alphabet.outputs, names[q.initial],
+                          [(names[s], a, names[t]) for s, a, t in q.may],
+                          [(names[s], a, frozenset(names[t] for t in targets))
+                           for s, a, targets in q.must],
+                          states=names.values())
+
+
 def _with_colliding_state(p: ModalAutomaton, q: ModalAutomaton, combine):
     """``p`` with an extra state named like the combined id of the pair
     ``(s0, t0)``, and ``q`` with its states renamed ``t0, t1, ...``."""
-    names = {s: atom("t" + s.text[1:]) for s in q.states}
-    q = make_automaton(q.flavor, q.name, q.alphabet.inputs, q.alphabet.outputs,
-                       names[q.initial],
-                       [(names[s], a, names[t]) for s, a, t in q.may],
-                       [(names[s], a, frozenset(names[t] for t in targets))
-                        for s, a, targets in q.must],
-                       states=names.values())
+    q = _renamed(q)
     clash = atom(combine(atom("s0"), atom("t0")).text)
     p = make_automaton(p.flavor, p.name, p.alphabet.inputs, p.alphabet.outputs,
                        p.initial, p.may | {(p.initial, TAU, clash)}, p.must,
@@ -130,17 +138,53 @@ def _with_colliding_state(p: ModalAutomaton, q: ModalAutomaton, combine):
     return p, q
 
 
+def _fed_back(op, p: ModalAutomaton, q: ModalAutomaton):
+    """The result of ``op`` on ``p, q`` and ``q`` renamed, as operands of
+    the same operator; ``None`` when the result is undefined."""
+    result = _automaton_of(op(p, q))
+    return None if result is None else (result, _renamed(q))
+
+
 @pytest.mark.parametrize("name", OPERATORS)
 def test_operator_shaped_state_names(name):
-    flavor, _, combine = OPERATORS[name]
-    pairs = [_with_colliding_state(*gen_pair(flavor, seed, max_states=8,
-                                             transition_density=0.5), combine)
-             for seed in range(60)]
+    flavor, op, combine = OPERATORS[name]
+    operands = [gen_pair(flavor, seed, max_states=8, transition_density=0.5)
+                for seed in range(60)]
+    pairs = [_with_colliding_state(p, q, combine) for p, q in operands]
     for p, q in pairs:
         left, _, _ = disjoint_operands(p, q, combine)
         assert all(s.kind == StateId.TAG for s in left.states)
     cases = _cases(name, pairs)
     assert cases["trimmed"] >= 10, cases
+    # a result fed back into its operator: its combined states meet no
+    # collision, so they stay untagged and look like the new pairs, yet
+    # leave by their own edges wherever the new result keeps them
+    kind = combine(atom("s"), atom("t")).kind
+    fed = [pair for pair in (_fed_back(op, p, q) for p, q in operands) if pair]
+    for p, q in fed:
+        left, _, _ = disjoint_operands(p, q, combine)
+        assert left is p and any(s.kind == kind for s in p.states)
+        for reachable in (False, True):
+            result = _automaton_of(op(p, q, reachable=reachable))
+            for component in (p, q) if result else ():
+                for s in result.states & component.states:
+                    assert result.may_from(s) == component.may_from(s)
+                    assert result.musts_from(s) == component.musts_from(s)
+    cases = _cases(name, fed)
+    assert cases["trimmed"] >= 10, cases
+
+
+@pytest.mark.parametrize("product, view", [(mia_conj_product, None),
+                                           (dmts_conj_product, as_dmts)])
+def test_reachable_conjunctive_product_holds_only_reachable_states(product, view):
+    for seed in range(200):
+        p, q = gen_pair(MIA, seed, max_states=8, transition_density=0.5)
+        if view:
+            p, q = view(p), view(q)
+        prod = product(p, q, reachable=True)
+        states = prod.automaton.states
+        assert reachable_states(prod.automaton) == states, seed
+        assert set(prod.pairs) == states - prod.left.states - prod.right.states
 
 
 @pytest.mark.parametrize("command, left, right, golden", [
