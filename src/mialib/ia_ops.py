@@ -2,11 +2,13 @@
 
 Conjunction and disjunction build on disjoint copies of their operands and
 add one fresh family of states (``p&q`` resp. ``p|q``) on top of the
-components, kept as they are as far as the result reaches them.  Parallel
-composition is MIA composition with the result flavored ``ia``: an IA
-keeps its inputs as singleton musts and its outputs as mays, and on such
-automata "the partner has a must" and "the partner has a may" coincide on
-inputs, so the MIA error rule and pruning are the IA ones.
+components, kept as they are as far as the result reaches them.  An IA
+keeps its inputs as singleton musts and its outputs as mays, so each rule
+returns the singleton must of every input may it emits, the components
+bring their own, and the result is built from the product's mays and musts
+as a MIA one is.  Parallel composition is MIA composition with the result
+flavored ``ia``: on IAs "the partner has a must" and "the partner has a
+may" coincide on inputs, so the MIA error rule and pruning are the IA ones.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
                       _parallel_product, _prune_incompatible)
 from .model import (IA, TAU, ModalAutomaton, disjoint_operands, explore_pairs,
-                    make_ia, require_operands, vee_id, wedge_id)
+                    make_automaton, require_operands, vee_id, wedge_id)
 
 
 def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
@@ -37,6 +39,7 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
                 mays.append((a, qt[0]))
             elif pt and qt:                             # (I3)
                 mays.append((a, ids[pt[0], qt[0]]))
+        musts = [(a, frozenset([t])) for a, t in mays]
         for o in outputs:                               # (O)
             for pt in p.may_targets(ps, o):
                 for qt in q.may_targets(qs, o):
@@ -45,12 +48,12 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
             mays.append((TAU, ids[pt, qs]))
         for qt in q.may_targets(qs, TAU):               # (T2)
             mays.append((TAU, ids[ps, qt]))
-        return mays, ()
+        return mays, musts
 
     init = ids[p.initial, q.initial]
-    states, trans, _ = explore_pairs(ids, init, rule, (p, q), reachable)
-    return make_ia(f"{p.name}_and_{q.name}", inputs, outputs, init, trans,
-                   states=states)
+    states, may, must = explore_pairs(ids, init, rule, (p, q), reachable)
+    return make_automaton(IA, f"{p.name}_and_{q.name}", inputs, outputs, init,
+                          may, must, states=states)
 
 
 def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
@@ -69,15 +72,16 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
             qt = q.may_targets(qs, a)
             if pt and qt:
                 mays.append((a, ids[pt[0], qt[0]]))
+        musts = [(a, frozenset([t])) for a, t in mays]
         for side, s in ((p, ps), (q, qs)):              # (OT1), (OT2)
             mays.extend((alpha, t) for alpha, t in side.may_from(s)
                         if alpha not in inputs)
-        return mays, ()
+        return mays, musts
 
     init = ids[p.initial, q.initial]
-    states, trans, _ = explore_pairs(ids, init, rule, (p, q), reachable)
-    return make_ia(f"{p.name}_or_{q.name}", inputs, p.alphabet.outputs, init,
-                   trans, states=states)
+    states, may, must = explore_pairs(ids, init, rule, (p, q), reachable)
+    return make_automaton(IA, f"{p.name}_or_{q.name}", inputs,
+                          p.alphabet.outputs, init, may, must, states=states)
 
 
 def ia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:

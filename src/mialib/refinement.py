@@ -7,12 +7,12 @@ violate one of the two defining clauses until the set is stable.
 * clause (i): every must-transition of the specification state is matched
   by a must-transition of the implementation state whose targets all relate
   to some target of the specification's.
-* clause (ii): every may-transition of the implementation state (restricted
-  to outputs and tau for IA and MIA) is matched by a weak may-transition of
-  the specification state.
+* clause (ii): every output or tau may-transition of the implementation
+  state is matched by a weak may-transition of the specification state.
 
 For IA this coincides with alternating simulation because inputs are stored
-as singleton musts; for dMTS clause (ii) ranges over every action.
+as singleton musts; a dMTS stores every action as an output, so for dMTS
+clause (ii) ranges over every action with no branch of its own.
 
 The candidates are the pairs of states reachable from the two start states
 (the global scheme of Henzinger, Henzinger & Kopke, FOCS 1995).  Each side
@@ -78,13 +78,6 @@ class RefinementWitness:
     failure: FailureCertificate | None = None
 
 
-def _may_domain(flavor: str, outputs: frozenset[str]) -> frozenset[str] | None:
-    """Labels whose implementation mays clause (ii) inspects; None = all."""
-    if flavor == DMTS:
-        return None
-    return outputs | {TAU}
-
-
 # Multiplying a one-item array is several times cheaper than calling the
 # array constructor, which matters on the many checks of a few pairs.
 _ZERO = array("i", [0])
@@ -137,9 +130,9 @@ class _Checker:
     when the certificate asks (``cause``).
     """
 
-    def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
+    def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
                  impl_state: StateId, spec_state: StateId):
-        domain = _may_domain(flavor, spec.alphabet.outputs)
+        domain = spec.alphabet.outputs | {TAU}
         # Dependency closure from the roots is enough: eliminating a pair
         # outside it can never affect the verdict.
         self.impl_states = sorted(reachable_states(impl, impl_state))
@@ -158,7 +151,7 @@ class _Checker:
             for a, targets in impl.musts_from(p):
                 musts.setdefault(a, []).append([p_index[t] * nq for t in targets])
             mays = [(alpha, p_index[p2] * nq) for alpha, p2 in impl.may_from(p)
-                    if domain is None or alpha in domain]
+                    if alpha in domain]
             labels.update(alpha for alpha, _ in mays)
             self.impl_musts.append(musts)
             self.impl_mays.append(mays)
@@ -342,7 +335,7 @@ def _run(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
     for aut, state in ((impl, impl_state), (spec, spec_state)):
         if state not in aut.states:
             raise MialibError(f"{state} is not a state of {aut.name}")
-    checker = _Checker(impl, spec, flavor, impl_state, spec_state)
+    checker = _Checker(impl, spec, impl_state, spec_state)
     checker.run()
     return checker
 

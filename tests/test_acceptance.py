@@ -119,6 +119,12 @@ def test_criterion_8_figures():
                          pair_id(atom("3"), atom("6"))}))]
     assert serialize(conj.automaton) == golden_text("fig04_conj.dmts")
 
+    # IA conjunction and disjunction keep their bytes in both modes
+    p1, q1 = load("fig01_p.ia"), load("fig01_q.ia")
+    assert serialize(ia_ops.ia_disjoin(p1, q1)) == golden_text("fig01_disj.ia")
+    assert serialize(ia_ops.ia_conjoin(p1, q1, reachable=True)) \
+        == golden_text("fig01_conj_reachable.ia")
+
     # refinement survives composition where the older modal reading breaks
     p8, q8, q8p = load("fig08_p.mia"), load("fig08_q.mia"), load("fig08_qprime.mia")
     assert dmts_refines(as_dmts(q8p), as_dmts(q8)).verdict

@@ -108,6 +108,19 @@ def test_disjoin_is_lub(seed):
     assert holds(d, r) == (holds(p, r) and holds(q, r))
 
 
+@pytest.mark.parametrize("reachable", [False, True])
+@pytest.mark.parametrize("op", [ia_conjoin, ia_disjoin])
+def test_results_keep_the_ia_encoding(op, reachable):
+    # every input may carries its singleton must, and nothing else is a must
+    for seed in range(300):
+        p, q = gen_pair(IA, seed, max_states=8, transition_density=0.5)
+        result = op(p, q, reachable=reachable)
+        inputs = result.alphabet.inputs
+        assert result.must == {(src, a, frozenset([t]))
+                               for src, a, t in result.may if a in inputs}, seed
+        assert validate(result) == [], seed
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_monotone(seed):
     rng = random.Random(f"mono{seed}")

@@ -57,7 +57,7 @@ def test_same_verdict_witness_and_certificate_above_the_screen_size(flavor):
         got = (w.verdict, w.pairs, None if w.verdict else str(w.failure))
         assert got == expected, f"{flavor} seed {seed}"
         verdicts.append(w.verdict)
-        checker = _Checker(impl, spec, flavor, impl.initial, spec.initial)
+        checker = _Checker(impl, spec, impl.initial, spec.initial)
         assert min(len(checker.impl_states), checker.nq) >= _SCREEN_MIN_STATES
         screened += checker.alive.count(2)
     assert True in verdicts and False in verdicts

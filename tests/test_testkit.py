@@ -14,7 +14,7 @@ import pytest
 
 from mialib import dmts_ops, embeddings, ia_ops, mia_ops, testkit
 from mialib.frontend import parse, parse_file, serialize
-from mialib.model import (DMTS, FLAVORS, IA, MIA, FlavorMismatchError,
+from mialib.model import (DMTS, FLAVORS, IA, MIA, TAU, FlavorMismatchError,
                           MialibError, ModalAutomaton, Violation, atom,
                           make_automaton, validate)
 from mialib.refinement import holds, refines
@@ -413,6 +413,63 @@ def test_composition_law_on_pruned_compositions(flavor):
             auts = {"p1": weaken(q1, random.Random(seed)), "q1": q1, "p2": p2}
             assert testkit._check_par(flavor, auts) is None, f"seed {seed}"
         seed += 1
+
+
+def _error_behind_chain(flavor, k, chain_left):
+    """A composable pair whose communication error lies ``k`` autonomous
+    steps past an input step from the initial pair.
+
+    The chain side reads the input ``go`` from ``s0`` into ``s1``, then
+    takes ``k`` steps, output ``o`` and tau in turn, to ``s<k+1>``, which
+    may output ``x``; the partner declares ``x`` as an input and never
+    accepts it.  The chain's pair states grow in text order along the
+    chain, so the closure's sorted sweep meets them against the chain and
+    adds only one per pass.
+    """
+    s = [atom(f"s{i}") for i in range(k + 2)]
+    may = {(s[0], "go", s[1]), (s[0], "o", s[0]), (s[k + 1], "x", s[k + 1])}
+    may |= {(s[i], "o" if i % 2 else TAU, s[i + 1]) for i in range(1, k + 1)}
+    chain = make_automaton(flavor, "chain", ["go"], ["o", "x"], s[0], may,
+                           [(s[0], "go", frozenset([s[1]]))])
+    partner = make_automaton(flavor, "partner", ["x"], [], atom("t0"))
+    return (chain, partner) if chain_left else (partner, chain)
+
+
+@pytest.mark.parametrize("chain_left", [True, False])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("flavor", [IA, MIA])
+def test_pruning_reaches_past_the_error_states(flavor, k, chain_left):
+    q1, p2 = _error_behind_chain(flavor, k, chain_left)
+    assert validate(q1) == [] and validate(p2) == []
+    comp = testkit._op(flavor, "parallel_compose")(q1, p2)
+    inc = comp.incompatibility
+    members, errors = inc.incompatible, inc.errors
+    assert members > errors
+    assert {inc.provenance[e][0] for e in errors} == {
+        "error-(a)" if chain_left else "error-(b)"}
+    by_text = {m.text: m for m in members}
+    for m in members - errors:
+        rule, edge = inc.provenance[m]
+        assert rule == "autonomous-step"
+        assert edge.rpartition("-> ")[2] in by_text, edge
+    for m in members:
+        steps = 0
+        while m not in errors:
+            m = by_text[inc.provenance[m][1].rpartition("-> ")[2]]
+            steps += 1
+        assert steps <= k
+    # closed: no autonomous step leads from outside the set into it
+    autonomous = comp.product.alphabet.outputs | {TAU}
+    assert not [(src, label, tgt) for src, label, tgt in comp.product.may
+                if label in autonomous and tgt in members
+                and src not in members]
+    assert len(members) == k + 1
+    assert comp.compatible
+    assert validate(comp.automaton) == []
+    assert members.isdisjoint(comp.automaton.states)
+    for seed in range(10):
+        auts = {"p1": weaken(q1, random.Random(seed)), "q1": q1, "p2": p2}
+        assert testkit._check_par(flavor, auts) is None, f"seed {seed}"
 
 
 # ---------------------------------------------------------------------------
