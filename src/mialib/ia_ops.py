@@ -29,10 +29,11 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
 
     def rule(w):
         ps, qs = w.parts
+        p_mays, q_mays = p.may_row(ps), q.may_row(qs)
         mays = []
         for a in inputs:
-            pt = p.may_targets(ps, a)
-            qt = q.may_targets(qs, a)
+            pt = p_mays.get(a)
+            qt = q_mays.get(a)
             if pt and not qt:                           # (I1)
                 mays.append((a, pt[0]))
             elif qt and not pt:                         # (I2)
@@ -41,12 +42,12 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
                 mays.append((a, ids[pt[0], qt[0]]))
         musts = [(a, frozenset([t])) for a, t in mays]
         for o in outputs:                               # (O)
-            for pt in p.may_targets(ps, o):
-                for qt in q.may_targets(qs, o):
+            for pt in p_mays.get(o, ()):
+                for qt in q_mays.get(o, ()):
                     mays.append((o, ids[pt, qt]))
-        for pt in p.may_targets(ps, TAU):               # (T1)
+        for pt in p_mays.get(TAU, ()):                  # (T1)
             mays.append((TAU, ids[pt, qs]))
-        for qt in q.may_targets(qs, TAU):               # (T2)
+        for qt in q_mays.get(TAU, ()):                  # (T2)
             mays.append((TAU, ids[ps, qt]))
         return mays, musts
 
@@ -66,10 +67,11 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
 
     def rule(v):
         ps, qs = v.parts
+        p_mays, q_mays = p.may_row(ps), q.may_row(qs)
         mays = []
         for a in inputs:                                # (I)
-            pt = p.may_targets(ps, a)
-            qt = q.may_targets(qs, a)
+            pt = p_mays.get(a)
+            qt = q_mays.get(a)
             if pt and qt:
                 mays.append((a, ids[pt[0], qt[0]]))
         musts = [(a, frozenset([t])) for a, t in mays]

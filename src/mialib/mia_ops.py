@@ -20,8 +20,7 @@ from functools import partial
 from .model import (MIA, TAU, IdTable, ModalAutomaton, MustEdge,
                     NotComposableError, StateId, disjoint_operands,
                     explore_pairs, make_automaton, pair_id, remove_states,
-                    require_flavor, require_operands, restrict_reachable,
-                    targets_text, vee_id)
+                    require_flavor, require_operands, targets_text, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -117,29 +116,35 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
     p, q, ids = disjoint_operands(p, q, pair_id)
     pw, qw = p.weak, q.weak
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
-    silent_or_outputs = sorted(outputs) + [TAU]
+    silent_or_outputs = outputs | {TAU}
     pairs: dict = {}
     unmatched: dict = {}
 
     def rule(state: StateId):
         ps, qs = pairs[state] = state.parts
+        p_weak, q_weak = pw.row(ps), qw.row(qs)
+        p_musts, q_musts = p.must_row(ps), q.must_row(qs)
         mays, musts = [], []
-        for o, p_targets in p.musts_from(ps):            # (OMust1)
+        # Rows list their labels in text order, so F1 and F2 each record
+        # the smallest unmatched output.
+        for o, p_sets in p_musts.items():                # (OMust1)
             if o not in outputs:
                 continue
-            partners = qw.weak_succ(qs, o)
+            partners = q_weak.get(o)
             if partners:
-                musts.append((o, frozenset(
-                    ids[pt, qt] for pt in p_targets for qt in partners)))
+                musts += [(o, frozenset([ids[pt, qt] for pt in p_targets
+                                         for qt in partners]))
+                          for p_targets in p_sets]
             else:                                        # (F1)
                 unmatched.setdefault(state, ("F1", o))
-        for o, q_targets in q.musts_from(qs):            # (OMust2)
+        for o, q_sets in q_musts.items():                # (OMust2)
             if o not in outputs:
                 continue
-            partners = pw.weak_succ(ps, o)
+            partners = p_weak.get(o)
             if partners:
-                musts.append((o, frozenset(
-                    ids[pt, qt] for pt in partners for qt in q_targets)))
+                musts += [(o, frozenset([ids[pt, qt] for pt in partners
+                                         for qt in q_targets]))
+                          for q_targets in q_sets]
             else:                                        # (F2)
                 unmatched.setdefault(state, ("F2", o))
         # A valid MIA state has at most one must per input, and its input
@@ -147,11 +152,11 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
         # just when it has the must, and (IMay1)-(IMay3) allow exactly the
         # targets (IMust1)-(IMust3) require.
         for i in inputs:
-            p_sets = p.must_sets(ps, i)
-            q_sets = q.must_sets(qs, i)
+            p_sets = p_musts.get(i)
+            q_sets = q_musts.get(i)
             if p_sets and q_sets:                        # (IMust3)
-                targets = frozenset(
-                    ids[pt, qt] for pt in p_sets[0] for qt in q_sets[0])
+                targets = frozenset([
+                    ids[pt, qt] for pt in p_sets[0] for qt in q_sets[0]])
             elif p_sets:                                 # (IMust1)
                 targets = p_sets[0]
             elif q_sets:                                 # (IMust2)
@@ -159,15 +164,14 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
             else:
                 continue
             musts.append((i, targets))
-            mays.extend((i, t) for t in targets)         # (IMay1)-(IMay3)
-        for pt in pw.weak_succ(ps, TAU):                 # (May1)
-            mays.append((TAU, ids[pt, qs]))
-        for qt in qw.weak_succ(qs, TAU):                 # (May2)
-            mays.append((TAU, ids[ps, qt]))
-        for alpha in silent_or_outputs:                  # (May3)
-            for pt in pw.weak_succ(ps, alpha):
-                for qt in qw.weak_succ(qs, alpha):
-                    mays.append((alpha, ids[pt, qt]))
+            mays += [(i, t) for t in targets]            # (IMay1)-(IMay3)
+        mays += [(TAU, ids[pt, qs]) for pt in p_weak.get(TAU, ())]   # (May1)
+        mays += [(TAU, ids[ps, qt]) for qt in q_weak.get(TAU, ())]   # (May2)
+        for alpha, p_succ in p_weak.items():             # (May3)
+            q_succ = q_weak.get(alpha)
+            if q_succ and alpha in silent_or_outputs:
+                mays += [(alpha, ids[pt, qt])
+                         for pt in p_succ for qt in q_succ]
         return mays, musts
 
     init = ids[p.initial, q.initial]
@@ -226,14 +230,30 @@ def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
 
 def _prune(product: ConjunctiveProduct, bad: InconsistencySet,
            reachable: bool = False) -> Conjunction:
-    """Drop the inconsistent states, then with ``reachable`` every state
-    the initial one no longer reaches."""
+    """Drop the inconsistent states and, with ``reachable``, every state
+    the initial one reaches only through them.
+
+    The walk follows the unsorted mays around the inconsistent states; for
+    valid operands they underlie every must, so one deletion of what the
+    walk missed leaves exactly the reachable part of the pruned product.
+    """
     aut = product.automaton
-    if aut.initial in bad.members:
+    dead = bad.members
+    if aut.initial in dead:
         return Conjunction(product=product, inconsistency=bad, automaton=None)
-    pruned = remove_states(aut, bad.members)
     if reachable:
-        pruned = restrict_reachable(pruned)
+        succ: dict[StateId, list[StateId]] = {}
+        for src, _, tgt in aut.may:
+            succ.setdefault(src, []).append(tgt)
+        seen = {aut.initial}
+        stack = [aut.initial]
+        while stack:
+            for tgt in succ.get(stack.pop(), ()):
+                if tgt not in seen and tgt not in dead:
+                    seen.add(tgt)
+                    stack.append(tgt)
+        dead = aut.states - seen
+    pruned = remove_states(aut, dead)
     return Conjunction(product=product, inconsistency=bad, automaton=pruned)
 
 
@@ -330,20 +350,21 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
 
     def rule(state: StateId):
         s1, s2 = state.parts
-        musts = [(a, frozenset(ids[t, s2] for t in targets))   # (Must1)
+        musts = [(a, frozenset([ids[t, s2] for t in targets]))   # (Must1)
                  for a, targets in p1.musts_from(s1) if a not in a2]
-        musts += [(a, frozenset(ids[s1, t] for t in targets))  # (Must2)
+        musts += [(a, frozenset([ids[s1, t] for t in targets]))  # (Must2)
                   for a, targets in p2.musts_from(s2) if a not in a1]
         mays = []
-        for alpha, t1 in p1.may_from(s1):
+        row1, row2 = p1.may_row(s1), p2.may_row(s2)
+        for alpha, ends1 in row1.items():
             if alpha not in a2:                          # (May1)
-                mays.append((alpha, ids[t1, s2]))
-            else:                                        # (May3)
-                mays.extend((TAU, ids[t1, t2])
-                            for t2 in p2.may_targets(s2, alpha))
-        for alpha, t2 in p2.may_from(s2):
+                mays += [(alpha, ids[t1, s2]) for t1 in ends1]
+            elif alpha in row2:                          # (May3)
+                mays += [(TAU, ids[t1, t2])
+                         for t1 in ends1 for t2 in row2[alpha]]
+        for alpha, ends2 in row2.items():
             if alpha not in a1:                          # (May2)
-                mays.append((alpha, ids[s1, t2]))
+                mays += [(alpha, ids[s1, t2]) for t2 in ends2]
         return mays, musts
 
     init = ids[p1.initial, p2.initial]
@@ -356,22 +377,28 @@ def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
                   p2: ModalAutomaton) -> IncompatibilitySet:
     """Error pairs (an output may the partner has no must for) plus closure.
 
-    A pair's error is its smallest such action, found in one walk over each
-    side's mays.  The closure sweeps the autonomous (output and silent)
-    edges in sorted order until a sweep adds nothing; a pair's provenance
-    is the edge that pulled it in first.
+    A pair's error is its smallest such action.  The closure sweeps the
+    autonomous (output and silent) edges in sorted order until a sweep adds
+    nothing; a pair's provenance is the edge that pulled it in first.  Only
+    those edges are sorted, since the product itself is not printed.
     """
     out1 = p1.alphabet.outputs & p2.alphabet.actions
     out2 = p2.alphabet.outputs & p1.alphabet.actions
+    # Each component state's shared outputs, listed once in the text order
+    # of its row, so each side's first one the partner has no must for is
+    # its smallest; no action is an output of both sides.
+    offers1 = {s: [a for a in p1.may_row(s) if a in out1] for s in p1.states}
+    offers2 = {s: [b for b in p2.may_row(s) if b in out2] for s in p2.states}
     errors = {}
-    for state in product.sorted_states:
+    for state in product.states:
         s1, s2 = state.parts
-        # mays are listed in label order, so each walk's first hit is its
-        # side's smallest; no action is an output of both sides
-        a = next((a for a, _ in p1.may_from(s1)
-                  if a in out1 and not p2.has_must(s2, a)), None)
-        b = next((b for b, _ in p2.may_from(s2)
-                  if b in out2 and not p1.has_must(s1, b)), None)
+        a = b = None
+        if offers1[s1]:
+            musts2 = p2.must_row(s2)
+            a = next((a for a in offers1[s1] if a not in musts2), None)
+        if offers2[s2]:
+            musts1 = p1.must_row(s1)
+            b = next((b for b in offers2[s2] if b not in musts1), None)
         if a is not None and (b is None or a < b):
             errors[state] = ("error-(a)", a)
         elif b is not None:
@@ -381,7 +408,7 @@ def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
         return IncompatibilitySet(errors=frozenset(), incompatible=frozenset(),
                                   provenance={})
     autonomous = product.alphabet.outputs | {TAU}
-    edges = [edge for edge in product.sorted_may if edge[1] in autonomous]
+    edges = sorted([edge for edge in product.may if edge[1] in autonomous])
     provenance = dict(errors)
     incompatible = set(errors)
     changed = True

@@ -25,9 +25,19 @@ All automata are immutable after construction and safe to share across
 threads.  Iteration over states and transitions is deterministic
 (lexicographic in the canonical state strings).
 
-An automaton stores only its seven fields; its views (sorted states and
-edges, the index behind ``may_from``/``musts_from``, the weak closure
-``weak``) are derived once, on first access, and kept.  Two threads may
+An automaton stores only its seven fields.  Its views are derived once,
+on first access, and kept:
+
+* the sorted states and edges;
+* the source index behind ``may_from``/``musts_from``: each state's
+  ``(label, end)`` pairs, in sorted edge order;
+* the label rows behind ``may_row``/``must_row`` and the lookups
+  ``may_targets``, ``must_sets``, ``has_may`` and ``has_must``: per state,
+  ``label -> ends``, each list in sorted edge order;
+* the weak closure ``weak``, as per-state rows ``label -> successors``.
+
+The label rows are built only for automata whose rows or lookups are
+asked for, so the many that are only walked never pay for them.  Two threads may
 both compute a view at first; they get equal values.
 """
 
@@ -36,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 TAU = "tau"
@@ -297,12 +308,20 @@ class ModalAutomaton:
     @_derived
     def _may_by_src(self) -> dict[StateId, list[tuple[str, StateId]]]:
         return {src: [edge[1:] for edge in edges]
-                for src, edges in groupby(self.sorted_may, itemgetter(0))}
+                for src, edges in groupby(self.sorted_may, _SRC)}
 
     @_derived
     def _must_by_src(self) -> dict[StateId, list[tuple[str, frozenset[StateId]]]]:
         return {src: [edge[1:] for edge in edges]
-                for src, edges in groupby(self.sorted_must, itemgetter(0))}
+                for src, edges in groupby(self.sorted_must, _SRC)}
+
+    @_derived
+    def _may_rows(self) -> dict[StateId, dict[str, list[StateId]]]:
+        return _label_rows(self.sorted_may)
+
+    @_derived
+    def _must_rows(self) -> dict[StateId, dict[str, list[frozenset[StateId]]]]:
+        return _label_rows(self.sorted_must)
 
     # -- local lookups ------------------------------------------------------
 
@@ -312,17 +331,39 @@ class ModalAutomaton:
     def musts_from(self, state: StateId) -> list[tuple[str, frozenset[StateId]]]:
         return self._must_by_src.get(state, [])
 
+    def may_row(self, state: StateId) -> Mapping[str, list[StateId]]:
+        """``label -> may targets`` at ``state``, for the labels it has."""
+        return self._may_rows.get(state, _NO_ROW)
+
+    def must_row(self, state: StateId) -> Mapping[str, list[frozenset[StateId]]]:
+        """``label -> must target sets`` at ``state``, for the labels it has."""
+        return self._must_rows.get(state, _NO_ROW)
+
     def may_targets(self, state: StateId, label: str) -> list[StateId]:
-        return [t for (lab, t) in self.may_from(state) if lab == label]
+        return self._may_rows.get(state, _NO_ROW).get(label, [])
 
     def must_sets(self, state: StateId, label: str) -> list[frozenset[StateId]]:
-        return [T for (lab, T) in self.musts_from(state) if lab == label]
+        return self._must_rows.get(state, _NO_ROW).get(label, [])
 
     def has_may(self, state: StateId, label: str) -> bool:
-        return any(lab == label for (lab, _) in self.may_from(state))
+        return label in self._may_rows.get(state, _NO_ROW)
 
     def has_must(self, state: StateId, label: str) -> bool:
-        return any(lab == label for (lab, _) in self.musts_from(state))
+        return label in self._must_rows.get(state, _NO_ROW)
+
+
+_SRC, _LABEL = itemgetter(0), itemgetter(1)
+
+# The row of a state without edges (or weak successors); read-only, so it
+# can be shared.
+_NO_ROW: Mapping = MappingProxyType({})
+
+
+def _label_rows(edges: tuple) -> dict[StateId, dict[str, list]]:
+    """``state -> label -> ends`` of sorted edges, each list in their order."""
+    return {src: {label: [edge[2] for edge in group]
+                  for label, group in groupby(by_src, _LABEL)}
+            for src, by_src in groupby(edges, _SRC)}
 
 
 def _must_key(edge: MustEdge):
@@ -519,22 +560,27 @@ def _validate_mia(aut: ModalAutomaton, bad) -> None:
 
 @dataclass(frozen=True)
 class WeakClosure:
-    """Weak transition relations of one automaton, as one successor map.
+    """Weak transition relations of one automaton, as per-state rows.
 
-    For a label ``l`` (actions and ``tau`` alike), ``weak_map[q, l]`` holds
+    For a label ``l`` (actions and ``tau`` alike), ``rows[q][l]`` holds
     ``q'`` when some silent run from ``q`` is followed by exactly one
     ``l``-may-step ending in ``q'``; there are no trailing silent steps.
-    Empty successor sets are not stored.  The silent closure of ``q`` is
-    ``q`` plus its weak ``tau`` successors, so it is not stored either.
+    Empty successor sets are not stored, nor are empty rows.  The silent
+    closure of ``q`` is ``q`` plus its weak ``tau`` successors, so it is
+    not stored either.
     """
 
-    weak_map: Mapping[tuple[StateId, str], frozenset[StateId]]
+    rows: Mapping[StateId, Mapping[str, frozenset[StateId]]]
+
+    def row(self, state: StateId) -> Mapping[str, frozenset[StateId]]:
+        """``label -> weak successors`` at ``state``, empty sets left out."""
+        return self.rows.get(state, _NO_ROW)
 
     def eps_succ(self, state: StateId) -> frozenset[StateId]:
         return self.weak_succ(state, TAU) | {state}
 
     def weak_succ(self, state: StateId, label: str) -> frozenset[StateId]:
-        return self.weak_map.get((state, label), frozenset())
+        return self.rows.get(state, _NO_ROW).get(label, _NO_STATES)
 
     def weak_hat_succ(self, state: StateId, alpha: str) -> frozenset[StateId]:
         """Successors under the hat convention: tau matches by silent runs."""
@@ -543,25 +589,42 @@ class WeakClosure:
         return self.weak_succ(state, alpha)
 
     def can_weak(self, state: StateId, label: str) -> bool:
-        return (state, label) in self.weak_map
+        return label in self.rows.get(state, _NO_ROW)
+
+
+_NO_STATES: frozenset[StateId] = frozenset()
 
 
 def weak_closure(aut: ModalAutomaton) -> WeakClosure:
-    """Precompute the weak relations over the automaton's may-transitions."""
-    weak: dict[tuple[StateId, str], set[StateId]] = {}
+    """Precompute the weak relations over the automaton's may-transitions.
+
+    Equal successor sets are stored once, so the rows take no more room
+    than one flat ``(state, label)`` map would.
+    """
+    rows: dict[StateId, dict] = {}
+    shared: dict[frozenset[StateId], frozenset[StateId]] = {}
     for state in aut.states:
         seen = {state}
         stack = [state]
         while stack:
-            cur = stack.pop()
-            for label, tgt in aut.may_from(cur):
+            for label, tgt in aut.may_from(stack.pop()):
                 if label == TAU and tgt not in seen:
                     seen.add(tgt)
                     stack.append(tgt)
+        row: dict = {}
         for mid in seen:
             for label, tgt in aut.may_from(mid):
-                weak.setdefault((state, label), set()).add(tgt)
-    return WeakClosure({k: frozenset(v) for k, v in weak.items()})
+                succ = row.get(label)
+                if succ is None:
+                    row[label] = {tgt}
+                else:
+                    succ.add(tgt)
+        if row:
+            for label, succ in row.items():
+                frozen = frozenset(succ)
+                row[label] = shared.setdefault(frozen, frozen)
+            rows[state] = row
+    return WeakClosure(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +682,25 @@ def explore_pairs(ids: dict, initial: StateId, rule,
     lists of ``(label, target)`` and ``(label, targets)``.  Every may-target
     is explored in turn.  With ``reachable`` the walk starts from
     ``initial`` and keeps what it reaches, which for valid operands holds
-    every must target; otherwise it starts from every pair and inherited
-    state.  Returns the explored states and the may and must edges leaving
-    them: the whole product.
+    every must target.  Otherwise it starts from every pair, and each
+    inherited automaton joins whole, states and edges, without a walk.
+    Returns the explored states and the may and must edges leaving them:
+    the whole product.
     """
-    owner = {s: aut for aut in inherited for s in aut.states}
-    seen = {initial} if reachable else {*ids.values(), *owner}
-    stack = list(seen)
     may: set[MayEdge] = set()
     must: set[MustEdge] = set()
+    if reachable:
+        owner = {s: aut for aut in inherited for s in aut.states}
+        stack = [initial]
+        seen = {initial}
+    else:
+        owner = {}
+        stack = list(ids.values())
+        seen = set(stack)
+        for aut in inherited:
+            seen |= aut.states
+            may |= aut.may
+            must |= aut.must
     while stack:
         state = stack.pop()
         aut = owner.get(state)

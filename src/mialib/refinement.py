@@ -158,11 +158,14 @@ class _Checker:
 
         self.spec_musts: list[list[tuple[str, list[int]]]] = []
         self.spec_hat: list[dict[str, list[int]]] = []
+        # Without impl mays to match, the spec's weak closure is not needed.
+        weak = spec.weak if labels else None
         for q in self.spec_states:
             self.spec_musts.append([(a, sorted(q_index[t] for t in targets))
                                     for a, targets in spec.musts_from(q)])
             self.spec_hat.append({
-                alpha: sorted(q_index[t] for t in spec.weak.weak_hat_succ(q, alpha))
+                alpha: sorted(q_index[t] for t in (
+                    weak.eps_succ(q) if alpha == TAU else weak.row(q).get(alpha, ())))
                 for alpha in labels})
 
         n = len(self.impl_states) * nq

@@ -102,7 +102,7 @@ def test_criterion_7_embeddings(tmp_path):
 
 
 @criterion(8, "figure fixtures with golden serializations")
-def test_criterion_8_figures():
+def test_criterion_8_figures(capsys):
     # conjunction pruning: the inconsistency set is exact, back-propagation
     # included, and the surviving disjunctive must loses only the pruned pair
     p4, q4 = load("fig04_p.dmts"), load("fig04_q.dmts")
@@ -152,6 +152,12 @@ def test_criterion_8_figures():
     assert not mia_ops.mia_parallel_compose(p12, r12).compatible
     assert serialize(mia_ops.mia_parallel_compose(q12, r12).automaton) \
         == golden_text("fig12_qr.mia")
+
+    # a composition's pruned set, each pair with the rule that pulled it in
+    capsys.readouterr()
+    assert main(["compose", str(CORPUS / "fig09_client.ia"),
+                 str(CORPUS / "fig09_tryonce.ia"), "--emit-pruned-set"]) == 0
+    assert capsys.readouterr().out == golden_text("cli/fig09_compose_pruned.out")
 
 
 @criterion(9, "structural invariants on operator outputs: 3x300")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -163,15 +165,24 @@ def test_views_are_sorted_tuples_and_follow_replace():
                                (s1, "y", frozenset([s2])))
     assert aut.sorted_may is aut.sorted_may
     assert aut.may_from(s1) == [("x", s2), ("y", s2)]
+    assert aut.may_row(s1) == {"x": [s2], "y": [s2]}
+    assert aut.must_sets(s1, "x") == [frozenset([s0, s2]), frozenset([s2])]
+    assert aut.may_targets(s0, "x") == [s1] and not aut.has_may(s0, TAU)
     assert aut.weak.weak_succ(s0, "x") == {s1}
 
     # the shrinker rebuilds with dataclasses.replace: the copy derives anew
     changed = dataclasses.replace(aut, may=aut.may - {(s0, "x", s1)}
-                                  | {(s0, TAU, s2)})
+                                  | {(s0, TAU, s2), (s0, TAU, s1)},
+                                  must=aut.must - {(s1, "x", frozenset([s2]))})
     assert changed.sorted_may == tuple(sorted(changed.may))
-    assert changed.may_from(s0) == [(TAU, s2)]
-    assert changed.weak.weak_succ(s0, "x") == {s0}
+    assert changed.may_from(s0) == [(TAU, s1), (TAU, s2)]
+    assert changed.may_row(s0) == {TAU: [s1, s2]}
+    assert changed.may_targets(s0, "x") == [] and changed.has_may(s0, TAU)
+    assert changed.must_sets(s1, "x") == [frozenset([s0, s2])]
+    assert changed.weak.weak_succ(s0, "x") == {s0, s2}
     assert aut.may_from(s0) == [("x", s1)]
+    assert aut.may_row(s0) == {"x": [s1]}
+    assert aut.must_sets(s1, "x") == [frozenset([s0, s2]), frozenset([s2])]
 
 
 def test_weak_closure_computed_once_per_automaton(monkeypatch):
@@ -327,6 +338,111 @@ def test_weak_closure_idempotent_view():
     aut = gen_random(MIA, seed=9, transition_density=0.5)
     first, second = weak_closure(aut), weak_closure(aut)
     assert all(first.eps_succ(s) == second.eps_succ(s) for s in aut.states)
+
+
+# ---------------------------------------------------------------------------
+# Label rows against the linear scans they replaced
+
+
+class _Scans:
+    """Frozen copy of the lookups before per-state label rows: each answer
+    scans the state's sorted edge list, and the weak closure is one flat
+    ``(state, label) -> successors`` map."""
+
+    def __init__(self, aut):
+        def by_src(edges):
+            return {src: [edge[1:] for edge in group]
+                    for src, group in groupby(edges, itemgetter(0))}
+
+        self.may_by_src = by_src(sorted(aut.may))
+        self.must_by_src = by_src(sorted(
+            aut.must, key=lambda edge: (edge[0], edge[1], sorted(edge[2]))))
+        weak = {}
+        for state in aut.states:
+            seen = {state}
+            stack = [state]
+            while stack:
+                cur = stack.pop()
+                for label, tgt in self.may_from(cur):
+                    if label == TAU and tgt not in seen:
+                        seen.add(tgt)
+                        stack.append(tgt)
+            for mid in seen:
+                for label, tgt in self.may_from(mid):
+                    weak.setdefault((state, label), set()).add(tgt)
+        self.weak_map = {k: frozenset(v) for k, v in weak.items()}
+
+    def may_from(self, state):
+        return self.may_by_src.get(state, [])
+
+    def musts_from(self, state):
+        return self.must_by_src.get(state, [])
+
+    def may_targets(self, state, label):
+        return [t for (lab, t) in self.may_from(state) if lab == label]
+
+    def must_sets(self, state, label):
+        return [T for (lab, T) in self.musts_from(state) if lab == label]
+
+    def has_may(self, state, label):
+        return any(lab == label for (lab, _) in self.may_from(state))
+
+    def has_must(self, state, label):
+        return any(lab == label for (lab, _) in self.musts_from(state))
+
+    def eps_succ(self, state):
+        return self.weak_succ(state, TAU) | {state}
+
+    def weak_succ(self, state, label):
+        return self.weak_map.get((state, label), frozenset())
+
+    def weak_hat_succ(self, state, alpha):
+        if alpha == TAU:
+            return self.eps_succ(state)
+        return self.weak_succ(state, alpha)
+
+    def can_weak(self, state, label):
+        return (state, label) in self.weak_map
+
+
+_LOCAL = ("may_targets", "must_sets", "has_may", "has_must")
+_WEAK = ("weak_succ", "weak_hat_succ", "can_weak")
+
+
+_CONJOIN = {IA: ia_ops.ia_conjoin,
+            DMTS: lambda p, q: dmts_ops.dmts_conj_product(p, q).automaton,
+            MIA: lambda p, q: mia_ops.mia_conj_product(p, q).automaton}
+
+
+@pytest.mark.parametrize("flavor", [IA, DMTS, MIA])
+def test_label_rows_answer_as_the_linear_scans_did(flavor):
+    # Answers are compared with their type and, for lists, their order.
+    # The generators draw one must per state and action, so the pair's
+    # conjunctive product is checked too: there both sides' musts meet.
+    ordered = {"may_targets": 0, "must_sets": 0}
+    for seed in range(40):
+        p, q = gen_pair(flavor, seed, max_states=5, transition_density=0.6)
+        for aut in (p, q, _CONJOIN[flavor](p, q)):
+            old = _Scans(aut)
+            labels = sorted(aut.alphabet.actions) + [TAU, "undeclared"]
+            for state in aut.sorted_states:
+                for label in labels:
+                    for name in _LOCAL:
+                        got = getattr(aut, name)(state, label)
+                        want = getattr(old, name)(state, label)
+                        assert (type(got), got) == (type(want), want), \
+                            (seed, name, state, label)
+                        if name in ordered and len(want) > 1:
+                            ordered[name] += 1
+                    for name in _WEAK:
+                        got = getattr(aut.weak, name)(state, label)
+                        want = getattr(old, name)(state, label)
+                        assert (type(got), got) == (type(want), want), \
+                            (seed, name, state, label)
+                assert aut.weak.eps_succ(state) == old.eps_succ(state)
+    # the lists compared include long ones, where a wrong order would show
+    assert ordered["may_targets"] > 0
+    assert flavor == IA or ordered["must_sets"] > 0
 
 
 # ---------------------------------------------------------------------------
