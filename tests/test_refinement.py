@@ -8,9 +8,9 @@ from conftest import load
 from mialib.model import (DMTS, IA, MIA, TAU, AlphabetMismatchError,
                           FlavorMismatchError, MialibError, as_dmts, atom,
                           make_automaton, make_ia, reachable_states)
-from mialib.refinement import (_SCREEN_MIN_STATES, _Checker, dmts_refines,
-                               equiv, holds, ia_refines, mia_equiv,
-                               mia_refines, refines)
+from mialib.refinement import (_SCREEN_MIN_STATES, _Checker, _verdict,
+                               dmts_refines, equiv, holds, ia_refines,
+                               mia_equiv, mia_refines, refines)
 from mialib.testkit import (blackhole, gen_pair, gen_random, oracle_refines,
                             recheck_witness, weaken)
 from test_refinement_large_differential import _instance
@@ -159,6 +159,8 @@ def test_start_state_outside_the_automaton_rejected(start):
     a = load("fig08_p.mia")
     with pytest.raises(MialibError, match="nosuch is not a state of fig08_p"):
         refines(a, a, *start)
+    with pytest.raises(MialibError, match="nosuch is not a state of fig08_p"):
+        _verdict(a, a, MIA, *start)
 
 
 @pytest.mark.parametrize("flavor", [IA, DMTS, MIA])
@@ -178,6 +180,18 @@ def test_verdict_only_checks_match_the_witness(flavor, monkeypatch):
         assert equiv(p, q) == (forward and backward)
         if flavor == MIA:
             assert mia_equiv(p, q) == (forward and backward)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_verdict_only_checks_refuse_a_transition_leaving_the_state_set(side):
+    # The walk numbers a state the first time a row names it, below the
+    # state count; an automaton whose transitions leave its state set
+    # would push a number past it.
+    a = load("fig06_p.mia")
+    broken = dataclasses.replace(a, states=frozenset([a.initial]))
+    operands = (broken, a) if side == 0 else (a, broken)
+    with pytest.raises(MialibError, match="a transition of fig06_p leaves its state set"):
+        holds(*operands)
 
 
 def test_verdict_only_checks_raise_as_refines():

@@ -1,4 +1,4 @@
-"""Differential test above the label-screen size: 60-150 states per side.
+"""Differential tests above the label-screen size: 60-400 states per side.
 
 The checker marks pairs that fail on labels alone and kills them without a
 check, but only when both sides have at least ``_SCREEN_MIN_STATES``
@@ -6,21 +6,33 @@ reachable states.  The instances in ``test_refinement_differential.py``
 mostly sit below that size, so this module compares the checker with the
 same string-keyed reference on larger ones: verdict, every surviving pair
 and the failure certificate.
+
+The verdict-only queries walk from the root pair instead of running the
+global elimination; the second test compares their verdicts with those of
+``refines``, on the same instances and on 200-400 state ones whose failure
+sits at the implementation state farthest from the root.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
 from mialib.model import DMTS, IA, MIA, TAU, make_automaton, reachable_states
-from mialib.refinement import _SCREEN_MIN_STATES, _Checker, refines
+from mialib.refinement import (_SCREEN_MIN_STATES, _Checker, equiv, holds,
+                               mia_equiv, refines)
 from mialib.testkit import weaken
 from test_refinement_differential import _automaton, _reference
 
 FLAVORS = (IA, DMTS, MIA)
 PER_FLAVOR = 20
+PLANTED_PER_FLAVOR = 2
+# An output every planted specification declares and none offers.
+NEVER = "never"
+# The least number of moves between the root and a planted failure.
+FAR = 6
 
 
 def _instance(flavor: str, seed: int):
@@ -62,3 +74,66 @@ def test_same_verdict_witness_and_certificate_above_the_screen_size(flavor):
         screened += checker.alive.count(2)
     assert True in verdicts and False in verdicts
     assert screened > 0
+
+
+def _farthest(aut):
+    """The state a breadth-first walk from the initial state reaches last,
+    and its depth.  The walk takes the output and tau mays: the moves
+    clause (ii) makes the spec match."""
+    autonomous = aut.alphabet.outputs | {TAU}
+    depth = {aut.initial: 0}
+    queue = deque([aut.initial])
+    while queue:
+        state = queue.popleft()
+        for label, tgt in aut.may_from(state):
+            if label in autonomous and tgt not in depth:
+                depth[tgt] = depth[state] + 1
+                queue.append(tgt)
+    return state, depth[state]
+
+
+def _planted(flavor: str, seed: int):
+    """Spec, holding impl and failing impl at 200-400 states.
+
+    The failing impl adds one may on ``NEVER`` at the farthest state of the
+    holding one.  Every move on the way there is one the spec must match,
+    and no spec state offers ``NEVER``, so the root pair fails, but only
+    once the failure has travelled back along the whole path.
+    """
+    rng = random.Random(f"large-verdict|{flavor}|{seed}")
+    # One input at most, so that paths of outputs run deep.
+    actions = ["a0", "a1", "a2"]
+    inputs, outputs = ([], actions) if flavor == DMTS else (actions[:1], actions[1:])
+    depth = 0
+    while depth < FAR:
+        spec = _automaton(flavor, rng.randint(200, 400), inputs, outputs, rng, "spec")
+        spec = make_automaton(flavor, spec.name, inputs, outputs + [NEVER],
+                              spec.initial, spec.may, spec.must, states=spec.states)
+        impl = weaken(spec, rng)
+        far, depth = _farthest(impl)
+    bad = make_automaton(flavor, "bad", inputs, outputs + [NEVER], impl.initial,
+                         impl.may | {(far, NEVER, impl.initial)}, impl.must,
+                         states=impl.states)
+    return spec, impl, bad
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_verdict_only_queries_match_refines(flavor, monkeypatch):
+    queries = [_instance(flavor, seed) for seed in range(PER_FLAVOR)]
+    for seed in range(PLANTED_PER_FLAVOR):
+        spec, impl, bad = _planted(flavor, seed)
+        queries += [(impl, spec), (bad, spec)]
+    expected = [(refines(a, b).verdict, refines(b, a).verdict) for a, b in queries]
+    assert {forward for forward, _ in expected[:PER_FLAVOR]} == {True, False}
+    # The planted pairs: the impl refines its spec, and the planted fault fails.
+    assert [forward for forward, _ in expected[PER_FLAVOR:]] == [True, False] * PLANTED_PER_FLAVOR
+
+    def refuse(self):
+        raise AssertionError("a verdict-only query ran the global scheme")
+    for name in ("pairs", "certificate", "_label_screen"):
+        monkeypatch.setattr(_Checker, name, refuse)
+    for (a, b), (forward, backward) in zip(queries, expected):
+        assert (holds(a, b), holds(b, a)) == (forward, backward)
+        assert equiv(a, b) == (forward and backward)
+        if flavor == MIA:
+            assert mia_equiv(a, b) == (forward and backward)
