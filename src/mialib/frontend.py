@@ -465,6 +465,8 @@ def _implied_position(aut: ModalAutomaton, spans: dict, subject: tuple | None):
 
 # A state name whose first token is ``may`` or ``must``.
 _KEYWORD_LED = re.compile(r"(?:may|must)(?!\w)")
+# The keyword such a line implies, by whether its action is an input.
+_KEYWORD = ("may ", "must ")
 
 
 def _fmt_alphabet(label: str, actions) -> str:
@@ -497,24 +499,21 @@ def serialize(aut: ModalAutomaton) -> str:
         lines.append(_fmt_alphabet("outputs", aut.alphabet.outputs))
     lines.append(f"  initial {aut.initial.text};")
 
+    inputs = aut.alphabet.inputs
     if aut.flavor == IA:
         # a bare line whose source name starts with a modality keyword would
         # be read as carrying it, so such lines get the keyword they imply
         led = {state for state in aut.states if _KEYWORD_LED.match(state)}
-        for src, label, tgt in aut.sorted_may:
-            keyword = ""
-            if src in led:
-                keyword = "must " if label in aut.alphabet.inputs else "may "
-            lines.append(f"  {keyword}{src.text} -{label}-> {tgt.text};")
+        lines += [f"  {_KEYWORD[label in inputs] if src in led else ''}"
+                  f"{src.text} -{label}-> {tgt.text};"
+                  for src, label, tgt in aut.sorted_may]
     else:
-        covered = set()
-        for src, label, targets in aut.sorted_must:
-            lines.append(f"  must {src.text} -{label}-> {_fmt_target(targets)};")
-            if label in aut.alphabet.inputs:
-                covered.update((src, label, t) for t in targets)
-        for src, label, tgt in aut.sorted_may:
-            if (src, label, tgt) not in covered:
-                lines.append(f"  may {src.text} -{label}-> {tgt.text};")
+        lines += [f"  must {src.text} -{label}-> {_fmt_target(targets)};"
+                  for src, label, targets in aut.sorted_must]
+        covered = {(src, label, t) for src, label, targets in aut.must
+                   if label in inputs for t in targets}
+        lines += [f"  may {edge[0].text} -{edge[1]}-> {edge[2].text};"
+                  for edge in aut.sorted_may if edge not in covered]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

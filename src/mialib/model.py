@@ -28,7 +28,8 @@ threads.  Iteration over states and transitions is deterministic
 An automaton stores only its seven fields.  Its views are derived once,
 on first access, and kept:
 
-* the sorted states and edges;
+* the sorted states and edges, the edges sorted per source: the sources
+  once, then each source's own edges;
 * the source index behind ``may_from``/``musts_from``: each state's
   ``(label, end)`` pairs, in sorted edge order;
 * the label rows behind ``may_row``/``must_row`` and the lookups
@@ -39,6 +40,10 @@ on first access, and kept:
 The label rows are built only for automata whose rows or lookups are
 asked for, so the many that are only walked never pay for them.  Two threads may
 both compute a view at first; they get equal values.
+
+:func:`validate` decides a valid automaton of 64 mays or more with subset
+tests on its whole edge sets, without sorting; only an invalid one is
+walked in sorted order to list its violations.
 """
 
 from __future__ import annotations
@@ -239,16 +244,20 @@ MayEdge = tuple[StateId, str, StateId]
 MustEdge = tuple[StateId, str, frozenset[StateId]]
 
 
+_SET_TYPES = (set, frozenset)
+
+
 def _freeze_must(must: Iterable) -> frozenset[MustEdge]:
     """The musts as a frozenset of edges with frozenset targets.
 
-    Musts that already have that form, such as those of another automaton
-    or of :func:`make_automaton`, are returned as they are; the check runs
-    in C, so the constructor does not rebuild them a second time.
+    A set or frozenset whose targets are already frozensets, such as the
+    musts of another automaton, of the parser or of :func:`explore_pairs`,
+    is frozen whole, and a frozenset is returned as it is; the check runs in
+    C, so no edge is rebuilt.
     """
-    if (type(must) is frozenset
+    if (type(must) in _SET_TYPES
             and {*map(type, map(itemgetter(2), must))} <= {frozenset}):
-        return must
+        return frozenset(must)
     return frozenset([(src, label, frozenset(targets))
                       for src, label, targets in must])
 
@@ -295,11 +304,11 @@ class ModalAutomaton:
 
     @_derived
     def sorted_may(self) -> tuple[MayEdge, ...]:
-        return tuple(sorted(self.may))
+        return _sorted_edges(self.may)
 
     @_derived
     def sorted_must(self) -> tuple[MustEdge, ...]:
-        return tuple(sorted(self.must, key=_must_key))
+        return _sorted_edges(self.must, _must_key)
 
     @_derived
     def weak(self) -> WeakClosure:
@@ -371,6 +380,36 @@ def _must_key(edge: MustEdge):
     return (src, label, sorted(targets))
 
 
+# Below this many edges one plain sort costs less than bucketing by source.
+_PER_SOURCE_MIN = 64
+
+
+def _sorted_edges(edges: frozenset, key=None) -> tuple:
+    """``tuple(sorted(edges, key=key))``, built per source.
+
+    Both orders decide on the source first, so sorting the sources and then
+    each source's own edges gives the same order at less cost: the sources
+    compare as the strings they are, and ``key`` runs only for sources with
+    two or more edges.
+    """
+    if len(edges) < _PER_SOURCE_MIN:
+        return tuple(sorted(edges, key=key))
+    buckets: dict = {}
+    for edge in edges:
+        bucket = buckets.get(edge[0])
+        if bucket is None:
+            buckets[edge[0]] = [edge]
+        else:
+            bucket.append(edge)
+    out: list = []
+    for src in sorted(buckets):
+        bucket = buckets[src]
+        if len(bucket) > 1:
+            bucket.sort(key=key)
+        out += bucket
+    return tuple(out)
+
+
 def make_automaton(flavor: str,
                    name: str,
                    inputs: Iterable[str],
@@ -431,7 +470,16 @@ class Violation:
 
 
 def validate(aut: ModalAutomaton) -> list[Violation]:
-    """Check all flavor invariants; an empty list means the automaton is valid."""
+    """Check all flavor invariants; an empty list means the automaton is valid.
+
+    From :data:`_PER_SOURCE_MIN` mays on, a valid automaton is recognised by
+    :func:`_valid_by_sets` without sorting; only an invalid one is checked
+    edge by edge, in sorted order, to list its violations.  A smaller one is
+    checked that way at once: its sorted views cost one small sort each, and
+    its callers go on to read them.
+    """
+    if len(aut.may) >= _PER_SOURCE_MIN and _valid_by_sets(aut):
+        return []
     out: list[Violation] = []
     bad = out.append
     alph = aut.alphabet
@@ -487,6 +535,45 @@ def validate(aut: ModalAutomaton) -> list[Violation]:
     elif aut.flavor == MIA:
         _validate_mia(aut, bad)
     return out
+
+
+def _valid_by_sets(aut: ModalAutomaton) -> bool:
+    """Whether ``aut`` breaks none of the rules :func:`validate` checks.
+
+    Decided by subset tests on whole edge sets, without sorting or grouping
+    an edge:
+
+    * the alphabet, the initial state and every edge's endpoints and label;
+    * every must has targets, and each target underlies a may;
+    * IA: musts are singletons on inputs; IA and MIA: one must per state and
+      input, and every input may is under a must (for IA, with singleton
+      musts and their mays, that makes inputs deterministic and encoded).
+    """
+    alph, states, may, must = aut.alphabet, aut.states, aut.may, aut.must
+    inputs, actions = alph.inputs, alph.actions
+    if (aut.flavor not in FLAVORS or not inputs.isdisjoint(alph.outputs)
+            or TAU in actions or (aut.flavor == DMTS and inputs)
+            or aut.initial not in states):
+        return False
+    targets = [*map(itemgetter(2), must)]
+    if not ({*map(itemgetter(0), may)} <= states
+            and {*map(itemgetter(2), may)} <= states
+            and {*map(itemgetter(1), may)} <= actions | {TAU}
+            and {*map(itemgetter(0), must)} <= states
+            and {*map(itemgetter(1), must)} <= actions
+            and all(targets)):
+        return False
+    under = {(src, label, t) for src, label, ends in must for t in ends}
+    if not under <= may:
+        return False
+    if aut.flavor == DMTS:
+        return True
+    input_keys = [(src, label) for src, label, _ in must if label in inputs]
+    if (len({*input_keys}) < len(input_keys)
+            or not inputs.isdisjoint(map(itemgetter(1), may - under))):
+        return False
+    return aut.flavor == MIA or ({*map(itemgetter(1), must)} <= inputs
+                                 and {*map(len, targets)} <= {1})
 
 
 def _must_violation(rule: str, edge: MustEdge, what: str) -> Violation:
@@ -603,17 +690,21 @@ def weak_closure(aut: ModalAutomaton) -> WeakClosure:
     """
     rows: dict[StateId, dict] = {}
     shared: dict[frozenset[StateId], frozenset[StateId]] = {}
+    may_from = aut.may_from
+    # a state with no silent may takes its own may row, with no search
+    silent = {edge[0] for edge in aut.may if edge[1] == TAU}
     for state in aut.states:
         seen = {state}
-        stack = [state]
-        while stack:
-            for label, tgt in aut.may_from(stack.pop()):
-                if label == TAU and tgt not in seen:
-                    seen.add(tgt)
-                    stack.append(tgt)
+        if state in silent:
+            stack = [state]
+            while stack:
+                for label, tgt in may_from(stack.pop()):
+                    if label == TAU and tgt not in seen:
+                        seen.add(tgt)
+                        stack.append(tgt)
         row: dict = {}
         for mid in seen:
-            for label, tgt in aut.may_from(mid):
+            for label, tgt in may_from(mid):
                 succ = row.get(label)
                 if succ is None:
                     row[label] = {tgt}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS
-from mialib import dmts_ops, ia_ops, mia_ops
+from mialib import dmts_ops, ia_ops, mia_ops, refinement
 from mialib.cli import main
 from mialib.frontend import parse, serialize
 from mialib.model import restrict_reachable
@@ -141,6 +141,47 @@ def test_equiv_fails_exit_1(files, tmp_path):
     b = write(tmp_path, "b.mia", "mia B { inputs: ; outputs: o; initial t; "
               "must t -o-> t; may t -o-> t; }")
     assert main(["equiv", a, b]) == 1
+
+
+def test_equiv_builds_a_witness_only_where_one_is_printed(files, tmp_path,
+                                                          capsys, monkeypatch):
+    checkers = []  # one per witness checker built, i.e. per ``refines`` call
+
+    class Counted(refinement._Checker):
+        def __init__(self, *args):
+            checkers.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(refinement, "_Checker", Counted)
+    a = files("fig08_p.mia")
+    assert main(["equiv", a, a]) == 0
+    assert capsys.readouterr() == ("equivalent\n", "")
+    assert len(checkers) == 1
+
+    checkers.clear()
+    assert main(["equiv", files("fig02_p.ia"), files("fig02_q.ia")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "fig02_p does not refine fig02_q: pair p1 <= q1 violates clause (i) "
+        "on spec must q1 -j-> {q2}",
+        "fig02_q does not refine fig02_p: pair q1 <= p1 violates clause (i) "
+        "on spec must p1 -i-> {p2}"]
+    assert len(checkers) == 2
+
+    # the way there holds and the way back fails: its certificate is printed
+    checkers.clear()
+    must = write(tmp_path, "must.mia", "mia M { inputs: ; outputs: o; "
+                 "initial t; must t -o-> t; may t -o-> t; }")
+    may = write(tmp_path, "may.mia", "mia N { inputs: ; outputs: o; "
+                "initial t; may t -o-> t; }")
+    assert main(["equiv", must, may]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "N does not refine M: pair t <= t violates clause (i) "
+        "on spec must t -o-> {t}"]
+    assert len(checkers) == 2
 
 
 def test_refine_with_states(files, tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from itertools import groupby
 from operator import itemgetter
 
@@ -183,6 +184,61 @@ def test_views_are_sorted_tuples_and_follow_replace():
     assert aut.may_from(s0) == [("x", s1)]
     assert aut.may_row(s0) == {"x": [s1]}
     assert aut.must_sets(s1, "x") == [frozenset([s0, s2]), frozenset([s2])]
+
+
+def _one_sort_views(aut: ModalAutomaton) -> tuple[tuple, tuple]:
+    """Frozen copy of the sorted views as one sort of each whole edge set."""
+    def must_key(edge):
+        src, label, targets = edge
+        return (src, label, sorted(targets))
+    return tuple(sorted(aut.may)), tuple(sorted(aut.must, key=must_key))
+
+
+_A, _B, _C = atom("a"), atom("b"), atom("c")
+# Names where one is a prefix of another, and composites whose text order
+# is not their structure's: "(a&b,c)" sorts before "(a,c)".
+_TRICKY = ([atom(n) for n in ("a", "a1", "a_", "a0", "ab", "b", "B", "_")]
+           + [pair_id(wedge_id(_A, _B), _C), pair_id(_A, _C), wedge_id(_A, _B),
+              vee_id(_A, pair_id(_B, _C)), tagged_id(_A, "L"), pair_id(_A, _B)])
+
+
+def _tricky(n_may: int, n_must: int, seed: int) -> ModalAutomaton:
+    """``n_may`` mays and ``n_must`` musts over :data:`_TRICKY`, several
+    musts per state and label."""
+    rng = random.Random(seed)
+    may: set = set()
+    while len(may) < n_may:
+        may.add((rng.choice(_TRICKY), rng.choice("xy"), rng.choice(_TRICKY)))
+    must: set = set()
+    while len(must) < n_must:
+        must.add((rng.choice(_TRICKY), rng.choice("xy"),
+                  frozenset(rng.sample(_TRICKY, rng.randint(1, 3)))))
+    return ModalAutomaton(DMTS, "t", Alphabet(frozenset(), frozenset("xy")),
+                          frozenset(_TRICKY), _A, frozenset(may), frozenset(must))
+
+
+def test_sorted_views_equal_one_sort_of_each_edge_set():
+    cut = model._PER_SOURCE_MIN
+    auts = [_tricky(n, m, seed)
+            for seed, (n, m) in enumerate([(cut - 1, cut - 1), (cut, cut),
+                                           (cut + 1, cut + 1), (1, 0), (0, 1),
+                                           (150, 120)])]
+    auts += [gen_random(flavor, seed=seed, max_states=size, max_actions=4,
+                        transition_density=0.5)
+             for flavor in (IA, DMTS, MIA) for seed, size in enumerate((3, 30, 200))]
+    for seed in range(4):
+        p, q = gen_pair(DMTS, seed, max_states=12, transition_density=0.6)
+        auts.append(dmts_ops.dmts_conj_product(p, q).automaton)
+        p, q = gen_pair(MIA, seed, max_states=12, transition_density=0.6)
+        auts.append(mia_ops.mia_conj_product(p, q).automaton)
+    for aut in auts:
+        assert (aut.sorted_may, aut.sorted_must) == _one_sort_views(aut), aut.name
+    # both sides of the cut-off, and musts that share a state and label
+    # past it, were compared
+    sizes = [len(edges) for aut in auts for edges in (aut.may, aut.must)]
+    assert min(sizes) < cut and max(sizes) >= 4 * cut
+    assert any(len(aut.must) >= cut and len({*map(itemgetter(0, 1), aut.must)})
+               < len(aut.must) for aut in auts)
 
 
 def test_weak_closure_computed_once_per_automaton(monkeypatch):

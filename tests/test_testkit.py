@@ -415,6 +415,22 @@ def test_composition_law_on_pruned_compositions(flavor):
         seed += 1
 
 
+@pytest.mark.parametrize("flavor", [IA, MIA])
+def test_composition_law_on_pruned_draws_of_the_suite_generator(flavor):
+    # The same law on the pairs the par-comp suites draw from, at their
+    # default size: the pruned ones among the first thousand seeds.
+    compose = testkit._op(flavor, "parallel_compose")
+    pruned = 0
+    for seed in range(1000):
+        q1, p2 = gen_composable_pair(flavor, seed)
+        spec_comp = compose(q1, p2)
+        if spec_comp.compatible and spec_comp.incompatibility.incompatible:
+            pruned += 1
+            auts = {"p1": weaken(q1, random.Random(seed)), "q1": q1, "p2": p2}
+            assert testkit._check_par(flavor, auts) is None, f"seed {seed}"
+    assert pruned >= 8
+
+
 def _error_behind_chain(flavor, k, chain_left):
     """A composable pair whose communication error lies ``k`` autonomous
     steps past an input step from the initial pair.

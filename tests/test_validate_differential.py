@@ -11,6 +11,11 @@ the same ``Violation`` list (rule, message, subject, order), and
 ``validate_document`` the same positions as ``_ref_positions``: a frozen
 copy of the rule that placed a may only input musts imply at the earliest
 of them, with declared subjects keeping their own span.
+
+``validate`` first asks ``_valid_by_sets`` whether the automaton is valid
+at all, and that answer must be exactly "the reference finds nothing".
+Each rule is also planted alone on valid seeded automata of every flavor,
+and the subset tests must refuse every such mutant.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from operator import itemgetter
 from conftest import CORPUS, GOLDEN
 from mialib.frontend import ParseError, parse_document, serialize, validate_document
 from mialib.model import (DMTS, FLAVORS, IA, MIA, TAU, Alphabet, ModalAutomaton,
-                          Violation, atom, validate)
+                          Violation, _valid_by_sets, atom, validate)
 from mialib.testkit import gen_random
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,7 @@ def test_validation_matches_the_per_state_scans():
     for aut in auts:
         expected = _ref_validate(aut)
         assert validate(aut) == expected, aut.name
+        assert _valid_by_sets(aut) == (not expected), aut.name
         rules.update(v.rule for v in expected)
     # every rule is exercised
     assert rules == {
@@ -335,3 +341,80 @@ def test_validate_document_spans_match():
         implied += sum(span is not None and v.subject not in doc.spans
                        for v, span in expected)
     assert checked >= 200 and spanned >= 100 and implied >= 50
+
+
+# ---------------------------------------------------------------------------
+# One rule at a time: the subset tests refuse each
+
+
+def _fresh_actions(aut: ModalAutomaton) -> ModalAutomaton:
+    """``aut`` with an unused output ``zo`` and, outside dMTS, an unused
+    input ``zi``: still valid, and every state is free on both."""
+    inputs = aut.alphabet.inputs | ({"zi"} if aut.flavor != DMTS else set())
+    return replace(aut, alphabet=Alphabet(inputs, aut.alphabet.outputs | {"zo"}))
+
+
+def _with(aut, may=(), must=()) -> ModalAutomaton:
+    return replace(aut, may=aut.may | set(may), must=aut.must | set(must))
+
+
+def _plants(aut: ModalAutomaton) -> dict:
+    """Rule -> ``aut`` with one fault planted that breaks it; ``aut`` has
+    the fresh actions and at least two states."""
+    s, t = aut.sorted_states[:2]
+    inputs, outputs = aut.alphabet.inputs, aut.alphabet.outputs
+    own = "zi" if aut.flavor == IA else "zo"  # the label a valid must may have
+    plants = {
+        "flavor": replace(aut, flavor="xx"),
+        "tau-reserved": replace(aut, alphabet=Alphabet(inputs, outputs | {TAU})),
+        "initial-state": replace(aut, initial=GHOST),
+        "unknown-state": _with(aut, may=[(s, "zo", GHOST)]),
+        "unknown-action": _with(aut, may=[(s, "zz", t)]),
+        "syntactic-consistency": _with(aut, must=[(s, own, frozenset([t]))]),
+    }
+    if aut.flavor == DMTS:
+        plants["dmts-io-split"] = replace(aut, alphabet=Alphabet({"zi"}, outputs))
+    else:
+        plants["alphabet-disjoint"] = replace(
+            aut, alphabet=Alphabet(inputs | {"zo"}, outputs))
+    if aut.flavor != IA:
+        plants["tau-must"] = _with(aut, may=[(s, TAU, t)],
+                                   must=[(s, TAU, frozenset([t]))])
+        plants["empty-must-target"] = _with(aut, must=[(s, "zo", frozenset())])
+    if aut.flavor == IA:
+        plants["ia-output-must"] = _with(aut, may=[(s, "zo", t)],
+                                         must=[(s, "zo", frozenset([t]))])
+        plants["ia-must-shape"] = _with(aut, may=[(s, "zi", s), (s, "zi", t)],
+                                        must=[(s, "zi", frozenset([s, t]))])
+        plants["ia-input-determinism"] = _with(aut, may=[(s, "zi", s), (s, "zi", t)],
+                                               must=[(s, "zi", frozenset([s]))])
+        plants["ia-input-encoding"] = _with(aut, may=[(s, "zi", t)])
+    if aut.flavor == MIA:
+        plants["mia-input-must-unique"] = _with(
+            aut, may=[(s, "zi", s), (s, "zi", t)],
+            must=[(s, "zi", frozenset([s])), (s, "zi", frozenset([t]))])
+        plants["mia-input-may-under-must"] = _with(aut, may=[(s, "zi", t)])
+    return plants
+
+
+def test_subset_tests_refuse_each_rule_planted_alone():
+    planted = set()
+    for flavor in FLAVORS:
+        for seed, size in enumerate((6, 40, 300)):
+            aut = _fresh_actions(gen_random(flavor, seed=seed, max_states=size,
+                                            max_actions=4, transition_density=0.4))
+            if len(aut.states) < 2:
+                aut = replace(aut, states=aut.states | {atom("s_extra")})
+            assert _valid_by_sets(aut) and validate(aut) == _ref_validate(aut) == []
+            for rule, mutant in _plants(aut).items():
+                expected = _ref_validate(mutant)
+                assert rule in {v.rule for v in expected}, (flavor, seed, rule)
+                assert not _valid_by_sets(mutant), (flavor, seed, rule)
+                assert validate(mutant) == expected, (flavor, seed, rule)
+                planted.add(rule)
+    assert planted == {
+        "flavor", "alphabet-disjoint", "tau-reserved", "dmts-io-split",
+        "initial-state", "unknown-state", "unknown-action", "tau-must",
+        "empty-must-target", "syntactic-consistency", "ia-output-must",
+        "ia-must-shape", "ia-input-determinism", "ia-input-encoding",
+        "mia-input-must-unique", "mia-input-may-under-must"}
