@@ -28,22 +28,28 @@ threads.  Iteration over states and transitions is deterministic
 An automaton stores only its seven fields.  Its views are derived once,
 on first access, and kept:
 
-* the sorted states and edges, the edges sorted per source: the sources
+* the sorted states and edges, from the state and edge sets: the sources
   once, then each source's own edges;
-* the source index behind ``may_from``/``musts_from``: each state's
-  ``(label, end)`` pairs, in sorted edge order;
+* the source index behind ``may_from``/``musts_from``, from the edge sets
+  in one pass: each state's ``(label, end)`` pairs, in sorted edge order,
+  where only the lists of two or more are sorted;
 * the label rows behind ``may_row``/``must_row`` and the lookups
-  ``may_targets``, ``must_sets``, ``has_may`` and ``has_must``: per state,
-  ``label -> ends``, each list in sorted edge order;
-* the weak closure ``weak``, as per-state rows ``label -> successors``.
+  ``may_targets``, ``must_sets``, ``has_may`` and ``has_must``, from the
+  sorted edges: per state, ``label -> ends``, each list in sorted edge
+  order;
+* the weak closure ``weak``, from the source index, as per-state rows
+  ``label -> successors``;
+* the renamed copies :func:`rename_disjoint` hands out, whose states all
+  carry the ``@L`` or the ``@R`` tag: an operand is renamed once, and its
+  copy keeps its own views across every product built from it.
 
-The label rows are built only for automata whose rows or lookups are
-asked for, so the many that are only walked never pay for them.  Two threads may
-both compute a view at first; they get equal values.
+Each view is built only for automata that ask for it, so the many that
+are only walked never pay for the sorted edges or the label rows.  Two
+threads may both compute a view at first; they get equal values.
 
-:func:`validate` decides a valid automaton of 64 mays or more with subset
-tests on its whole edge sets, without sorting; only an invalid one is
-walked in sorted order to list its violations.
+:func:`validate` decides a valid automaton with subset tests on its whole
+edge sets, without sorting; only an invalid one is walked in sorted order
+to list its violations.
 """
 
 from __future__ import annotations
@@ -292,9 +298,15 @@ class ModalAutomaton:
     must: frozenset[MustEdge]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "may", frozenset(self.may))
-        object.__setattr__(self, "must", _freeze_must(self.must))
+        # Fields that are frozen already, as an operator's or another
+        # automaton's are, are kept as they are.
+        if type(self.states) is not frozenset:
+            object.__setattr__(self, "states", frozenset(self.states))
+        if type(self.may) is not frozenset:
+            object.__setattr__(self, "may", frozenset(self.may))
+        must = _freeze_must(self.must)
+        if must is not self.must:
+            object.__setattr__(self, "must", must)
 
     # -- derived views ------------------------------------------------------
 
@@ -316,13 +328,11 @@ class ModalAutomaton:
 
     @_derived
     def _may_by_src(self) -> dict[StateId, list[tuple[str, StateId]]]:
-        return {src: [edge[1:] for edge in edges]
-                for src, edges in groupby(self.sorted_may, _SRC)}
+        return _by_src(self.may)
 
     @_derived
     def _must_by_src(self) -> dict[StateId, list[tuple[str, frozenset[StateId]]]]:
-        return {src: [edge[1:] for edge in edges]
-                for src, edges in groupby(self.sorted_must, _SRC)}
+        return _by_src(self.must, _label_targets_key)
 
     @_derived
     def _may_rows(self) -> dict[StateId, dict[str, list[StateId]]]:
@@ -331,6 +341,14 @@ class ModalAutomaton:
     @_derived
     def _must_rows(self) -> dict[StateId, dict[str, list[frozenset[StateId]]]]:
         return _label_rows(self.sorted_must)
+
+    @_derived
+    def _as_left(self) -> ModalAutomaton:
+        return _tag_states(self, "L")
+
+    @_derived
+    def _as_right(self) -> ModalAutomaton:
+        return _tag_states(self, "R")
 
     # -- local lookups ------------------------------------------------------
 
@@ -375,9 +393,32 @@ def _label_rows(edges: tuple) -> dict[StateId, dict[str, list]]:
             for src, by_src in groupby(edges, _SRC)}
 
 
+def _by_src(edges: frozenset, key=None) -> dict[StateId, list[tuple]]:
+    """``state -> [(label, end)]`` of ``edges``, each list in sorted edge
+    order: the edges are bucketed by source in one pass, and only buckets
+    of two or more are sorted, by ``key``."""
+    out: dict = {}
+    for src, label, end in edges:
+        bucket = out.get(src)
+        if bucket is None:
+            out[src] = [(label, end)]
+        else:
+            bucket.append((label, end))
+    for bucket in out.values():
+        if len(bucket) > 1:
+            bucket.sort(key=key)
+    return out
+
+
 def _must_key(edge: MustEdge):
     src, label, targets = edge
     return (src, label, sorted(targets))
+
+
+def _label_targets_key(entry: tuple[str, frozenset[StateId]]):
+    """The tail of :func:`_must_key`, for the musts of one source."""
+    label, targets = entry
+    return (label, sorted(targets))
 
 
 # Below this many edges one plain sort costs less than bucketing by source.
@@ -472,13 +513,12 @@ class Violation:
 def validate(aut: ModalAutomaton) -> list[Violation]:
     """Check all flavor invariants; an empty list means the automaton is valid.
 
-    From :data:`_PER_SOURCE_MIN` mays on, a valid automaton is recognised by
-    :func:`_valid_by_sets` without sorting; only an invalid one is checked
-    edge by edge, in sorted order, to list its violations.  A smaller one is
-    checked that way at once: its sorted views cost one small sort each, and
-    its callers go on to read them.
+    A valid automaton of any size is recognised by :func:`_valid_by_sets`,
+    with subset tests on its whole edge sets and without sorting; only an
+    invalid one is checked edge by edge, in sorted order, to list its
+    violations.
     """
-    if len(aut.may) >= _PER_SOURCE_MIN and _valid_by_sets(aut):
+    if _valid_by_sets(aut):
         return []
     out: list[Violation] = []
     bad = out.append
@@ -691,9 +731,10 @@ def weak_closure(aut: ModalAutomaton) -> WeakClosure:
     rows: dict[StateId, dict] = {}
     shared: dict[frozenset[StateId], frozenset[StateId]] = {}
     may_from = aut.may_from
-    # a state with no silent may takes its own may row, with no search
+    # a state with no silent may takes its own may row, with no search;
+    # a state with no may at all has an empty row, which is not stored
     silent = {edge[0] for edge in aut.may if edge[1] == TAU}
-    for state in aut.states:
+    for state in aut._may_by_src:
         seen = {state}
         if state in silent:
             stack = [state]
@@ -727,18 +768,23 @@ def rename_disjoint(a: ModalAutomaton, b: ModalAutomaton) -> tuple[ModalAutomato
 
     Already-disjoint automata are returned unchanged; otherwise every state
     of ``a`` gets the ``@L`` tag and every state of ``b`` the ``@R`` tag.
+    The tagged copies are views of their operand, built once: each call
+    with the same operand returns the same copy, with the views it has
+    derived, and an operand keeps its tagged copies alive.
     """
     if not (a.states & b.states):
         return a, b
-    return _tag_states(a, "L"), _tag_states(b, "R")
+    return a._as_left, b._as_right
 
 
 def _tag_states(aut: ModalAutomaton, tag: str) -> ModalAutomaton:
     ren = {s: tagged_id(s, tag) for s in aut.states}
-    return replace(
-        aut, states=frozenset(ren.values()), initial=ren[aut.initial],
-        may=frozenset((ren[s], l, ren[t]) for s, l, t in aut.may),
-        must=frozenset((ren[s], l, frozenset(ren[t] for t in T)) for s, l, T in aut.must))
+    return ModalAutomaton(
+        aut.flavor, aut.name, aut.alphabet, frozenset(ren.values()),
+        ren[aut.initial],
+        frozenset([(ren[s], l, ren[t]) for s, l, t in aut.may]),
+        frozenset([(ren[s], l, frozenset([ren[t] for t in T]))
+                   for s, l, T in aut.must]))
 
 
 def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
@@ -754,7 +800,7 @@ def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
     p, q = rename_disjoint(p, q)
     ids = {(a, b): combine(a, b) for a in p.states for b in q.states}
     if not (p.states | q.states).isdisjoint(ids.values()):
-        p, q = _tag_states(p, "L"), _tag_states(q, "R")
+        p, q = p._as_left, q._as_right
         ids = {(a, b): combine(a, b) for a in p.states for b in q.states}
         clash = (p.states | q.states).intersection(ids.values())
         if clash:

@@ -217,7 +217,10 @@ def _tricky(n_may: int, n_must: int, seed: int) -> ModalAutomaton:
                           frozenset(_TRICKY), _A, frozenset(may), frozenset(must))
 
 
-def test_sorted_views_equal_one_sort_of_each_edge_set():
+def _view_cases() -> list[ModalAutomaton]:
+    """Automata whose derived views are compared with a frozen derivation:
+    :func:`_tricky` ones on both sides of the per-source cut-off, testkit
+    ones at 3, 30 and 200 states, and dMTS and MIA conjunctive products."""
     cut = model._PER_SOURCE_MIN
     auts = [_tricky(n, m, seed)
             for seed, (n, m) in enumerate([(cut - 1, cut - 1), (cut, cut),
@@ -231,6 +234,12 @@ def test_sorted_views_equal_one_sort_of_each_edge_set():
         auts.append(dmts_ops.dmts_conj_product(p, q).automaton)
         p, q = gen_pair(MIA, seed, max_states=12, transition_density=0.6)
         auts.append(mia_ops.mia_conj_product(p, q).automaton)
+    return auts
+
+
+def test_sorted_views_equal_one_sort_of_each_edge_set():
+    cut = model._PER_SOURCE_MIN
+    auts = _view_cases()
     for aut in auts:
         assert (aut.sorted_may, aut.sorted_must) == _one_sort_views(aut), aut.name
     # both sides of the cut-off, and musts that share a state and label
@@ -239,6 +248,52 @@ def test_sorted_views_equal_one_sort_of_each_edge_set():
     assert min(sizes) < cut and max(sizes) >= 4 * cut
     assert any(len(aut.must) >= cut and len({*map(itemgetter(0, 1), aut.must)})
                < len(aut.must) for aut in auts)
+
+
+def _groupby_index(aut: ModalAutomaton) -> tuple[dict, dict]:
+    """Frozen copy of the source index as ``groupby`` over the sorted edges:
+    ``state -> [(label, end)]``, each list in sorted edge order."""
+    return tuple({src: [edge[1:] for edge in group]
+                  for src, group in groupby(edges, itemgetter(0))}
+                 for edges in _one_sort_views(aut))
+
+
+# Target sets whose text order is not their order as sorted lists: "{a}"
+# sorts after "{a,b}" and "{a1}", while ["a"] sorts before both.
+_A1, _A_ = atom("a1"), atom("a_")
+_PREFIX_SETS = [[_A], [_A, _B], [_A1], [_A_], [_A, _A1], [_A1, _A_],
+                [pair_id(_A, _C)], [pair_id(wedge_id(_A, _B), _C)],
+                [pair_id(_A, _C), _B]]
+
+
+def _with_prefix_musts(aut: ModalAutomaton) -> ModalAutomaton:
+    """``aut`` plus one ``x``-must to each of :data:`_PREFIX_SETS` at a
+    prefix-named and at a composite-named state."""
+    extra = {(src, "x", frozenset(targets))
+             for src in (_A1, pair_id(wedge_id(_A, _B), _C))
+             for targets in _PREFIX_SETS}
+    return dataclasses.replace(aut, must=aut.must | extra)
+
+
+def test_source_index_equals_groupby_over_sorted_edges():
+    auts = _view_cases()
+    auts += [_with_prefix_musts(aut) for aut in auts[:6]]
+    long_must_lists = 0
+    for aut in auts:
+        may_by_src, must_by_src = _groupby_index(aut)
+        for state in aut.sorted_states:
+            assert aut.may_from(state) == may_by_src.get(state, []), \
+                (aut.name, state)
+            assert aut.musts_from(state) == must_by_src.get(state, []), \
+                (aut.name, state)
+            labels = [label for label, _ in aut.musts_from(state)]
+            long_must_lists += len(labels) > len(set(labels))
+    assert long_must_lists > 0
+    # {a} beside {a, b}, at both a prefix-named and a composite-named state
+    for src in (_A1, pair_id(wedge_id(_A, _B), _C)):
+        sets = [targets for label, targets in auts[-1].musts_from(src)
+                if label == "x"]
+        assert sets.index(frozenset([_A])) < sets.index(frozenset([_A, _B]))
 
 
 def test_weak_closure_computed_once_per_automaton(monkeypatch):
@@ -527,6 +582,33 @@ def test_rename_disjoint_same_object():
     assert not (a2.states & b2.states)
     assert a2.initial == tagged_id(atom("p"), "L")
     assert a2.may == frozenset([(a2.initial, "x", a2.initial)])
+
+
+def _fields(aut: ModalAutomaton) -> tuple:
+    return tuple(getattr(aut, f.name) for f in dataclasses.fields(aut))
+
+
+def test_renamed_copies_are_made_once(monkeypatch):
+    calls = []
+    real = model._tag_states
+
+    def counting(aut, tag):
+        calls.append((aut, tag))
+        return real(aut, tag)
+
+    monkeypatch.setattr(model, "_tag_states", counting)
+    p, q = gen_pair(MIA, 3, max_states=5, transition_density=0.6)
+    assert p.states & q.states
+    mia_ops.mia_conjoin(p, q)
+    mia_ops.mia_disjoin(p, q)
+    assert [(aut is p, aut is q, tag) for aut, tag in calls] == \
+        [(True, False, "L"), (False, True, "R")]
+    left, right = rename_disjoint(p, q)
+    again = rename_disjoint(p, q)
+    assert again[0] is left and again[1] is right
+    assert len(calls) == 2
+    assert _fields(left) == _fields(real(p, "L"))
+    assert _fields(right) == _fields(real(q, "R"))
 
 
 def test_id_table_builds_each_missing_key_once():
