@@ -14,34 +14,35 @@ For IA this coincides with alternating simulation because inputs are stored
 as singleton musts; a dMTS stores every action as an output, so for dMTS
 clause (ii) ranges over every action with no branch of its own.
 
-Two schemes run the elimination, and both check a pair with the one
-``_Clauses._check``.  States are numbered per side, a pair ``(p, q)`` is
-the integer ``p * nq + q``, and transitions are per-state lists of
-integers; state ids reappear only in the witness and in the failure
-certificate.
+Two schemes run the elimination over one set-up, ``_Clauses``: each side
+numbers the states reachable from its start state densely, in the order of
+their canonical text, and every per-state row of both sides is built
+before the first check.  A pair ``(p, q)`` is the integer ``p * nq + q``,
+transitions are per-state lists of integers, and both schemes check a pair
+with the one ``_Clauses._check``; state ids reappear only in the witness
+and in the failure certificate.  The two schemes differ only in their
+elimination loop.
 
 ``refines`` and the per-flavor queries use the global scheme of Henzinger,
 Henzinger & Kopke (FOCS 1995), because their witness is the whole greatest
 relation over the candidates and their certificate follows the global
-elimination order.  The candidates are the pairs of states reachable from
-the two start states.  Each side is numbered densely in the order of its
-canonical state text, so the elimination order, the witness and the
-certificate are the ones a checker over state ids sorted by text yields.
-A pass visits pairs in order; a pair that fails is eliminated and re-queues
-the pairs whose last passing check cited it.  Citations are kept in flat
-integer watch lists, not in per-pair sets.  Pairs that fail on labels alone
-(a spec must label the impl state has no must for, or an impl may label
-with no weak spec match) are marked up front and eliminated at their place
-in the first pass without a check.  The checker stores only the order of
-elimination: why a pair failed is derived again for the certificate, by
-rechecking it against the pairs eliminated before it.
+elimination order.  The candidates are all pairs of numbered states, so
+the elimination order, the witness and the certificate are the ones a
+checker over state ids sorted by text yields.  A pass visits pairs in
+order; a pair that fails is eliminated and re-queues the pairs whose last
+passing check cited it.  Citations are kept in flat integer watch lists,
+not in per-pair sets.  Pairs that fail on labels alone (a spec must label
+the impl state has no must for, or an impl may label with no weak spec
+match) are marked up front and eliminated at their place in the first pass
+without a check.  The checker stores only the order of elimination: why a
+pair failed is derived again for the certificate, by rechecking it against
+the pairs eliminated before it.
 
 ``holds``, ``equiv`` and ``mia_equiv`` need only the verdict, so they use
 the local scheme of Liu & Smolka (ICALP 1998): the same elimination, run
-on the fly from the root pair.  A state is numbered and gets its rows when
-the walk first reaches it, a pair is checked once a passing check cites
-it, a pair that dies re-queues its citers, and the walk stops as soon as
-the root pair dies.
+on the fly from the root pair.  A pair is checked once a passing check
+cites it, a pair that dies re-queues its citers, and the walk stops as
+soon as the root pair dies.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, MialibError,
-                    ModalAutomaton, StateId, WeakClosure, reachable_states,
+                    ModalAutomaton, StateId, reachable_states,
                     require_operands, targets_text)
 
 Pair = tuple[StateId, StateId]
@@ -115,45 +116,66 @@ class _AliveAt:
         return not 0 < self.order[y] < self.mine
 
 
-def _impl_rows(impl: ModalAutomaton, p: StateId, index: dict[StateId, int],
-               nq: int, domain: frozenset[str]) -> tuple[dict, list]:
-    """Impl state ``p``'s musts by label and its mays in ``domain``, with
-    every target stored as the pair base ``index[target] * nq``."""
-    musts: dict[str, list[list[int]]] = {}
-    for a, targets in impl.musts_from(p):
-        musts.setdefault(a, []).append([index[t] * nq for t in targets])
-    mays = [(alpha, index[p2] * nq) for alpha, p2 in impl.may_from(p)
-            if alpha in domain]
-    return musts, mays
-
-
-def _spec_rows(spec: ModalAutomaton, weak: WeakClosure | None, q: StateId,
-               index: dict[StateId, int],
-               labels: set[str] | frozenset[str]) -> tuple[list, dict]:
-    """Spec state ``q``'s musts and its weak ``hat`` successors on each of
-    ``labels``, as sorted target numbers."""
-    musts = [(a, sorted(index[t] for t in targets))
-             for a, targets in spec.musts_from(q)]
-    hat = {alpha: sorted(index[t] for t in (
-        weak.eps_succ(q) if alpha == TAU else weak.row(q).get(alpha, ())))
-        for alpha in labels}
-    return musts, hat
+def _numbered(aut: ModalAutomaton, start: StateId) -> list[StateId]:
+    """The states reachable from ``start``, in text order: the list index is
+    the state number."""
+    # Dependency closure from the roots is enough: eliminating a pair
+    # outside it can never affect the verdict.
+    reach = reachable_states(aut, start)
+    if not reach <= aut.states:
+        raise MialibError(f"a transition of {aut.name} leaves its state set")
+    return sorted(reach)
 
 
 class _Clauses:
-    """Per-state rows of both sides, and the one check of the two clauses.
+    """The set-up both schemes share, and the one check of the two clauses.
 
-    A pair of state numbers ``(p, q)`` is the integer ``p * nq + q``.  The
-    rows are lists indexed by state number, built by :func:`_impl_rows` and
-    :func:`_spec_rows`: ``impl_musts`` and ``impl_mays`` store targets as
-    pair bases ``p2 * nq``, ready to add ``q2``.
+    Each side numbers the states reachable from its start state by the rank
+    of their canonical text (``impl_states``, ``spec_states``).  Rank order
+    is text order, so every integer sort of pairs, partners and citers
+    visits them in the order a sort by state text would.  A pair of state
+    numbers ``(p, q)`` is the integer ``p * nq + q``, and ``root`` is the
+    start pair.
+
+    The rows are lists indexed by state number, all built here:
+    ``impl_musts`` maps each must label to the target lists and
+    ``impl_mays`` keeps the output and tau mays, both with targets stored as
+    pair bases ``p2 * nq``, ready to add ``q2``.  ``spec_musts`` holds sorted
+    target numbers, and ``spec_hat`` the sorted weak successors on each
+    label some impl may uses.
     """
 
-    nq: int
-    impl_musts: list[dict[str, list[list[int]]]]
-    impl_mays: list[list[tuple[str, int]]]
-    spec_musts: list[list[tuple[str, list[int]]]]
-    spec_hat: list[dict[str, list[int]]]
+    def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
+                 impl_state: StateId, spec_state: StateId):
+        self.impl_states = _numbered(impl, impl_state)
+        self.spec_states = _numbered(spec, spec_state)
+        p_index = {s: i for i, s in enumerate(self.impl_states)}
+        q_index = {s: i for i, s in enumerate(self.spec_states)}
+        self.nq = nq = len(self.spec_states)
+        self.root = p_index[impl_state] * nq + q_index[spec_state]
+
+        domain = spec.alphabet.outputs | {TAU}
+        self.impl_musts, self.impl_mays = [], []
+        labels: set[str] = set()
+        for p in self.impl_states:
+            musts: dict[str, list[list[int]]] = {}
+            for a, targets in impl.musts_from(p):
+                musts.setdefault(a, []).append([p_index[t] * nq for t in targets])
+            mays = [(alpha, p_index[p2] * nq) for alpha, p2 in impl.may_from(p)
+                    if alpha in domain]
+            labels.update(alpha for alpha, _ in mays)
+            self.impl_musts.append(musts)
+            self.impl_mays.append(mays)
+
+        self.spec_musts, self.spec_hat = [], []
+        # Without impl mays to match, the spec's weak closure is not needed.
+        weak = spec.weak if labels else None
+        for q in self.spec_states:
+            self.spec_musts.append([(a, sorted(q_index[t] for t in targets))
+                                    for a, targets in spec.musts_from(q)])
+            self.spec_hat.append({alpha: sorted(q_index[t] for t in (
+                weak.eps_succ(q) if alpha == TAU else weak.row(q).get(alpha, ())))
+                for alpha in labels})
 
     def _check(self, x: int, alive: bytearray | _AliveAt,
                cited: list[int]) -> tuple[str, tuple] | None:
@@ -196,11 +218,7 @@ class _Clauses:
 
 
 class _Checker(_Clauses):
-    """Global elimination over densely numbered state pairs.
-
-    States are numbered by the rank of their canonical text.  Rank order is
-    text order, so every integer sort below visits pairs, partners and
-    citers in the order a sort by state text would.
+    """Global elimination over every pair of numbered states.
 
     A pair that passes its check cites the pairs it relied on, in flat watch
     lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
@@ -223,36 +241,11 @@ class _Checker(_Clauses):
 
     def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
                  impl_state: StateId, spec_state: StateId):
-        domain = spec.alphabet.outputs | {TAU}
-        # Dependency closure from the roots is enough: eliminating a pair
-        # outside it can never affect the verdict.
-        self.impl_states = sorted(reachable_states(impl, impl_state))
-        self.spec_states = sorted(reachable_states(spec, spec_state))
-        p_index = {s: i for i, s in enumerate(self.impl_states)}
-        q_index = {s: i for i, s in enumerate(self.spec_states)}
-        self.nq = nq = len(self.spec_states)
-        self.root = p_index[impl_state] * nq + q_index[spec_state]
-
-        self.impl_musts, self.impl_mays = [], []
-        labels: set[str] = set()
-        for p in self.impl_states:
-            musts, mays = _impl_rows(impl, p, p_index, nq, domain)
-            labels.update(alpha for alpha, _ in mays)
-            self.impl_musts.append(musts)
-            self.impl_mays.append(mays)
-
-        self.spec_musts, self.spec_hat = [], []
-        # Without impl mays to match, the spec's weak closure is not needed.
-        weak = spec.weak if labels else None
-        for q in self.spec_states:
-            musts, hat = _spec_rows(spec, weak, q, q_index, labels)
-            self.spec_musts.append(musts)
-            self.spec_hat.append(hat)
-
-        n = len(self.impl_states) * nq
+        super().__init__(impl, spec, impl_state, spec_state)
+        n = len(self.impl_states) * self.nq
         # 1 while alive, 0 once eliminated; 2 marks an alive pair that fails
         # on labels alone and dies at its turn in the first pass.
-        if min(len(self.impl_states), nq) >= _SCREEN_MIN_STATES:
+        if min(len(self.impl_states), self.nq) >= _SCREEN_MIN_STATES:
             self.alive = self._label_screen()
         else:
             self.alive = bytearray(b"\x01") * n
@@ -371,79 +364,30 @@ class _Checker(_Clauses):
                                   transition=transition)
 
 
-class _Numbering(dict):
-    """State -> number, in the order states are first looked up.
-
-    ``states`` lists the states by number.  Numbers stay below the
-    automaton's state count, so pair integers cannot collide; only a
-    transition that leaves the state set could pass it, and that raises.
-    """
-
-    __slots__ = ("aut", "states")
-
-    def __init__(self, aut: ModalAutomaton):
-        super().__init__()
-        self.aut, self.states = aut, []
-
-    def __missing__(self, state: StateId) -> int:
-        n = len(self.states)
-        if n == len(self.aut.states):
-            raise MialibError(f"a transition of {self.aut.name} leaves its state set")
-        self[state] = n
-        self.states.append(state)
-        return n
-
-
 class _Walk(_Clauses):
     """The elimination of :class:`_Checker`, run on the fly from the root
     pair for a bare verdict (the local scheme of Liu & Smolka).
 
-    ``nq`` is the spec's whole state count, so a state can be numbered the
-    first time a row names it.  A state's rows are built when a pair holding
-    it is first queued: the root pair, then each pair the first time a
-    passing check cites it.  A pair not yet checked reads as alive, as every
-    pair does in the global first pass.  Citations go into the same watch
-    lists as in :meth:`_Checker.run`, and a pair that dies re-queues its
-    current citers.  When the walk runs dry, the alive pairs it checked
-    match every obligation among themselves: a refinement relation that
-    holds the root pair.
+    The root pair is queued first, then each pair the first time a passing
+    check cites it.  A pair not yet checked reads as alive, as every pair
+    does in the global first pass.  Citations go into the same watch lists
+    as in :meth:`_Checker.run`, and a pair that dies re-queues its current
+    citers.  When the walk runs dry, the alive pairs it checked match every
+    obligation among themselves: a refinement relation that holds the root
+    pair.
     """
-
-    def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
-                 impl_state: StateId, spec_state: StateId):
-        self.impl, self.spec = impl, spec
-        self.domain = spec.alphabet.outputs | {TAU}
-        self.p_index, self.q_index = _Numbering(impl), _Numbering(spec)
-        np = len(impl.states)
-        self.nq = nq = len(spec.states)
-        # A state's rows stay None until one of its pairs is queued.
-        self.impl_musts, self.impl_mays = [None] * np, [None] * np
-        self.spec_musts, self.spec_hat = [None] * nq, [None] * nq
-        self.root = self.p_index[impl_state] * nq + self.q_index[spec_state]
-        self.alive = bytearray(b"\x01") * (np * nq)
-
-    def _reach(self, x: int) -> None:
-        """Give the states of pair ``x`` their rows if they have none yet."""
-        p, q = divmod(x, self.nq)
-        if self.impl_musts[p] is None:
-            self.impl_musts[p], self.impl_mays[p] = _impl_rows(
-                self.impl, self.p_index.states[p], self.p_index, self.nq, self.domain)
-        if self.spec_musts[q] is None:
-            self.spec_musts[q], self.spec_hat[q] = _spec_rows(
-                self.spec, self.spec.weak, self.q_index.states[q], self.q_index,
-                self.domain)
 
     def verdict(self) -> bool:
         """Whether the root pair survives the elimination."""
-        alive, check, reach, root = self.alive, self._check, self._reach, self.root
-        n = len(alive)
+        check, root = self._check, self.root
+        n = len(self.impl_states) * self.nq
+        alive = bytearray(b"\x01") * n
         since, head = _ZERO * n, _ZERO * n
         # Entry 0 ends every list.
         who, nxt = _ZERO * 1, _ZERO * 1
         # 0 until first queued, 2 while queued, 1 once taken off the queue.
         queued = bytearray(n)
         queued[root] = 2
-        reach(root)
         waiting = [root]
         while waiting:
             x = waiting.pop()
@@ -458,7 +402,6 @@ class _Walk(_Clauses):
                     e += 1
                     if not queued[d]:
                         queued[d] = 2
-                        reach(d)
                         waiting.append(d)
                 continue
             if x == root:

@@ -183,15 +183,22 @@ def test_verdict_only_checks_match_the_witness(flavor, monkeypatch):
 
 
 @pytest.mark.parametrize("side", [0, 1])
-def test_verdict_only_checks_refuse_a_transition_leaving_the_state_set(side):
-    # The walk numbers a state the first time a row names it, below the
-    # state count; an automaton whose transitions leave its state set
-    # would push a number past it.
+@pytest.mark.parametrize("reached", ["may", "must-only"])
+@pytest.mark.parametrize("query", [holds, equiv, refines, mia_refines],
+                         ids=lambda query: query.__name__)
+def test_refinement_queries_refuse_a_transition_leaving_the_state_set(
+        query, reached, side):
+    # Both schemes share one numbering of the states reachable from the
+    # start states, and it refuses a reachable state outside the state set,
+    # whichever query asked and whichever side is broken.
     a = load("fig06_p.mia")
     broken = dataclasses.replace(a, states=frozenset([a.initial]))
+    if reached == "must-only":
+        # p1 is then reached through the must p0 -a-> p1 alone
+        broken = dataclasses.replace(broken, may=frozenset())
     operands = (broken, a) if side == 0 else (a, broken)
     with pytest.raises(MialibError, match="a transition of fig06_p leaves its state set"):
-        holds(*operands)
+        query(*operands)
 
 
 def test_verdict_only_checks_raise_as_refines():
