@@ -29,9 +29,12 @@ previous declaration, and for a :class:`ParseError`.
 A document in the exact layout :func:`serialize` writes, with atom names
 only, is read without lexing: one compiled pattern for the header and one
 for each transition line.  It gives the same automaton, spans and ids as
-the token parser.  Anything that does not match exactly, or that the token
-parser would read differently or reject, is read by the token parser
-instead, so every :class:`ParseError` comes from one place.
+the token parser.  Its state set is the names it has read, and the spans of
+its transition lines are computed on first access, which
+:func:`validate_document` makes only when there is a violation to place.
+Anything that does not match exactly, or that the token parser would read
+differently or reject, is read by the token parser instead, so every
+:class:`ParseError` comes from one place.
 
 State names produced by the operators (pairs ``(p,q)``, conjunctions
 ``p&q``, disjunctions ``p|q``, tags ``p@L``) parse back structurally, so
@@ -45,13 +48,12 @@ states are omitted when serializing.  A state name nests at most
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from pathlib import Path
 from typing import NoReturn
 
-from .model import (DMTS, FLAVORS, IA, TAU, IdTable, ModalAutomaton, StateId,
-                    Violation, atom, make_automaton, validate)
+from .model import (DMTS, FLAVORS, IA, TAU, Alphabet, IdTable, ModalAutomaton,
+                    StateId, Violation, atom, make_automaton, validate)
 from .model import MialibError
 
 
@@ -121,13 +123,33 @@ MAX_NESTING = 200
 MAX_COMPOSITES = 200
 
 
-@dataclass
 class SourceDocument:
     """A parsed file: the automaton, and the line and column where each
-    declaration starts, keyed as a ``Violation.subject`` names it."""
+    declaration starts, keyed as a ``Violation.subject`` names it.
 
-    automaton: ModalAutomaton
-    spans: dict
+    The plain reader hands its transitions over unplaced: ``edges`` holds
+    the edge of each transition line, in order from line ``first_line``.
+    They enter ``spans`` when it is first read, each at column 3 of its
+    line, so a declaration repeated on a later line is placed there, as
+    the token parser places it.
+    """
+
+    __slots__ = ("automaton", "_spans", "_edges", "_first_line")
+
+    def __init__(self, automaton: ModalAutomaton, spans: dict,
+                 edges: list | tuple = (), first_line: int = 0):
+        self.automaton = automaton
+        self._spans, self._edges, self._first_line = spans, edges, first_line
+
+    @property
+    def spans(self) -> dict:
+        if self._edges:
+            spans = self._spans
+            # a must's targets are a frozenset, a may's target a StateId
+            for line, edge in enumerate(self._edges, self._first_line):
+                spans["must" if type(edge[2]) is frozenset else "may", *edge] = (line, 3)
+            self._edges = ()
+        return self._spans
 
 
 class _Parser:
@@ -395,7 +417,8 @@ def _plain_document(text: str) -> SourceDocument | None:
     initial = ids[init]
     may: set = set()
     must: set = set()
-    for line, (modality, src, label, tgt, tset) in enumerate(rows, len(spans) + 1):
+    edges: list = []
+    for modality, src, label, tgt, tset in rows:
         src = ids[src]
         if not modality:
             if flavor != IA:
@@ -406,27 +429,30 @@ def _plain_document(text: str) -> SourceDocument | None:
                 return None
             edge = (src, label, ids[tgt])
             may.add(edge)
-            spans["may", *edge] = (line, 3)
         elif label == TAU or tset and flavor == IA:
             return None
         else:
             targets = frozenset([ids[t] for t in tset.split(", ")] if tset else [ids[tgt]])
-            must.add((src, label, targets))
-            spans["must", src, label, targets] = (line, 3)
+            edge = (src, label, targets)
+            must.add(edge)
             if label in inputs:
                 may.update([(src, label, t) for t in targets])
+        edges.append(edge)
     # a name that is a modality keyword can read as one
     if "may" in ids or "must" in ids:
         return None
-    automaton = make_automaton(flavor, name, inputs, outputs, initial, may, must)
-    return SourceDocument(automaton=automaton, spans=spans)
+    # every name the initial line or a row mentions is a state, and only those
+    automaton = ModalAutomaton(flavor=flavor, name=name, alphabet=Alphabet(inputs, outputs),
+                               states=frozenset(ids.values()), initial=initial,
+                               may=may, must=must)
+    return SourceDocument(automaton, spans, edges, len(spans) + 1)
 
 
 def parse_document(text: str) -> SourceDocument:
     doc = _plain_document(text)
     if doc is None:
         automaton, spans = _Parser(text).document()
-        doc = SourceDocument(automaton=automaton, spans=spans)
+        doc = SourceDocument(automaton, spans)
     return doc
 
 
@@ -444,9 +470,13 @@ def validate_document(doc: SourceDocument) -> list[tuple[Violation, tuple[int, i
 
     A may that only input musts imply is placed at the earliest of them;
     any other violation without a declared subject gets None."""
-    aut, spans = doc.automaton, doc.spans
+    aut = doc.automaton
+    problems = validate(aut)
+    if not problems:
+        return []
+    spans = doc.spans
     return [(v, spans.get(v.subject) or _implied_position(aut, spans, v.subject))
-            for v in validate(aut)]
+            for v in problems]
 
 
 def _implied_position(aut: ModalAutomaton, spans: dict, subject: tuple | None):
@@ -545,11 +575,13 @@ def export_dot(aut: ModalAutomaton) -> str:
     prefix = "__junction_"
     while any(state.startswith(prefix) for state in aut.states):
         prefix = "_" + prefix
+    # each state's name quoted once, on first use
+    quoted = IdTable(lambda state: _q(state.text))
     out = [f"digraph {_q(aut.name)} {{", "  rankdir=LR;",
            "  node [shape=ellipse];"]
     for state in aut.sorted_states:
         extra = " peripheries=2" if state == aut.initial else ""
-        out.append(f"  {_q(state.text)} [label={_q(state.text)}{extra}];")
+        out.append(f"  {quoted[state]} [label={quoted[state]}{extra}];")
     covered = set()
     junction = 0
     for src, label, targets in aut.sorted_must:
@@ -557,18 +589,18 @@ def export_dot(aut: ModalAutomaton) -> str:
         text = _edge_label(aut, label)
         if len(targets) == 1:
             tgt = next(iter(targets))
-            out.append(f"  {_q(src.text)} -> {_q(tgt.text)} [label={_q(text)}];")
+            out.append(f"  {quoted[src]} -> {quoted[tgt]} [label={_q(text)}];")
         else:
             j = f"{prefix}{junction}"
             junction += 1
             out.append(f"  {_q(j)} [shape=point label=\"\"];")
-            out.append(f"  {_q(src.text)} -> {_q(j)} [label={_q(text)} arrowhead=none];")
+            out.append(f"  {quoted[src]} -> {_q(j)} [label={_q(text)} arrowhead=none];")
             for tgt in sorted(targets):
-                out.append(f"  {_q(j)} -> {_q(tgt.text)};")
+                out.append(f"  {_q(j)} -> {quoted[tgt]};")
     for src, label, tgt in aut.sorted_may:
         if (src, label, tgt) in covered:
             continue
         text = _edge_label(aut, label)
-        out.append(f"  {_q(src.text)} -> {_q(tgt.text)} [label={_q(text)} style=dashed];")
+        out.append(f"  {quoted[src]} -> {quoted[tgt]} [label={_q(text)} style=dashed];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -207,7 +207,8 @@ class IdTable(dict):
 
     The parser keys atoms by their name (``build=atom``) and composite
     names by their kind and parts; the parallel product keys its pair
-    states by their component pair.
+    states by their component pair.  DOT export keeps each state's quoted
+    name in one.
     """
 
     __slots__ = ("build",)
@@ -461,7 +462,8 @@ def make_automaton(flavor: str,
                    states: Iterable[StateId] = ()) -> ModalAutomaton:
     """Build an automaton, collecting states from transition endpoints."""
     may = frozenset(may)
-    must = _freeze_must(must)
+    if iter(must) is must:
+        must = list(must)  # a one-shot iterable is read here and frozen later
     # A set keeps the first of equal members: states, initial, endpoints.
     all_states = {*states, initial, *map(itemgetter(0), may),
                   *map(itemgetter(2), may), *map(itemgetter(0), must)}
@@ -596,11 +598,11 @@ def _valid_by_sets(aut: ModalAutomaton) -> bool:
             or aut.initial not in states):
         return False
     targets = [*map(itemgetter(2), must)]
-    if not ({*map(itemgetter(0), may)} <= states
-            and {*map(itemgetter(2), may)} <= states
-            and {*map(itemgetter(1), may)} <= actions | {TAU}
-            and {*map(itemgetter(0), must)} <= states
-            and {*map(itemgetter(1), must)} <= actions
+    if not (states.issuperset(map(itemgetter(0), may))
+            and states.issuperset(map(itemgetter(2), may))
+            and (actions | {TAU}).issuperset(map(itemgetter(1), may))
+            and states.issuperset(map(itemgetter(0), must))
+            and actions.issuperset(map(itemgetter(1), must))
             and all(targets)):
         return False
     under = {(src, label, t) for src, label, ends in must for t in ends}
@@ -612,7 +614,7 @@ def _valid_by_sets(aut: ModalAutomaton) -> bool:
     if (len({*input_keys}) < len(input_keys)
             or not inputs.isdisjoint(map(itemgetter(1), may - under))):
         return False
-    return aut.flavor == MIA or ({*map(itemgetter(1), must)} <= inputs
+    return aut.flavor == MIA or (inputs.issuperset(map(itemgetter(1), must))
                                  and {*map(len, targets)} <= {1})
 
 
@@ -862,15 +864,16 @@ def as_dmts(aut: ModalAutomaton) -> ModalAutomaton:
 def reachable_states(aut: ModalAutomaton, start: StateId | None = None) -> frozenset[StateId]:
     """States reachable from ``start`` via may-steps (must targets included)."""
     start = aut.initial if start is None else start
+    may_by_src, must_by_src = aut._may_by_src, aut._must_by_src
     seen = {start}
     stack = [start]
     while stack:
         cur = stack.pop()
-        for _, tgt in aut.may_from(cur):
+        for _, tgt in may_by_src.get(cur, ()):
             if tgt not in seen:
                 seen.add(tgt)
                 stack.append(tgt)
-        for _, targets in aut.musts_from(cur):
+        for _, targets in must_by_src.get(cur, ()):
             for tgt in targets:
                 if tgt not in seen:
                     seen.add(tgt)

@@ -157,11 +157,12 @@ class _Clauses:
         domain = spec.alphabet.outputs | {TAU}
         self.impl_musts, self.impl_mays = [], []
         labels: set[str] = set()
+        impl_mays, impl_musts = impl._may_by_src, impl._must_by_src
         for p in self.impl_states:
             musts: dict[str, list[list[int]]] = {}
-            for a, targets in impl.musts_from(p):
+            for a, targets in impl_musts.get(p, ()):
                 musts.setdefault(a, []).append([p_index[t] * nq for t in targets])
-            mays = [(alpha, p_index[p2] * nq) for alpha, p2 in impl.may_from(p)
+            mays = [(alpha, p_index[p2] * nq) for alpha, p2 in impl_mays.get(p, ())
                     if alpha in domain]
             labels.update(alpha for alpha, _ in mays)
             self.impl_musts.append(musts)
@@ -170,9 +171,10 @@ class _Clauses:
         self.spec_musts, self.spec_hat = [], []
         # Without impl mays to match, the spec's weak closure is not needed.
         weak = spec.weak if labels else None
+        spec_musts = spec._must_by_src
         for q in self.spec_states:
             self.spec_musts.append([(a, sorted(q_index[t] for t in targets))
-                                    for a, targets in spec.musts_from(q)])
+                                    for a, targets in spec_musts.get(q, ())])
             self.spec_hat.append({alpha: sorted(q_index[t] for t in (
                 weak.eps_succ(q) if alpha == TAU else weak.row(q).get(alpha, ())))
                 for alpha in labels})

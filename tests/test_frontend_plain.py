@@ -18,9 +18,11 @@ import pytest
 
 from conftest import CORPUS, GOLDEN
 from mialib import frontend
-from mialib.frontend import ParseError, _Parser, _plain_document, parse_document, serialize
-from mialib.model import DMTS, FLAVORS, IA, MIA, atom, make_automaton, pair_id
+from mialib.frontend import (ParseError, SourceDocument, _Parser, _plain_document,
+                             parse_document, serialize, validate_document)
+from mialib.model import DMTS, FLAVORS, IA, MIA, atom, make_automaton, pair_id, validate
 from mialib.testkit import gen_pair, gen_random
+from test_validate_differential import _mutants
 
 
 def _outcome(read, text: str):
@@ -291,3 +293,47 @@ def test_pair_names_and_comments_reach_the_token_parser(flavor, monkeypatch):
     assert calls == [paired, commented]
     parse_document(plain)
     assert len(calls) == 2
+
+
+def _first_row_again(text: str) -> str:
+    """``text`` with its first transition line declared again, last."""
+    lines = text.split("\n")
+    found = _lines(text, "  ")
+    if not found:
+        return text
+    return "\n".join(lines[:-2] + [lines[found[0]]] + lines[-2:])
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_valid_plain_documents_validate_without_placing_transitions(flavor, monkeypatch):
+    auts = [gen_random(flavor, seed=seed, transition_density=0.5) for seed in range(10)]
+    auts.append(_big(flavor))
+    texts = [_first_row_again(serialize(aut)) for aut in auts]
+    texts += [text for text in _special_documents()
+              if text.startswith(f"{flavor} ") and not validate(_tokens(text)[0])]
+    expected = [_tokens(text)[1] for text in texts]
+    monkeypatch.setattr(frontend, "_Parser", _Refused)
+    repeated = 0
+    for text, want in zip(texts, expected):
+        doc = parse_document(text)
+        assert validate_document(doc) == []
+        # only the header lines are placed until the spans are read
+        assert {key[0] for key in doc._spans} <= {"header", "alphabet", "initial"}
+        assert doc.spans == want and list(doc.spans) == list(want)
+        repeated += len(doc.spans) < text.count("\n") - 1
+    assert repeated >= 10
+
+
+def test_invalid_plain_documents_place_violations_as_the_token_parser_does():
+    checked = placed = 0
+    for aut in _mutants():
+        if aut.flavor not in FLAVORS:
+            continue
+        text = _first_row_again(serialize(aut))
+        if _plain_document(text) is None:
+            continue
+        expected = validate_document(SourceDocument(*_tokens(text)))
+        assert validate_document(parse_document(text)) == expected
+        checked += bool(expected)
+        placed += sum(at is not None for _, at in expected)
+    assert checked >= 200 and placed >= 400, (checked, placed)

@@ -146,6 +146,27 @@ def test_constructor_freezes_any_iterable_of_musts():
     assert validate(aut) == []
 
 
+def test_make_automaton_freezes_a_generator_of_musts_once(monkeypatch):
+    given = [(s0, "a", [s1]), (s1, "a", (s0, s2))]
+    may = [(s0, "a", s1), (s1, "a", s0), (s1, "a", s2)]
+    frozen = make_automaton(DMTS, "m", [], ["a"], s0, may,
+                            {(src, a, frozenset(T)) for src, a, T in given})
+    calls = []
+    freeze = model._freeze_must
+
+    def counted(must):
+        calls.append(must)
+        return freeze(must)
+
+    monkeypatch.setattr(model, "_freeze_must", counted)
+    aut = make_automaton(DMTS, "m", [], ["a"], s0, may, (edge for edge in given))
+    assert len(calls) == 1
+    assert aut.must == frozen.must
+    assert all(type(T) is frozenset for _, _, T in aut.must)
+    assert aut.states == frozen.states == {s0, s1, s2}
+    assert validate(aut) == []
+
+
 def test_constructor_takes_only_the_seven_fields():
     with pytest.raises(TypeError):
         ModalAutomaton(flavor=DMTS, name="m", alphabet=Alphabet([], ["a"]),
