@@ -711,15 +711,6 @@ class WeakClosure:
     def weak_succ(self, state: StateId, label: str) -> frozenset[StateId]:
         return self.rows.get(state, _NO_ROW).get(label, _NO_STATES)
 
-    def weak_hat_succ(self, state: StateId, alpha: str) -> frozenset[StateId]:
-        """Successors under the hat convention: tau matches by silent runs."""
-        if alpha == TAU:
-            return self.eps_succ(state)
-        return self.weak_succ(state, alpha)
-
-    def can_weak(self, state: StateId, label: str) -> bool:
-        return label in self.rows.get(state, _NO_ROW)
-
 
 _NO_STATES: frozenset[StateId] = frozenset()
 

@@ -23,20 +23,51 @@ with the one ``_Clauses._check``; state ids reappear only in the witness
 and in the failure certificate.  The two schemes differ only in their
 elimination loop.
 
-``refines`` and the per-flavor queries use the global scheme of Henzinger,
-Henzinger & Kopke (FOCS 1995), because their witness is the whole greatest
-relation over the candidates and their certificate follows the global
-elimination order.  The candidates are all pairs of numbered states, so
-the elimination order, the witness and the certificate are the ones a
-checker over state ids sorted by text yields.  A pass visits pairs in
-order; a pair that fails is eliminated and re-queues the pairs whose last
+``refines`` and the per-flavor queries return the whole greatest relation
+over the candidates, all pairs of numbered states, and a certificate that
+follows the ordered elimination of Henzinger, Henzinger & Kopke (FOCS
+1995).  A pass visits pairs in index order; a pair that fails dies and
+re-queues, behind the queue and in sorted order, the pairs whose last
 passing check cited it.  Citations are kept in flat integer watch lists,
-not in per-pair sets.  Pairs that fail on labels alone (a spec must label
-the impl state has no must for, or an impl may label with no weak spec
-match) are marked up front and eliminated at their place in the first pass
-without a check.  The checker stores only the order of elimination: why a
-pair failed is derived again for the certificate, by rechecking it against
-the pairs eliminated before it.
+not in per-pair sets.  Index order is text order, so the elimination
+order, the witness and the certificate are the ones a checker over state
+ids sorted by text yields.  When both sides are large enough, the pairs
+that fail on labels alone (a spec must label the impl state has no must
+for, or an impl may label with no weak spec match) are marked up front,
+and the elimination takes two runs:
+
+* The witness run kills the marked pairs before the first check and
+  queues only the others, in index order.  The greatest relation is
+  unique, so whatever the order, its survivors are the witness and give
+  the verdict.  When nothing is marked, this run is the ordered
+  elimination itself, and the certificate reads its order.
+* The certificate run is needed only when the root pair dies and some
+  pair was marked.  It replays the ordered elimination on the root's
+  region, queued in index order, and stops when the root dies.  The
+  region holds the pairs the witness run killed that the root reaches
+  through such pairs.  A checked pair steps to every successor pair its
+  check inspects.  A marked pair dies at its turn in the first pass
+  without a check, so it steps only to successors before it in index
+  order: none after it has been visited by then.  For the same reason a
+  marked root bounds the whole region: then it takes only pairs before
+  the root, and the pairs after it read as alive.
+
+The replay is exact.  A witness pair never dies, and in the first pass a
+pair dies only at its own turn.  A check reads only successors of its own
+pair, which for a checked region pair are witness pairs, region pairs, or
+pairs after a marked root, unvisited and so alive until the root's turn.
+So a region pair's check reads the same values in both runs, and a marked
+pair dies at the same turn.  A pair that dies re-queues only pairs that
+cited it, so a pair outside the region never re-queues a region pair.  The
+queue is first in, first out, so dropping every pair outside the region
+from it keeps the relative kill order inside the region.  The certificate
+rechecks each pair on its walk against the pairs killed before it: the
+successors a marked pair has after it were alive when it died, in both
+runs, and every other successor it reads is a witness or region pair.  So
+``pairs`` and the certificate are those of the ordered elimination over
+every pair.  The checker stores only
+the order of elimination: why a pair failed is derived again for the
+certificate, by rechecking it against the pairs eliminated before it.
 
 ``holds``, ``equiv`` and ``mia_equiv`` need only the verdict, so they use
 the local scheme of Liu & Smolka (ICALP 1998): the same elimination, run
@@ -49,7 +80,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, MialibError,
                     ModalAutomaton, StateId, reachable_states,
@@ -220,7 +251,7 @@ class _Clauses:
 
 
 class _Checker(_Clauses):
-    """Global elimination over every pair of numbered states.
+    """The ordered elimination behind ``refines``, in two runs.
 
     A pair that passes its check cites the pairs it relied on, in flat watch
     lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
@@ -231,36 +262,59 @@ class _Checker(_Clauses):
 
     Some pairs fail on labels alone: the spec state has a must label on
     which the impl state has no must, or the impl state has a may label with
-    no weak spec match.  Such a pair fails its first check whatever else is
-    alive.  When both sides have at least ``_SCREEN_MIN_STATES`` states,
-    ``_label_screen`` marks such pairs beforehand and each dies at its own
-    place in the first pass without a check, re-queueing its citers like
-    any other.
+    no weak spec match.  When both sides have at least
+    ``_SCREEN_MIN_STATES`` states, ``_label_screen`` marks them up front.
 
-    Only the elimination order is stored.  Why a pair died is derived again
-    when the certificate asks (``cause``).
+    :meth:`witness` is the witness run and :meth:`certificate` runs the
+    certificate run (:meth:`_replay`) where one is needed; both go through
+    the one loop, :meth:`_eliminate`.  Only the elimination order is
+    stored; why a pair died is derived again when the certificate asks
+    (``cause``).
     """
 
-    def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
-                 impl_state: StateId, spec_state: StateId):
-        super().__init__(impl, spec, impl_state, spec_state)
-        n = len(self.impl_states) * self.nq
-        # 1 while alive, 0 once eliminated; 2 marks an alive pair that fails
-        # on labels alone and dies at its turn in the first pass.
-        if min(len(self.impl_states), self.nq) >= _SCREEN_MIN_STATES:
-            self.alive = self._label_screen()
-        else:
-            self.alive = bytearray(b"\x01") * n
-        # 0 while alive, else the 1-based position in the elimination order.
-        self.elim_order = _ZERO * n
+    def witness(self) -> None:
+        """The witness run: ``alive`` ends as the greatest relation.
 
-    def run(self) -> None:
-        alive, order, check = self.alive, self.elim_order, self._check
+        The pairs the screen marks are dead before the first check, and the
+        others are queued in index order.  When the screen marks nothing,
+        the run is the ordered elimination over every pair, and its order
+        is kept for the certificate.
+        """
+        n = len(self.impl_states) * self.nq
+        self.screen = None
+        if min(len(self.impl_states), self.nq) >= _SCREEN_MIN_STATES:
+            rows = self._label_screen()
+            alive = bytearray(b"".join(rows))
+            if 0 in alive:
+                self.screen = rows
+        else:
+            alive = bytearray(b"\x01") * n
+        # compress reads alive as the run goes; a pair that dies before its
+        # turn in the first pass is skipped there, as the run would skip it.
+        order = self._eliminate(alive, compress(range(n), alive))
+        if self.screen is None:
+            self.elim_order = order
+        self.alive = alive
+
+    def pairs(self) -> frozenset[Pair]:
+        P, Q, nq = self.impl_states, self.spec_states, self.nq
+        return frozenset((P[x // nq], Q[x % nq])
+                         for x in compress(range(len(self.alive)), self.alive))
+
+    def _eliminate(self, alive: bytearray, pending, root: int = -1) -> array:
+        """Run the ordered elimination on ``alive`` and number its kills.
+
+        ``pending`` is the first pass, in index order.  A pair at 1 is
+        checked when its turn comes, a pair at 2 fails on labels alone and
+        dies at its turn without a check, and a pair at 0 is skipped.  The
+        result gives each pair its 1-based place in the kill order, 0 if it
+        did not die.  The run stops as soon as ``root`` dies.
+        """
+        check = self._check
         n = len(alive)
-        since, head = _ZERO * n, _ZERO * n
+        order, since, head = _ZERO * n, _ZERO * n, _ZERO * n
         # Entry 0 ends every list.
         who, nxt = _ZERO * 1, _ZERO * 1
-        pending = range(n)
         counter = 0
         while pending:
             batch, pending = pending, []
@@ -281,6 +335,8 @@ class _Checker(_Clauses):
                 counter += 1
                 alive[x] = 0
                 order[x] = counter
+                if x == root:
+                    return order
                 e = head[x]
                 if e:
                     citers = set()
@@ -290,9 +346,11 @@ class _Checker(_Clauses):
                             citers.add(c)
                         e = nxt[e]
                     pending.extend(sorted(citers))
+        return order
 
-    def _label_screen(self) -> bytearray:
-        """The initial ``alive``: 2 where the pair fails on labels alone.
+    def _label_screen(self) -> list[bytes]:
+        """One row per impl state over the spec states: 0 where the pair
+        fails on labels alone, else 1.
 
         A spec state needs its must labels and matches the labels with a
         weak match; impl states with the same must and may labels share
@@ -309,22 +367,53 @@ class _Checker(_Clauses):
             if row is None:
                 has_must, has_may = sig
                 row = rows[sig] = bytes([
-                    1 if need <= has_must and has_may <= matched else 2
+                    need <= has_must and has_may <= matched
                     for need, matched in spec_side])
             out.append(row)
-        return bytearray(b"".join(out))
+        return out
+
+    def _replay(self) -> None:
+        """The certificate run: the ordered elimination on the root's region.
+
+        The module docstring says why this gives the order of a run over
+        every pair.  Each region pair starts alive, at 2 if the screen
+        marks it, and so does the witness; every other pair stays dead,
+        except that the successors a checked pair has after a marked root
+        read as alive.  All of them are dead again afterwards, so ``alive``
+        is left as the witness.
+        """
+        alive, rows, nq, root = self.alive, self.screen, self.nq, self.root
+        marked = not rows[root // nq][root % nq]
+        # A marked pair dies at its first-pass turn, before any pair after it
+        # is visited, so it steps only below itself; a marked root bounds
+        # the whole region so, and the pairs after it read as alive.
+        limit = root if marked else len(alive)
+        region, later = [root], []
+        alive[root] = 2 if marked else 1
+        for x in region:
+            checked = alive[x] == 1
+            top = limit if checked else x
+            for y in self._inspected(x):
+                if not alive[y]:
+                    if y < top:
+                        alive[y] = 1 if rows[y // nq][y % nq] else 2
+                        region.append(y)
+                    elif checked:
+                        alive[y] = 1
+                        later.append(y)
+        region.sort()
+        self.elim_order = self._eliminate(alive, region, root)
+        for x in chain(region, later):
+            alive[x] = 0
 
     def cause(self, x: int) -> tuple[str, tuple]:
         """Why the eliminated pair ``x`` failed, rechecked as it stood then."""
         return self._check(x, _AliveAt(self.elim_order, x), [])
 
-    def pairs(self) -> frozenset[Pair]:
-        P, Q, nq = self.impl_states, self.spec_states, self.nq
-        return frozenset((P[x // nq], Q[x % nq])
-                         for x in compress(range(len(self.alive)), self.alive))
-
     def certificate(self) -> FailureCertificate:
         """Walk blame from the root to the first eliminated ancestor."""
+        if self.screen is not None:
+            self._replay()
         x = self.root
         while True:
             cause = self.cause(x)
@@ -333,20 +422,30 @@ class _Checker(_Clauses):
                 return self._describe(x, cause)
             x = blamed
 
-    def _blamed_successor(self, x: int, clause: str) -> int | None:
+    def _inspected(self, x: int, clause: str | None = None) -> list[int]:
+        """The successor pairs that ``clause`` inspects at pair ``x``, or
+        that either clause does when ``clause`` is None."""
         p, q = divmod(x, self.nq)
-        if clause == "i":
+        found = []
+        if clause != "ii":
             impl_musts = self.impl_musts[p]
-            candidates = [base + q2 for a, spec_targets in self.spec_musts[q]
-                          for impl_targets in impl_musts.get(a, ())
-                          for base in impl_targets for q2 in spec_targets]
-        else:
+            for a, spec_targets in self.spec_musts[q]:
+                for impl_targets in impl_musts.get(a, ()):
+                    for base in impl_targets:
+                        for q2 in spec_targets:
+                            found.append(base + q2)
+        if clause != "i":
             hat = self.spec_hat[q]
-            candidates = [base + q2 for alpha, base in self.impl_mays[p]
-                          for q2 in hat[alpha]]
+            for alpha, base in self.impl_mays[p]:
+                for q2 in hat[alpha]:
+                    found.append(base + q2)
+        return found
+
+    def _blamed_successor(self, x: int, clause: str) -> int | None:
         order = self.elim_order
         mine = order[x]
-        eliminated = [(order[c], c) for c in candidates if 0 < order[c] < mine]
+        eliminated = [(order[c], c) for c in self._inspected(x, clause)
+                      if 0 < order[c] < mine]
         if not eliminated:
             return None
         return min(eliminated)[1]
@@ -373,10 +472,10 @@ class _Walk(_Clauses):
     The root pair is queued first, then each pair the first time a passing
     check cites it.  A pair not yet checked reads as alive, as every pair
     does in the global first pass.  Citations go into the same watch lists
-    as in :meth:`_Checker.run`, and a pair that dies re-queues its current
-    citers.  When the walk runs dry, the alive pairs it checked match every
-    obligation among themselves: a refinement relation that holds the root
-    pair.
+    as in :meth:`_Checker._eliminate`, and a pair that dies re-queues its
+    current citers.  When the walk runs dry, the alive pairs it checked
+    match every obligation among themselves: a refinement relation that
+    holds the root pair.
     """
 
     def verdict(self) -> bool:
@@ -435,10 +534,13 @@ def _start(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
 def _decide(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
             impl_state: StateId | None, spec_state: StateId | None) -> RefinementWitness:
     checker = _Checker(impl, spec, *_start(impl, spec, flavor, impl_state, spec_state))
-    checker.run()
+    checker.witness()
     verdict = bool(checker.alive[checker.root])
+    # The certificate run leaves ``alive`` as the witness, and runs before
+    # the pairs are built so that its arrays and theirs are not held at once.
+    failure = None if verdict else checker.certificate()
     return RefinementWitness(kind=flavor, pairs=checker.pairs(), verdict=verdict,
-                             failure=None if verdict else checker.certificate())
+                             failure=failure)
 
 
 def _verdict(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mialib.frontend import parse_file
+from mialib.model import TAU, StateId, WeakClosure
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden"
@@ -30,3 +31,15 @@ def load(name):
 
 def golden_text(name) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def weak_hat_succ(weak: WeakClosure, state: StateId, alpha: str) -> frozenset[StateId]:
+    """Weak successors under the hat convention: tau matches by silent runs."""
+    if alpha == TAU:
+        return weak.eps_succ(state)
+    return weak.weak_succ(state, alpha)
+
+
+def can_weak(weak: WeakClosure, state: StateId, label: str) -> bool:
+    """Whether ``state`` has a weak ``label`` step."""
+    return label in weak.row(state)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import golden_text, load
+from conftest import can_weak, golden_text, load
 from mialib.frontend import parse, serialize
 from mialib.mia_ops import (is_mia_witness, mia_conj_product, mia_conjoin,
                             mia_disjoin, mia_incompatible, mia_inconsistent,
@@ -130,7 +130,7 @@ def _first_unmatched(side, s, other, t):
     """The first output must of ``side`` at ``s`` that ``other`` cannot
     weakly allow at ``t``, or None."""
     return next((a for a, _ in side.musts_from(s) if a in side.alphabet.outputs
-                 and not other.weak.can_weak(t, a)), None)
+                 and not can_weak(other.weak, t, a)), None)
 
 
 def _unmatched_by_hand(product):

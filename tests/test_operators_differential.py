@@ -14,6 +14,7 @@ sets, inconsistency sets and every provenance entry must be equal.
 
 from __future__ import annotations
 
+from conftest import can_weak
 from mialib.dmts_ops import (dmts_conj_product, dmts_conjoin, dmts_disjoin,
                              dmts_inconsistent, is_dmts_witness)
 from mialib.ia_ops import ia_incompatible, ia_parallel_compose
@@ -215,14 +216,14 @@ def old_dmts_conj_product(p: ModalAutomaton, q: ModalAutomaton):
         ps, qs = pairs[state]
         seeded = False
         for a, _ in p.musts_from(ps):                    # (F1)
-            if a in actions and not qw.can_weak(qs, a):
+            if a in actions and not can_weak(qw, qs, a):
                 push(state, ("F1", a))
                 seeded = True
                 break
         if seeded:
             continue
         for a, _ in q.musts_from(qs):                    # (F2)
-            if a in actions and not pw.can_weak(ps, a):
+            if a in actions and not can_weak(pw, ps, a):
                 push(state, ("F2", a))
                 break
     alive = {}
@@ -244,10 +245,10 @@ def old_dmts_conj_product(p: ModalAutomaton, q: ModalAutomaton):
         ids = {pair_id(ps, qs) for ps, qs in w}
         for ps, qs in w:
             for a, _ in p.musts_from(ps):                # (W1)
-                if not qw.can_weak(qs, a):
+                if not can_weak(qw, qs, a):
                     return False
             for a, _ in q.musts_from(qs):                # (W2)
-                if not pw.can_weak(ps, a):
+                if not can_weak(pw, ps, a):
                     return False
             for _, targets in aut.musts_from(pair_id(ps, qs)):   # (W3)
                 if not (targets & ids):

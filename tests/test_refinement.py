@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from conftest import load
+from conftest import load, weak_hat_succ
 from mialib.model import (DMTS, IA, MIA, TAU, AlphabetMismatchError,
                           FlavorMismatchError, MialibError, as_dmts, atom,
                           make_automaton, make_ia, reachable_states)
@@ -173,6 +173,7 @@ def test_verdict_only_checks_match_the_witness(flavor, monkeypatch):
 
     def refuse(self):
         raise AssertionError("a verdict-only check built a witness")
+    monkeypatch.setattr(_Checker, "witness", refuse)
     monkeypatch.setattr(_Checker, "pairs", refuse)
     monkeypatch.setattr(_Checker, "certificate", refuse)
     for (p, q), (forward, backward) in zip(pairs, expected):
@@ -290,12 +291,14 @@ def test_label_screen_marks_exactly_the_label_failures(flavor):
                          if domain is None or label in domain]
             for q in reachable_states(spec, spec.initial):
                 if not spec_musts.get(q, set()) <= impl_musts.get(p, set()) or any(
-                        not spec.weak.weak_hat_succ(q, label) for label in inspected):
+                        not weak_hat_succ(spec.weak, q, label) for label in inspected):
                     expected.add((p, q))
         nq = checker.nq
+        screen = b"".join(checker._label_screen())
         marked = {(checker.impl_states[x // nq], checker.spec_states[x % nq])
-                  for x, state in enumerate(checker.alive) if state == 2}
-        assert set(checker.alive) <= {1, 2}
+                  for x, state in enumerate(screen) if state == 0}
+        assert len(screen) == len(checker.impl_states) * nq
+        assert set(screen) <= {0, 1}
         assert marked == expected, f"{flavor} seed {seed}"
         doomed_seen += len(expected)
     assert doomed_seen > 0

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from conftest import weak_hat_succ
 from mialib.model import (DMTS, IA, MIA, TAU, ModalAutomaton, StateId, atom,
                           make_automaton, reachable_states, validate,
                           weak_closure)
@@ -108,7 +109,7 @@ class _ReferenceChecker:
         for alpha, p2 in self.impl.may_from(p):
             if self.domain is not None and alpha not in self.domain:
                 continue
-            choice = next((q2 for q2 in sorted(self.spec_weak.weak_hat_succ(q, alpha))
+            choice = next((q2 for q2 in sorted(weak_hat_succ(self.spec_weak, q, alpha))
                            if (p2, q2) in self.alive), None)
             if choice is None:
                 return False, cited, ("ii", f"impl may {p} -{alpha}-> {p2}")
@@ -140,7 +141,7 @@ class _ReferenceChecker:
                 if self.domain is not None and alpha not in self.domain:
                     continue
                 candidates.update((p2, q2)
-                                  for q2 in self.spec_weak.weak_hat_succ(q, alpha))
+                                  for q2 in weak_hat_succ(self.spec_weak, q, alpha))
         my_order = self.elim_order[pair]
         eliminated = [(self.elim_order[c], c) for c in candidates
                       if c in self.elim_order and self.elim_order[c] < my_order]
