@@ -14,14 +14,15 @@ For IA this coincides with alternating simulation because inputs are stored
 as singleton musts; a dMTS stores every action as an output, so for dMTS
 clause (ii) ranges over every action with no branch of its own.
 
-Two schemes run the elimination over one set-up, ``_Clauses``: each side
-numbers the states reachable from its start state densely, in the order of
-their canonical text, and every per-state row of both sides is built
-before the first check.  A pair ``(p, q)`` is the integer ``p * nq + q``,
-transitions are per-state lists of integers, and both schemes check a pair
-with the one ``_Clauses._check``; state ids reappear only in the witness
-and in the failure certificate.  The two schemes differ only in their
-elimination loop.
+Every query runs one elimination loop, ``_Checker._eliminate``, over one
+set-up: each side numbers the states reachable from its start state
+densely, in the order of their canonical text, and every per-state row of
+both sides is built before the first check.  A pair ``(p, q)`` is the
+integer ``p * nq + q``, transitions are per-state lists of integers, and
+every pair is checked with the one ``_Checker._check``; state ids reappear
+only in the witness and in the failure certificate.  The queries differ
+only in how they seed the loop: which pairs start alive (1), marked (2),
+dead (0) or not reached yet (3), and which are queued first.
 
 ``refines`` and the per-flavor queries return the whole greatest relation
 over the candidates, all pairs of numbered states, and a certificate that
@@ -65,15 +66,18 @@ rechecks each pair on its walk against the pairs killed before it: the
 successors a marked pair has after it were alive when it died, in both
 runs, and every other successor it reads is a witness or region pair.  So
 ``pairs`` and the certificate are those of the ordered elimination over
-every pair.  The checker stores only
-the order of elimination: why a pair failed is derived again for the
-certificate, by rechecking it against the pairs eliminated before it.
+every pair.  The checker stores only the order of elimination: why a pair
+failed is derived again for the certificate, by rechecking it against the
+pairs eliminated before it.
 
-``holds``, ``equiv`` and ``mia_equiv`` need only the verdict, so they use
-the local scheme of Liu & Smolka (ICALP 1998): the same elimination, run
-on the fly from the root pair.  A pair is checked once a passing check
-cites it, a pair that dies re-queues its citers, and the walk stops as
-soon as the root pair dies.
+``holds``, ``equiv`` and ``mia_equiv`` need only the verdict, so they run
+the local scheme of Liu & Smolka (ICALP 1998): the same loop, seeded with
+the root pair alone.  Every other pair starts at 3, not reached yet: it
+reads as alive, as every pair does in the global first pass, and is
+queued once a passing check cites it.  A pair that dies re-queues its
+citers, and the run stops as soon as the root pair dies.  When the run
+ends with the root alive, the reached pairs still alive match every
+obligation among themselves: a refinement relation that holds the root.
 """
 
 from __future__ import annotations
@@ -158,8 +162,9 @@ def _numbered(aut: ModalAutomaton, start: StateId) -> list[StateId]:
     return sorted(reach)
 
 
-class _Clauses:
-    """The set-up both schemes share, and the one check of the two clauses.
+class _Checker:
+    """The set-up every query shares, the one check of the two clauses, and
+    the one elimination loop, :meth:`_eliminate`.
 
     Each side numbers the states reachable from its start state by the rank
     of their canonical text (``impl_states``, ``spec_states``).  Rank order
@@ -174,6 +179,22 @@ class _Clauses:
     pair bases ``p2 * nq``, ready to add ``q2``.  ``spec_musts`` holds sorted
     target numbers, and ``spec_hat`` the sorted weak successors on each
     label some impl may uses.
+
+    A pair that passes its check cites the pairs it relied on, in flat watch
+    lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
+    list it sits (each list runs from ``head`` along ``nxt``).  Every passing
+    check appends a fresh run of entries, so an entry belongs to its citer's
+    last passing check, and is current, when ``e >= since[who[e]]``.  A pair
+    that dies re-queues its alive, current citers in sorted order.
+
+    When both sides have at least ``_SCREEN_MIN_STATES`` states,
+    ``_label_screen`` marks the pairs that fail on labels alone.
+
+    :meth:`witness` is the witness run, :meth:`certificate` runs the
+    certificate run (:meth:`_replay`) where one is needed, and
+    :meth:`verdict` is the local run; each only seeds the loop.  Only the
+    elimination order is stored; why a pair died is derived again when the
+    certificate asks (``cause``).
     """
 
     def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
@@ -249,37 +270,11 @@ class _Clauses:
                 return "ii", may
         return None
 
-
-class _Checker(_Clauses):
-    """The ordered elimination behind ``refines``, in two runs.
-
-    A pair that passes its check cites the pairs it relied on, in flat watch
-    lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
-    list it sits (each list runs from ``head`` along ``nxt``).  Every passing
-    check appends a fresh run of entries, so an entry belongs to its citer's
-    last passing check, and is current, when ``e >= since[who[e]]``.  A pair
-    that dies re-queues its alive, current citers in sorted order.
-
-    Some pairs fail on labels alone: the spec state has a must label on
-    which the impl state has no must, or the impl state has a may label with
-    no weak spec match.  When both sides have at least
-    ``_SCREEN_MIN_STATES`` states, ``_label_screen`` marks them up front.
-
-    :meth:`witness` is the witness run and :meth:`certificate` runs the
-    certificate run (:meth:`_replay`) where one is needed; both go through
-    the one loop, :meth:`_eliminate`.  Only the elimination order is
-    stored; why a pair died is derived again when the certificate asks
-    (``cause``).
-    """
-
     def witness(self) -> None:
-        """The witness run: ``alive`` ends as the greatest relation.
-
-        The pairs the screen marks are dead before the first check, and the
-        others are queued in index order.  When the screen marks nothing,
-        the run is the ordered elimination over every pair, and its order
-        is kept for the certificate.
-        """
+        """The witness run: ``alive`` ends as the greatest relation.  The
+        pairs the screen marks start dead and the others are queued in index
+        order; with none marked, the run is the ordered elimination over
+        every pair, and its order is kept for the certificate."""
         n = len(self.impl_states) * self.nq
         self.screen = None
         if min(len(self.impl_states), self.nq) >= _SCREEN_MIN_STATES:
@@ -302,13 +297,15 @@ class _Checker(_Clauses):
                          for x in compress(range(len(self.alive)), self.alive))
 
     def _eliminate(self, alive: bytearray, pending, root: int = -1) -> array:
-        """Run the ordered elimination on ``alive`` and number its kills.
+        """Run the elimination on ``alive`` and number its kills.
 
-        ``pending`` is the first pass, in index order.  A pair at 1 is
-        checked when its turn comes, a pair at 2 fails on labels alone and
-        dies at its turn without a check, and a pair at 0 is skipped.  The
-        result gives each pair its 1-based place in the kill order, 0 if it
-        did not die.  The run stops as soon as ``root`` dies.
+        ``pending`` is the first pass.  A pair at 1 is checked when its turn
+        comes, a pair at 2 fails on labels alone and dies at its turn without
+        a check, and a pair at 0 is skipped.  A pair at 3 is not reached yet
+        and reads as alive; the first passing check that cites it sets it to
+        1 and queues it.  Passes are first in, first out.  The result gives
+        each pair its 1-based place in the kill order, 0 if it did not die.
+        The run stops as soon as ``root`` dies.
         """
         check = self._check
         n = len(alive)
@@ -329,6 +326,9 @@ class _Checker(_Clauses):
                             nxt.append(head[d])
                             head[d] = e
                             e += 1
+                            if alive[d] == 3:
+                                alive[d] = 1
+                                pending.append(d)
                         continue
                 elif not state:
                     continue
@@ -347,6 +347,15 @@ class _Checker(_Clauses):
                         e = nxt[e]
                     pending.extend(sorted(citers))
         return order
+
+    def verdict(self) -> bool:
+        """The local run: whether the root pair survives, with every other
+        pair at 3 until a passing check cites it."""
+        root = self.root
+        alive = bytearray(b"\x03") * (len(self.impl_states) * self.nq)
+        alive[root] = 1
+        self._eliminate(alive, [root], root)
+        return bool(alive[root])
 
     def _label_screen(self) -> list[bytes]:
         """One row per impl state over the spec states: 0 where the pair
@@ -465,59 +474,6 @@ class _Checker(_Clauses):
                                   transition=transition)
 
 
-class _Walk(_Clauses):
-    """The elimination of :class:`_Checker`, run on the fly from the root
-    pair for a bare verdict (the local scheme of Liu & Smolka).
-
-    The root pair is queued first, then each pair the first time a passing
-    check cites it.  A pair not yet checked reads as alive, as every pair
-    does in the global first pass.  Citations go into the same watch lists
-    as in :meth:`_Checker._eliminate`, and a pair that dies re-queues its
-    current citers.  When the walk runs dry, the alive pairs it checked
-    match every obligation among themselves: a refinement relation that
-    holds the root pair.
-    """
-
-    def verdict(self) -> bool:
-        """Whether the root pair survives the elimination."""
-        check, root = self._check, self.root
-        n = len(self.impl_states) * self.nq
-        alive = bytearray(b"\x01") * n
-        since, head = _ZERO * n, _ZERO * n
-        # Entry 0 ends every list.
-        who, nxt = _ZERO * 1, _ZERO * 1
-        # 0 until first queued, 2 while queued, 1 once taken off the queue.
-        queued = bytearray(n)
-        queued[root] = 2
-        waiting = [root]
-        while waiting:
-            x = waiting.pop()
-            queued[x] = 1
-            cited: list[int] = []
-            if check(x, alive, cited) is None:
-                e = since[x] = len(who)
-                for d in cited:
-                    who.append(x)
-                    nxt.append(head[d])
-                    head[d] = e
-                    e += 1
-                    if not queued[d]:
-                        queued[d] = 2
-                        waiting.append(d)
-                continue
-            if x == root:
-                return False
-            alive[x] = 0
-            e = head[x]
-            while e:
-                c = who[e]
-                if queued[c] == 1 and alive[c] and e >= since[c]:
-                    queued[c] = 2
-                    waiting.append(c)
-                e = nxt[e]
-        return True
-
-
 def _start(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
            impl_state: StateId | None, spec_state: StateId | None) -> Pair:
     """The start states (default: the initial ones), once the operands and
@@ -526,6 +482,10 @@ def _start(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
     impl_state = impl.initial if impl_state is None else impl_state
     spec_state = spec.initial if spec_state is None else spec_state
     for aut, state in ((impl, impl_state), (spec, spec_state)):
+        # A plain str equals the StateId of its text, so the set test alone
+        # would let it into the numbering and the witness.
+        if not isinstance(state, StateId):
+            raise MialibError(f"start state {state!r} is not a StateId")
         if state not in aut.states:
             raise MialibError(f"{state} is not a state of {aut.name}")
     return impl_state, spec_state
@@ -546,8 +506,8 @@ def _decide(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
 def _verdict(impl: ModalAutomaton, spec: ModalAutomaton, flavor: str,
              impl_state: StateId | None = None,
              spec_state: StateId | None = None) -> bool:
-    """The verdict of :func:`_decide`, walked from the start pair alone."""
-    return _Walk(impl, spec, *_start(impl, spec, flavor, impl_state, spec_state)).verdict()
+    """The verdict of :func:`_decide`, run from the start pair alone."""
+    return _Checker(impl, spec, *_start(impl, spec, flavor, impl_state, spec_state)).verdict()
 
 
 def ia_refines(impl: ModalAutomaton, spec: ModalAutomaton,

@@ -108,6 +108,28 @@ def test_dmts_disjunctive_must_choice():
     assert dmts_refines(impl, spec).verdict
 
 
+@pytest.mark.xfail(strict=True, reason="the blame step takes the earliest "
+                   "eliminated successor that any spec must of the failed "
+                   "clause inspects, not one the unmatched obligation needs")
+def test_dmts_certificate_blames_the_obligation_that_fails():
+    # The must on a is still matched through p1 <= q2, which holds; the
+    # must on b fails, because p2 <= q3 dies at p2x <= q3x.
+    p2x, q3, q3x, q3y = atom("p2x"), atom("q3"), atom("q3x"), atom("q3y")
+    impl_must = [(p0, "a", [p1]), (p0, "b", [p2])]
+    impl = make_automaton(DMTS, "I", [], ["a", "b", "c", "d"], p0,
+                          may=[(p0, "a", p1), (p0, "b", p2), (p1, "c", p1),
+                               (p2, "d", p2x)], must=impl_must)
+    spec_must = [(q0, "a", [q1, q2]), (q0, "b", [q3]), (q3x, "c", [q3y])]
+    spec = make_automaton(DMTS, "S", [], ["a", "b", "c", "d"], q0,
+                          may=[(q0, "a", q1), (q0, "a", q2), (q0, "b", q3),
+                               (q2, "c", q2), (q3, "d", q3x), (q3x, "c", q3y)],
+                          must=spec_must)
+    w = dmts_refines(impl, spec)
+    assert not w.verdict
+    assert str(w.failure) == ("pair p2x <= q3x violates clause (i) "
+                              "on spec must q3x -c-> {q3y}")
+
+
 # ---------------------------------------------------------------------------
 # MIA
 
@@ -160,6 +182,21 @@ def test_start_state_outside_the_automaton_rejected(start):
     with pytest.raises(MialibError, match="nosuch is not a state of fig08_p"):
         refines(a, a, *start)
     with pytest.raises(MialibError, match="nosuch is not a state of fig08_p"):
+        _verdict(a, a, MIA, *start)
+
+
+@pytest.mark.parametrize("sides", [(0,), (1,), (0, 1)])
+def test_plain_string_start_state_rejected(sides):
+    # A plain str equals the id of its text and so passes a set test, but
+    # it must not get into the numbering or the witness beside the ids.
+    a = load("fig08_p.mia")
+    start = [None, None]
+    for side in sides:
+        start[side] = a.initial.text
+    assert type(a.initial.text) is str and a.initial.text in a.states
+    with pytest.raises(MialibError, match="is not a StateId"):
+        refines(a, a, *start)
+    with pytest.raises(MialibError, match="is not a StateId"):
         _verdict(a, a, MIA, *start)
 
 

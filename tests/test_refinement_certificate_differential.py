@@ -23,7 +23,7 @@ import pytest
 
 from mialib.model import DMTS, IA, MIA, atom, make_automaton, targets_text
 from mialib.refinement import (_SCREEN_MIN_STATES, FailureCertificate,
-                               _Checker, _Clauses, refines)
+                               _Checker, refines)
 from test_refinement_large_differential import NEVER, _planted
 
 FLAVORS = (IA, DMTS, MIA)
@@ -32,7 +32,7 @@ SEEDS = range(2, 4)
 LAST = "z0"
 
 
-class _OrderedChecker(_Clauses):
+class _OrderedChecker(_Checker):
     """Frozen copy of the checker's ordered elimination over every pair.
 
     ``alive`` is 1 while alive, 0 once eliminated, and 2 for an alive pair

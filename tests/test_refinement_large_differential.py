@@ -10,7 +10,9 @@ and the failure certificate.
 The verdict-only queries walk from the root pair instead of running the
 global elimination; the second test compares their verdicts with those of
 ``refines``, on the same instances and on 200-400 state ones whose failure
-sits at the implementation state farthest from the root.
+sits at the implementation state farthest from the root.  The last test
+counts their checks: a verdict-only query checks only pairs the root pair
+reaches, and fewer than the global elimination numbers.
 """
 
 from __future__ import annotations
@@ -137,3 +139,37 @@ def test_verdict_only_queries_match_refines(flavor, monkeypatch):
         assert equiv(a, b) == (forward and backward)
         if flavor == MIA:
             assert mia_equiv(a, b) == (forward and backward)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_verdict_only_queries_check_only_pairs_the_root_reaches(flavor, monkeypatch):
+    spec, impl, _ = _planted(flavor, 0)
+    # A may on ``NEVER`` at the root: the root pair fails its first check.
+    at_root = make_automaton(flavor, "at_root", impl.alphabet.inputs,
+                             impl.alphabet.outputs, impl.initial,
+                             impl.may | {(impl.initial, NEVER, impl.initial)},
+                             impl.must, states=impl.states)
+    checked = []
+    check = _Checker._check
+
+    def counted(self, x, alive, cited):
+        checked.append((self, x))
+        return check(self, x, alive, cited)
+
+    monkeypatch.setattr(_Checker, "_check", counted)
+    assert not holds(at_root, spec)
+    assert len(checked) == 1
+
+    checked.clear()
+    assert holds(impl, spec)
+    checker = checked[0][0]
+    assert {c for c, _ in checked} == {checker}
+    reached, todo = {checker.root}, [checker.root]
+    while todo:
+        for y in checker._inspected(todo.pop()):
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    visited = {x for _, x in checked}
+    assert visited <= reached
+    assert len(visited) < len(checker.impl_states) * checker.nq
