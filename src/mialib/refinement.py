@@ -21,8 +21,8 @@ both sides is built before the first check.  A pair ``(p, q)`` is the
 integer ``p * nq + q``, transitions are per-state lists of integers, and
 every pair is checked with the one ``_Checker._check``; state ids reappear
 only in the witness and in the failure certificate.  The queries differ
-only in how they seed the loop: which pairs start alive (1), marked (2),
-dead (0) or not reached yet (3), and which are queued first.
+only in how they seed the loop: which pairs start alive (1), dead (0) or
+not reached yet (3), and which are queued first.
 
 ``refines`` and the per-flavor queries return the whole greatest relation
 over the candidates, all pairs of numbered states, and a certificate that
@@ -45,30 +45,30 @@ and the elimination takes two runs:
 * The certificate run is needed only when the root pair dies and some
   pair was marked.  It replays the ordered elimination on the root's
   region, queued in index order, and stops when the root dies.  The
-  region holds the pairs the witness run killed that the root reaches
-  through such pairs.  A checked pair steps to every successor pair its
-  check inspects.  A marked pair dies at its turn in the first pass
-  without a check, so it steps only to successors before it in index
-  order: none after it has been visited by then.  For the same reason a
-  marked root bounds the whole region: then it takes only pairs before
-  the root, and the pairs after it read as alive.
+  region is one closure: the root, and every pair the witness run killed
+  that a region pair inspects.  A checked pair steps to every such
+  successor.  A marked pair steps only to those before it in index order:
+  its check fails whatever it reads, so in the ordered run it dies at its
+  first-pass turn, before any pair after it is visited.
 
 The replay is exact.  A witness pair never dies, and in the first pass a
-pair dies only at its own turn.  A check reads only successors of its own
-pair, which for a checked region pair are witness pairs, region pairs, or
-pairs after a marked root, unvisited and so alive until the root's turn.
-So a region pair's check reads the same values in both runs, and a marked
-pair dies at the same turn.  A pair that dies re-queues only pairs that
-cited it, so a pair outside the region never re-queues a region pair.  The
-queue is first in, first out, so dropping every pair outside the region
-from it keeps the relative kill order inside the region.  The certificate
-rechecks each pair on its walk against the pairs killed before it: the
-successors a marked pair has after it were alive when it died, in both
-runs, and every other successor it reads is a witness or region pair.  So
-``pairs`` and the certificate are those of the ordered elimination over
-every pair.  The checker stores only the order of elimination: why a pair
-failed is derived again for the certificate, by rechecking it against the
-pairs eliminated before it.
+pair dies only at its own turn.  A marked pair fails its check in both
+runs, at its first-pass turn.  Every other region pair reads only
+successors of its own pair that are witness pairs or region pairs, so its
+check reads the same values in both runs.  Region pairs after a marked
+root are queued behind it, and the run stops when the root dies at its
+first-pass turn: they are never reached and read as alive, as every pair
+after the root does in the ordered run until then.  A pair that dies
+re-queues only pairs that cited it, so a pair outside the region never
+re-queues a region pair.  The queue is first in, first out, so dropping
+every pair outside the region from it keeps the relative kill order
+inside the region.  The certificate rechecks each pair on its walk
+against the pairs killed before it: the successors a marked pair has
+after it were alive when it died, in both runs, and every other successor
+it reads is a witness or region pair.  So ``pairs`` and the certificate
+are those of the ordered elimination over every pair.  The checker stores
+only the order of elimination: why a pair failed is derived again for the
+certificate, by rechecking it against the pairs eliminated before it.
 
 ``holds``, ``equiv`` and ``mia_equiv`` need only the verdict, so they run
 the local scheme of Liu & Smolka (ICALP 1998): the same loop, seeded with
@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 
 from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, MialibError,
                     ModalAutomaton, StateId, reachable_states,
@@ -213,7 +213,9 @@ class _Checker:
         for p in self.impl_states:
             musts: dict[str, list[list[int]]] = {}
             for a, targets in impl_musts.get(p, ()):
-                musts.setdefault(a, []).append([p_index[t] * nq for t in targets])
+                # Sorted, so that the local run's queue order does not
+                # follow the hash order of the frozenset.
+                musts.setdefault(a, []).append(sorted(p_index[t] * nq for t in targets))
             mays = [(alpha, p_index[p2] * nq) for alpha, p2 in impl_mays.get(p, ())
                     if alpha in domain]
             labels.update(alpha for alpha, _ in mays)
@@ -276,20 +278,17 @@ class _Checker:
         order; with none marked, the run is the ordered elimination over
         every pair, and its order is kept for the certificate."""
         n = len(self.impl_states) * self.nq
-        self.screen = None
         if min(len(self.impl_states), self.nq) >= _SCREEN_MIN_STATES:
-            rows = self._label_screen()
-            alive = bytearray(b"".join(rows))
-            if 0 in alive:
-                self.screen = rows
+            screen = b"".join(self._label_screen())
         else:
-            alive = bytearray(b"\x01") * n
+            screen = b"\x01" * n
+        self.screen = screen if 0 in screen else None
+        self.alive = alive = bytearray(screen)
         # compress reads alive as the run goes; a pair that dies before its
         # turn in the first pass is skipped there, as the run would skip it.
         order = self._eliminate(alive, compress(range(n), alive))
         if self.screen is None:
             self.elim_order = order
-        self.alive = alive
 
     def pairs(self) -> frozenset[Pair]:
         P, Q, nq = self.impl_states, self.spec_states, self.nq
@@ -300,8 +299,7 @@ class _Checker:
         """Run the elimination on ``alive`` and number its kills.
 
         ``pending`` is the first pass.  A pair at 1 is checked when its turn
-        comes, a pair at 2 fails on labels alone and dies at its turn without
-        a check, and a pair at 0 is skipped.  A pair at 3 is not reached yet
+        comes, and a pair at 0 is skipped.  A pair at 3 is not reached yet
         and reads as alive; the first passing check that cites it sets it to
         1 and queues it.  Passes are first in, first out.  The result gives
         each pair its 1-based place in the kill order, 0 if it did not die.
@@ -316,21 +314,19 @@ class _Checker:
         while pending:
             batch, pending = pending, []
             for x in batch:
-                state = alive[x]
-                if state == 1:
-                    cited: list[int] = []
-                    if check(x, alive, cited) is None:
-                        e = since[x] = len(who)
-                        for d in cited:
-                            who.append(x)
-                            nxt.append(head[d])
-                            head[d] = e
-                            e += 1
-                            if alive[d] == 3:
-                                alive[d] = 1
-                                pending.append(d)
-                        continue
-                elif not state:
+                if not alive[x]:
+                    continue
+                cited: list[int] = []
+                if check(x, alive, cited) is None:
+                    e = since[x] = len(who)
+                    for d in cited:
+                        who.append(x)
+                        nxt.append(head[d])
+                        head[d] = e
+                        e += 1
+                        if alive[d] == 3:
+                            alive[d] = 1
+                            pending.append(d)
                     continue
                 counter += 1
                 alive[x] = 0
@@ -385,34 +381,26 @@ class _Checker:
         """The certificate run: the ordered elimination on the root's region.
 
         The module docstring says why this gives the order of a run over
-        every pair.  Each region pair starts alive, at 2 if the screen
-        marks it, and so does the witness; every other pair stays dead,
-        except that the successors a checked pair has after a marked root
-        read as alive.  All of them are dead again afterwards, so ``alive``
-        is left as the witness.
+        every pair.  The region starts at the root and takes each pair the
+        witness run killed that a region pair inspects; a pair the screen
+        marks takes only those before it.  Region pairs start alive, as the
+        witness does, and every other pair stays dead; all of them are dead
+        again afterwards, so ``alive`` is left as the witness.
         """
-        alive, rows, nq, root = self.alive, self.screen, self.nq, self.root
-        marked = not rows[root // nq][root % nq]
-        # A marked pair dies at its first-pass turn, before any pair after it
-        # is visited, so it steps only below itself; a marked root bounds
-        # the whole region so, and the pairs after it read as alive.
-        limit = root if marked else len(alive)
-        region, later = [root], []
-        alive[root] = 2 if marked else 1
+        alive, screen, root = self.alive, self.screen, self.root
+        region = [root]
+        alive[root] = 1
         for x in region:
-            checked = alive[x] == 1
-            top = limit if checked else x
+            # A marked pair dies at its first-pass turn, before any pair
+            # after it is visited, so it steps only below itself.
+            top = len(alive) if screen[x] else x
             for y in self._inspected(x):
-                if not alive[y]:
-                    if y < top:
-                        alive[y] = 1 if rows[y // nq][y % nq] else 2
-                        region.append(y)
-                    elif checked:
-                        alive[y] = 1
-                        later.append(y)
+                if not alive[y] and y < top:
+                    alive[y] = 1
+                    region.append(y)
         region.sort()
         self.elim_order = self._eliminate(alive, region, root)
-        for x in chain(region, later):
+        for x in region:
             alive[x] = 0
 
     def cause(self, x: int) -> tuple[str, tuple]:

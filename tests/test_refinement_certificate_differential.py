@@ -1,4 +1,4 @@
-"""Differential test of the two-run checker at 200-400 states.
+"""Differential tests of the two-run checker.
 
 ``refines`` kills the pairs that fail on labels alone before its witness
 run, and for a failing check replays the ordered elimination only on the
@@ -9,10 +9,14 @@ instance the verdict, every surviving pair and the certificate text must
 be its, and the certificate run's kill order must be its order restricted
 to the region.
 
-The instances are large enough for the label screen: a failure planted at
-the implementation state farthest from the root, one planted at the root
-so that the root pair fails on labels alone, and the holding
-implementation itself.
+The instances, at 200-400 states, are large enough for the label screen:
+a failure planted at the implementation state farthest from the root, one
+planted at the root so that the root pair fails on labels alone, both at
+once, and the holding implementation itself.
+
+The second test runs the certificate run on many small shapes: with the
+label screen built at every size, ``refines`` must give what it gives with
+no screen at all, where the witness run is the ordered elimination.
 """
 
 from __future__ import annotations
@@ -21,15 +25,19 @@ from itertools import compress
 
 import pytest
 
+from mialib import refinement
 from mialib.model import DMTS, IA, MIA, atom, make_automaton, targets_text
 from mialib.refinement import (_SCREEN_MIN_STATES, FailureCertificate,
                                _Checker, refines)
+from test_refinement_differential import _instance
 from test_refinement_large_differential import NEVER, _planted
 
 FLAVORS = (IA, DMTS, MIA)
 SEEDS = range(2, 4)
 # A state name that sorts after the generated ones (s0, s1, ...).
 LAST = "z0"
+# One that sorts between them: after s4 and s4..., before s5.
+MID = "s4z"
 
 
 class _OrderedChecker(_Checker):
@@ -158,7 +166,10 @@ def _instances(flavor):
     on labels alone.  The failing ones come twice: as drawn, where the root
     pair is the first pair in index order, and with both initial states
     renamed to sort last, so that the root pair is the last one and the
-    certificate run has the whole first pass before it.
+    certificate run has the whole first pass before it.  The last instance
+    plants both failures and renames the impl's initial state to sort in
+    mid order, so that the far failure kills pairs on both sides of the
+    marked root.
     """
     for seed in SEEDS:
         spec, impl, far = _planted(flavor, seed)
@@ -168,6 +179,8 @@ def _instances(flavor):
         for kind, bad in (("far", far), ("root", at_root)):
             yield f"{flavor}/{seed}/{kind}", bad, spec
             yield f"{flavor}/{seed}/{kind}-last", _rebuilt(bad, rename=LAST), last_spec
+        both = _rebuilt(far, {(far.initial, NEVER, far.initial)}, rename=MID)
+        yield f"{flavor}/{seed}/both-mid", both, spec
 
 
 def _region(reference, witness, screen):
@@ -175,16 +188,14 @@ def _region(reference, witness, screen):
     stepping to every successor pair either clause inspects.
 
     A pair that fails on labels alone dies at its turn in the first pass,
-    so it steps only to pairs before it in index order; when that is the
-    root, only pairs before the root count at all.
+    so it steps only to pairs before it in index order.
     """
     root = reference.root
-    limit = len(witness) if screen[root] else root
     region = {root}
     stack = [root]
     while stack:
         x = stack.pop()
-        top = limit if screen[x] else x
+        top = len(witness) if screen[x] else x
         for y in reference.inspected(x, "i") + reference.inspected(x, "ii"):
             if y < top and not witness[y] and y not in region:
                 region.add(y)
@@ -194,7 +205,7 @@ def _region(reference, witness, screen):
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_two_runs_give_the_ordered_elimination_witness_and_certificate(flavor):
-    failing = on_labels = 0
+    failing = on_labels = beyond_marked_root = 0
     replayed = {True: 0, False: 0}
     for name, impl, spec in _instances(flavor):
         reference = _OrderedChecker(impl, spec, impl.initial, spec.initial)
@@ -227,14 +238,54 @@ def test_two_runs_give_the_ordered_elimination_witness_and_certificate(flavor):
         killed = sorted(compress(range(len(order)), order), key=order.__getitem__)
         assert [order[x] for x in killed] == list(range(1, len(killed) + 1)), name
         ref_order = reference.elim_order
-        expected = sorted((x for x in _region(reference, witness, screen)
-                           if ref_order[x] <= ref_order[root]),
+        region = _region(reference, witness, screen)
+        expected = sorted((x for x in region if ref_order[x] <= ref_order[root]),
                           key=ref_order.__getitem__)
+        # Region pairs after a marked root are never reached: the run stops
+        # at the root's first-pass turn, and they read as alive.
+        beyond_marked_root += marked_root and max(region) > root
         assert killed == expected, name
         assert killed[-1] == root, name
         replayed[marked_root] += len(killed) > 1
-    assert failing == 4 * len(SEEDS)
+    assert failing == 5 * len(SEEDS)
     # Every root planted on labels fails on labels alone, and no far one does.
-    assert on_labels == 2 * len(SEEDS)
+    assert on_labels == 3 * len(SEEDS)
     # Both kinds of region had pairs die before the root.
     assert replayed[True] and replayed[False], replayed
+    # Some region around a marked root holds pairs after it.
+    assert beyond_marked_root
+
+
+SMALL_PER_FLAVOR = 400
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_screened_and_unscreened_runs_agree_on_small_automata(flavor, monkeypatch):
+    """At 8-60 states, with the screen built at every size, nearly every
+    failing check gets its certificate from the certificate run; with no
+    screen, the witness run is the ordered elimination itself.  Both must
+    give the same verdict, witness and certificate."""
+    instances = [_instance(flavor, seed, max_states=60) for seed in range(SMALL_PER_FLAVOR)]
+    replayed = []
+    replay = _Checker._replay
+
+    def counted(self):
+        # Whether the root fails on labels alone.
+        replayed.append(not self.screen[self.root])
+        replay(self)
+
+    monkeypatch.setattr(_Checker, "_replay", counted)
+    results = {}
+    for threshold in (10**9, 0):
+        monkeypatch.setattr(refinement, "_SCREEN_MIN_STATES", threshold)
+        results[threshold] = [(w.verdict, w.pairs, None if w.verdict else str(w.failure))
+                              for w in (refines(*instance) for instance in instances)]
+        if threshold:
+            assert not replayed
+    for seed, (ordered, screened) in enumerate(zip(results[10**9], results[0])):
+        assert screened == ordered, f"{flavor} seed {seed}"
+    failing = sum(not verdict for verdict, _, _ in results[0])
+    assert SMALL_PER_FLAVOR // 5 <= failing <= SMALL_PER_FLAVOR - SMALL_PER_FLAVOR // 5
+    # Most certificates came from the certificate run, some of them from a
+    # root that fails on labels alone.
+    assert len(replayed) >= failing // 2 and any(replayed), (failing, len(replayed))

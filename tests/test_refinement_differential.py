@@ -204,8 +204,9 @@ def _automaton(flavor: str, n: int, inputs: list[str], outputs: list[str],
     return aut
 
 
-def _instance(flavor: str, seed: int):
-    """One seeded query: spec, impl and the two start states."""
+def _instance(flavor: str, seed: int, max_states: int = 40):
+    """One seeded query: spec, impl and the two start states, at 8 to
+    ``max_states`` states per side."""
     rng = random.Random(f"differential|{flavor}|{seed}")
     actions = [f"a{i}" for i in range(rng.randint(2, 4))]
     if flavor == DMTS:
@@ -213,10 +214,10 @@ def _instance(flavor: str, seed: int):
     else:
         k = rng.randint(1, len(actions) - 1)
         inputs, outputs = actions[:k], actions[k:]
-    spec = _automaton(flavor, rng.randint(8, 40), inputs, outputs, rng, "spec")
+    spec = _automaton(flavor, rng.randint(8, max_states), inputs, outputs, rng, "spec")
     shape = rng.choice(("weakened", "planted", "independent"))
     if shape == "independent":
-        impl = _automaton(flavor, rng.randint(8, 40), inputs, outputs, rng, "impl")
+        impl = _automaton(flavor, rng.randint(8, max_states), inputs, outputs, rng, "impl")
     else:
         impl = weaken(spec, rng)
     if shape == "planted":

@@ -12,13 +12,18 @@ global elimination; the second test compares their verdicts with those of
 ``refines``, on the same instances and on 200-400 state ones whose failure
 sits at the implementation state farthest from the root.  The last test
 counts their checks: a verdict-only query checks only pairs the root pair
-reaches, and fewer than the global elimination numbers.
+reaches, and fewer than the global elimination numbers, and the same
+number under every hash seed.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +178,39 @@ def test_verdict_only_queries_check_only_pairs_the_root_reaches(flavor, monkeypa
     visited = {x for _, x in checked}
     assert visited <= reached
     assert len(visited) < len(checker.impl_states) * checker.nq
+
+
+# Counts the checks of both verdict-only directions on the dMTS and MIA
+# instances, whose musts can have several targets.
+_COUNT_SCRIPT = """
+from mialib.refinement import _Checker, holds
+from test_refinement_large_differential import _instance
+
+counts = []
+check = _Checker._check
+
+def counted(self, x, alive, cited):
+    counts[-1] += 1
+    return check(self, x, alive, cited)
+
+_Checker._check = counted
+for flavor in ("dmts", "mia"):
+    for seed in range(6):
+        impl, spec = _instance(flavor, seed)
+        counts.append(0)
+        holds(impl, spec)
+        holds(spec, impl)
+print(counts)
+"""
+
+
+def test_verdict_check_counts_do_not_follow_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _COUNT_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] == outputs[2], outputs
