@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import os
 import sys
@@ -206,37 +207,40 @@ class _Parser(argparse.ArgumentParser):
             _err(message, end="")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process on first use.
+
+    Each subcommand stores only its name; :func:`_run` looks its handler
+    up when the command runs.
+    """
     parser = _Parser(
         prog="mia",
         description="Interface automata and modal interface automata toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, *positionals):
+    def command(name, help, *positionals):
         p = sub.add_parser(name, help=help)
         for arg in positionals:
             p.add_argument(arg)
-        p.set_defaults(fn=fn)
         return p
 
-    command("validate", _cmd_validate, "check a file against its flavor rules",
-            "file")
+    command("validate", "check a file against its flavor rules", "file")
 
-    p = command("refine", _cmd_refine, "check refinement IMPL <= SPEC",
-                "impl", "spec")
+    p = command("refine", "check refinement IMPL <= SPEC", "impl", "spec")
     p.add_argument("--impl-state")
     p.add_argument("--spec-state")
     p.add_argument("--witness", action="store_true",
                    help="print the relation pairs on success")
 
-    for name, fn in (("conjoin", _cmd_conjoin), ("disjoin", _cmd_disjoin)):
-        p = command(name, fn, f"{name} two automata of one flavor",
+    for name in ("conjoin", "disjoin"):
+        p = command(name, f"{name} two automata of one flavor",
                     "left", "right")
         p.add_argument("-o", "--output")
         p.add_argument("--reachable", action="store_true",
                        help="drop states unreachable from the initial state")
 
-    p = command("compose", _cmd_compose, "parallel composition with pruning",
+    p = command("compose", "parallel composition with pruning",
                 "left", "right")
     p.add_argument("-o", "--output")
     p.add_argument("--emit-product", action="store_true",
@@ -244,14 +248,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-pruned-set", action="store_true",
                    help="print the incompatible states with provenance")
 
-    p = command("embed", _cmd_embed, "embed an ia into dmts or mia")
+    p = command("embed", "embed an ia into dmts or mia")
     p.add_argument("--into", choices=(DMTS, MIA), required=True)
     p.add_argument("file")
     p.add_argument("-o", "--output")
 
-    p = command("dot", _cmd_dot, "export Graphviz", "file")
+    p = command("dot", "export Graphviz", "file")
     p.add_argument("-o", "--output")
-    command("equiv", _cmd_equiv, "check mutual refinement", "left", "right")
+    command("equiv", "check mutual refinement", "left", "right")
     return parser
 
 
@@ -259,8 +263,12 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command with cyclic GC off; the caller's GC setting returns.
 
     A command allocates millions of tuples and state ids that never form
-    cycles, so the collector would scan them for nothing; the little cyclic
-    garbage a command leaves (argparse's) is collected once GC is back on.
+    cycles, so the collector would scan them for nothing.  The little
+    cyclic garbage a command leaves (what argparse's parsing leaves) is
+    collected once GC is back on.  The parser itself is built once per
+    process and kept, so it is not garbage; a ``mia`` process runs one
+    command and builds it once either way, so this spares only callers
+    that run many commands in one process.
 
     Standard output is flushed before returning, so a failed write to it
     (a full disk, a closed pipe) is one error line and exit code 2. It is the
@@ -282,13 +290,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
     try:
-        return args.fn(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except _CliError as exc:
         _err(str(exc))
         return exc.code

@@ -41,7 +41,12 @@ on first access, and kept:
   ``label -> successors``;
 * the renamed copies :func:`rename_disjoint` hands out, whose states all
   carry the ``@L`` or the ``@R`` tag: an operand is renamed once, and its
-  copy keeps its own views across every product built from it.
+  copy keeps its own views across every product built from it;
+* the refinement rows, per start state: the table is empty until
+  :mod:`mialib.refinement` numbers the automaton's reachable states and
+  builds the rows of its specification side there, so an automaton
+  checked many times is numbered once.  No entry refers back to the
+  automaton, so keeping them makes no reference cycle.
 
 Each view is built only for automata that ask for it, so the many that
 are only walked never pay for the sorted edges or the label rows.  Two
@@ -342,6 +347,10 @@ class ModalAutomaton:
     @_derived
     def _must_rows(self) -> dict[StateId, dict[str, list[frozenset[StateId]]]]:
         return _label_rows(self.sorted_must)
+
+    @_derived
+    def _refinement_rows(self) -> dict:
+        return {}
 
     @_derived
     def _as_left(self) -> ModalAutomaton:

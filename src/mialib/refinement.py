@@ -24,6 +24,16 @@ only in the witness and in the failure certificate.  The queries differ
 only in how they seed the loop: which pairs start alive (1), dead (0) or
 not reached yet (3), and which are queued first.
 
+The numbering and the specification rows depend on one automaton and one
+start state alone, so each automaton keeps them, per start state
+(``_Side``), from the first query that needs them: many implementations
+checked against one specification number it, and build its must rows,
+weak rows and label-screen rows, once.  The weak rows are kept per set of
+labels the implementation's mays use.  Only the implementation rows are
+built per query, because their targets are scaled by the specification's
+state count.  A kept side holds no reference to its automaton, and a
+numbering that fails is not kept, so every query on that automaton fails.
+
 ``refines`` and the per-flavor queries return the whole greatest relation
 over the candidates, all pairs of numbered states, and a certificate that
 follows the ordered elimination of Henzinger, Henzinger & Kopke (FOCS
@@ -84,7 +94,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 
 from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, MialibError,
                     ModalAutomaton, StateId, reachable_states,
@@ -162,8 +172,92 @@ def _numbered(aut: ModalAutomaton, start: StateId) -> list[StateId]:
     return sorted(reach)
 
 
+class _Side:
+    """One automaton seen from one start state: its reachable states
+    numbered, and the rows it has as a specification.
+
+    ``states`` lists the reachable states in text order and ``index`` maps
+    each to its number.  The specification rows depend on nothing else, so
+    they are built on first use and kept: :meth:`musts`, :meth:`hat` per
+    set of labels to match, and :meth:`label_needs` for the label screen.
+    A side is kept on its automaton, keyed by start state (:func:`_side`).
+    It holds no reference to the automaton, which its builders take as an
+    argument, so keeping it makes no reference cycle.
+    """
+
+    __slots__ = ("states", "index", "_musts", "_hats", "_needs")
+
+    def __init__(self, states: list[StateId]):
+        self.states = states
+        self.index = {s: i for i, s in enumerate(states)}
+        self._musts = None
+        self._hats: dict[frozenset[str], list[dict[str, tuple[int, ...]]]] = {}
+        self._needs: dict[frozenset[str], list[tuple[frozenset, frozenset]]] = {}
+
+    def musts(self, aut: ModalAutomaton) -> list[list[tuple[str, list[int]]]]:
+        """Per state, its musts as ``(label, sorted target numbers)``."""
+        if self._musts is None:
+            index, by_src = self.index, aut._must_by_src
+            self._musts = [[(a, sorted([index[t] for t in targets]))
+                            for a, targets in by_src.get(q, ())]
+                           for q in self.states]
+        return self._musts
+
+    def hat(self, aut: ModalAutomaton,
+            labels: frozenset[str]) -> list[dict[str, tuple[int, ...]]]:
+        """Per state, ``label -> sorted weak successor numbers`` on each of
+        ``labels``; on tau, the state's silent closure.  Equal successor
+        sets share one tuple."""
+        hat = self._hats.get(labels)
+        if hat is None:
+            if labels:
+                weak, index = aut.weak, self.index
+                shared: dict[frozenset[StateId], tuple[int, ...]] = {}
+                hat = []
+                for q in self.states:
+                    row = {}
+                    for alpha in labels:
+                        succ = weak.eps_succ(q) if alpha == TAU else weak.weak_succ(q, alpha)
+                        nums = shared.get(succ)
+                        if nums is None:
+                            nums = shared[succ] = tuple(sorted([index[t] for t in succ]))
+                        row[alpha] = nums
+                    hat.append(row)
+            else:
+                # Without impl mays to match, the weak closure is not needed.
+                hat = [{}] * len(self.states)
+            self._hats[labels] = hat
+        return hat
+
+    def label_needs(self, labels: frozenset[str]) -> list[tuple[frozenset, frozenset]]:
+        """Per state, the labels it has musts on and those of ``labels`` it
+        matches weakly, once :meth:`musts` and :meth:`hat` are built.
+        States with the same two label sets share one entry."""
+        needs = self._needs.get(labels)
+        if needs is None:
+            shared: dict = {}
+            needs = self._needs[labels] = []
+            for musts, hat in zip(self._musts, self._hats[labels]):
+                entry = (frozenset([a for a, _ in musts]),
+                         frozenset([a for a, targets in hat.items() if targets]))
+                needs.append(shared.setdefault(entry, entry))
+        return needs
+
+
+def _side(aut: ModalAutomaton, start: StateId) -> _Side:
+    """The side of ``aut`` from ``start``, numbered on first use and kept.
+
+    A numbering that fails raises and is not kept, so every query on that
+    automaton raises again."""
+    sides = aut._refinement_rows
+    side = sides.get(start)
+    if side is None:
+        side = sides[start] = _Side(_numbered(aut, start))
+    return side
+
+
 class _Checker:
-    """The set-up every query shares, the one check of the two clauses, and
+    """One query: the rows it needs, the one check of the two clauses, and
     the one elimination loop, :meth:`_eliminate`.
 
     Each side numbers the states reachable from its start state by the rank
@@ -173,12 +267,16 @@ class _Checker:
     numbers ``(p, q)`` is the integer ``p * nq + q``, and ``root`` is the
     start pair.
 
-    The rows are lists indexed by state number, all built here:
-    ``impl_musts`` maps each must label to the target lists and
-    ``impl_mays`` keeps the output and tau mays, both with targets stored as
-    pair bases ``p2 * nq``, ready to add ``q2``.  ``spec_musts`` holds sorted
-    target numbers, and ``spec_hat`` the sorted weak successors on each
-    label some impl may uses.
+    The rows are lists indexed by state number, all built before the first
+    check.  The numbering of each side and the spec rows are the ones kept
+    on the automaton (:class:`_Side`), so a query against a specification
+    already checked builds only the impl rows: ``impl_musts`` maps each
+    must label to the target lists and ``impl_mays`` keeps the output and
+    tau mays, both with targets stored as pair bases ``p2 * nq``, ready to
+    add ``q2``.  Those depend on the spec's state count, so they are built
+    per query.  ``spec_musts`` holds sorted target numbers, and
+    ``spec_hat`` the sorted weak successors on each label some impl may
+    uses (``labels``).
 
     A pair that passes its check cites the pairs it relied on, in flat watch
     lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
@@ -199,39 +297,34 @@ class _Checker:
 
     def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
                  impl_state: StateId, spec_state: StateId):
-        self.impl_states = _numbered(impl, impl_state)
-        self.spec_states = _numbered(spec, spec_state)
-        p_index = {s: i for i, s in enumerate(self.impl_states)}
-        q_index = {s: i for i, s in enumerate(self.spec_states)}
+        impl_side = _side(impl, impl_state)
+        self.spec_side = spec_side = _side(spec, spec_state)
+        self.impl_states, self.spec_states = impl_side.states, spec_side.states
+        p_index = impl_side.index
         self.nq = nq = len(self.spec_states)
-        self.root = p_index[impl_state] * nq + q_index[spec_state]
+        self.root = p_index[impl_state] * nq + spec_side.index[spec_state]
 
         domain = spec.alphabet.outputs | {TAU}
-        self.impl_musts, self.impl_mays = [], []
+        self.impl_musts, self.impl_mays = impl_musts, impl_mays = [], []
         labels: set[str] = set()
-        impl_mays, impl_musts = impl._may_by_src, impl._must_by_src
+        may_by_src, must_by_src = impl._may_by_src, impl._must_by_src
         for p in self.impl_states:
             musts: dict[str, list[list[int]]] = {}
-            for a, targets in impl_musts.get(p, ()):
+            for a, targets in must_by_src.get(p, ()):
                 # Sorted, so that the local run's queue order does not
                 # follow the hash order of the frozenset.
-                musts.setdefault(a, []).append(sorted(p_index[t] * nq for t in targets))
-            mays = [(alpha, p_index[p2] * nq) for alpha, p2 in impl_mays.get(p, ())
-                    if alpha in domain]
-            labels.update(alpha for alpha, _ in mays)
-            self.impl_musts.append(musts)
-            self.impl_mays.append(mays)
+                musts.setdefault(a, []).append(sorted([p_index[t] * nq for t in targets]))
+            mays = []
+            for alpha, p2 in may_by_src.get(p, ()):
+                if alpha in domain:
+                    mays.append((alpha, p_index[p2] * nq))
+                    labels.add(alpha)
+            impl_musts.append(musts)
+            impl_mays.append(mays)
 
-        self.spec_musts, self.spec_hat = [], []
-        # Without impl mays to match, the spec's weak closure is not needed.
-        weak = spec.weak if labels else None
-        spec_musts = spec._must_by_src
-        for q in self.spec_states:
-            self.spec_musts.append([(a, sorted(q_index[t] for t in targets))
-                                    for a, targets in spec_musts.get(q, ())])
-            self.spec_hat.append({alpha: sorted(q_index[t] for t in (
-                weak.eps_succ(q) if alpha == TAU else weak.row(q).get(alpha, ())))
-                for alpha in labels})
+        self.labels = frozenset(labels)
+        self.spec_musts = spec_side.musts(spec)
+        self.spec_hat = spec_side.hat(spec, self.labels)
 
     def _check(self, x: int, alive: bytearray | _AliveAt,
                cited: list[int]) -> tuple[str, tuple] | None:
@@ -291,9 +384,9 @@ class _Checker:
             self.elim_order = order
 
     def pairs(self) -> frozenset[Pair]:
-        P, Q, nq = self.impl_states, self.spec_states, self.nq
-        return frozenset((P[x // nq], Q[x % nq])
-                         for x in compress(range(len(self.alive)), self.alive))
+        # Pair x is the x-th of the product, which runs in index order.
+        return frozenset(compress(product(self.impl_states, self.spec_states),
+                                  self.alive))
 
     def _eliminate(self, alive: bytearray, pending, root: int = -1) -> array:
         """Run the elimination on ``alive`` and number its kills.
@@ -361,9 +454,7 @@ class _Checker:
         weak match; impl states with the same must and may labels share
         one row.
         """
-        spec_side = [({a for a, _ in musts},
-                      {a for a, targets in hat.items() if targets})
-                     for musts, hat in zip(self.spec_musts, self.spec_hat)]
+        spec_side = self.spec_side.label_needs(self.labels)
         rows: dict[tuple[frozenset, frozenset], bytes] = {}
         out = []
         for musts, mays in zip(self.impl_musts, self.impl_mays):

@@ -88,7 +88,7 @@ def _raise(error: Exception):
 @pytest.mark.parametrize("caller_gc", [True, False])
 def test_gc_restored_after_a_library_error(caller_gc, gc_setting, monkeypatch,
                                            corpus_file, capsys):
-    # the subcommand table is built on each call, so it picks up the patch
+    # the handler is looked up when the command runs, so it picks up the patch
     monkeypatch.setattr(cli, "_cmd_validate", _raise(NotComposableError("x")))
     if not caller_gc:
         gc.disable()
