@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
                       _parallel_product, _prune_incompatible)
-from .model import (IA, TAU, ModalAutomaton, disjoint_operands, explore_pairs,
-                    make_automaton, require_operands, vee_id, wedge_id)
+from .model import (IA, TAU, IdTable, ModalAutomaton, StateId, explore_pairs,
+                    product_operands, require_operands, vee_id, wedge_id)
 
 
 def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
@@ -24,7 +24,7 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
     """Greatest lower bound of two IAs with common alphabets; with
     ``reachable`` only the part reachable from the initial pair."""
     require_operands(p, q, IA)
-    p, q, ids = disjoint_operands(p, q, wedge_id)
+    p, q, ids = product_operands(p, q, wedge_id, reachable)
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
 
     def rule(w):
@@ -53,8 +53,8 @@ def ia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
 
     init = ids[p.initial, q.initial]
     states, may, must = explore_pairs(ids, init, rule, (p, q), reachable)
-    return make_automaton(IA, f"{p.name}_and_{q.name}", inputs, outputs, init,
-                          may, must, states=states)
+    return ModalAutomaton(IA, f"{p.name}_and_{q.name}", p.alphabet, states,
+                          init, may, must)
 
 
 def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
@@ -62,28 +62,37 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
     """Least upper bound of two IAs: inputs synchronize, outputs commit;
     with ``reachable`` only the part reachable from the initial pair."""
     require_operands(p, q, IA)
-    p, q, ids = disjoint_operands(p, q, vee_id)
+    p, q, ids = product_operands(p, q, vee_id, reachable)
     inputs = p.alphabet.inputs
+
+    def row_of(aut: ModalAutomaton):
+        """Each state's may row, the labels of its input mays, and its
+        mays on outputs and tau.  Equal label lists are kept once."""
+        labels: dict = {}
+
+        def row(state: StateId):
+            mays = aut.may_row(state)
+            ins = tuple([a for a in mays if a in inputs])
+            return (mays, labels.setdefault(ins, ins),
+                    [edge for edge in aut.may_from(state)
+                     if edge[0] not in inputs] or ())
+        return IdTable(row)
+
+    p_rows, q_rows = row_of(p), row_of(q)
 
     def rule(v):
         ps, qs = v.parts
-        p_mays, q_mays = p.may_row(ps), q.may_row(qs)
-        mays = []
-        for a in inputs:                                # (I)
-            pt = p_mays.get(a)
-            qt = q_mays.get(a)
-            if pt and qt:
-                mays.append((a, ids[pt[0], qt[0]]))
+        p_mays, p_in, p_free = p_rows[ps]
+        q_mays, _, q_free = q_rows[qs]
+        mays = [(a, ids[p_mays[a][0], q_mays[a][0]])    # (I)
+                for a in p_in if a in q_mays]
         musts = [(a, frozenset([t])) for a, t in mays]
-        for side, s in ((p, ps), (q, qs)):              # (OT1), (OT2)
-            mays.extend((alpha, t) for alpha, t in side.may_from(s)
-                        if alpha not in inputs)
-        return mays, musts
+        return [*mays, *p_free, *q_free], musts         # (OT1), (OT2)
 
     init = ids[p.initial, q.initial]
     states, may, must = explore_pairs(ids, init, rule, (p, q), reachable)
-    return make_automaton(IA, f"{p.name}_or_{q.name}", inputs,
-                          p.alphabet.outputs, init, may, must, states=states)
+    return ModalAutomaton(IA, f"{p.name}_or_{q.name}", p.alphabet, states,
+                          init, may, must)
 
 
 def ia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:

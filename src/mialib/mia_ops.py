@@ -15,12 +15,11 @@ composition, dMTS conjunction and dMTS disjunction run on them too.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
-from .model import (MIA, TAU, IdTable, ModalAutomaton, MustEdge,
-                    NotComposableError, StateId, disjoint_operands,
-                    explore_pairs, make_automaton, pair_id, remove_states,
-                    require_flavor, require_operands, targets_text, vee_id)
+from .model import (MIA, TAU, Alphabet, IdTable, ModalAutomaton, MustEdge,
+                    NotComposableError, StateId, _pair_of, explore_pairs,
+                    pair_id, product_operands, remove_states, require_flavor,
+                    require_operands, targets_text, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -113,72 +112,91 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
     product also carries the components its input escapes lead to.
     """
     require_operands(p, q, flavor)
-    p, q, ids = disjoint_operands(p, q, pair_id)
-    pw, qw = p.weak, q.weak
+    p, q, ids = product_operands(p, q, pair_id, reachable)
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
     silent_or_outputs = outputs | {TAU}
     pairs: dict = {}
     unmatched: dict = {}
 
+    # (must labels, weak labels) -> (output must labels, input must
+    # labels, weak labels on outputs and tau), each kept once
+    splits: dict = {}
+
+    def row_of(aut: ModalAutomaton):
+        """Each state's facts that need no partner: its must row and weak
+        row, the labels of its output musts in row order and of its input
+        musts, and the labels of its weak entries on outputs and tau."""
+        weak = aut.weak
+
+        def row(state: StateId):
+            musts = aut.must_row(state)
+            weak_row = weak.row(state)
+            key = (tuple(musts), tuple(weak_row))
+            split = splits.get(key)
+            if split is None:
+                split = splits[key] = (
+                    tuple([o for o in musts if o in outputs]),
+                    tuple([i for i in musts if i in inputs]),
+                    tuple([a for a in weak_row if a in silent_or_outputs]))
+            return (musts, weak_row, *split)
+        return IdTable(row)
+
+    p_rows, q_rows = row_of(p), row_of(q)
+
     def rule(state: StateId):
         ps, qs = pairs[state] = state.parts
-        p_weak, q_weak = pw.row(ps), qw.row(qs)
-        p_musts, q_musts = p.must_row(ps), q.must_row(qs)
+        p_musts, p_weak, p_out, p_in, p_auto = p_rows[ps]
+        q_musts, q_weak, q_out, q_in, _ = q_rows[qs]
         mays, musts = [], []
         # Rows list their labels in text order, so F1 and F2 each record
         # the smallest unmatched output.
-        for o, p_sets in p_musts.items():                # (OMust1)
-            if o not in outputs:
-                continue
+        for o in p_out:                                  # (OMust1)
             partners = q_weak.get(o)
             if partners:
                 musts += [(o, frozenset([ids[pt, qt] for pt in p_targets
                                          for qt in partners]))
-                          for p_targets in p_sets]
+                          for p_targets in p_musts[o]]
             else:                                        # (F1)
                 unmatched.setdefault(state, ("F1", o))
-        for o, q_sets in q_musts.items():                # (OMust2)
-            if o not in outputs:
-                continue
+        for o in q_out:                                  # (OMust2)
             partners = p_weak.get(o)
             if partners:
                 musts += [(o, frozenset([ids[pt, qt] for pt in partners
                                          for qt in q_targets]))
-                          for q_targets in q_sets]
+                          for q_targets in q_musts[o]]
             else:                                        # (F2)
                 unmatched.setdefault(state, ("F2", o))
         # A valid MIA state has at most one must per input, and its input
         # mays are exactly that must's targets.  So a side has input mays
         # just when it has the must, and (IMay1)-(IMay3) allow exactly the
         # targets (IMust1)-(IMust3) require.
-        for i in inputs:
-            p_sets = p_musts.get(i)
+        for i in p_in:
+            targets = p_musts[i][0]
             q_sets = q_musts.get(i)
-            if p_sets and q_sets:                        # (IMust3)
-                targets = frozenset([
-                    ids[pt, qt] for pt in p_sets[0] for qt in q_sets[0]])
-            elif p_sets:                                 # (IMust1)
-                targets = p_sets[0]
-            elif q_sets:                                 # (IMust2)
-                targets = q_sets[0]
-            else:
-                continue
-            musts.append((i, targets))
-            mays += [(i, t) for t in targets]            # (IMay1)-(IMay3)
+            if q_sets:                                   # (IMust3)
+                targets = frozenset([ids[pt, qt] for pt in targets
+                                     for qt in q_sets[0]])
+            musts.append((i, targets))                   # (IMust1)
+            mays += [(i, t) for t in targets]
+        for i in q_in:
+            if i not in p_musts:                         # (IMust2)
+                targets = q_musts[i][0]
+                musts.append((i, targets))
+                mays += [(i, t) for t in targets]
         mays += [(TAU, ids[pt, qs]) for pt in p_weak.get(TAU, ())]   # (May1)
         mays += [(TAU, ids[ps, qt]) for qt in q_weak.get(TAU, ())]   # (May2)
-        for alpha, p_succ in p_weak.items():             # (May3)
+        for alpha in p_auto:                             # (May3)
             q_succ = q_weak.get(alpha)
-            if q_succ and alpha in silent_or_outputs:
+            if q_succ:
                 mays += [(alpha, ids[pt, qt])
-                         for pt in p_succ for qt in q_succ]
+                         for pt in p_weak[alpha] for qt in q_succ]
         return mays, musts
 
     init = ids[p.initial, q.initial]
     states, may, must = explore_pairs(ids, init, rule,
                                       (p, q) if flavor == MIA else (), reachable)
-    automaton = make_automaton(flavor, f"{p.name}_and_{q.name}", inputs,
-                               outputs, init, may, must, states=states)
+    automaton = ModalAutomaton(flavor, f"{p.name}_and_{q.name}", p.alphabet,
+                               states, init, may, must)
     return ConjunctiveProduct(automaton=automaton, left=p, right=q,
                               pairs=pairs, unmatched=unmatched)
 
@@ -293,24 +311,41 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
     ``reachable`` only the part reachable from the initial pair is built.
     """
     require_operands(p, q, flavor)
-    p, q, ids = disjoint_operands(p, q, vee_id)
+    p, q, ids = product_operands(p, q, vee_id, reachable)
     inputs = p.alphabet.inputs
+
+    def row_of(aut: ModalAutomaton):
+        """Each state's mays on outputs and tau, its input mays and their
+        labels, and its musts.  Equal label sets are kept once."""
+        labels: dict = {}
+
+        def row(state: StateId):
+            mays = aut.may_from(state)
+            ins = frozenset([a for a, _ in mays if a in inputs])
+            return ([edge for edge in mays if edge[0] not in inputs] or (),
+                    [edge for edge in mays if edge[0] in inputs] or (),
+                    labels.setdefault(ins, ins), aut.musts_from(state))
+        return IdTable(row)
+
+    p_rows, q_rows = row_of(p), row_of(q)
 
     def rule(state: StateId):
         ps, qs = state.parts
+        p_free, p_inputs, p_in, p_musts = p_rows[ps]
+        q_free, q_inputs, q_in, q_musts = q_rows[qs]
         musts = [(a, p_targets | q_targets)              # (Must)
-                 for a, p_targets in p.musts_from(ps)
-                 for q_targets in q.must_sets(qs, a)]
-        mays = [(alpha, pt) for alpha, pt in p.may_from(ps)      # (May1)
-                if alpha not in inputs or q.has_may(qs, alpha)]
-        mays += [(alpha, qt) for alpha, qt in q.may_from(qs)     # (May2)
-                 if alpha not in inputs or p.has_may(ps, alpha)]
+                 for a, p_targets in p_musts
+                 for b, q_targets in q_musts if a == b]
+        mays = [*p_free, *q_free]                        # (May1), (May2)
+        if p_in and q_in:
+            mays += [edge for edge in p_inputs if edge[0] in q_in]
+            mays += [edge for edge in q_inputs if edge[0] in p_in]
         return mays, musts
 
     init = ids[p.initial, q.initial]
     states, may, must = explore_pairs(ids, init, rule, (p, q), reachable)
-    return make_automaton(flavor, f"{p.name}_or_{q.name}", inputs,
-                          p.alphabet.outputs, init, may, must, states=states)
+    return ModalAutomaton(flavor, f"{p.name}_or_{q.name}", p.alphabet, states,
+                          init, may, must)
 
 
 def mia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
@@ -345,32 +380,53 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
     require_flavor(p1, flavor)
     require_flavor(p2, flavor)
     inputs, outputs = composed_alphabets(p1, p2)
-    a1, a2 = p1.alphabet.actions, p2.alphabet.actions
-    ids = IdTable(partial(StateId, StateId.PAIR))
+    ids = IdTable(_pair_of)
+
+    def row_of(aut: ModalAutomaton, shared: frozenset[str]):
+        """Each state's may row, its may labels the partner does not share
+        and those it does, and its musts on the former.  The labels are
+        split once per label list."""
+        splits: dict = {}
+
+        def row(state: StateId):
+            mays = aut.may_row(state)
+            key = tuple(mays)
+            split = splits.get(key)
+            if split is None:
+                split = splits[key] = (tuple([a for a in key if a not in shared]),
+                                       tuple([a for a in key if a in shared]))
+            return (mays, *split,
+                    [(a, targets) for a, targets in aut.musts_from(state)
+                     if a not in shared] or ())
+        return IdTable(row)
+
+    rows1 = row_of(p1, p2.alphabet.actions)
+    rows2 = row_of(p2, p1.alphabet.actions)
 
     def rule(state: StateId):
         s1, s2 = state.parts
+        row1, own1, shared1, musts1 = rows1[s1]
+        row2, own2, _, musts2 = rows2[s2]
         musts = [(a, frozenset([ids[t, s2] for t in targets]))   # (Must1)
-                 for a, targets in p1.musts_from(s1) if a not in a2]
+                 for a, targets in musts1]
         musts += [(a, frozenset([ids[s1, t] for t in targets]))  # (Must2)
-                  for a, targets in p2.musts_from(s2) if a not in a1]
+                  for a, targets in musts2]
         mays = []
-        row1, row2 = p1.may_row(s1), p2.may_row(s2)
-        for alpha, ends1 in row1.items():
-            if alpha not in a2:                          # (May1)
-                mays += [(alpha, ids[t1, s2]) for t1 in ends1]
-            elif alpha in row2:                          # (May3)
+        for alpha in own1:                               # (May1)
+            mays += [(alpha, ids[t1, s2]) for t1 in row1[alpha]]
+        for alpha in own2:                               # (May2)
+            mays += [(alpha, ids[s1, t2]) for t2 in row2[alpha]]
+        for alpha in shared1:                            # (May3)
+            ends2 = row2.get(alpha)
+            if ends2:
                 mays += [(TAU, ids[t1, t2])
-                         for t1 in ends1 for t2 in row2[alpha]]
-        for alpha, ends2 in row2.items():
-            if alpha not in a1:                          # (May2)
-                mays += [(alpha, ids[s1, t2]) for t2 in ends2]
+                         for t1 in row1[alpha] for t2 in ends2]
         return mays, musts
 
     init = ids[p1.initial, p2.initial]
     states, may, must = explore_pairs(ids, init, rule)
-    return make_automaton(flavor, f"{p1.name}_x_{p2.name}", inputs, outputs,
-                          init, may, must, states=states)
+    return ModalAutomaton(flavor, f"{p1.name}_x_{p2.name}",
+                          Alphabet(inputs, outputs), states, init, may, must)
 
 
 def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,

@@ -17,9 +17,13 @@ name, so states hash, compare and sort as plain strings do, and the
 structure an operator gave the name stays readable from ``kind`` and
 ``parts``.  Each state's id is built once per document or product, so
 every transition endpoint and the initial state is the object held in
-``states``: the parser and the parallel product keep an :class:`IdTable`
-that builds a name's or pair's id on first mention, and the full-pair
-products read the complete pair table of :func:`disjoint_operands`.
+``states``: the parser and every product keep an :class:`IdTable` that
+builds a name's or pair's id on first mention, so a product that keeps
+only what it reaches builds ids for the pairs it reaches and no others.
+Only a product over the full pair space, which emits every pair, and an
+operand whose state names hold the operator's own character, where a
+combined id might collide with one of them, read the complete pair table
+of :func:`disjoint_operands`.
 
 All automata are immutable after construction and safe to share across
 threads.  Iteration over states and transitions is deterministic
@@ -45,7 +49,8 @@ on first access, and kept:
 * the refinement rows, per start state: the table is empty until
   :mod:`mialib.refinement` numbers the automaton's reachable states and
   builds the rows of its specification side there, so an automaton
-  checked many times is numbered once.  No entry refers back to the
+  checked many times is numbered once.  It keeps the initial state's
+  entry and the most recent other one.  No entry refers back to the
   automaton, so keeping them makes no reference cycle.
 
 Each view is built only for automata that ask for it, so the many that
@@ -185,16 +190,53 @@ def atom(name: str) -> StateId:
     return StateId(StateId.ATOM, (name,))
 
 
+# The products build ids straight from their component pair: the text is
+# rendered here and the slots filled without ``StateId.__new__``'s dispatch.
+_new_str = str.__new__
+_GROUPED = (StateId.WEDGE, StateId.VEE)
+
+
+def _pair_of(key: tuple) -> StateId:
+    """``pair_id(*key)``, keyed by the component pair."""
+    left, right = key
+    text = f"({left.text},{right.text})"
+    sid = _new_str(StateId, text)
+    _set_kind(sid, StateId.PAIR)
+    _set_parts(sid, key)
+    _set_text(sid, text)
+    return sid
+
+
+def _junction_of(kind: str, mark: str):
+    """The builder of ``kind`` ids, ``l&r`` or ``l|r``, keyed by the
+    component pair."""
+    def build(key: tuple) -> StateId:
+        left, right = key
+        text = left.text if left.kind not in _GROUPED else f"({left.text})"
+        text += mark
+        text += right.text if right.kind not in _GROUPED else f"({right.text})"
+        sid = _new_str(StateId, text)
+        _set_kind(sid, kind)
+        _set_parts(sid, key)
+        _set_text(sid, text)
+        return sid
+    return build
+
+
+_wedge_of = _junction_of(StateId.WEDGE, "&")
+_vee_of = _junction_of(StateId.VEE, "|")
+
+
 def pair_id(left: StateId, right: StateId) -> StateId:
-    return StateId(StateId.PAIR, (left, right))
+    return _pair_of((left, right))
 
 
 def wedge_id(left: StateId, right: StateId) -> StateId:
-    return StateId(StateId.WEDGE, (left, right))
+    return _wedge_of((left, right))
 
 
 def vee_id(left: StateId, right: StateId) -> StateId:
-    return StateId(StateId.VEE, (left, right))
+    return _vee_of((left, right))
 
 
 def tagged_id(inner: StateId, tag: str) -> StateId:
@@ -211,15 +253,15 @@ class IdTable(dict):
     by ``build(key)``, and kept.
 
     The parser keys atoms by their name (``build=atom``) and composite
-    names by their kind and parts; the parallel product keys its pair
-    states by their component pair.  DOT export keeps each state's quoted
-    name in one.
+    names by their kind and parts; the products key their pair states by
+    their component pair, and most keep each component state's row in
+    one.  DOT export keeps each state's quoted name in one.
     """
 
     __slots__ = ("build",)
 
     def __init__(self, build):
-        super().__init__()
+        # ``dict.__new__`` has made the empty table already
         self.build = build
 
     def __missing__(self, key) -> StateId:
@@ -794,10 +836,12 @@ def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
     """Disjoint copies whose combined ids also avoid the component states.
 
     ``combine`` builds the fresh id for a state pair (pair, wedge or vee).
-    Returns the two copies and the table from every component pair to its
-    one combined id.  A collision can only occur when an operand already
-    contains operator-shaped names; one tagging round then separates
-    everything.
+    Returns the two copies and the complete table from every component
+    pair to its one combined id.  A collision can only occur when an
+    operand already contains operator-shaped names; one tagging round then
+    separates everything.  A product that keeps only what it reaches gets
+    its table from :func:`product_operands`, which comes here only when a
+    collision is possible.
     """
     p, q = rename_disjoint(p, q)
     ids = {(a, b): combine(a, b) for a in p.states for b in q.states}
@@ -811,6 +855,31 @@ def disjoint_operands(p: ModalAutomaton, q: ModalAutomaton,
     return p, q, ids
 
 
+# Each combined id's text holds its operator's character, and the builder
+# of the id from its component pair.
+_COMBINERS = {pair_id: (",", _pair_of), wedge_id: ("&", _wedge_of),
+              vee_id: ("|", _vee_of)}
+
+
+def product_operands(p: ModalAutomaton, q: ModalAutomaton, combine,
+                     reachable: bool) -> tuple[ModalAutomaton, ModalAutomaton, dict]:
+    """The operands of a pair product and its pair -> id table.
+
+    With ``reachable``, when no state of the disjoint copies has the
+    character every ``combine`` id's text holds, no combined id can equal
+    a component state: the copies come back with an :class:`IdTable` that
+    builds each pair's id on first lookup, so only the pairs the product
+    reaches get one.  Otherwise this is :func:`disjoint_operands`, and the
+    tagging decision is the same on every input.
+    """
+    if reachable:
+        left, right = rename_disjoint(p, q)
+        mark, build = _COMBINERS[combine]
+        if mark not in "".join(left.states) and mark not in "".join(right.states):
+            return left, right, IdTable(build)
+    return disjoint_operands(p, q, combine)
+
+
 def explore_pairs(ids: dict, initial: StateId, rule,
                   inherited: tuple = (), reachable: bool = True):
     """Build a product over the pair states of ``ids`` by a worklist.
@@ -820,11 +889,16 @@ def explore_pairs(ids: dict, initial: StateId, rule,
     pair, and ``rule(pair)`` returns the ``(mays, musts)`` leaving it, as
     lists of ``(label, target)`` and ``(label, targets)``.  Every may-target
     is explored in turn.  With ``reachable`` the walk starts from
-    ``initial`` and keeps what it reaches, which for valid operands holds
-    every must target.  Otherwise it starts from every pair, and each
-    inherited automaton joins whole, states and edges, without a walk.
+    ``initial`` and keeps what it reaches, and ``ids`` may be a table that
+    the rule fills as it goes.  Otherwise it starts from every pair of
+    ``ids``, the complete table, and each inherited automaton joins whole,
+    states and edges, without a walk.
+
     Returns the explored states and the may and must edges leaving them:
-    the whole product.
+    the whole product.  The states are closed under may targets, and for
+    valid operands, whose must targets all have their underlying mays,
+    under must targets too, so the products build their automaton from
+    the three as they are, without collecting endpoints again.
     """
     may: set[MayEdge] = set()
     must: set[MustEdge] = set()

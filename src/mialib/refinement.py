@@ -29,7 +29,10 @@ start state alone, so each automaton keeps them, per start state
 (``_Side``), from the first query that needs them: many implementations
 checked against one specification number it, and build its must rows,
 weak rows and label-screen rows, once.  The weak rows are kept per set of
-labels the implementation's mays use.  Only the implementation rows are
+labels the implementation's mays use.  An automaton keeps the side from
+its initial state and the most recent one from another start state, so
+checking it from each of its states keeps two sides, not one per state.
+Only the implementation rows are
 built per query, because their targets are scaled by the specification's
 state count.  A kept side holds no reference to its automaton, and a
 numbering that fails is not kept, so every query on that automaton fails.
@@ -247,12 +250,18 @@ class _Side:
 def _side(aut: ModalAutomaton, start: StateId) -> _Side:
     """The side of ``aut`` from ``start``, numbered on first use and kept.
 
-    A numbering that fails raises and is not kept, so every query on that
-    automaton raises again."""
+    An automaton keeps the side from its initial state and the most
+    recent one from any other start state, so checking it from each of
+    its states in turn keeps at most two.  A numbering that fails raises
+    and is not kept, so every query on that automaton raises again."""
     sides = aut._refinement_rows
     side = sides.get(start)
     if side is None:
-        side = sides[start] = _Side(_numbered(aut, start))
+        side = _Side(_numbered(aut, start))
+        if start != aut.initial:
+            for other in [s for s in sides if s != aut.initial]:
+                sides.pop(other, None)
+        sides[start] = side
     return side
 
 

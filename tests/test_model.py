@@ -101,17 +101,21 @@ def _assert_shares_ids(aut: ModalAutomaton):
 
 
 def _results(flavor, a, b):
-    if flavor == IA:
-        yield ia_ops.ia_conjoin(a, b)
-        yield ia_ops.ia_disjoin(a, b)
-    else:
+    """Every operator result on ``a`` and ``b``, over the full pair space
+    and over the pairs reachable from the initial one, whose ids are built
+    on first lookup."""
+    for reachable in (False, True):
+        if flavor == IA:
+            yield ia_ops.ia_conjoin(a, b, reachable=reachable)
+            yield ia_ops.ia_disjoin(a, b, reachable=reachable)
+            continue
         conjoin, disjoin = {DMTS: (dmts_ops.dmts_conjoin, dmts_ops.dmts_disjoin),
                             MIA: (mia_ops.mia_conjoin, mia_ops.mia_disjoin)}[flavor]
-        conj = conjoin(a, b)
+        conj = conjoin(a, b, reachable=reachable)
         yield conj.product.automaton
         if conj.defined:
             yield conj.automaton
-        yield disjoin(a, b)
+        yield disjoin(a, b, reachable=reachable)
 
 
 @pytest.mark.parametrize("flavor", [IA, DMTS, MIA])

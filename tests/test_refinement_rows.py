@@ -10,6 +10,8 @@ tests pin what that may not change:
   nothing yet (cold), whatever was asked of the warm ones before;
 * a second query does not number an automaton again, and a numbering that
   fails is not kept, so the second query fails too;
+* an automaton keeps the rows of its initial state and of the most recent
+  other start state, however many start states it is checked from;
 * the kept rows refer to no automaton, so a checked automaton is freed by
   reference counting alone.
 """
@@ -25,7 +27,7 @@ import pytest
 from mialib import refinement
 from mialib.model import DMTS, IA, MIA, MialibError, make_automaton
 from mialib.refinement import _Checker, equiv, holds, mia_equiv, refines
-from test_refinement_large_differential import NEVER, _planted
+from test_refinement_large_differential import NEVER, _instance, _planted
 
 FLAVORS = (IA, DMTS, MIA)
 # A seed of ``_planted`` whose instances have 200-400 states.
@@ -127,6 +129,22 @@ def test_an_automaton_is_numbered_once_per_start_state(flavor, numbered):
     refines(impl, spec, impl.initial, other)
     refines(bad, spec, bad.initial, other)
     assert numbered[3:] == [(id(spec), other)]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_an_automaton_keeps_two_start_states_at_most(flavor):
+    spec, impl = _instance(flavor, 1)
+    verdicts = set()
+    for q in sorted(spec.states):
+        for impl_aut, p in ((spec, q), (impl, impl.initial)):
+            warm = refines(impl_aut, spec, p, q)
+            cold = refines(_cold(impl_aut), _cold(spec), p, q)
+            assert _outcome(warm) == _outcome(cold), (impl_aut.name, q)
+            verdicts.add(warm.verdict)
+        assert len(spec._refinement_rows) <= 2
+    assert verdicts == {True, False}
+    assert set(spec._refinement_rows) == {spec.initial, max(spec.states)}
+    assert set(impl._refinement_rows) == {impl.initial}
 
 
 def test_a_numbering_that_fails_is_not_kept(numbered):
