@@ -484,8 +484,8 @@ def _implied_position(aut: ModalAutomaton, spans: dict, subject: tuple | None):
     if not subject or subject[0] != "may" or subject[2] not in aut.alphabet.inputs:
         return None
     _, src, label, tgt = subject
-    musts = (("must", src, label, T) for a, T in aut.musts_from(src)
-             if a == label and tgt in T)
+    musts = (("must", src, label, T) for T in aut.must_sets(src, label)
+             if tgt in T)
     return min(filter(None, map(spans.get, musts)), default=None)
 
 

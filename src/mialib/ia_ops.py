@@ -74,8 +74,8 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
             mays = aut.may_row(state)
             ins = tuple([a for a in mays if a in inputs])
             return (mays, labels.setdefault(ins, ins),
-                    [edge for edge in aut.may_from(state)
-                     if edge[0] not in inputs] or ())
+                    [(a, t) for a, ends in mays.items() if a not in inputs
+                     for t in ends] or ())
         return IdTable(row)
 
     p_rows, q_rows = row_of(p), row_of(q)

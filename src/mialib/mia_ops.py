@@ -315,31 +315,32 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
     inputs = p.alphabet.inputs
 
     def row_of(aut: ModalAutomaton):
-        """Each state's mays on outputs and tau, its input mays and their
-        labels, and its musts.  Equal label sets are kept once."""
+        """Each state's mays on outputs and tau, its may row, the labels of
+        its input mays (equal sets kept once) and its must row."""
         labels: dict = {}
 
         def row(state: StateId):
-            mays = aut.may_from(state)
-            ins = frozenset([a for a, _ in mays if a in inputs])
-            return ([edge for edge in mays if edge[0] not in inputs] or (),
-                    [edge for edge in mays if edge[0] in inputs] or (),
-                    labels.setdefault(ins, ins), aut.musts_from(state))
+            mays = aut.may_row(state)
+            ins = frozenset([a for a in mays if a in inputs])
+            return ([(a, t) for a, ends in mays.items() if a not in ins
+                     for t in ends] or (),
+                    mays, labels.setdefault(ins, ins), aut.must_row(state))
         return IdTable(row)
 
     p_rows, q_rows = row_of(p), row_of(q)
 
     def rule(state: StateId):
         ps, qs = state.parts
-        p_free, p_inputs, p_in, p_musts = p_rows[ps]
-        q_free, q_inputs, q_in, q_musts = q_rows[qs]
+        p_free, p_mays, p_in, p_musts = p_rows[ps]
+        q_free, q_mays, q_in, q_musts = q_rows[qs]
         musts = [(a, p_targets | q_targets)              # (Must)
-                 for a, p_targets in p_musts
-                 for b, q_targets in q_musts if a == b]
+                 for a, p_sets in p_musts.items() if a in q_musts
+                 for p_targets in p_sets for q_targets in q_musts[a]]
         mays = [*p_free, *q_free]                        # (May1), (May2)
         if p_in and q_in:
-            mays += [edge for edge in p_inputs if edge[0] in q_in]
-            mays += [edge for edge in q_inputs if edge[0] in p_in]
+            for a in p_in & q_in:
+                mays += [(a, t) for t in p_mays[a]]
+                mays += [(a, t) for t in q_mays[a]]
         return mays, musts
 
     init = ids[p.initial, q.initial]
@@ -396,8 +397,8 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
                 split = splits[key] = (tuple([a for a in key if a not in shared]),
                                        tuple([a for a in key if a in shared]))
             return (mays, *split,
-                    [(a, targets) for a, targets in aut.musts_from(state)
-                     if a not in shared] or ())
+                    [(a, targets) for a, sets in aut.must_row(state).items()
+                     if a not in shared for targets in sets] or ())
         return IdTable(row)
 
     rows1 = row_of(p1, p2.alphabet.actions)
@@ -529,8 +530,9 @@ def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:
     for state in pairs:
         if state in product.unmatched:                   # (W1), (W2)
             return False
-        for _, targets in aut.musts_from(state):         # (W3)
+        for sets in aut.must_row(state).values():        # (W3)
             # a target in ``w`` or in a component will do
-            if all(t in product.pairs and t not in pairs for t in targets):
+            if any(all(t in product.pairs and t not in pairs for t in targets)
+                   for targets in sets):
                 return False
     return True

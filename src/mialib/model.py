@@ -34,14 +34,13 @@ on first access, and kept:
 
 * the sorted states and edges, from the state and edge sets: the sources
   once, then each source's own edges;
-* the source index behind ``may_from``/``musts_from``, from the edge sets
-  in one pass: each state's ``(label, end)`` pairs, in sorted edge order,
-  where only the lists of two or more are sorted;
-* the label rows behind ``may_row``/``must_row`` and the lookups
-  ``may_targets``, ``must_sets``, ``has_may`` and ``has_must``, from the
-  sorted edges: per state, ``label -> ends``, each list in sorted edge
-  order;
-* the weak closure ``weak``, from the source index, as per-state rows
+* the one per-state index, the label rows ``state -> label -> ends``
+  behind ``may_row``/``must_row``, the lookups ``may_targets``,
+  ``must_sets``, ``has_may`` and ``has_must``, and the flat lists of
+  ``may_from``/``musts_from``: bucketed from the edge sets in one pass,
+  each row's labels in text order and only the lists of two or more ends
+  sorted, so they read in sorted edge order;
+* the weak closure ``weak``, from the label rows, as per-state rows
   ``label -> successors``;
 * the renamed copies :func:`rename_disjoint` hands out, whose states all
   carry the ``@L`` or the ``@R`` tag: an operand is renamed once, and its
@@ -54,8 +53,10 @@ on first access, and kept:
   automaton, so keeping them makes no reference cycle.
 
 Each view is built only for automata that ask for it, so the many that
-are only walked never pay for the sorted edges or the label rows.  Two
-threads may both compute a view at first; they get equal values.
+are only walked never pay for the sorted edges or the label rows, and the
+products and refinement, which read the rows, never sort an operand's
+whole edge sets.  Two threads may both compute a view at first; they get
+equal values.
 
 :func:`validate` decides a valid automaton with subset tests on its whole
 edge sets, without sorting; only an invalid one is walked in sorted order
@@ -375,20 +376,12 @@ class ModalAutomaton:
         return weak_closure(self)
 
     @_derived
-    def _may_by_src(self) -> dict[StateId, list[tuple[str, StateId]]]:
-        return _by_src(self.may)
-
-    @_derived
-    def _must_by_src(self) -> dict[StateId, list[tuple[str, frozenset[StateId]]]]:
-        return _by_src(self.must, _label_targets_key)
-
-    @_derived
     def _may_rows(self) -> dict[StateId, dict[str, list[StateId]]]:
-        return _label_rows(self.sorted_may)
+        return _label_rows(self.may)
 
     @_derived
     def _must_rows(self) -> dict[StateId, dict[str, list[frozenset[StateId]]]]:
-        return _label_rows(self.sorted_must)
+        return _label_rows(self.must, sorted)
 
     @_derived
     def _refinement_rows(self) -> dict:
@@ -405,10 +398,12 @@ class ModalAutomaton:
     # -- local lookups ------------------------------------------------------
 
     def may_from(self, state: StateId) -> list[tuple[str, StateId]]:
-        return self._may_by_src.get(state, [])
+        """The ``(label, target)`` mays at ``state``, in sorted edge order."""
+        return [(a, t) for a, ends in self._may_rows.get(state, _NO_ROW).items() for t in ends]
 
     def musts_from(self, state: StateId) -> list[tuple[str, frozenset[StateId]]]:
-        return self._must_by_src.get(state, [])
+        """The ``(label, targets)`` musts at ``state``, in sorted edge order."""
+        return [(a, T) for a, sets in self._must_rows.get(state, _NO_ROW).items() for T in sets]
 
     def may_row(self, state: StateId) -> Mapping[str, list[StateId]]:
         """``label -> may targets`` at ``state``, for the labels it has."""
@@ -431,46 +426,46 @@ class ModalAutomaton:
         return label in self._must_rows.get(state, _NO_ROW)
 
 
-_SRC, _LABEL = itemgetter(0), itemgetter(1)
-
 # The row of a state without edges (or weak successors); read-only, so it
 # can be shared.
 _NO_ROW: Mapping = MappingProxyType({})
 
 
-def _label_rows(edges: tuple) -> dict[StateId, dict[str, list]]:
-    """``state -> label -> ends`` of sorted edges, each list in their order."""
-    return {src: {label: [edge[2] for edge in group]
-                  for label, group in groupby(by_src, _LABEL)}
-            for src, by_src in groupby(edges, _SRC)}
-
-
-def _by_src(edges: frozenset, key=None) -> dict[StateId, list[tuple]]:
-    """``state -> [(label, end)]`` of ``edges``, each list in sorted edge
-    order: the edges are bucketed by source in one pass, and only buckets
-    of two or more are sorted, by ``key``."""
-    out: dict = {}
-    for src, label, end in edges:
-        bucket = out.get(src)
+def _label_rows(edges: frozenset, key=None) -> dict[StateId, dict[str, list]]:
+    """``state -> label -> ends`` of ``edges``, in sorted edge order: the
+    edges are bucketed by label in one pass and dealt into the rows in
+    label order, and only the lists that get a second end are sorted, by
+    ``key``, into new lists no longer than they need."""
+    by_label: dict = {}
+    for edge in edges:
+        bucket = by_label.get(edge[1])
         if bucket is None:
-            out[src] = [(label, end)]
+            by_label[edge[1]] = [edge]
         else:
-            bucket.append((label, end))
-    for bucket in out.values():
-        if len(bucket) > 1:
-            bucket.sort(key=key)
+            bucket.append(edge)
+    out: dict = {}
+    grown = []  # (row, label) of each list that got a second end
+    for label in sorted(by_label):
+        for src, _, end in by_label[label]:
+            row = out.get(src)
+            if row is None:
+                out[src] = {label: [end]}
+            else:
+                ends = row.get(label)
+                if ends is None:
+                    row[label] = [end]
+                else:
+                    ends.append(end)
+                    if len(ends) == 2:
+                        grown.append((row, label))
+    for row, label in grown:
+        row[label] = sorted(row[label], key=key)
     return out
 
 
 def _must_key(edge: MustEdge):
     src, label, targets = edge
     return (src, label, sorted(targets))
-
-
-def _label_targets_key(entry: tuple[str, frozenset[StateId]]):
-    """The tail of :func:`_must_key`, for the musts of one source."""
-    label, targets = entry
-    return (label, sorted(targets))
 
 
 # Below this many edges one plain sort costs less than bucketing by source.
@@ -774,32 +769,26 @@ def weak_closure(aut: ModalAutomaton) -> WeakClosure:
     """
     rows: dict[StateId, dict] = {}
     shared: dict[frozenset[StateId], frozenset[StateId]] = {}
-    may_from = aut.may_from
+    may_rows = aut._may_rows
     # a state with no silent may takes its own may row, with no search;
     # a state with no may at all has an empty row, which is not stored
-    silent = {edge[0] for edge in aut.may if edge[1] == TAU}
-    for state in aut._may_by_src:
-        seen = {state}
-        if state in silent:
+    for state, row in may_rows.items():
+        if TAU in row:
+            seen = {state}
             stack = [state]
             while stack:
-                for label, tgt in may_from(stack.pop()):
-                    if label == TAU and tgt not in seen:
+                for tgt in may_rows.get(stack.pop(), _NO_ROW).get(TAU, ()):
+                    if tgt not in seen:
                         seen.add(tgt)
                         stack.append(tgt)
-        row: dict = {}
-        for mid in seen:
-            for label, tgt in may_from(mid):
-                succ = row.get(label)
-                if succ is None:
-                    row[label] = {tgt}
-                else:
-                    succ.add(tgt)
-        if row:
-            for label, succ in row.items():
-                frozen = frozenset(succ)
-                row[label] = shared.setdefault(frozen, frozen)
-            rows[state] = row
+            row = {}
+            for mid in seen:
+                for label, ends in may_rows.get(mid, _NO_ROW).items():
+                    row.setdefault(label, set()).update(ends)
+        rows[state] = weak = {}
+        for label, ends in row.items():
+            frozen = frozenset(ends)
+            weak[label] = shared.setdefault(frozen, frozen)
     return WeakClosure(rows)
 
 
@@ -938,20 +927,23 @@ def as_dmts(aut: ModalAutomaton) -> ModalAutomaton:
 def reachable_states(aut: ModalAutomaton, start: StateId | None = None) -> frozenset[StateId]:
     """States reachable from ``start`` via may-steps (must targets included)."""
     start = aut.initial if start is None else start
-    may_by_src, must_by_src = aut._may_by_src, aut._must_by_src
+    # a plain empty dict is read faster than the shared read-only row
+    may_rows, must_rows, no_row = aut._may_rows, aut._must_rows, {}
     seen = {start}
     stack = [start]
     while stack:
         cur = stack.pop()
-        for _, tgt in may_by_src.get(cur, ()):
-            if tgt not in seen:
-                seen.add(tgt)
-                stack.append(tgt)
-        for _, targets in must_by_src.get(cur, ()):
-            for tgt in targets:
+        for ends in may_rows.get(cur, no_row).values():
+            for tgt in ends:
                 if tgt not in seen:
                     seen.add(tgt)
                     stack.append(tgt)
+        for sets in must_rows.get(cur, no_row).values():
+            for targets in sets:
+                for tgt in targets:
+                    if tgt not in seen:
+                        seen.add(tgt)
+                        stack.append(tgt)
     return frozenset(seen)
 
 

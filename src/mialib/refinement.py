@@ -200,9 +200,10 @@ class _Side:
     def musts(self, aut: ModalAutomaton) -> list[list[tuple[str, list[int]]]]:
         """Per state, its musts as ``(label, sorted target numbers)``."""
         if self._musts is None:
-            index, by_src = self.index, aut._must_by_src
+            index, rows, no_row = self.index, aut._must_rows, {}
             self._musts = [[(a, sorted([index[t] for t in targets]))
-                            for a, targets in by_src.get(q, ())]
+                            for a, sets in rows.get(q, no_row).items()
+                            for targets in sets]
                            for q in self.states]
         return self._musts
 
@@ -316,18 +317,22 @@ class _Checker:
         domain = spec.alphabet.outputs | {TAU}
         self.impl_musts, self.impl_mays = impl_musts, impl_mays = [], []
         labels: set[str] = set()
-        may_by_src, must_by_src = impl._may_by_src, impl._must_by_src
+        # a plain empty dict is read faster than the shared read-only row
+        must_rows, may_rows, no_row = impl._must_rows, impl._may_rows, {}
         for p in self.impl_states:
             musts: dict[str, list[list[int]]] = {}
-            for a, targets in must_by_src.get(p, ()):
-                # Sorted, so that the local run's queue order does not
-                # follow the hash order of the frozenset.
-                musts.setdefault(a, []).append(sorted([p_index[t] * nq for t in targets]))
+            for a, sets in must_rows.get(p, no_row).items():
+                musts[a] = bases = []
+                for targets in sets:
+                    # Sorted, so that the local run's queue order does not
+                    # follow the hash order of the frozenset.
+                    bases.append(sorted([p_index[t] * nq for t in targets]))
             mays = []
-            for alpha, p2 in may_by_src.get(p, ()):
+            for alpha, ends in may_rows.get(p, no_row).items():
                 if alpha in domain:
-                    mays.append((alpha, p_index[p2] * nq))
                     labels.add(alpha)
+                    for p2 in ends:
+                        mays.append((alpha, p_index[p2] * nq))
             impl_musts.append(musts)
             impl_mays.append(mays)
 

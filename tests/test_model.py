@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import can_weak, weak_hat_succ
 from mialib import dmts_ops, ia_ops, mia_ops, model, testkit
 from mialib.frontend import parse, serialize
-from mialib.refinement import dmts_refines, refines
+from mialib.refinement import dmts_refines, equiv, holds, refines
 from mialib.model import (DMTS, IA, MIA, TAU, Alphabet, EmptiedMustError,
                           FlavorMismatchError, IdTable, ModalAutomaton, StateId,
                           StateNameCollisionError, atom, disjoint_operands,
@@ -176,7 +176,7 @@ def test_constructor_takes_only_the_seven_fields():
     with pytest.raises(TypeError):
         ModalAutomaton(flavor=DMTS, name="m", alphabet=Alphabet([], ["a"]),
                        states={s0}, initial=s0, may=[], must=[],
-                       _may_by_src={})
+                       _may_rows={})
 
 
 def test_views_are_sorted_tuples_and_follow_replace():
@@ -582,6 +582,57 @@ def test_label_rows_answer_as_the_linear_scans_did(flavor):
     # the lists compared include long ones, where a wrong order would show
     assert ordered["may_targets"] > 0
     assert flavor == IA or ordered["must_sets"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Products and refinement read the label rows
+
+
+def _whole_sorts(aut: ModalAutomaton) -> list[tuple[str, str]]:
+    """The sorted edge views that ``aut`` or its tagged copies hold."""
+    copies = [aut] + [aut.__dict__[tag] for tag in ("_as_left", "_as_right")
+                      if tag in aut.__dict__]
+    return [(copy.initial, view) for copy in copies
+            for view in ("sorted_may", "sorted_must") if view in copy.__dict__]
+
+
+_PRODUCTS = {IA: (ia_ops.ia_conjoin, ia_ops.ia_disjoin),
+             DMTS: (dmts_ops.dmts_conjoin, dmts_ops.dmts_disjoin),
+             MIA: (mia_ops.mia_conjoin, mia_ops.mia_disjoin)}
+_COMPOSE = {IA: ia_ops.ia_parallel_compose, MIA: mia_ops.mia_parallel_compose}
+
+
+@pytest.mark.parametrize("flavor", [IA, DMTS, MIA])
+def test_products_and_refinement_never_sort_an_operand_whole(flavor):
+    # Every operand is drawn afresh for each call, so a view it holds was
+    # derived by that call.
+    calls = [(f"{op.__name__} reachable={reachable}", op, {"reachable": reachable})
+             for op in _PRODUCTS[flavor] for reachable in (False, True)]
+    calls += [(check.__name__, check, {}) for check in (refines, holds, equiv)]
+    tagged = 0
+    verdicts = set()
+    for seed in range(20):
+        for what, call, options in calls:
+            p, q = gen_pair(flavor, seed, max_states=6, transition_density=0.6)
+            result = call(p, q, **options)
+            if call is holds:
+                verdicts.add(result)
+            tagged += "_as_left" in p.__dict__
+            assert _whole_sorts(p) + _whole_sorts(q) == [], (seed, what)
+        p, _ = gen_pair(flavor, seed, max_states=6, transition_density=0.6)
+        assert refines(p, p).verdict and equiv(p, p)
+        assert _whole_sorts(p) == [], seed
+    # products over tagged copies and both verdicts were seen
+    assert tagged > 0 and verdicts == {True, False}
+    if flavor == DMTS:
+        return
+    outcomes = set()
+    for seed in range(40):
+        p, q = gen_composable_pair(flavor, seed, max_states=6,
+                                   transition_density=0.6)
+        outcomes.add(_COMPOSE[flavor](p, q).compatible)
+        assert _whole_sorts(p) + _whole_sorts(q) == [], (seed, "compose")
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
