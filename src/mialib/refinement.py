@@ -22,7 +22,9 @@ integer ``p * nq + q``, transitions are per-state lists of integers, and
 every pair is checked with the one ``_Checker._check``; state ids reappear
 only in the witness and in the failure certificate.  The queries differ
 only in how they seed the loop: which pairs start alive (1), dead (0) or
-not reached yet (3), and which are queued first.
+not reached yet (3), and which are queued first.  The one exception is the
+witness run of ``refines`` on wide sides, below, which works a row at a
+time.
 
 The numbering and the specification rows depend on one automaton and one
 start state alone, so each automaton keeps them, per start state
@@ -51,31 +53,41 @@ for, or an impl may label with no weak spec match) are marked up front,
 and the elimination takes two runs:
 
 * The witness run kills the marked pairs before the first check and
-  queues only the others, in index order.  The greatest relation is
-  unique, so whatever the order, its survivors are the witness and give
-  the verdict.  When nothing is marked, this run is the ordered
-  elimination itself, and the certificate reads its order.
-* The certificate run is needed only when the root pair dies and some
-  pair was marked.  It replays the ordered elimination on the root's
-  region, queued in index order, and stops when the root dies.  The
-  region is one closure: the root, and every pair the witness run killed
-  that a region pair inspects.  A checked pair steps to every such
-  successor.  A marked pair steps only to those before it in index order:
-  its check fails whatever it reads, so in the ordered run it dies at its
-  first-pass turn, before any pair after it is visited.
+  shrinks the rest to the greatest relation.  That relation is unique, so
+  whatever the order, and whatever algorithm computes it, its survivors
+  are the witness and give the verdict.  When both sides have at least
+  ``_BIT_ROWS_MIN_STATES`` states it is computed a row at a time, as in
+  the row-wise refinement of Henzinger, Henzinger & Kopke: one integer per
+  impl state, whose bit ``q`` is set while the pair with spec state ``q``
+  is alive, starts from the label screen's row and is ANDed with the spec
+  states that still match each obligation, read through small per-query
+  tables, until no row changes (``_Checker._bit_rows``).  Below that size
+  the loop checks the others pair by pair, queued in index order; when
+  nothing is marked, that run is the ordered elimination itself, and the
+  certificate reads its order.
+* The certificate run is needed only when the root pair dies, and some
+  pair was marked or the witness ran on bit rows.  It replays the ordered
+  elimination on the root's region, queued in index order, and stops when
+  the root dies.  The region is one closure: the root, and every pair the
+  witness run killed that a region pair inspects.  A checked pair steps to
+  every such successor, so with nothing marked every region pair does.  A
+  marked pair steps only to those before it in index order: its check
+  fails whatever it reads, so in the ordered run it dies at its first-pass
+  turn, before any pair after it is visited.
 
-The replay is exact.  A witness pair never dies, and in the first pass a
-pair dies only at its own turn.  A marked pair fails its check in both
-runs, at its first-pass turn.  Every other region pair reads only
-successors of its own pair that are witness pairs or region pairs, so its
-check reads the same values in both runs.  Region pairs after a marked
-root are queued behind it, and the run stops when the root dies at its
-first-pass turn: they are never reached and read as alive, as every pair
-after the root does in the ordered run until then.  A pair that dies
-re-queues only pairs that cited it, so a pair outside the region never
-re-queues a region pair.  The queue is first in, first out, so dropping
-every pair outside the region from it keeps the relative kill order
-inside the region.  The certificate rechecks each pair on its walk
+The replay is exact whatever computed the witness, since it reads only
+which pairs the witness holds.  A witness pair never dies, and in the
+first pass a pair dies only at its own turn.  A marked pair fails its
+check in both runs, at its first-pass turn.  Every other region pair
+reads only successors of its own pair that are witness pairs or region
+pairs, so its check reads the same values in both runs.  Region pairs
+after a marked root are queued behind it, and the run stops when the root
+dies at its first-pass turn: they are never reached and read as alive, as
+every pair after the root does in the ordered run until then.  A pair
+that dies re-queues only pairs that cited it, so a pair outside the
+region never re-queues a region pair.  The queue is first in, first out,
+so dropping every pair outside the region from it keeps the relative kill
+order inside the region.  The certificate rechecks each pair on its walk
 against the pairs killed before it: the successors a marked pair has
 after it were alive when it died, in both runs, and every other successor
 it reads is a witness or region pair.  So ``pairs`` and the certificate
@@ -97,7 +109,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, product
+from operator import getitem, or_
 
 from .model import (DMTS, IA, MIA, TAU, FlavorMismatchError, MialibError,
                     ModalAutomaton, StateId, reachable_states,
@@ -146,6 +160,44 @@ _ZERO = array("i", [0])
 # checks in proportion to their product, so it is built only when both sides
 # have at least this many states.
 _SCREEN_MIN_STATES = 16
+# The witness run on bit rows builds its tables per query and converts its
+# rows at both ends, so it runs only when both sides have at least this many
+# states.  Against the per-pair run (whole ``refines`` calls, best of 11
+# alternated runs on a shared 2-CPU x86-64 host, four instances of the
+# refine benchmark's generator per flavor and size, holding and failing) it
+# took 0.47-0.92 of the time at 80 states and at most 0.88 at 72 in every
+# flavor, but up to 1.06 (IA) at 64 and 1.17 (dMTS) at 50.
+_BIT_ROWS_MIN_STATES = 80
+_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _chunk_tables(images: list[int]) -> list[tuple[int, ...]]:
+    """Tables for the union of ``images[t]`` over the bits ``t`` of a row.
+
+    Chunk ``k`` of a row is its hex digit ``k`` from the low end: its bits
+    ``4k`` to ``4k + 3``.  Table ``k`` gives, for each value of that
+    digit, the union of the images of its bits, so :func:`_image` reads
+    one entry per digit.  The tables are built a column at a time: the
+    entry for digit ``v`` is its lowest bit's image joined with the entry
+    for ``v`` without that bit.
+    """
+    images = images + [0] * (-len(images) % 4)
+    columns = [[0] * (len(images) // 4)]
+    for v in range(1, 16):
+        low = v & -v
+        if v == low:
+            columns.append(images[low.bit_length() - 1::4])
+        else:
+            columns.append(list(map(or_, columns[low], columns[v - low])))
+    return list(zip(*columns))
+
+
+def _image(tables: list[tuple[int, ...]], row: int) -> int:
+    """The union of the images of the bits of ``row``, by :func:`_chunk_tables`."""
+    digits = format(row, "x")[::-1].encode().translate(_HEX_DIGITS)
+    return reduce(or_, map(getitem, tables, digits), 0)
 
 
 class _AliveAt:
@@ -298,11 +350,12 @@ class _Checker:
     When both sides have at least ``_SCREEN_MIN_STATES`` states,
     ``_label_screen`` marks the pairs that fail on labels alone.
 
-    :meth:`witness` is the witness run, :meth:`certificate` runs the
-    certificate run (:meth:`_replay`) where one is needed, and
-    :meth:`verdict` is the local run; each only seeds the loop.  Only the
-    elimination order is stored; why a pair died is derived again when the
-    certificate asks (``cause``).
+    :meth:`witness` is the witness run (on bit rows, :meth:`_bit_rows`,
+    when both sides have at least ``_BIT_ROWS_MIN_STATES`` states),
+    :meth:`certificate` runs the certificate run (:meth:`_replay`) where
+    one is needed, and :meth:`verdict` is the local run; each only seeds
+    the loop.  Only the elimination order is stored; why a pair died is
+    derived again when the certificate asks (``cause``).
     """
 
     def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
@@ -381,21 +434,169 @@ class _Checker:
 
     def witness(self) -> None:
         """The witness run: ``alive`` ends as the greatest relation.  The
-        pairs the screen marks start dead and the others are queued in index
-        order; with none marked, the run is the ordered elimination over
-        every pair, and its order is kept for the certificate."""
-        n = len(self.impl_states) * self.nq
-        if min(len(self.impl_states), self.nq) >= _SCREEN_MIN_STATES:
-            screen = b"".join(self._label_screen())
+        pairs the screen marks start dead.  When both sides have at least
+        ``_BIT_ROWS_MIN_STATES`` states, :meth:`_bit_rows` shrinks the rest;
+        otherwise they are queued in index order, and with none marked the
+        run is the ordered elimination over every pair, whose order is kept
+        for the certificate (``elim_order``, else None)."""
+        n_impl, nq = len(self.impl_states), self.nq
+        bit_rows = min(n_impl, nq) >= _BIT_ROWS_MIN_STATES
+        if bit_rows or min(n_impl, nq) >= _SCREEN_MIN_STATES:
+            rows = self._label_screen()
+            screen = b"".join(rows)
         else:
-            screen = b"\x01" * n
+            screen = b"\x01" * (n_impl * nq)
         self.screen = screen if 0 in screen else None
+        self.elim_order = None
+        if bit_rows:
+            self.alive = self._bit_rows(rows)
+            return
         self.alive = alive = bytearray(screen)
         # compress reads alive as the run goes; a pair that dies before its
         # turn in the first pass is skipped there, as the run would skip it.
-        order = self._eliminate(alive, compress(range(n), alive))
+        order = self._eliminate(alive, compress(range(len(alive)), alive))
         if self.screen is None:
             self.elim_order = order
+
+    def _bit_rows(self, screen: list[bytes]) -> bytearray:
+        """The witness run on bit rows, from the screen's rows; returns
+        ``alive`` over every pair.
+
+        Bit ``q`` of ``rows[p]`` is set while the pair ``(p, q)`` is alive,
+        and a worklist over impl states shrinks the rows until none changes.
+        A step at ``p`` keeps, for each output or tau may ``(alpha, p2)``,
+        the spec states whose weak ``alpha`` successors meet row ``p2``
+        (clause ii).  For each must label of ``p``, it clears the spec
+        states with a must on that label that no impl must of ``p`` meets
+        (clause i): an impl must meets a spec must when the row of each of
+        its targets meets the spec must's targets.  The screen has already
+        cleared the spec states with a must on a label ``p`` has none on.
+        The images of a row are kept until it shrinks; a row that shrinks
+        re-queues the impl states with a may or a must target into it.
+        """
+        nq, spec_hat = self.nq, self.spec_hat
+        start: dict[bytes, int] = {}
+        rows = []
+        for row in screen:
+            bits = start.get(row)
+            if bits is None:
+                bits = start[row] = int(row.translate(_TO_BITS)[::-1], 2)
+            rows.append(bits)
+        n_impl = len(rows)
+
+        # Clause (ii): per label, the spec states whose weak successors
+        # hold each spec state.
+        hat_tables = {}
+        for alpha in self.labels:
+            preimages = [0] * nq
+            for q, hat in enumerate(spec_hat):
+                bit = 1 << q
+                for t in hat[alpha]:
+                    preimages[t] |= bit
+            hat_tables[alpha] = _chunk_tables(preimages)
+        # Clause (i): per label some impl must uses, the spec musts on it
+        # numbered; the musts that target each spec state, the source of
+        # each must, the set of every must, and the spec states with one.
+        impl_labels = set().union(*self.impl_musts)
+        by_label: dict[str, list[tuple[int, list[int]]]] = {}
+        for q, spec_musts in enumerate(self.spec_musts):
+            for a, targets in spec_musts:
+                if a in impl_labels:
+                    by_label.setdefault(a, []).append((q, targets))
+        must_tables = {}
+        for a, spec_musts in by_label.items():
+            preimages = [0] * nq
+            for m, (_, targets) in enumerate(spec_musts):
+                bit = 1 << m
+                for t in targets:
+                    preimages[t] |= bit
+            sources = [1 << q for q, _ in spec_musts]
+            must_tables[a] = (_chunk_tables(preimages), _chunk_tables(sources),
+                              (1 << len(spec_musts)) - 1, reduce(or_, sources))
+
+        # Per impl state, its mays and musts over impl state numbers, the
+        # impl states whose rows a step reads, and those that read its row.
+        mays = [[(alpha, base // nq) for alpha, base in row] for row in self.impl_mays]
+        musts = [[(a, must_tables[a], [[base // nq for base in bases] for bases in sets])
+                  for a, sets in row.items() if a in must_tables]
+                 for row in self.impl_musts]
+        succ = [[p2 for _, p2 in may] + [p2 for _, _, ends in must
+                                         for targets in ends for p2 in targets]
+                for may, must in zip(mays, musts)]
+        preds = [set() for _ in range(n_impl)]
+        for p, ends in enumerate(succ):
+            for p2 in ends:
+                preds[p2].add(p)
+
+        # The first steps take the impl states in the post-order of a
+        # depth-first walk from the root, so that most rows are read only
+        # after their successors' rows have shrunk.
+        root = self.root // nq
+        queued = bytearray(n_impl)
+        queued[root] = 1
+        walk, post = [(root, iter(succ[root]))], []
+        while walk:
+            p, todo = walk[-1]
+            for p2 in todo:
+                if not queued[p2]:
+                    queued[p2] = 1
+                    walk.append((p2, iter(succ[p2])))
+                    break
+            else:
+                walk.pop()
+                post.append(p)
+        post += [p for p in range(n_impl) if not queued[p]]
+        pending = post[::-1]
+        queued = bytearray(b"\x01") * n_impl
+
+        hat_images: list[dict[str, int]] = [{} for _ in range(n_impl)]
+        must_images: list[dict[str, int]] = [{} for _ in range(n_impl)]
+        while pending:
+            p = pending.pop()
+            queued[p] = 0
+            row = new = rows[p]
+            if not row:
+                continue
+            for alpha, p2 in mays[p]:
+                images = hat_images[p2]
+                image = images.get(alpha)
+                if image is None:
+                    image = images[alpha] = _image(hat_tables[alpha], rows[p2])
+                new &= image
+                if not new:
+                    break
+            else:
+                for a, (meet_tables, source_tables, every, sources), ends in musts[p]:
+                    if not new & sources:
+                        continue
+                    met = 0
+                    for targets in ends:
+                        ok = every
+                        for p2 in targets:
+                            images = must_images[p2]
+                            image = images.get(a)
+                            if image is None:
+                                image = images[a] = _image(meet_tables, rows[p2])
+                            ok &= image
+                            if not ok:
+                                break
+                        met |= ok
+                        if met == every:
+                            break
+                    else:
+                        new &= ~_image(source_tables, every & ~met)
+            if new != row:
+                rows[p] = new
+                hat_images[p] = {}
+                must_images[p] = {}
+                for p1 in preds[p]:
+                    if not queued[p1]:
+                        queued[p1] = 1
+                        pending.append(p1)
+
+        width = f"0{nq}b"
+        return bytearray("".join([format(row, width)[::-1] for row in rows])
+                         .encode().translate(_FROM_BITS))
 
     def pairs(self) -> frozenset[Pair]:
         # Pair x is the x-th of the product, which runs in index order.
@@ -498,7 +699,7 @@ class _Checker:
         for x in region:
             # A marked pair dies at its first-pass turn, before any pair
             # after it is visited, so it steps only below itself.
-            top = len(alive) if screen[x] else x
+            top = len(alive) if screen is None or screen[x] else x
             for y in self._inspected(x):
                 if not alive[y] and y < top:
                     alive[y] = 1
@@ -514,7 +715,7 @@ class _Checker:
 
     def certificate(self) -> FailureCertificate:
         """Walk blame from the root to the first eliminated ancestor."""
-        if self.screen is not None:
+        if self.elim_order is None:
             self._replay()
         x = self.root
         while True:
