@@ -23,21 +23,23 @@ every pair is checked with the one ``_Checker._check``; state ids reappear
 only in the witness and in the failure certificate.  The queries differ
 only in how they seed the loop: which pairs start alive (1), dead (0) or
 not reached yet (3), and which are queued first.  The one exception is the
-witness run of ``refines`` on wide sides, below, which works a row at a
-time.
+witness run of ``refines`` when both sides have at least
+``_BIT_ROWS_MIN_STATES`` states, below, which works a row at a time.
 
 The numbering and the specification rows depend on one automaton and one
 start state alone, so each automaton keeps them, per start state
 (``_Side``), from the first query that needs them: many implementations
 checked against one specification number it, and build its must rows,
-weak rows and label-screen rows, once.  The weak rows are kept per set of
-labels the implementation's mays use.  An automaton keeps the side from
-its initial state and the most recent one from another start state, so
-checking it from each of its states keeps two sides, not one per state.
-Only the implementation rows are
-built per query, because their targets are scaled by the specification's
-state count.  A kept side holds no reference to its automaton, and a
-numbering that fails is not kept, so every query on that automaton fails.
+weak rows and label masks, once.  The weak rows are kept per set of
+labels the implementation's mays use.  A side with fewer than
+``_KEPT_TABLES_MAX_STATES`` states also keeps the bit-row tables, per
+label.  An automaton keeps the side from its initial state and the most
+recent one from another start state, so checking it from each of its
+states keeps two sides, not one per state.  Only the implementation rows
+are built per query, because their targets are scaled by the
+specification's state count.  A kept side holds no reference to its
+automaton, and a numbering that fails is not kept, so every query on that
+automaton fails.
 
 ``refines`` and the per-flavor queries return the whole greatest relation
 over the candidates, all pairs of numbered states, and a certificate that
@@ -47,33 +49,31 @@ re-queues, behind the queue and in sorted order, the pairs whose last
 passing check cited it.  Citations are kept in flat integer watch lists,
 not in per-pair sets.  Index order is text order, so the elimination
 order, the witness and the certificate are the ones a checker over state
-ids sorted by text yields.  When both sides are large enough, the pairs
-that fail on labels alone (a spec must label the impl state has no must
-for, or an impl may label with no weak spec match) are marked up front,
-and the elimination takes two runs:
+ids sorted by text yields.  When either side has fewer than
+``_BIT_ROWS_MIN_STATES`` states, the witness run is that ordered
+elimination over every pair, and the certificate reads its order.  Else
+the elimination takes two runs:
 
-* The witness run kills the marked pairs before the first check and
-  shrinks the rest to the greatest relation.  That relation is unique, so
-  whatever the order, and whatever algorithm computes it, its survivors
-  are the witness and give the verdict.  When both sides have at least
-  ``_BIT_ROWS_MIN_STATES`` states it is computed a row at a time, as in
-  the row-wise refinement of Henzinger, Henzinger & Kopke: one integer per
-  impl state, whose bit ``q`` is set while the pair with spec state ``q``
-  is alive, starts from the label screen's row and is ANDed with the spec
-  states that still match each obligation, read through small per-query
-  tables, until no row changes (``_Checker._bit_rows``).  Below that size
-  the loop checks the others pair by pair, queued in index order; when
-  nothing is marked, that run is the ordered elimination itself, and the
-  certificate reads its order.
-* The certificate run is needed only when the root pair dies, and some
-  pair was marked or the witness ran on bit rows.  It replays the ordered
-  elimination on the root's region, queued in index order, and stops when
-  the root dies.  The region is one closure: the root, and every pair the
-  witness run killed that a region pair inspects.  A checked pair steps to
-  every such successor, so with nothing marked every region pair does.  A
-  marked pair steps only to those before it in index order: its check
-  fails whatever it reads, so in the ordered run it dies at its first-pass
-  turn, before any pair after it is visited.
+* The witness run computes the greatest relation a row at a time, as in
+  the row-wise refinement of Henzinger, Henzinger & Kopke
+  (``_Checker._bit_rows``).  That relation is unique, so whatever the
+  order, and whatever algorithm computes it, its survivors are the
+  witness and give the verdict.  One integer per impl state, whose bit
+  ``q`` is set while the pair with spec state ``q`` is alive, starts from
+  the label screen's row: the pairs that fail on labels alone (a spec must
+  label the impl state has no must for, or an impl may label with no weak
+  spec match) are marked up front, with a few integer operations on
+  per-label masks of spec states.  Each row is then ANDed with the spec
+  states that still match each obligation, read through small tables,
+  until no row changes.
+* The certificate run is needed only when the root pair dies.  It replays
+  the ordered elimination on the root's region, queued in index order, and
+  stops when the root dies.  The region is one closure: the root, and
+  every pair the witness run killed that a region pair inspects.  A
+  checked pair steps to every such successor, so with nothing marked every
+  region pair does.  A marked pair steps only to those before it in index
+  order: its check fails whatever it reads, so in the ordered run it dies
+  at its first-pass turn, before any pair after it is visited.
 
 The replay is exact whatever computed the witness, since it reads only
 which pairs the witness holds.  A witness pair never dies, and in the
@@ -156,19 +156,24 @@ class RefinementWitness:
 # Multiplying a one-item array is several times cheaper than calling the
 # array constructor, which matters on the many checks of a few pairs.
 _ZERO = array("i", [0])
-# The label screen costs time linear in the states of each side and saves
-# checks in proportion to their product, so it is built only when both sides
-# have at least this many states.
-_SCREEN_MIN_STATES = 16
-# The witness run on bit rows builds its tables per query and converts its
-# rows at both ends, so it runs only when both sides have at least this many
-# states.  Against the per-pair run (whole ``refines`` calls, best of 11
-# alternated runs on a shared 2-CPU x86-64 host, four instances of the
-# refine benchmark's generator per flavor and size, holding and failing) it
-# took 0.47-0.92 of the time at 80 states and at most 0.88 at 72 in every
-# flavor, but up to 1.06 (IA) at 64 and 1.17 (dMTS) at 50.
-_BIT_ROWS_MIN_STATES = 80
-_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
+# The witness run of ``refines`` works on bit rows when both sides have at
+# least this many states, and checks pair by pair below.  Against the
+# per-pair run (whole ``refines`` calls, best of 9 alternated runs on a
+# shared 2-CPU x86-64 host, four instances of the refine benchmark's
+# generator per flavor and size, holding and failing) it took, with the
+# specification's side kept, 0.87-1.07 of the time at 12 states, 0.66-0.83
+# at 16 and 0.43-0.46 at 32; on fresh sides, which build their tables
+# first, 1.21-1.55 at 12, 1.06-1.14 at 16, 0.94-1.07 at 20 and 0.60-0.69
+# at 32.
+_BIT_ROWS_MIN_STATES = 16
+# A side with fewer states than this keeps its bit-row tables, per label;
+# a larger one builds them per query.  The tables one query reads hold
+# 21-25 kB at 50 states, 66-74 kB at 128 and 308-368 kB at 400
+# (``tracemalloc``); building them took 0.10-0.20 ms of a 0.6-0.7 ms
+# holding ``refines`` at 50 states but 0.84-1.21 of 13-20 ms at 400.  Over
+# the refine benchmark's plan, kept below this cap they retain 0.7 MB, and
+# kept at every size 2.7 MB.
+_KEPT_TABLES_MAX_STATES = 128
 _FROM_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
@@ -234,20 +239,28 @@ class _Side:
     ``states`` lists the reachable states in text order and ``index`` maps
     each to its number.  The specification rows depend on nothing else, so
     they are built on first use and kept: :meth:`musts`, :meth:`hat` per
-    set of labels to match, and :meth:`label_needs` for the label screen.
-    A side is kept on its automaton, keyed by start state (:func:`_side`).
-    It holds no reference to the automaton, which its builders take as an
-    argument, so keeping it makes no reference cycle.
+    set of labels to match, and for the label screen the bit sets of
+    states with a must on each label (:meth:`must_masks`) and with a weak
+    match on each label (:meth:`weak_mask`).  A side with fewer than
+    ``_KEPT_TABLES_MAX_STATES`` states also keeps the bit-row tables of
+    each label (:meth:`hat_table`, :meth:`must_table`); a larger one builds
+    them per query.  A side is kept on its automaton, keyed by start state
+    (:func:`_side`).  It holds no reference to the automaton, which its
+    builders take as an argument, so keeping it makes no reference cycle.
     """
 
-    __slots__ = ("states", "index", "_musts", "_hats", "_needs")
+    __slots__ = ("states", "index", "_musts", "_hats", "_must_masks",
+                 "_weak_masks", "_tables")
 
     def __init__(self, states: list[StateId]):
         self.states = states
         self.index = {s: i for i, s in enumerate(states)}
         self._musts = None
         self._hats: dict[frozenset[str], list[dict[str, tuple[int, ...]]]] = {}
-        self._needs: dict[frozenset[str], list[tuple[frozenset, frozenset]]] = {}
+        # Built on first use, since most small queries never read them.
+        self._must_masks: dict[str, int] | None = None
+        self._weak_masks: dict[str, int] | None = None
+        self._tables: dict[tuple[str, str], object] | None = None
 
     def musts(self, aut: ModalAutomaton) -> list[list[tuple[str, list[int]]]]:
         """Per state, its musts as ``(label, sorted target numbers)``."""
@@ -285,19 +298,75 @@ class _Side:
             self._hats[labels] = hat
         return hat
 
-    def label_needs(self, labels: frozenset[str]) -> list[tuple[frozenset, frozenset]]:
-        """Per state, the labels it has musts on and those of ``labels`` it
-        matches weakly, once :meth:`musts` and :meth:`hat` are built.
-        States with the same two label sets share one entry."""
-        needs = self._needs.get(labels)
-        if needs is None:
-            shared: dict = {}
-            needs = self._needs[labels] = []
-            for musts, hat in zip(self._musts, self._hats[labels]):
-                entry = (frozenset([a for a, _ in musts]),
-                         frozenset([a for a, targets in hat.items() if targets]))
-                needs.append(shared.setdefault(entry, entry))
-        return needs
+    def must_masks(self) -> dict[str, int]:
+        """Per label, the states with a must on it, as a bit set, once
+        :meth:`musts` is built."""
+        masks = self._must_masks
+        if masks is None:
+            masks = self._must_masks = {}
+            for q, musts in enumerate(self._musts):
+                for a, _ in musts:
+                    masks[a] = masks.get(a, 0) | 1 << q
+        return masks
+
+    def weak_mask(self, alpha: str, hat: list[dict[str, tuple[int, ...]]]) -> int:
+        """The states with a weak match on ``alpha``, as a bit set, read from
+        rows of :meth:`hat` that hold ``alpha``."""
+        masks = self._weak_masks
+        if masks is None:
+            masks = self._weak_masks = {}
+        mask = masks.get(alpha)
+        if mask is None:
+            mask = 0
+            for q, row in enumerate(hat):
+                if row[alpha]:
+                    mask |= 1 << q
+            masks[alpha] = mask
+        return mask
+
+    def hat_table(self, alpha: str, hat: list[dict[str, tuple[int, ...]]]) -> list:
+        """Chunk tables of the states whose weak ``alpha`` successors hold
+        each state, read from rows of :meth:`hat` that hold ``alpha``."""
+        def build():
+            preimages = [0] * len(hat)
+            for q, row in enumerate(hat):
+                bit = 1 << q
+                for t in row[alpha]:
+                    preimages[t] |= bit
+            return _chunk_tables(preimages)
+        return self._kept(("hat", alpha), build)
+
+    def must_table(self, a: str) -> tuple[list, list, int, int]:
+        """For the musts on label ``a``, numbered in state order: chunk
+        tables of the musts that target each state, chunk tables of the
+        source of each must, the set of every must, and the set of states
+        with one (``must_masks()[a]``), once :meth:`musts` is built."""
+        def build():
+            spec_musts = [(q, targets) for q, musts in enumerate(self._musts)
+                          for b, targets in musts if b == a]
+            preimages = [0] * len(self.states)
+            for m, (_, targets) in enumerate(spec_musts):
+                bit = 1 << m
+                for t in targets:
+                    preimages[t] |= bit
+            return (_chunk_tables(preimages),
+                    _chunk_tables([1 << q for q, _ in spec_musts]),
+                    (1 << len(spec_musts)) - 1, self.must_masks()[a])
+        return self._kept(("must", a), build)
+
+    def _kept(self, key: tuple[str, str], build):
+        """The table ``build`` gives for ``key``, kept from its first use
+        while the side has fewer than ``_KEPT_TABLES_MAX_STATES`` states,
+        else built afresh on every call."""
+        if len(self.states) >= _KEPT_TABLES_MAX_STATES:
+            return build()
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = {}
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = build()
+        return table
 
 
 def _side(aut: ModalAutomaton, start: StateId) -> _Side:
@@ -347,15 +416,13 @@ class _Checker:
     last passing check, and is current, when ``e >= since[who[e]]``.  A pair
     that dies re-queues its alive, current citers in sorted order.
 
-    When both sides have at least ``_SCREEN_MIN_STATES`` states,
-    ``_label_screen`` marks the pairs that fail on labels alone.
-
-    :meth:`witness` is the witness run (on bit rows, :meth:`_bit_rows`,
-    when both sides have at least ``_BIT_ROWS_MIN_STATES`` states),
-    :meth:`certificate` runs the certificate run (:meth:`_replay`) where
-    one is needed, and :meth:`verdict` is the local run; each only seeds
-    the loop.  Only the elimination order is stored; why a pair died is
-    derived again when the certificate asks (``cause``).
+    :meth:`witness` is the witness run: the ordered elimination, or, when
+    both sides have at least ``_BIT_ROWS_MIN_STATES`` states, the bit rows
+    (:meth:`_bit_rows`) from the label screen (:meth:`_screen`).
+    :meth:`certificate` runs the certificate run (:meth:`_replay`) after a
+    bit-row run, and :meth:`verdict` is the local run; all but the bit rows
+    only seed the loop.  Only the elimination order is stored; why a pair
+    died is derived again when the certificate asks (``cause``).
     """
 
     def __init__(self, impl: ModalAutomaton, spec: ModalAutomaton,
@@ -433,32 +500,47 @@ class _Checker:
         return None
 
     def witness(self) -> None:
-        """The witness run: ``alive`` ends as the greatest relation.  The
-        pairs the screen marks start dead.  When both sides have at least
-        ``_BIT_ROWS_MIN_STATES`` states, :meth:`_bit_rows` shrinks the rest;
-        otherwise they are queued in index order, and with none marked the
-        run is the ordered elimination over every pair, whose order is kept
-        for the certificate (``elim_order``, else None)."""
+        """The witness run: ``alive`` ends as the greatest relation.  When
+        both sides have at least ``_BIT_ROWS_MIN_STATES`` states,
+        :meth:`_bit_rows` computes it from the label screen's rows, kept as
+        ``screen`` for the certificate run.  Otherwise every pair is queued
+        alive in index order: the run is the ordered elimination over every
+        pair, whose order is kept for the certificate (``elim_order``)."""
         n_impl, nq = len(self.impl_states), self.nq
-        bit_rows = min(n_impl, nq) >= _BIT_ROWS_MIN_STATES
-        if bit_rows or min(n_impl, nq) >= _SCREEN_MIN_STATES:
-            rows = self._label_screen()
-            screen = b"".join(rows)
+        if min(n_impl, nq) >= _BIT_ROWS_MIN_STATES:
+            self.screen = self._screen()
+            self.elim_order = None
+            self.alive = self._bit_rows(self.screen)
         else:
-            screen = b"\x01" * (n_impl * nq)
-        self.screen = screen if 0 in screen else None
-        self.elim_order = None
-        if bit_rows:
-            self.alive = self._bit_rows(rows)
-            return
-        self.alive = alive = bytearray(screen)
-        # compress reads alive as the run goes; a pair that dies before its
-        # turn in the first pass is skipped there, as the run would skip it.
-        order = self._eliminate(alive, compress(range(len(alive)), alive))
-        if self.screen is None:
-            self.elim_order = order
+            self.alive = alive = bytearray(b"\x01") * (n_impl * nq)
+            self.elim_order = self._eliminate(alive, range(len(alive)))
 
-    def _bit_rows(self, screen: list[bytes]) -> bytearray:
+    def _screen(self) -> list[int]:
+        """The label screen: per impl state, the spec states it does not
+        fail against on labels alone, as a bit set.
+
+        A pair fails on labels alone when the spec state has a must on a
+        label the impl state has no must on, or the impl state has a may on
+        a label the spec state has no weak match on.  So a row is every
+        spec state, less those with a must on a label the impl state lacks,
+        and within those with a weak match on each label it has a may on.
+        """
+        side, hat = self.spec_side, self.spec_hat
+        must_masks = side.must_masks().items()
+        weak = {alpha: side.weak_mask(alpha, hat) for alpha in self.labels}
+        full = (1 << self.nq) - 1
+        rows = []
+        for musts, mays in zip(self.impl_musts, self.impl_mays):
+            row = full
+            for a, mask in must_masks:
+                if a not in musts:
+                    row &= ~mask
+            for alpha, _ in mays:
+                row &= weak[alpha]
+            rows.append(row)
+        return rows
+
+    def _bit_rows(self, screen: list[int]) -> bytearray:
         """The witness run on bit rows, from the screen's rows; returns
         ``alive`` over every pair.
 
@@ -471,48 +553,19 @@ class _Checker:
         (clause i): an impl must meets a spec must when the row of each of
         its targets meets the spec must's targets.  The screen has already
         cleared the spec states with a must on a label ``p`` has none on.
-        The images of a row are kept until it shrinks; a row that shrinks
-        re-queues the impl states with a may or a must target into it.
+        The pre-images are read through the spec side's tables
+        (:meth:`_Side.hat_table`, :meth:`_Side.must_table`).  The images of
+        a row are kept until it shrinks; a row that shrinks re-queues the
+        impl states with a may or a must target into it.
         """
-        nq, spec_hat = self.nq, self.spec_hat
-        start: dict[bytes, int] = {}
-        rows = []
-        for row in screen:
-            bits = start.get(row)
-            if bits is None:
-                bits = start[row] = int(row.translate(_TO_BITS)[::-1], 2)
-            rows.append(bits)
+        nq, side, spec_hat = self.nq, self.spec_side, self.spec_hat
+        rows = screen.copy()
         n_impl = len(rows)
-
-        # Clause (ii): per label, the spec states whose weak successors
-        # hold each spec state.
-        hat_tables = {}
-        for alpha in self.labels:
-            preimages = [0] * nq
-            for q, hat in enumerate(spec_hat):
-                bit = 1 << q
-                for t in hat[alpha]:
-                    preimages[t] |= bit
-            hat_tables[alpha] = _chunk_tables(preimages)
-        # Clause (i): per label some impl must uses, the spec musts on it
-        # numbered; the musts that target each spec state, the source of
-        # each must, the set of every must, and the spec states with one.
-        impl_labels = set().union(*self.impl_musts)
-        by_label: dict[str, list[tuple[int, list[int]]]] = {}
-        for q, spec_musts in enumerate(self.spec_musts):
-            for a, targets in spec_musts:
-                if a in impl_labels:
-                    by_label.setdefault(a, []).append((q, targets))
-        must_tables = {}
-        for a, spec_musts in by_label.items():
-            preimages = [0] * nq
-            for m, (_, targets) in enumerate(spec_musts):
-                bit = 1 << m
-                for t in targets:
-                    preimages[t] |= bit
-            sources = [1 << q for q, _ in spec_musts]
-            must_tables[a] = (_chunk_tables(preimages), _chunk_tables(sources),
-                              (1 << len(spec_musts)) - 1, reduce(or_, sources))
+        hat_tables = {alpha: side.hat_table(alpha, spec_hat) for alpha in self.labels}
+        # Clause (i) reads the labels that both sides have musts on.
+        spec_labels = side.must_masks()
+        must_tables = {a: side.must_table(a) for a in set().union(*self.impl_musts)
+                       if a in spec_labels}
 
         # Per impl state, its mays and musts over impl state numbers, the
         # impl states whose rows a step reads, and those that read its row.
@@ -661,28 +714,6 @@ class _Checker:
         self._eliminate(alive, [root], root)
         return bool(alive[root])
 
-    def _label_screen(self) -> list[bytes]:
-        """One row per impl state over the spec states: 0 where the pair
-        fails on labels alone, else 1.
-
-        A spec state needs its must labels and matches the labels with a
-        weak match; impl states with the same must and may labels share
-        one row.
-        """
-        spec_side = self.spec_side.label_needs(self.labels)
-        rows: dict[tuple[frozenset, frozenset], bytes] = {}
-        out = []
-        for musts, mays in zip(self.impl_musts, self.impl_mays):
-            sig = (frozenset(musts), frozenset(alpha for alpha, _ in mays))
-            row = rows.get(sig)
-            if row is None:
-                has_must, has_may = sig
-                row = rows[sig] = bytes([
-                    need <= has_must and has_may <= matched
-                    for need, matched in spec_side])
-            out.append(row)
-        return out
-
     def _replay(self) -> None:
         """The certificate run: the ordered elimination on the root's region.
 
@@ -693,13 +724,14 @@ class _Checker:
         witness does, and every other pair stays dead; all of them are dead
         again afterwards, so ``alive`` is left as the witness.
         """
-        alive, screen, root = self.alive, self.screen, self.root
+        alive, screen, root, nq = self.alive, self.screen, self.root, self.nq
         region = [root]
         alive[root] = 1
         for x in region:
             # A marked pair dies at its first-pass turn, before any pair
             # after it is visited, so it steps only below itself.
-            top = len(alive) if screen is None or screen[x] else x
+            p, q = divmod(x, nq)
+            top = len(alive) if screen[p] >> q & 1 else x
             for y in self._inspected(x):
                 if not alive[y] and y < top:
                     alive[y] = 1

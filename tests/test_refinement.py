@@ -8,7 +8,7 @@ from conftest import load, weak_hat_succ
 from mialib.model import (DMTS, IA, MIA, TAU, AlphabetMismatchError,
                           FlavorMismatchError, MialibError, as_dmts, atom,
                           make_automaton, make_ia, reachable_states)
-from mialib.refinement import (_SCREEN_MIN_STATES, _Checker, _verdict,
+from mialib.refinement import (_BIT_ROWS_MIN_STATES, _Checker, _verdict,
                                dmts_refines, equiv, holds, ia_refines,
                                mia_equiv, mia_refines, refines)
 from mialib.testkit import (blackhole, gen_pair, gen_random, oracle_refines,
@@ -314,7 +314,7 @@ def test_label_screen_marks_exactly_the_label_failures(flavor):
     for seed in range(6):
         impl, spec = _instance(flavor, seed)
         checker = _Checker(impl, spec, impl.initial, spec.initial)
-        assert min(len(checker.impl_states), checker.nq) >= _SCREEN_MIN_STATES
+        assert min(len(checker.impl_states), checker.nq) >= _BIT_ROWS_MIN_STATES
         # the rule the checker once applied per flavor, frozen: None = all
         domain = None if flavor == DMTS else spec.alphabet.outputs | {TAU}
         impl_musts, spec_musts, impl_mays = {}, {}, {}
@@ -331,11 +331,13 @@ def test_label_screen_marks_exactly_the_label_failures(flavor):
                         not weak_hat_succ(spec.weak, q, label) for label in inspected):
                     expected.add((p, q))
         nq = checker.nq
-        screen = b"".join(checker._label_screen())
-        marked = {(checker.impl_states[x // nq], checker.spec_states[x % nq])
-                  for x, state in enumerate(screen) if state == 0}
-        assert len(screen) == len(checker.impl_states) * nq
-        assert set(screen) <= {0, 1}
+        # One integer row per impl state: bit q is clear where the pair
+        # with spec state q fails on labels alone.
+        rows = checker._screen()
+        marked = {(checker.impl_states[p], checker.spec_states[q])
+                  for p, row in enumerate(rows) for q in range(nq) if not row >> q & 1}
+        assert len(rows) == len(checker.impl_states)
+        assert all(0 <= row < 1 << nq for row in rows)
         assert marked == expected, f"{flavor} seed {seed}"
         doomed_seen += len(expected)
     assert doomed_seen > 0

@@ -2,12 +2,13 @@
 
 When both sides have at least ``_BIT_ROWS_MIN_STATES`` states, ``refines``
 computes the greatest relation with one integer row per implementation
-state (``_Checker._bit_rows``) and gets its certificate from the
-certificate run.  The reference here is the ordered elimination over every
-pair: ``_eliminate`` seeded as the witness run is below the label-screen
-size, with every pair alive and queued in index order, and the certificate
-read from its kill order.  Verdict, every surviving pair and the
-certificate text must be its.
+state (``_Checker._bit_rows``), starting from the label screen's rows
+(``_Checker._screen``), and gets its certificate from the certificate run.
+The reference here is the ordered elimination over every pair:
+``_eliminate`` seeded as the witness run is below the gate, with every
+pair alive and queued in index order, and the certificate read from its
+kill order.  Verdict, every surviving pair and the certificate text must
+be its.
 
 The instances straddle the gate: one state below it, at it and one above
 it on each side, and lopsided pairs with one side far larger.  They cover
@@ -16,18 +17,23 @@ and roots that fail only through their successors, and dMTS specifications
 with many disjunctive output musts.  Some pairs of automata have no pair
 that fails on labels alone; on valid automata such a check always holds,
 since a first pair can die only on an obligation it has no candidate for.
+
+A specification with fewer than ``_KEPT_TABLES_MAX_STATES`` states keeps
+the bit-row tables of each label from query to query, and a larger one
+keeps none: the last tests check that kept tables answer as fresh ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from itertools import compress
 
 import pytest
 
 from mialib import refinement
 from mialib.model import DMTS, IA, MIA, TAU, atom, make_automaton, validate
-from mialib.refinement import _BIT_ROWS_MIN_STATES, _Checker, refines
+from mialib.refinement import (_BIT_ROWS_MIN_STATES, _KEPT_TABLES_MAX_STATES,
+                               _Checker, refines)
 from mialib.testkit import weaken
 from test_refinement_differential import _automaton
 from test_refinement_large_differential import NEVER
@@ -44,11 +50,14 @@ def _ordered(impl, spec):
     every pair, with no pair killed before its check."""
     checker = _Checker(impl, spec, impl.initial, spec.initial)
     checker.alive = alive = bytearray(b"\x01") * (len(checker.impl_states) * checker.nq)
-    checker.screen = None
-    checker.elim_order = checker._eliminate(alive, compress(range(len(alive)), alive))
+    checker.elim_order = checker._eliminate(alive, range(len(alive)))
     verdict = bool(alive[checker.root])
     failure = None if verdict else str(checker.certificate())
     return verdict, checker.pairs(), failure
+
+
+def _outcome(w):
+    return w.verdict, w.pairs, None if w.verdict else str(w.failure)
 
 
 def _alphabet(flavor, rng):
@@ -188,7 +197,8 @@ def test_bit_rows_give_the_ordered_elimination(flavor, monkeypatch):
     bit_rows = _Checker._bit_rows
 
     def counted(self, screen):
-        ran.append(self.screen is not None)
+        # Whether the screen marked any pair.
+        ran.append(any(row != (1 << self.nq) - 1 for row in screen))
         return bit_rows(self, screen)
 
     monkeypatch.setattr(_Checker, "_bit_rows", counted)
@@ -197,12 +207,13 @@ def test_bit_rows_give_the_ordered_elimination(flavor, monkeypatch):
         expected = _ordered(impl, spec)
         before = len(ran)
         w = refines(impl, spec)
-        assert (w.verdict, w.pairs, None if w.verdict else str(w.failure)) == expected, name
+        assert _outcome(w) == expected, name
         checker = _Checker(impl, spec, impl.initial, spec.initial)
         wide = min(len(checker.impl_states), checker.nq) >= N
         assert len(ran) == before + wide, name
         if wide:
-            root_marked = not b"".join(checker._label_screen())[checker.root]
+            p, q = divmod(checker.root, checker.nq)
+            root_marked = not checker._screen()[p] >> q & 1
             seen.add((w.verdict, ran[-1], root_marked))
     # Holding and failing checks ran on bit rows, with and without marked
     # pairs, and failing ones with a marked root and with an unmarked one.
@@ -210,15 +221,38 @@ def test_bit_rows_give_the_ordered_elimination(flavor, monkeypatch):
             (False, True, False)} <= seen, seen
 
 
-def test_bit_rows_need_no_screen_threshold(monkeypatch):
-    """The bit rows start from the screen's rows even where the screen
-    alone would not be built."""
-    monkeypatch.setattr(refinement, "_SCREEN_MIN_STATES", 10**9)
+@pytest.mark.parametrize("gate", [N, N + 1])
+def test_one_gate_picks_the_witness_run(gate, monkeypatch):
+    """At or above the one gate, the witness runs on bit rows from the label
+    screen, and a failing check takes its certificate from the certificate
+    run.  Below it, no pair is screened: the witness run is the ordered
+    elimination over every pair, and the certificate reads its order.
+    Where the gate sits changes no outcome."""
+    monkeypatch.setattr(refinement, "_BIT_ROWS_MIN_STATES", gate)
+    calls = []
+    for name in ("_screen", "_bit_rows", "_replay"):
+        def counted(self, *args, _name=name, _run=getattr(_Checker, name)):
+            calls.append(_name)
+            return _run(self, *args)
+        monkeypatch.setattr(_Checker, name, counted)
+    wide_seen = set()
     for name, impl, spec in _instances(MIA):
-        if name.startswith(f"{MIA}/{N}x{N}/"):
-            w = refines(impl, spec)
-            expected = _ordered(impl, spec)
-            assert (w.verdict, w.pairs, None if w.verdict else str(w.failure)) == expected, name
+        if max(len(impl.states), len(spec.states)) > N + 1:
+            continue
+        calls.clear()
+        w = refines(impl, spec)
+        checker = _Checker(impl, spec, impl.initial, spec.initial)
+        wide = min(len(checker.impl_states), checker.nq) >= gate
+        if wide:
+            assert calls == ["_screen", "_bit_rows"] + ["_replay"] * (not w.verdict), name
+        else:
+            assert calls == [], name
+            # The witness run kept its kill order for the certificate.
+            checker.witness()
+            assert checker.elim_order is not None, name
+        assert _outcome(w) == _ordered(impl, spec), name
+        wide_seen.add((wide, w.verdict))
+    assert wide_seen == {(True, True), (True, False), (False, True), (False, False)}, wide_seen
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 63, 64, 65, 130])
@@ -235,3 +269,56 @@ def test_image_reads_every_chunk_at_its_offset(n):
             if row >> t & 1:
                 expected |= images[t]
         assert refinement._image(tables, row) == expected
+
+
+def _without(aut, label, name):
+    """``aut`` with every may and must on ``label`` gone."""
+    return _rebuilt(aut, may={e for e in aut.may if e[1] != label},
+                    must={e for e in aut.must if e[1] != label}, name=name)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_kept_tables_answer_as_fresh_ones(flavor):
+    """One specification below the cap answers impls whose mays use
+    different label sets, so that its tables are kept for some labels by
+    one query and read by the next; the same queries on fresh copies, which
+    keep nothing yet, give the same verdict, witness and certificate."""
+    rng = random.Random(f"kept|{flavor}")
+    actions = ["a0", "a1", "a2", "a3", "a4"]
+    inputs, outputs = ([], actions) if flavor == DMTS else (actions[:2], actions[2:])
+    spec = _spec(flavor, 2 * N, inputs, outputs + [NEVER], rng)
+    assert N <= len(spec.states) < _KEPT_TABLES_MAX_STATES
+    impl = _weakened(spec, rng)
+    impls = [impl] + [bad for _, bad in _failing(impl, rng)]
+    impls += [_without(i, a, f"no-{a}") for i in impls[:2] for a in outputs + [TAU]]
+    impls = [i for i in impls if not validate(i)
+             and min(len(refinement._numbered(i, i.initial)), len(spec.states)) >= N]
+    label_sets = {_Checker(i, spec, i.initial, spec.initial).labels for i in impls}
+    assert len(label_sets) >= 3, label_sets
+    warm = [_outcome(refines(i, spec)) for i in impls]
+    side = spec._refinement_rows[spec.initial]
+    kinds = [kind for kind, _ in side._tables]
+    assert kinds.count("hat") >= 2 and kinds.count("must") >= 2, kinds
+    cold = [_outcome(refines(dataclasses.replace(i), dataclasses.replace(spec)))
+            for i in impls]
+    assert warm == cold
+    assert {verdict for verdict, _, _ in warm} == {True, False}
+    # The spec against each impl reads the impls' tables, kept too.
+    for i in impls:
+        assert _outcome(refines(spec, i)) == _outcome(
+            refines(dataclasses.replace(spec), dataclasses.replace(i)))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_a_side_at_the_cap_keeps_no_tables(flavor):
+    rng = random.Random(f"cap|{flavor}")
+    inputs, outputs = _alphabet(flavor, rng)
+    for n, kept in ((_KEPT_TABLES_MAX_STATES - 1, True), (_KEPT_TABLES_MAX_STATES, False)):
+        spec = _spec(flavor, n, inputs, outputs, rng)
+        impl = _weakened(spec, rng)
+        for i in [impl] + [bad for _, bad in _failing(impl, rng)]:
+            assert _outcome(refines(i, spec)) == _ordered(i, spec)
+        side = spec._refinement_rows[spec.initial]
+        assert len(side.states) == n
+        kinds = {kind for kind, _ in side._tables or ()}
+        assert kinds == ({"hat", "must"} if kept else set()), n

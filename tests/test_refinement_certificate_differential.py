@@ -1,13 +1,13 @@
 """Differential tests of the two-run checker.
 
-``refines`` kills the pairs that fail on labels alone before its witness
-run, and for a failing check replays the ordered elimination only on the
-root pair's region.  ``_OrderedChecker`` is a frozen copy of the checker
-that ran the ordered elimination over every pair, with the marked pairs
-dying at their turn in the first pass.  It is the reference here: for each
-instance the verdict, every surviving pair and the certificate text must
-be its, and the certificate run's kill order must be its order restricted
-to the region.
+``refines`` computes its witness on bit rows, starting with the pairs that
+fail on labels alone dead, and for a failing check replays the ordered
+elimination only on the root pair's region.  ``_OrderedChecker`` is a
+frozen copy of the checker that ran the ordered elimination over every
+pair, with the marked pairs dying at their turn in the first pass.  It is
+the reference here: for each instance the verdict, every surviving pair
+and the certificate text must be its, and the certificate run's kill
+order must be its order restricted to the region.
 
 The instances, at 200-400 states, are large enough for the label screen:
 a failure planted at the implementation state farthest from the root, one
@@ -15,8 +15,9 @@ planted at the root so that the root pair fails on labels alone, both at
 once, and the holding implementation itself.
 
 The second test runs the certificate run on many small shapes: with the
-label screen built at every size, ``refines`` must give what it gives with
-no screen at all, where the witness run is the ordered elimination.
+bit rows and their label screen run at every size, ``refines`` must give
+what it gives with them run at none, where the witness run is the ordered
+elimination.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import pytest
 
 from mialib import refinement
 from mialib.model import DMTS, IA, MIA, atom, make_automaton, targets_text
-from mialib.refinement import (_SCREEN_MIN_STATES, FailureCertificate,
+from mialib.refinement import (_BIT_ROWS_MIN_STATES, FailureCertificate,
                                _Checker, refines)
 from test_refinement_differential import _instance
 from test_refinement_large_differential import NEVER, _planted
@@ -52,7 +53,7 @@ class _OrderedChecker(_Checker):
     def __init__(self, impl, spec, impl_state, spec_state):
         super().__init__(impl, spec, impl_state, spec_state)
         n = len(self.impl_states) * self.nq
-        if min(len(self.impl_states), self.nq) >= _SCREEN_MIN_STATES:
+        if min(len(self.impl_states), self.nq) >= _BIT_ROWS_MIN_STATES:
             self.alive = self._label_screen()
         else:
             self.alive = bytearray(b"\x01") * n
@@ -223,7 +224,8 @@ def test_two_runs_give_the_ordered_elimination_witness_and_certificate(flavor):
         failing += 1
 
         checker = _Checker(impl, spec, impl.initial, spec.initial)
-        screen = b"".join(checker._label_screen())
+        # Per pair, in index order: 0 where it fails on labels alone.
+        screen = [row >> q & 1 for row in checker._screen() for q in range(checker.nq)]
         marked_root = not screen[root]
         on_labels += marked_root
         checker.witness()
@@ -261,23 +263,24 @@ SMALL_PER_FLAVOR = 400
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_screened_and_unscreened_runs_agree_on_small_automata(flavor, monkeypatch):
-    """At 8-60 states, with the screen built at every size, nearly every
-    failing check gets its certificate from the certificate run; with no
-    screen, the witness run is the ordered elimination itself.  Both must
-    give the same verdict, witness and certificate."""
+    """At 8-60 states, with the bit rows run at every size, every failing
+    check gets its certificate from the certificate run; with the bit rows
+    run at none, the witness run is the ordered elimination itself.  Both
+    must give the same verdict, witness and certificate."""
     instances = [_instance(flavor, seed, max_states=60) for seed in range(SMALL_PER_FLAVOR)]
     replayed = []
     replay = _Checker._replay
 
     def counted(self):
         # Whether the root fails on labels alone.
-        replayed.append(not self.screen[self.root])
+        p, q = divmod(self.root, self.nq)
+        replayed.append(not self.screen[p] >> q & 1)
         replay(self)
 
     monkeypatch.setattr(_Checker, "_replay", counted)
     results = {}
     for threshold in (10**9, 0):
-        monkeypatch.setattr(refinement, "_SCREEN_MIN_STATES", threshold)
+        monkeypatch.setattr(refinement, "_BIT_ROWS_MIN_STATES", threshold)
         results[threshold] = [(w.verdict, w.pairs, None if w.verdict else str(w.failure))
                               for w in (refines(*instance) for instance in instances)]
         if threshold:
@@ -286,6 +289,6 @@ def test_screened_and_unscreened_runs_agree_on_small_automata(flavor, monkeypatc
         assert screened == ordered, f"{flavor} seed {seed}"
     failing = sum(not verdict for verdict, _, _ in results[0])
     assert SMALL_PER_FLAVOR // 5 <= failing <= SMALL_PER_FLAVOR - SMALL_PER_FLAVOR // 5
-    # Most certificates came from the certificate run, some of them from a
+    # Every certificate came from the certificate run, some of them from a
     # root that fails on labels alone.
-    assert len(replayed) >= failing // 2 and any(replayed), (failing, len(replayed))
+    assert len(replayed) == failing and any(replayed), (failing, len(replayed))

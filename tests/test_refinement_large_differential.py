@@ -1,8 +1,8 @@
-"""Differential tests above the label-screen size: 60-400 states per side.
+"""Differential tests above the bit-row size: 60-400 states per side.
 
-The checker marks pairs that fail on labels alone and kills them without a
-check, but only when both sides have at least ``_SCREEN_MIN_STATES``
-reachable states.  The instances in ``test_refinement_differential.py``
+The checker marks pairs that fail on labels alone and computes the witness
+on bit rows, but only when both sides have at least
+``_BIT_ROWS_MIN_STATES`` reachable states.  The instances in ``test_refinement_differential.py``
 mostly sit below that size, so this module compares the checker with the
 same string-keyed reference on larger ones: verdict, every surviving pair
 and the failure certificate.
@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from mialib.model import DMTS, IA, MIA, TAU, make_automaton, reachable_states
-from mialib.refinement import (_SCREEN_MIN_STATES, _Checker, equiv, holds,
+from mialib.refinement import (_BIT_ROWS_MIN_STATES, _Checker, equiv, holds,
                                mia_equiv, refines)
 from mialib.testkit import weaken
 from test_refinement_differential import _automaton, _reference
@@ -53,7 +53,7 @@ def _instance(flavor: str, seed: int):
         inputs, outputs = actions[:k], actions[k:]
     spec = _automaton(flavor, rng.randint(60, 150), inputs, outputs, rng, "spec")
     impl = weaken(spec, rng)
-    while len(reachable_states(impl, impl.initial)) < _SCREEN_MIN_STATES:
+    while len(reachable_states(impl, impl.initial)) < _BIT_ROWS_MIN_STATES:
         impl = weaken(spec, rng)
     if seed % 2:
         # One extra may that the specification may be unable to match.
@@ -77,8 +77,8 @@ def test_same_verdict_witness_and_certificate_above_the_screen_size(flavor):
         assert got == expected, f"{flavor} seed {seed}"
         verdicts.append(w.verdict)
         checker = _Checker(impl, spec, impl.initial, spec.initial)
-        assert min(len(checker.impl_states), checker.nq) >= _SCREEN_MIN_STATES
-        screened += b"".join(checker._label_screen()).count(0)
+        assert min(len(checker.impl_states), checker.nq) >= _BIT_ROWS_MIN_STATES
+        screened += sum(checker.nq - row.bit_count() for row in checker._screen())
     assert True in verdicts and False in verdicts
     assert screened > 0
 
@@ -137,7 +137,7 @@ def test_verdict_only_queries_match_refines(flavor, monkeypatch):
 
     def refuse(self):
         raise AssertionError("a verdict-only query ran the witness checker")
-    for name in ("witness", "pairs", "certificate", "_label_screen"):
+    for name in ("witness", "pairs", "certificate", "_screen"):
         monkeypatch.setattr(_Checker, name, refuse)
     for (a, b), (forward, backward) in zip(queries, expected):
         assert (holds(a, b), holds(b, a)) == (forward, backward)
