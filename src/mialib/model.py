@@ -468,10 +468,6 @@ def _must_key(edge: MustEdge):
     return (src, label, sorted(targets))
 
 
-# Below this many edges one plain sort costs less than bucketing by source.
-_PER_SOURCE_MIN = 64
-
-
 def _sorted_edges(edges: frozenset, key=None) -> tuple:
     """``tuple(sorted(edges, key=key))``, built per source.
 
@@ -480,8 +476,6 @@ def _sorted_edges(edges: frozenset, key=None) -> tuple:
     compare as the strings they are, and ``key`` runs only for sources with
     two or more edges.
     """
-    if len(edges) < _PER_SOURCE_MIN:
-        return tuple(sorted(edges, key=key))
     buckets: dict = {}
     for edge in edges:
         bucket = buckets.get(edge[0])

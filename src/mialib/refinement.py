@@ -29,17 +29,15 @@ witness run of ``refines`` when both sides have at least
 The numbering and the specification rows depend on one automaton and one
 start state alone, so each automaton keeps them, per start state
 (``_Side``), from the first query that needs them: many implementations
-checked against one specification number it, and build its must rows,
-weak rows and label masks, once.  The weak rows are kept per set of
-labels the implementation's mays use.  A side with fewer than
-``_KEPT_TABLES_MAX_STATES`` states also keeps the bit-row tables, per
-label.  An automaton keeps the side from its initial state and the most
-recent one from another start state, so checking it from each of its
-states keeps two sides, not one per state.  Only the implementation rows
-are built per query, because their targets are scaled by the
-specification's state count.  A kept side holds no reference to its
-automaton, and a numbering that fails is not kept, so every query on that
-automaton fails.
+checked against one specification number it and build its must rows
+once, and its weak rows, label masks and bit-row tables once per label,
+at every size.  An automaton keeps the side from its initial state and
+the most recent one from another start state, so checking it from each
+of its states keeps two sides, not one per state.  Only the
+implementation rows are built per query, because their targets are
+scaled by the specification's state count.  A kept side holds no
+reference to its automaton, and a numbering that fails is not kept, so
+every query on that automaton fails.
 
 ``refines`` and the per-flavor queries return the whole greatest relation
 over the candidates, all pairs of numbered states, and a certificate that
@@ -166,14 +164,6 @@ _ZERO = array("i", [0])
 # first, 1.21-1.55 at 12, 1.06-1.14 at 16, 0.94-1.07 at 20 and 0.60-0.69
 # at 32.
 _BIT_ROWS_MIN_STATES = 16
-# A side with fewer states than this keeps its bit-row tables, per label;
-# a larger one builds them per query.  The tables one query reads hold
-# 21-25 kB at 50 states, 66-74 kB at 128 and 308-368 kB at 400
-# (``tracemalloc``); building them took 0.10-0.20 ms of a 0.6-0.7 ms
-# holding ``refines`` at 50 states but 0.84-1.21 of 13-20 ms at 400.  Over
-# the refine benchmark's plan, kept below this cap they retain 0.7 MB, and
-# kept at every size 2.7 MB.
-_KEPT_TABLES_MAX_STATES = 128
 _FROM_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
@@ -238,29 +228,32 @@ class _Side:
 
     ``states`` lists the reachable states in text order and ``index`` maps
     each to its number.  The specification rows depend on nothing else, so
-    they are built on first use and kept: :meth:`musts`, :meth:`hat` per
-    set of labels to match, and for the label screen the bit sets of
-    states with a must on each label (:meth:`must_masks`) and with a weak
-    match on each label (:meth:`weak_mask`).  A side with fewer than
-    ``_KEPT_TABLES_MAX_STATES`` states also keeps the bit-row tables of
-    each label (:meth:`hat_table`, :meth:`must_table`); a larger one builds
-    them per query.  A side is kept on its automaton, keyed by start state
+    each is built on first use and kept, at every size: :meth:`musts`, and
+    in one dict keyed ``(kind, label)`` (``_by_label``) the facts the
+    clauses read one label at a time.  Those are the weak rows of a label
+    (:meth:`weak`), the states with a weak match on it (:meth:`weak_mask`)
+    and its bit-row tables (:meth:`hat_table`, :meth:`must_table`); the
+    states with a must on each label (:meth:`must_masks`) sit under the
+    label ``""``.  A side is kept on its automaton, keyed by start state
     (:func:`_side`).  It holds no reference to the automaton, which its
     builders take as an argument, so keeping it makes no reference cycle.
     """
 
-    __slots__ = ("states", "index", "_musts", "_hats", "_must_masks",
-                 "_weak_masks", "_tables")
+    __slots__ = ("states", "index", "_musts", "_by_label")
 
     def __init__(self, states: list[StateId]):
         self.states = states
         self.index = {s: i for i, s in enumerate(states)}
         self._musts = None
-        self._hats: dict[frozenset[str], list[dict[str, tuple[int, ...]]]] = {}
-        # Built on first use, since most small queries never read them.
-        self._must_masks: dict[str, int] | None = None
-        self._weak_masks: dict[str, int] | None = None
-        self._tables: dict[tuple[str, str], object] | None = None
+        self._by_label: dict[tuple[str, str], object] = {}
+
+    def _kept(self, kind: str, label: str, build):
+        """The fact ``build`` gives for ``(kind, label)``, kept from its
+        first use."""
+        fact = self._by_label.get((kind, label))
+        if fact is None:
+            fact = self._by_label[kind, label] = build()
+        return fact
 
     def musts(self, aut: ModalAutomaton) -> list[list[tuple[str, list[int]]]]:
         """Per state, its musts as ``(label, sorted target numbers)``."""
@@ -272,69 +265,57 @@ class _Side:
                            for q in self.states]
         return self._musts
 
-    def hat(self, aut: ModalAutomaton,
-            labels: frozenset[str]) -> list[dict[str, tuple[int, ...]]]:
-        """Per state, ``label -> sorted weak successor numbers`` on each of
-        ``labels``; on tau, the state's silent closure.  Equal successor
-        sets share one tuple."""
-        hat = self._hats.get(labels)
-        if hat is None:
-            if labels:
-                weak, index = aut.weak, self.index
-                shared: dict[frozenset[StateId], tuple[int, ...]] = {}
-                hat = []
-                for q in self.states:
-                    row = {}
-                    for alpha in labels:
-                        succ = weak.eps_succ(q) if alpha == TAU else weak.weak_succ(q, alpha)
-                        nums = shared.get(succ)
-                        if nums is None:
-                            nums = shared[succ] = tuple(sorted([index[t] for t in succ]))
-                        row[alpha] = nums
-                    hat.append(row)
-            else:
-                # Without impl mays to match, the weak closure is not needed.
-                hat = [{}] * len(self.states)
-            self._hats[labels] = hat
-        return hat
+    def weak(self, aut: ModalAutomaton, alpha: str) -> list[tuple[int, ...]]:
+        """Per state, its sorted weak ``alpha`` successor numbers; on tau,
+        its silent closure.  Equal successor sets share one tuple."""
+        # Every query reads these, so the lookup is inline, not by _kept.
+        rows = self._by_label.get(("weak", alpha))
+        if rows is None:
+            weak, index = aut.weak, self.index
+            shared: dict[frozenset[StateId], tuple[int, ...]] = {}
+            rows = []
+            for q in self.states:
+                succ = weak.eps_succ(q) if alpha == TAU else weak.weak_succ(q, alpha)
+                nums = shared.get(succ)
+                if nums is None:
+                    nums = shared[succ] = tuple(sorted([index[t] for t in succ]))
+                rows.append(nums)
+            self._by_label["weak", alpha] = rows
+        return rows
 
     def must_masks(self) -> dict[str, int]:
         """Per label, the states with a must on it, as a bit set, once
         :meth:`musts` is built."""
-        masks = self._must_masks
-        if masks is None:
-            masks = self._must_masks = {}
+        def build():
+            masks = {}
             for q, musts in enumerate(self._musts):
                 for a, _ in musts:
                     masks[a] = masks.get(a, 0) | 1 << q
-        return masks
+            return masks
+        return self._kept("must masks", "", build)
 
-    def weak_mask(self, alpha: str, hat: list[dict[str, tuple[int, ...]]]) -> int:
-        """The states with a weak match on ``alpha``, as a bit set, read from
-        rows of :meth:`hat` that hold ``alpha``."""
-        masks = self._weak_masks
-        if masks is None:
-            masks = self._weak_masks = {}
-        mask = masks.get(alpha)
-        if mask is None:
-            mask = 0
-            for q, row in enumerate(hat):
-                if row[alpha]:
-                    mask |= 1 << q
-            masks[alpha] = mask
-        return mask
-
-    def hat_table(self, alpha: str, hat: list[dict[str, tuple[int, ...]]]) -> list:
-        """Chunk tables of the states whose weak ``alpha`` successors hold
-        each state, read from rows of :meth:`hat` that hold ``alpha``."""
+    def weak_mask(self, alpha: str) -> int:
+        """The states with a weak match on ``alpha``, as a bit set, once
+        :meth:`weak` is built for ``alpha``."""
         def build():
-            preimages = [0] * len(hat)
-            for q, row in enumerate(hat):
+            mask = 0
+            for q, succ in enumerate(self._by_label["weak", alpha]):
+                if succ:
+                    mask |= 1 << q
+            return mask
+        return self._kept("weak mask", alpha, build)
+
+    def hat_table(self, alpha: str) -> list:
+        """Chunk tables of the states whose weak ``alpha`` successors hold
+        each state, once :meth:`weak` is built for ``alpha``."""
+        def build():
+            preimages = [0] * len(self.states)
+            for q, succ in enumerate(self._by_label["weak", alpha]):
                 bit = 1 << q
-                for t in row[alpha]:
+                for t in succ:
                     preimages[t] |= bit
             return _chunk_tables(preimages)
-        return self._kept(("hat", alpha), build)
+        return self._kept("hat", alpha, build)
 
     def must_table(self, a: str) -> tuple[list, list, int, int]:
         """For the musts on label ``a``, numbered in state order: chunk
@@ -352,21 +333,7 @@ class _Side:
             return (_chunk_tables(preimages),
                     _chunk_tables([1 << q for q, _ in spec_musts]),
                     (1 << len(spec_musts)) - 1, self.must_masks()[a])
-        return self._kept(("must", a), build)
-
-    def _kept(self, key: tuple[str, str], build):
-        """The table ``build`` gives for ``key``, kept from its first use
-        while the side has fewer than ``_KEPT_TABLES_MAX_STATES`` states,
-        else built afresh on every call."""
-        if len(self.states) >= _KEPT_TABLES_MAX_STATES:
-            return build()
-        tables = self._tables
-        if tables is None:
-            tables = self._tables = {}
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = build()
-        return table
+        return self._kept("must", a, build)
 
 
 def _side(aut: ModalAutomaton, start: StateId) -> _Side:
@@ -406,8 +373,8 @@ class _Checker:
     tau mays, both with targets stored as pair bases ``p2 * nq``, ready to
     add ``q2``.  Those depend on the spec's state count, so they are built
     per query.  ``spec_musts`` holds sorted target numbers, and
-    ``spec_hat`` the sorted weak successors on each label some impl may
-    uses (``labels``).
+    ``spec_hat`` maps each label some impl may uses (``labels``) to the
+    sorted weak successors of every spec state on it.
 
     A pair that passes its check cites the pairs it relied on, in flat watch
     lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
@@ -458,7 +425,7 @@ class _Checker:
 
         self.labels = frozenset(labels)
         self.spec_musts = spec_side.musts(spec)
-        self.spec_hat = spec_side.hat(spec, self.labels)
+        self.spec_hat = {alpha: spec_side.weak(spec, alpha) for alpha in labels}
 
     def _check(self, x: int, alive: bytearray | _AliveAt,
                cited: list[int]) -> tuple[str, tuple] | None:
@@ -488,10 +455,10 @@ class _Checker:
             else:
                 return "i", must
         # clause (ii): impl mays flow to weak spec mays.
-        hat = self.spec_hat[q]
+        spec_hat = self.spec_hat
         for may in self.impl_mays[p]:
             alpha, base = may
-            for q2 in hat[alpha]:
+            for q2 in spec_hat[alpha][q]:
                 if alive[base + q2]:
                     cited.append(base + q2)
                     break
@@ -525,9 +492,9 @@ class _Checker:
         spec state, less those with a must on a label the impl state lacks,
         and within those with a weak match on each label it has a may on.
         """
-        side, hat = self.spec_side, self.spec_hat
+        side = self.spec_side
         must_masks = side.must_masks().items()
-        weak = {alpha: side.weak_mask(alpha, hat) for alpha in self.labels}
+        weak = {alpha: side.weak_mask(alpha) for alpha in self.labels}
         full = (1 << self.nq) - 1
         rows = []
         for musts, mays in zip(self.impl_musts, self.impl_mays):
@@ -558,10 +525,10 @@ class _Checker:
         a row are kept until it shrinks; a row that shrinks re-queues the
         impl states with a may or a must target into it.
         """
-        nq, side, spec_hat = self.nq, self.spec_side, self.spec_hat
+        nq, side = self.nq, self.spec_side
         rows = screen.copy()
         n_impl = len(rows)
-        hat_tables = {alpha: side.hat_table(alpha, spec_hat) for alpha in self.labels}
+        hat_tables = {alpha: side.hat_table(alpha) for alpha in self.labels}
         # Clause (i) reads the labels that both sides have musts on.
         spec_labels = side.must_masks()
         must_tables = {a: side.must_table(a) for a in set().union(*self.impl_musts)
@@ -770,9 +737,9 @@ class _Checker:
                         for q2 in spec_targets:
                             found.append(base + q2)
         if clause != "i":
-            hat = self.spec_hat[q]
+            spec_hat = self.spec_hat
             for alpha, base in self.impl_mays[p]:
-                for q2 in hat[alpha]:
+                for q2 in spec_hat[alpha][q]:
                     found.append(base + q2)
         return found
 

@@ -245,13 +245,11 @@ def _tricky(n_may: int, n_must: int, seed: int) -> ModalAutomaton:
 
 def _view_cases() -> list[ModalAutomaton]:
     """Automata whose derived views are compared with a frozen derivation:
-    :func:`_tricky` ones on both sides of the per-source cut-off, testkit
-    ones at 3, 30 and 200 states, and dMTS and MIA conjunctive products."""
-    cut = model._PER_SOURCE_MIN
+    :func:`_tricky` ones from one edge to 150, testkit ones at 3, 30 and
+    200 states, and dMTS and MIA conjunctive products."""
     auts = [_tricky(n, m, seed)
-            for seed, (n, m) in enumerate([(cut - 1, cut - 1), (cut, cut),
-                                           (cut + 1, cut + 1), (1, 0), (0, 1),
-                                           (150, 120)])]
+            for seed, (n, m) in enumerate([(63, 63), (64, 64), (65, 65), (1, 0),
+                                           (0, 1), (150, 120)])]
     auts += [gen_random(flavor, seed=seed, max_states=size, max_actions=4,
                         transition_density=0.5)
              for flavor in (IA, DMTS, MIA) for seed, size in enumerate((3, 30, 200))]
@@ -264,15 +262,14 @@ def _view_cases() -> list[ModalAutomaton]:
 
 
 def test_sorted_views_equal_one_sort_of_each_edge_set():
-    cut = model._PER_SOURCE_MIN
     auts = _view_cases()
     for aut in auts:
         assert (aut.sorted_may, aut.sorted_must) == _one_sort_views(aut), aut.name
-    # both sides of the cut-off, and musts that share a state and label
-    # past it, were compared
+    # small and large edge sets, and large must sets with musts that share
+    # a state and label, were compared
     sizes = [len(edges) for aut in auts for edges in (aut.may, aut.must)]
-    assert min(sizes) < cut and max(sizes) >= 4 * cut
-    assert any(len(aut.must) >= cut and len({*map(itemgetter(0, 1), aut.must)})
+    assert min(sizes) < 64 and max(sizes) >= 256
+    assert any(len(aut.must) >= 64 and len({*map(itemgetter(0, 1), aut.must)})
                < len(aut.must) for aut in auts)
 
 

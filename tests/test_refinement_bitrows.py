@@ -18,9 +18,10 @@ with many disjunctive output musts.  Some pairs of automata have no pair
 that fails on labels alone; on valid automata such a check always holds,
 since a first pair can die only on an obligation it has no candidate for.
 
-A specification with fewer than ``_KEPT_TABLES_MAX_STATES`` states keeps
-the bit-row tables of each label from query to query, and a larger one
-keeps none: the last tests check that kept tables answer as fresh ones.
+A specification keeps its weak rows, masks and bit-row tables per label
+from query to query, at every size: the last tests check that kept ones
+answer as fresh ones, that queries whose impls use different labels share
+them, and that a query with no impl may to match builds no weak rows.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import pytest
 
 from mialib import refinement
 from mialib.model import DMTS, IA, MIA, TAU, atom, make_automaton, validate
-from mialib.refinement import (_BIT_ROWS_MIN_STATES, _KEPT_TABLES_MAX_STATES,
-                               _Checker, refines)
+from mialib.refinement import _BIT_ROWS_MIN_STATES, _Checker, holds, refines
 from mialib.testkit import weaken
 from test_refinement_differential import _automaton
 from test_refinement_large_differential import NEVER
@@ -277,48 +277,97 @@ def _without(aut, label, name):
                     must={e for e in aut.must if e[1] != label}, name=name)
 
 
-@pytest.mark.parametrize("flavor", FLAVORS)
-def test_kept_tables_answer_as_fresh_ones(flavor):
-    """One specification below the cap answers impls whose mays use
-    different label sets, so that its tables are kept for some labels by
-    one query and read by the next; the same queries on fresh copies, which
-    keep nothing yet, give the same verdict, witness and certificate."""
-    rng = random.Random(f"kept|{flavor}")
-    actions = ["a0", "a1", "a2", "a3", "a4"]
-    inputs, outputs = ([], actions) if flavor == DMTS else (actions[:2], actions[2:])
-    spec = _spec(flavor, 2 * N, inputs, outputs + [NEVER], rng)
-    assert N <= len(spec.states) < _KEPT_TABLES_MAX_STATES
+def _label_impls(spec, rng):
+    """Impls of ``spec`` whose mays use at least three label sets: one that
+    refines it, three planted failures, and copies without each output or
+    tau label, all wide enough for the bit rows."""
     impl = _weakened(spec, rng)
     impls = [impl] + [bad for _, bad in _failing(impl, rng)]
-    impls += [_without(i, a, f"no-{a}") for i in impls[:2] for a in outputs + [TAU]]
+    labels = sorted(spec.alphabet.outputs - {NEVER}) + [TAU]
+    impls += [_without(i, a, f"no-{a}") for i in impls[:2] for a in labels]
     impls = [i for i in impls if not validate(i)
              and min(len(refinement._numbered(i, i.initial)), len(spec.states)) >= N]
     label_sets = {_Checker(i, spec, i.initial, spec.initial).labels for i in impls}
     assert len(label_sets) >= 3, label_sets
-    warm = [_outcome(refines(i, spec)) for i in impls]
-    side = spec._refinement_rows[spec.initial]
-    kinds = [kind for kind, _ in side._tables]
-    assert kinds.count("hat") >= 2 and kinds.count("must") >= 2, kinds
-    cold = [_outcome(refines(dataclasses.replace(i), dataclasses.replace(spec)))
-            for i in impls]
-    assert warm == cold
-    assert {verdict for verdict, _, _ in warm} == {True, False}
-    # The spec against each impl reads the impls' tables, kept too.
-    for i in impls:
-        assert _outcome(refines(spec, i)) == _outcome(
-            refines(dataclasses.replace(spec), dataclasses.replace(i)))
+    return impls
+
+
+def _label_spec(flavor, n, rng):
+    actions = ["a0", "a1", "a2", "a3", "a4"]
+    inputs, outputs = ([], actions) if flavor == DMTS else (actions[:2], actions[2:])
+    return _spec(flavor, n, inputs, outputs + [NEVER], rng)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
-def test_a_side_at_the_cap_keeps_no_tables(flavor):
-    rng = random.Random(f"cap|{flavor}")
-    inputs, outputs = _alphabet(flavor, rng)
-    for n, kept in ((_KEPT_TABLES_MAX_STATES - 1, True), (_KEPT_TABLES_MAX_STATES, False)):
-        spec = _spec(flavor, n, inputs, outputs, rng)
-        impl = _weakened(spec, rng)
-        for i in [impl] + [bad for _, bad in _failing(impl, rng)]:
-            assert _outcome(refines(i, spec)) == _ordered(i, spec)
+def test_kept_tables_answer_as_fresh_ones(flavor):
+    """One specification answers impls whose mays use different label sets,
+    so that its tables are kept for some labels by one query and read by
+    the next; the same queries on fresh copies, which keep nothing yet,
+    give the same verdict, witness and certificate.  The larger
+    specification has more than 128 states."""
+    rng = random.Random(f"kept|{flavor}")
+    for n in (2 * N, 130):
+        spec = _label_spec(flavor, n, rng)
+        assert len(spec.states) == n
+        impls = _label_impls(spec, rng)
+        warm = [_outcome(refines(i, spec)) for i in impls]
         side = spec._refinement_rows[spec.initial]
-        assert len(side.states) == n
-        kinds = {kind for kind, _ in side._tables or ()}
-        assert kinds == ({"hat", "must"} if kept else set()), n
+        kinds = [kind for kind, _ in side._by_label]
+        assert kinds.count("hat") >= 2 and kinds.count("must") >= 2, kinds
+        cold = [_outcome(refines(dataclasses.replace(i), dataclasses.replace(spec)))
+                for i in impls]
+        assert warm == cold, n
+        assert {verdict for verdict, _, _ in warm} == {True, False}
+        # The spec against each impl reads the impls' tables, kept too.
+        for i in impls:
+            assert _outcome(refines(spec, i)) == _outcome(
+                refines(dataclasses.replace(spec), dataclasses.replace(i)))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_queries_with_other_labels_share_the_kept_rows(flavor):
+    """Impls whose mays use different label sets read one spec's weak rows
+    of a label as one object, and a later query rebuilds nothing the spec
+    side kept before."""
+    rng = random.Random(f"shared|{flavor}")
+    spec = _label_spec(flavor, 2 * N, rng)
+    impls = _label_impls(spec, rng)
+    checkers = [_Checker(i, spec, i.initial, spec.initial) for i in impls]
+    shared = 0
+    for one in checkers:
+        for other in checkers:
+            for alpha in one.labels & other.labels:
+                assert one.spec_hat[alpha] is other.spec_hat[alpha]
+                shared += one.labels != other.labels
+    assert shared
+    side = spec._refinement_rows[spec.initial]
+    for i in impls:
+        kept = dict(side._by_label)
+        refines(i, spec)
+        assert all(side._by_label[key] is fact for key, fact in kept.items())
+    kinds = {kind for kind, _ in side._by_label}
+    assert kinds == {"weak", "weak mask", "hat", "must", "must masks"}, kinds
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_no_impl_may_to_match_builds_no_weak_rows(flavor):
+    """An impl with no output or tau may leaves the spec without weak rows
+    and without its weak closure.  For IA and MIA the impl is a chain of
+    input moves wide enough for the bit rows; a dMTS has no inputs, so its
+    impl is one state with no move."""
+    rng = random.Random(f"no-mays|{flavor}")
+    spec = _label_spec(flavor, 2 * N, rng)
+    inputs = sorted(spec.alphabet.inputs)
+    chain = [atom(f"c{i:02}") for i in range(2 * N if inputs else 1)]
+    moves = [(s, inputs[0], t) for s, t in zip(chain, chain[1:])]
+    quiet = make_automaton(flavor, "quiet", inputs, sorted(spec.alphabet.outputs),
+                           chain[0], moves, [(s, a, frozenset([t])) for s, a, t in moves],
+                           states=chain)
+    assert not validate(quiet), validate(quiet)
+    for query in (refines, holds):
+        fresh = dataclasses.replace(spec)
+        query(quiet, fresh)
+        assert "weak" not in fresh.__dict__
+        kinds = {kind for kind, _ in fresh._refinement_rows[spec.initial]._by_label}
+        assert not kinds & {"weak", "weak mask", "hat"}, kinds
+    assert _outcome(refines(quiet, spec)) == _ordered(quiet, spec)

@@ -97,8 +97,8 @@ class _OrderedChecker(_Checker):
 
     def _label_screen(self):
         spec_side = [({a for a, _ in musts},
-                      {a for a, targets in hat.items() if targets})
-                     for musts, hat in zip(self.spec_musts, self.spec_hat)]
+                      {a for a, rows in self.spec_hat.items() if rows[q]})
+                     for q, musts in enumerate(self.spec_musts)]
         out = bytearray()
         for musts, mays in zip(self.impl_musts, self.impl_mays):
             has_must, has_may = set(musts), {alpha for alpha, _ in mays}
@@ -118,8 +118,8 @@ class _OrderedChecker(_Checker):
             return [base + q2 for a, spec_targets in self.spec_musts[q]
                     for impl_targets in impl_musts.get(a, ())
                     for base in impl_targets for q2 in spec_targets]
-        hat = self.spec_hat[q]
-        return [base + q2 for alpha, base in self.impl_mays[p] for q2 in hat[alpha]]
+        spec_hat = self.spec_hat
+        return [base + q2 for alpha, base in self.impl_mays[p] for q2 in spec_hat[alpha][q]]
 
     def certificate(self):
         order = self.elim_order
