@@ -47,10 +47,10 @@ on first access, and kept:
   copy keeps its own views across every product built from it;
 * the refinement rows, per start state: the table is empty until
   :mod:`mialib.refinement` numbers the automaton's reachable states and
-  builds the rows of its specification side there, so an automaton
-  checked many times is numbered once.  It keeps the initial state's
-  entry and the most recent other one.  No entry refers back to the
-  automaton, so keeping them makes no reference cycle.
+  builds there the rows it has as an implementation or a specification,
+  so an automaton checked many times is numbered once.  It keeps the
+  initial state's entry and the most recent other one.  No entry refers
+  back to the automaton, so keeping them makes no reference cycle.
 
 Each view is built only for automata that ask for it, so the many that
 are only walked never pay for the sorted edges or the label rows, and the

@@ -17,27 +17,27 @@ clause (ii) ranges over every action with no branch of its own.
 Every query runs one elimination loop, ``_Checker._eliminate``, over one
 set-up: each side numbers the states reachable from its start state
 densely, in the order of their canonical text, and every per-state row of
-both sides is built before the first check.  A pair ``(p, q)`` is the
-integer ``p * nq + q``, transitions are per-state lists of integers, and
-every pair is checked with the one ``_Checker._check``; state ids reappear
-only in the witness and in the failure certificate.  The queries differ
-only in how they seed the loop: which pairs start alive (1), dead (0) or
-not reached yet (3), and which are queued first.  The one exception is the
-witness run of ``refines`` when both sides have at least
-``_BIT_ROWS_MIN_STATES`` states, below, which works a row at a time.
+both sides is in place before the first check.  Transitions are
+per-state lists of state numbers, a pair ``(p, q)`` is the integer
+``p * nq + q``, and every pair is checked with the one ``_Checker._check``;
+state ids reappear only in the witness and in the failure certificate.
+The queries differ only in how they seed the loop: which pairs start
+alive (1), dead (0) or not reached yet (3), and which are queued first.
+The one exception is the witness run of ``refines`` when both sides have
+at least ``_BIT_ROWS_MIN_STATES`` states, below, which works a row at a
+time.
 
-The numbering and the specification rows depend on one automaton and one
-start state alone, so each automaton keeps them, per start state
-(``_Side``), from the first query that needs them: many implementations
-checked against one specification number it and build its must rows
-once, and its weak rows, label masks and bit-row tables once per label,
-at every size.  An automaton keeps the side from its initial state and
-the most recent one from another start state, so checking it from each
-of its states keeps two sides, not one per state.  Only the
-implementation rows are built per query, because their targets are
-scaled by the specification's state count.  A kept side holds no
-reference to its automaton, and a numbering that fails is not kept, so
-every query on that automaton fails.
+The numbering and every row, in either role, depend on one automaton and
+one start state alone, so each automaton keeps them, per start state
+(``_Side``), from the first query that needs them: its musts and mays
+once, and as a specification its weak rows, label masks and bit-row
+tables once per label, at every size.  So many implementations checked
+against one specification number it and build its rows once, and a
+query builds only its pair arrays.  An automaton keeps the side from its
+initial state and the most recent one from another start state, so
+checking it from each of its states keeps two sides, not one per state.
+A kept side holds no reference to its automaton, and a numbering that
+fails is not kept, so every query on that automaton fails.
 
 ``refines`` and the per-flavor queries return the whole greatest relation
 over the candidates, all pairs of numbered states, and a certificate that
@@ -224,27 +224,28 @@ def _numbered(aut: ModalAutomaton, start: StateId) -> list[StateId]:
 
 class _Side:
     """One automaton seen from one start state: its reachable states
-    numbered, and the rows it has as a specification.
+    numbered, and every row it has in either role, in state numbers.
 
     ``states`` lists the reachable states in text order and ``index`` maps
-    each to its number.  The specification rows depend on nothing else, so
-    each is built on first use and kept, at every size: :meth:`musts`, and
-    in one dict keyed ``(kind, label)`` (``_by_label``) the facts the
-    clauses read one label at a time.  Those are the weak rows of a label
+    each to its number.  The rows depend on nothing else, so each is built
+    on first use and kept, at every size, in one dict keyed ``(kind,
+    label)`` (``_by_label``).  Under the label ``""`` sit the musts
+    (:meth:`musts`), which clause (i) reads on both sides, the output and
+    tau mays (:meth:`mays`), which clause (ii) reads on the implementation
+    side, and the states with a must on each label (:meth:`must_masks`).
+    The specification facts of one label are its weak rows
     (:meth:`weak`), the states with a weak match on it (:meth:`weak_mask`)
-    and its bit-row tables (:meth:`hat_table`, :meth:`must_table`); the
-    states with a must on each label (:meth:`must_masks`) sit under the
-    label ``""``.  A side is kept on its automaton, keyed by start state
-    (:func:`_side`).  It holds no reference to the automaton, which its
-    builders take as an argument, so keeping it makes no reference cycle.
+    and its bit-row tables (:meth:`hat_table`, :meth:`must_table`).  A
+    side is kept on its automaton, keyed by start state (:func:`_side`).
+    It holds no reference to the automaton, which its builders take as an
+    argument, so keeping it makes no reference cycle.
     """
 
-    __slots__ = ("states", "index", "_musts", "_by_label")
+    __slots__ = ("states", "index", "_by_label")
 
     def __init__(self, states: list[StateId]):
         self.states = states
         self.index = {s: i for i, s in enumerate(states)}
-        self._musts = None
         self._by_label: dict[tuple[str, str], object] = {}
 
     def _kept(self, kind: str, label: str, build):
@@ -255,15 +256,33 @@ class _Side:
             fact = self._by_label[kind, label] = build()
         return fact
 
-    def musts(self, aut: ModalAutomaton) -> list[list[tuple[str, list[int]]]]:
-        """Per state, its musts as ``(label, sorted target numbers)``."""
-        if self._musts is None:
+    def musts(self, aut: ModalAutomaton) -> list[dict[str, list[list[int]]]]:
+        """Per state, its musts as ``label -> [sorted target numbers]``."""
+        def build():
             index, rows, no_row = self.index, aut._must_rows, {}
-            self._musts = [[(a, sorted([index[t] for t in targets]))
-                            for a, sets in rows.get(q, no_row).items()
-                            for targets in sets]
-                           for q in self.states]
-        return self._musts
+            musts = []
+            for q in self.states:
+                row = {}
+                for a, sets in rows.get(q, no_row).items():
+                    # Sorted, so that the local run's queue order does not
+                    # follow the hash order of the frozenset.
+                    row[a] = [sorted([index[t] for t in targets]) for targets in sets]
+                musts.append(row)
+            return musts
+        return self._kept("musts", "", build)
+
+    def mays(self, aut: ModalAutomaton) -> tuple[list[list[tuple[str, int]]], frozenset[str]]:
+        """Per state, its output and tau mays as ``(label, target number)``,
+        and the labels they use.  Operands share one alphabet, so these
+        depend on the automaton alone."""
+        def build():
+            domain = aut.alphabet.outputs | {TAU}
+            index, rows, no_row = self.index, aut._may_rows, {}
+            mays = [[(alpha, index[t]) for alpha, ends in rows.get(p, no_row).items()
+                     if alpha in domain for t in ends]
+                    for p in self.states]
+            return mays, frozenset([alpha for row in mays for alpha, _ in row])
+        return self._kept("mays", "", build)
 
     def weak(self, aut: ModalAutomaton, alpha: str) -> list[tuple[int, ...]]:
         """Per state, its sorted weak ``alpha`` successor numbers; on tau,
@@ -288,8 +307,8 @@ class _Side:
         :meth:`musts` is built."""
         def build():
             masks = {}
-            for q, musts in enumerate(self._musts):
-                for a, _ in musts:
+            for q, musts in enumerate(self._by_label["musts", ""]):
+                for a in musts:
                     masks[a] = masks.get(a, 0) | 1 << q
             return masks
         return self._kept("must masks", "", build)
@@ -323,8 +342,8 @@ class _Side:
         source of each must, the set of every must, and the set of states
         with one (``must_masks()[a]``), once :meth:`musts` is built."""
         def build():
-            spec_musts = [(q, targets) for q, musts in enumerate(self._musts)
-                          for b, targets in musts if b == a]
+            spec_musts = [(q, targets) for q, musts in enumerate(self._by_label["musts", ""])
+                          for targets in musts.get(a, ())]
             preimages = [0] * len(self.states)
             for m, (_, targets) in enumerate(spec_musts):
                 bit = 1 << m
@@ -363,18 +382,15 @@ class _Checker:
     is text order, so every integer sort of pairs, partners and citers
     visits them in the order a sort by state text would.  A pair of state
     numbers ``(p, q)`` is the integer ``p * nq + q``, and ``root`` is the
-    start pair.
+    start pair, whose impl state is ``impl_root``.
 
-    The rows are lists indexed by state number, all built before the first
-    check.  The numbering of each side and the spec rows are the ones kept
-    on the automaton (:class:`_Side`), so a query against a specification
-    already checked builds only the impl rows: ``impl_musts`` maps each
-    must label to the target lists and ``impl_mays`` keeps the output and
-    tau mays, both with targets stored as pair bases ``p2 * nq``, ready to
-    add ``q2``.  Those depend on the spec's state count, so they are built
-    per query.  ``spec_musts`` holds sorted target numbers, and
-    ``spec_hat`` maps each label some impl may uses (``labels``) to the
-    sorted weak successors of every spec state on it.
+    Every row is a list indexed by state number, in state numbers, and
+    comes from the side kept on its automaton (:class:`_Side`), so a query
+    builds only its pair arrays.  ``impl_musts`` and ``spec_musts`` map
+    each must label to the sorted target lists, ``impl_mays`` keeps the
+    output and tau mays, and ``spec_hat`` maps each label some impl may
+    uses (``labels``) to the sorted weak successors of every spec state on
+    it.
 
     A pair that passes its check cites the pairs it relied on, in flat watch
     lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
@@ -397,73 +413,56 @@ class _Checker:
         impl_side = _side(impl, impl_state)
         self.spec_side = spec_side = _side(spec, spec_state)
         self.impl_states, self.spec_states = impl_side.states, spec_side.states
-        p_index = impl_side.index
         self.nq = nq = len(self.spec_states)
-        self.root = p_index[impl_state] * nq + spec_side.index[spec_state]
+        self.impl_root = impl_side.index[impl_state]
+        self.root = self.impl_root * nq + spec_side.index[spec_state]
 
-        domain = spec.alphabet.outputs | {TAU}
-        self.impl_musts, self.impl_mays = impl_musts, impl_mays = [], []
-        labels: set[str] = set()
-        # a plain empty dict is read faster than the shared read-only row
-        must_rows, may_rows, no_row = impl._must_rows, impl._may_rows, {}
-        for p in self.impl_states:
-            musts: dict[str, list[list[int]]] = {}
-            for a, sets in must_rows.get(p, no_row).items():
-                musts[a] = bases = []
-                for targets in sets:
-                    # Sorted, so that the local run's queue order does not
-                    # follow the hash order of the frozenset.
-                    bases.append(sorted([p_index[t] * nq for t in targets]))
-            mays = []
-            for alpha, ends in may_rows.get(p, no_row).items():
-                if alpha in domain:
-                    labels.add(alpha)
-                    for p2 in ends:
-                        mays.append((alpha, p_index[p2] * nq))
-            impl_musts.append(musts)
-            impl_mays.append(mays)
-
-        self.labels = frozenset(labels)
+        self.impl_musts = impl_side.musts(impl)
+        self.impl_mays, self.labels = impl_side.mays(impl)
         self.spec_musts = spec_side.musts(spec)
-        self.spec_hat = {alpha: spec_side.weak(spec, alpha) for alpha in labels}
+        self.spec_hat = {alpha: spec_side.weak(spec, alpha) for alpha in self.labels}
 
     def _check(self, x: int, alive: bytearray | _AliveAt,
                cited: list[int]) -> tuple[str, tuple] | None:
         """None if pair ``x`` passes against ``alive``, else why it fails.
 
-        The reason is ``("i", the unmatched spec must)`` or ``("ii", the
-        unmatched impl may)``, as entries of spec_musts and impl_mays.  The
-        partners a passing check relied on are appended to ``cited``.
+        The reason is ``("i", the unmatched spec must)``, as ``(label,
+        targets)``, or ``("ii", the unmatched impl may)``, an entry of
+        impl_mays.  The partners a passing check relied on are appended to
+        ``cited``.
         """
-        p, q = divmod(x, self.nq)
+        nq = self.nq
+        p, q = divmod(x, nq)
         # clause (i): spec musts flow to impl musts.
         impl_musts = self.impl_musts[p]
-        for must in self.spec_musts[q]:
-            a, spec_targets = must
-            for impl_targets in impl_musts.get(a, ()):
-                picks = []
-                for base in impl_targets:
-                    for q2 in spec_targets:
-                        if alive[base + q2]:
-                            picks.append(base + q2)
+        for a, spec_sets in self.spec_musts[q].items():
+            impl_sets = impl_musts.get(a, ())
+            for spec_targets in spec_sets:
+                for impl_targets in impl_sets:
+                    picks = []
+                    for p2 in impl_targets:
+                        base = p2 * nq
+                        for q2 in spec_targets:
+                            if alive[base + q2]:
+                                picks.append(base + q2)
+                                break
+                        else:
                             break
                     else:
+                        cited += picks
                         break
                 else:
-                    cited += picks
-                    break
-            else:
-                return "i", must
+                    return "i", (a, spec_targets)
         # clause (ii): impl mays flow to weak spec mays.
         spec_hat = self.spec_hat
-        for may in self.impl_mays[p]:
-            alpha, base = may
+        for alpha, p2 in self.impl_mays[p]:
+            base = p2 * nq
             for q2 in spec_hat[alpha][q]:
                 if alive[base + q2]:
                     cited.append(base + q2)
                     break
             else:
-                return "ii", may
+                return "ii", (alpha, p2)
         return None
 
     def witness(self) -> None:
@@ -534,11 +533,10 @@ class _Checker:
         must_tables = {a: side.must_table(a) for a in set().union(*self.impl_musts)
                        if a in spec_labels}
 
-        # Per impl state, its mays and musts over impl state numbers, the
-        # impl states whose rows a step reads, and those that read its row.
-        mays = [[(alpha, base // nq) for alpha, base in row] for row in self.impl_mays]
-        musts = [[(a, must_tables[a], [[base // nq for base in bases] for bases in sets])
-                  for a, sets in row.items() if a in must_tables]
+        # Per impl state, its musts with their tables, the impl states
+        # whose rows a step reads, and those that read its row.
+        mays = self.impl_mays
+        musts = [[(a, must_tables[a], sets) for a, sets in row.items() if a in must_tables]
                  for row in self.impl_musts]
         succ = [[p2 for _, p2 in may] + [p2 for _, _, ends in must
                                          for targets in ends for p2 in targets]
@@ -551,7 +549,7 @@ class _Checker:
         # The first steps take the impl states in the post-order of a
         # depth-first walk from the root, so that most rows are read only
         # after their successors' rows have shrunk.
-        root = self.root // nq
+        root = self.impl_root
         queued = bytearray(n_impl)
         queued[root] = 1
         walk, post = [(root, iter(succ[root]))], []
@@ -727,20 +725,21 @@ class _Checker:
     def _inspected(self, x: int, clause: str | None = None) -> list[int]:
         """The successor pairs that ``clause`` inspects at pair ``x``, or
         that either clause does when ``clause`` is None."""
-        p, q = divmod(x, self.nq)
+        nq = self.nq
+        p, q = divmod(x, nq)
         found = []
         if clause != "ii":
             impl_musts = self.impl_musts[p]
-            for a, spec_targets in self.spec_musts[q]:
-                for impl_targets in impl_musts.get(a, ()):
-                    for base in impl_targets:
-                        for q2 in spec_targets:
-                            found.append(base + q2)
+            for a, spec_sets in self.spec_musts[q].items():
+                impl_sets = impl_musts.get(a, ())
+                for spec_targets in spec_sets:
+                    for impl_targets in impl_sets:
+                        for p2 in impl_targets:
+                            found += [p2 * nq + q2 for q2 in spec_targets]
         if clause != "i":
             spec_hat = self.spec_hat
-            for alpha, base in self.impl_mays[p]:
-                for q2 in spec_hat[alpha][q]:
-                    found.append(base + q2)
+            for alpha, p2 in self.impl_mays[p]:
+                found += [p2 * nq + q2 for q2 in spec_hat[alpha][q]]
         return found
 
     def _blamed_successor(self, x: int, clause: str) -> int | None:
@@ -760,9 +759,7 @@ class _Checker:
             tgt = targets_text(self.spec_states[t] for t in target)
             transition = f"spec must {spec_state} -{label}-> {tgt}"
         else:
-            # An impl may keeps its target as the pair base p2 * nq.
-            transition = (f"impl may {impl_state} -{label}-> "
-                          f"{self.impl_states[target // self.nq]}")
+            transition = f"impl may {impl_state} -{label}-> {self.impl_states[target]}"
         return FailureCertificate(pair=(impl_state, spec_state), clause=clause,
                                   transition=transition)
 

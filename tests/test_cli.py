@@ -193,6 +193,16 @@ def test_refine_with_states(files, tmp_path):
     assert main(["refine", impl, spec, "--spec-state", "t"]) == 1
 
 
+def test_refine_from_other_start_states(files, capsys):
+    impl, spec = files("fig06_q.mia"), files("fig06_p.mia")
+    assert main(["refine", impl, spec, "--impl-state", "q1", "--spec-state", "p1",
+                 "--witness"]) == 0
+    assert capsys.readouterr() == ("q1 <= p1\nq2 <= p1\nq2 <= p2\nrefinement holds\n", "")
+    assert main(["refine", impl, spec, "--impl-state", "q1", "--spec-state", "p0"]) == 1
+    assert capsys.readouterr() == (
+        "", "refinement fails: pair q1 <= p0 violates clause (i) on spec must p0 -a-> {p1}\n")
+
+
 # ---------------------------------------------------------------------------
 # Exit code 2: usage, parse or validation errors
 

@@ -328,7 +328,8 @@ def test_kept_tables_answer_as_fresh_ones(flavor):
 def test_queries_with_other_labels_share_the_kept_rows(flavor):
     """Impls whose mays use different label sets read one spec's weak rows
     of a label as one object, and a later query rebuilds nothing the spec
-    side kept before."""
+    side kept before.  An automaton checked in both roles keeps the rows of
+    both and reads one must-row object in either."""
     rng = random.Random(f"shared|{flavor}")
     spec = _label_spec(flavor, 2 * N, rng)
     impls = _label_impls(spec, rng)
@@ -345,8 +346,18 @@ def test_queries_with_other_labels_share_the_kept_rows(flavor):
         kept = dict(side._by_label)
         refines(i, spec)
         assert all(side._by_label[key] is fact for key, fact in kept.items())
+    spec_kinds = {"musts", "weak", "weak mask", "hat", "must", "must masks"}
     kinds = {kind for kind, _ in side._by_label}
-    assert kinds == {"weak", "weak mask", "hat", "must", "must masks"}, kinds
+    assert kinds == spec_kinds, kinds
+    # Once checked as an impl too, the spec keeps its mays as well, and
+    # each automaton reads one must-row object in both roles.
+    impl = impls[0]
+    forth = _Checker(impl, spec, impl.initial, spec.initial)
+    refines(spec, impl)
+    kinds = {kind for kind, _ in side._by_label}
+    assert kinds == spec_kinds | {"mays"}, kinds
+    back = _Checker(spec, impl, spec.initial, impl.initial)
+    assert back.impl_musts is forth.spec_musts and back.spec_musts is forth.impl_musts
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

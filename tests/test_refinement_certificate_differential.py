@@ -96,7 +96,7 @@ class _OrderedChecker(_Checker):
                     pending.extend(sorted(citers))
 
     def _label_screen(self):
-        spec_side = [({a for a, _ in musts},
+        spec_side = [(set(musts),
                       {a for a, rows in self.spec_hat.items() if rows[q]})
                      for q, musts in enumerate(self.spec_musts)]
         out = bytearray()
@@ -112,14 +112,16 @@ class _OrderedChecker(_Checker):
                          for x in compress(range(len(self.alive)), self.alive))
 
     def inspected(self, x, clause):
-        p, q = divmod(x, self.nq)
+        nq = self.nq
+        p, q = divmod(x, nq)
         if clause == "i":
             impl_musts = self.impl_musts[p]
-            return [base + q2 for a, spec_targets in self.spec_musts[q]
+            return [p2 * nq + q2 for a, spec_sets in self.spec_musts[q].items()
+                    for spec_targets in spec_sets
                     for impl_targets in impl_musts.get(a, ())
-                    for base in impl_targets for q2 in spec_targets]
+                    for p2 in impl_targets for q2 in spec_targets]
         spec_hat = self.spec_hat
-        return [base + q2 for alpha, base in self.impl_mays[p] for q2 in spec_hat[alpha][q]]
+        return [p2 * nq + q2 for alpha, p2 in self.impl_mays[p] for q2 in spec_hat[alpha][q]]
 
     def certificate(self):
         order = self.elim_order
@@ -142,8 +144,7 @@ class _OrderedChecker(_Checker):
             tgt = targets_text(self.spec_states[t] for t in target)
             transition = f"spec must {spec_state} -{label}-> {tgt}"
         else:
-            transition = (f"impl may {impl_state} -{label}-> "
-                          f"{self.impl_states[target // self.nq]}")
+            transition = f"impl may {impl_state} -{label}-> {self.impl_states[target]}"
         return FailureCertificate(pair=(impl_state, spec_state), clause=clause,
                                   transition=transition)
 

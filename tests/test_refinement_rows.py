@@ -1,13 +1,13 @@
 """The refinement rows kept on each automaton.
 
 Each automaton keeps, per start state, the numbering of the states it
-reaches and the rows it has as a specification, so a query against an
-automaton already checked builds only the implementation's rows.  These
-tests pin what that may not change:
+reaches and every row it has in either role, in state numbers, so a query
+builds only its pair arrays.  These tests pin what that may not change:
 
 * a query on automata whose rows are kept (warm) gives the verdict, the
   witness and the certificate of the same query on copies that keep
-  nothing yet (cold), whatever was asked of the warm ones before;
+  nothing yet (cold), whatever was asked of the warm ones before, against
+  specifications of any size;
 * a second query does not number an automaton again, and a numbering that
   fails is not kept, so the second query fails too;
 * an automaton keeps the rows of its initial state and of the most recent
@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import random
 import weakref
 
 import pytest
 
 from mialib import refinement
 from mialib.model import DMTS, IA, MIA, MialibError, make_automaton
-from mialib.refinement import _Checker, equiv, holds, mia_equiv, refines
+from mialib.refinement import (_BIT_ROWS_MIN_STATES, _Checker, equiv, holds,
+                               mia_equiv, refines)
+from test_refinement_differential import _automaton
 from test_refinement_large_differential import NEVER, _instance, _planted
 
 FLAVORS = (IA, DMTS, MIA)
@@ -74,8 +77,13 @@ def test_warm_rows_answer_as_cold_ones(flavor):
     first, other = (_Checker(_cold(i), spec, i.initial, spec.initial).labels
                     for i in (impl, swapped))
     assert len(first) == len(other) and first != other
+    # The same impl against specs of other sizes, below the bit rows and of
+    # one state, so that a kept impl row may not depend on a spec's size.
+    rng = random.Random(f"rows|{flavor}")
+    small, one = (_automaton(flavor, n, inputs, outputs, rng, f"spec{n}")
+                  for n in (_BIT_ROWS_MIN_STATES // 2, 1))
     pairs = ((impl, spec), (bad, spec), (at_root, spec), (swapped, spec),
-             (spec, impl))
+             (spec, impl), (impl, small), (impl, one))
     queries = [(i, s, p, q) for i, s in pairs for p, q in _starts(i, s)]
     # The warm automata answer every query in turn, so that by the later
     # ones they keep rows from other start states and other label sets.
