@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .model import (MIA, TAU, Alphabet, IdTable, ModalAutomaton, MustEdge,
-                    NotComposableError, StateId, _pair_of, explore_pairs,
-                    pair_id, product_operands, remove_states, require_flavor,
-                    require_operands, targets_text, vee_id)
+                    NotComposableError, StateId, _pair_of, _require_closed,
+                    explore_pairs, pair_id, product_operands, remove_states,
+                    require_flavor, require_operands, targets_text, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -380,6 +380,8 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
     """
     require_flavor(p1, flavor)
     require_flavor(p2, flavor)
+    _require_closed(p1)
+    _require_closed(p2)
     inputs, outputs = composed_alphabets(p1, p2)
     ids = IdTable(_pair_of)
 

@@ -844,17 +844,35 @@ _COMBINERS = {pair_id: (",", _pair_of), wedge_id: ("&", _wedge_of),
               vee_id: ("|", _vee_of)}
 
 
+def _require_closed(aut: ModalAutomaton) -> None:
+    """The initial state and every transition endpoint of ``aut`` are
+    among its states, so that a product over its rows meets no state it
+    does not know.  Subset tests on the whole edge sets, as
+    :func:`_valid_by_sets` makes them."""
+    states = aut.states
+    if aut.initial not in states:
+        raise MialibError(f"the initial state of {aut.name} is not one of its states")
+    if not (states.issuperset(map(itemgetter(0), aut.may))
+            and states.issuperset(map(itemgetter(2), aut.may))
+            and states.issuperset(map(itemgetter(0), aut.must))
+            and all(map(states.issuperset, map(itemgetter(2), aut.must)))):
+        raise MialibError(f"a transition of {aut.name} leaves its state set")
+
+
 def product_operands(p: ModalAutomaton, q: ModalAutomaton, combine,
                      reachable: bool) -> tuple[ModalAutomaton, ModalAutomaton, dict]:
     """The operands of a pair product and its pair -> id table.
 
-    With ``reachable``, when no state of the disjoint copies has the
-    character every ``combine`` id's text holds, no combined id can equal
-    a component state: the copies come back with an :class:`IdTable` that
+    Each operand must be closed (:func:`_require_closed`).  With
+    ``reachable``, when no state of the disjoint copies has the character
+    every ``combine`` id's text holds, no combined id can equal a
+    component state: the copies come back with an :class:`IdTable` that
     builds each pair's id on first lookup, so only the pairs the product
     reaches get one.  Otherwise this is :func:`disjoint_operands`, and the
     tagging decision is the same on every input.
     """
+    _require_closed(p)
+    _require_closed(q)
     if reachable:
         left, right = rename_disjoint(p, q)
         mark, build = _COMBINERS[combine]

@@ -30,14 +30,15 @@ time.
 The numbering and every row, in either role, depend on one automaton and
 one start state alone, so each automaton keeps them, per start state
 (``_Side``), from the first query that needs them: its musts and mays
-once, and as a specification its weak rows, label masks and bit-row
-tables once per label, at every size.  So many implementations checked
-against one specification number it and build its rows once, and a
-query builds only its pair arrays.  An automaton keeps the side from its
-initial state and the most recent one from another start state, so
-checking it from each of its states keeps two sides, not one per state.
-A kept side holds no reference to its automaton, and a numbering that
-fails is not kept, so every query on that automaton fails.
+with its numbering, in one pass over its states, and as a specification
+its weak rows, label masks and bit-row tables once per label, at every
+size.  So many implementations checked against one specification number
+it and build its rows once, and a query builds only its pair arrays.  An
+automaton keeps the side from its initial state and the most recent one
+from another start state, so checking it from each of its states keeps
+two sides, not one per state.  A kept side holds no reference to its
+automaton, and a numbering that fails is not kept, so every query on
+that automaton fails.
 
 ``refines`` and the per-flavor queries return the whole greatest relation
 over the candidates, all pairs of numbered states, and a certificate that
@@ -227,28 +228,49 @@ class _Side:
     numbered, and every row it has in either role, in state numbers.
 
     ``states`` lists the reachable states in text order and ``index`` maps
-    each to its number.  The rows depend on nothing else, so each is built
-    on first use and kept, at every size, in one dict keyed ``(kind,
-    label)`` (``_by_label``).  Under the label ``""`` sit the musts
-    (:meth:`musts`), which clause (i) reads on both sides, the output and
-    tau mays (:meth:`mays`), which clause (ii) reads on the implementation
-    side, and the states with a must on each label (:meth:`must_masks`).
-    The specification facts of one label are its weak rows
-    (:meth:`weak`), the states with a weak match on it (:meth:`weak_mask`)
-    and its bit-row tables (:meth:`hat_table`, :meth:`must_table`).  A
-    side is kept on its automaton, keyed by start state (:func:`_side`).
-    It holds no reference to the automaton, which its builders take as an
-    argument, so keeping it makes no reference cycle.
+    each to its number.  The rows that every query reads are built with
+    the numbering, in one pass over the states: per state, ``musts`` maps
+    each must label to the sorted target lists (clause (i), on both
+    sides), and ``mays`` lists the output and tau mays as ``(label, target
+    number)`` (clause (ii), on the implementation side); ``labels`` are
+    the labels those mays use.  The specification's weak rows depend on a
+    label, so each is built the first time a query reads that label and
+    kept in ``weak_rows`` (:meth:`weak`).  The facts only the bit rows
+    read are kept per ``(kind, label)`` in ``_by_label``: the states with
+    a must on each label (:meth:`must_masks`), the states with a weak
+    match on a label (:meth:`weak_mask`) and the bit-row tables
+    (:meth:`hat_table`, :meth:`must_table`).  A side is kept on its
+    automaton, keyed by start state (:func:`_side`).  It holds no
+    reference to the automaton, which :meth:`weak` takes as an argument,
+    so keeping it makes no reference cycle.
     """
 
-    __slots__ = ("states", "index", "_by_label")
+    __slots__ = ("states", "index", "musts", "mays", "labels", "weak_rows", "_by_label")
 
-    def __init__(self, states: list[StateId]):
-        self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
-        self._by_label: dict[tuple[str, str], object] = {}
+    def __init__(self, aut: ModalAutomaton, start: StateId):
+        self.states = states = _numbered(aut, start)
+        self.index = index = {s: i for i, s in enumerate(states)}
+        domain = aut.alphabet.outputs | {TAU}
+        must_rows, may_rows, no_row = aut._must_rows, aut._may_rows, {}
+        musts, mays, labels = [], [], set()
+        for q in states:
+            row = {}
+            for a, sets in must_rows.get(q, no_row).items():
+                # Sorted, so that the local run's queue order does not
+                # follow the hash order of the frozenset.
+                row[a] = [sorted([index[t] for t in targets]) for targets in sets]
+            musts.append(row)
+            row = []
+            for alpha, ends in may_rows.get(q, no_row).items():
+                if alpha in domain:
+                    labels.add(alpha)
+                    row += [(alpha, index[t]) for t in ends]
+            mays.append(row)
+        self.musts, self.mays, self.labels = musts, mays, frozenset(labels)
+        self.weak_rows: dict[str, list[tuple[int, ...]]] = {}
+        self._by_label: dict[tuple[str, str | None], object] = {}
 
-    def _kept(self, kind: str, label: str, build):
+    def _kept(self, kind: str, label: str | None, build):
         """The fact ``build`` gives for ``(kind, label)``, kept from its
         first use."""
         fact = self._by_label.get((kind, label))
@@ -256,39 +278,10 @@ class _Side:
             fact = self._by_label[kind, label] = build()
         return fact
 
-    def musts(self, aut: ModalAutomaton) -> list[dict[str, list[list[int]]]]:
-        """Per state, its musts as ``label -> [sorted target numbers]``."""
-        def build():
-            index, rows, no_row = self.index, aut._must_rows, {}
-            musts = []
-            for q in self.states:
-                row = {}
-                for a, sets in rows.get(q, no_row).items():
-                    # Sorted, so that the local run's queue order does not
-                    # follow the hash order of the frozenset.
-                    row[a] = [sorted([index[t] for t in targets]) for targets in sets]
-                musts.append(row)
-            return musts
-        return self._kept("musts", "", build)
-
-    def mays(self, aut: ModalAutomaton) -> tuple[list[list[tuple[str, int]]], frozenset[str]]:
-        """Per state, its output and tau mays as ``(label, target number)``,
-        and the labels they use.  Operands share one alphabet, so these
-        depend on the automaton alone."""
-        def build():
-            domain = aut.alphabet.outputs | {TAU}
-            index, rows, no_row = self.index, aut._may_rows, {}
-            mays = [[(alpha, index[t]) for alpha, ends in rows.get(p, no_row).items()
-                     if alpha in domain for t in ends]
-                    for p in self.states]
-            return mays, frozenset([alpha for row in mays for alpha, _ in row])
-        return self._kept("mays", "", build)
-
     def weak(self, aut: ModalAutomaton, alpha: str) -> list[tuple[int, ...]]:
         """Per state, its sorted weak ``alpha`` successor numbers; on tau,
         its silent closure.  Equal successor sets share one tuple."""
-        # Every query reads these, so the lookup is inline, not by _kept.
-        rows = self._by_label.get(("weak", alpha))
+        rows = self.weak_rows.get(alpha)
         if rows is None:
             weak, index = aut.weak, self.index
             shared: dict[frozenset[StateId], tuple[int, ...]] = {}
@@ -299,26 +292,25 @@ class _Side:
                 if nums is None:
                     nums = shared[succ] = tuple(sorted([index[t] for t in succ]))
                 rows.append(nums)
-            self._by_label["weak", alpha] = rows
+            self.weak_rows[alpha] = rows
         return rows
 
     def must_masks(self) -> dict[str, int]:
-        """Per label, the states with a must on it, as a bit set, once
-        :meth:`musts` is built."""
+        """Per label, the states with a must on it, as a bit set."""
         def build():
             masks = {}
-            for q, musts in enumerate(self._by_label["musts", ""]):
+            for q, musts in enumerate(self.musts):
                 for a in musts:
                     masks[a] = masks.get(a, 0) | 1 << q
             return masks
-        return self._kept("must masks", "", build)
+        return self._kept("must masks", None, build)
 
     def weak_mask(self, alpha: str) -> int:
         """The states with a weak match on ``alpha``, as a bit set, once
         :meth:`weak` is built for ``alpha``."""
         def build():
             mask = 0
-            for q, succ in enumerate(self._by_label["weak", alpha]):
+            for q, succ in enumerate(self.weak_rows[alpha]):
                 if succ:
                     mask |= 1 << q
             return mask
@@ -329,7 +321,7 @@ class _Side:
         each state, once :meth:`weak` is built for ``alpha``."""
         def build():
             preimages = [0] * len(self.states)
-            for q, succ in enumerate(self._by_label["weak", alpha]):
+            for q, succ in enumerate(self.weak_rows[alpha]):
                 bit = 1 << q
                 for t in succ:
                     preimages[t] |= bit
@@ -340,9 +332,9 @@ class _Side:
         """For the musts on label ``a``, numbered in state order: chunk
         tables of the musts that target each state, chunk tables of the
         source of each must, the set of every must, and the set of states
-        with one (``must_masks()[a]``), once :meth:`musts` is built."""
+        with one (``must_masks()[a]``)."""
         def build():
-            spec_musts = [(q, targets) for q, musts in enumerate(self._by_label["musts", ""])
+            spec_musts = [(q, targets) for q, musts in enumerate(self.musts)
                           for targets in musts.get(a, ())]
             preimages = [0] * len(self.states)
             for m, (_, targets) in enumerate(spec_musts):
@@ -365,7 +357,7 @@ def _side(aut: ModalAutomaton, start: StateId) -> _Side:
     sides = aut._refinement_rows
     side = sides.get(start)
     if side is None:
-        side = _Side(_numbered(aut, start))
+        side = _Side(aut, start)
         if start != aut.initial:
             for other in [s for s in sides if s != aut.initial]:
                 sides.pop(other, None)
@@ -384,13 +376,14 @@ class _Checker:
     numbers ``(p, q)`` is the integer ``p * nq + q``, and ``root`` is the
     start pair, whose impl state is ``impl_root``.
 
-    Every row is a list indexed by state number, in state numbers, and
-    comes from the side kept on its automaton (:class:`_Side`), so a query
-    builds only its pair arrays.  ``impl_musts`` and ``spec_musts`` map
-    each must label to the sorted target lists, ``impl_mays`` keeps the
-    output and tau mays, and ``spec_hat`` maps each label some impl may
-    uses (``labels``) to the sorted weak successors of every spec state on
-    it.
+    Every row is a list indexed by state number, in state numbers, and is
+    read off the side kept on its automaton (:class:`_Side`): the musts,
+    mays and labels the side built with its numbering, and the weak rows
+    it builds on a label's first use.  So a query builds only its pair
+    arrays.  ``impl_musts`` and ``spec_musts`` map each must label to the
+    sorted target lists, ``impl_mays`` keeps the output and tau mays, and
+    ``spec_hat`` maps each label some impl may uses (``labels``) to the
+    sorted weak successors of every spec state on it.
 
     A pair that passes its check cites the pairs it relied on, in flat watch
     lists: entry ``e`` records that pair ``who[e]`` cited the pair on whose
@@ -417,9 +410,8 @@ class _Checker:
         self.impl_root = impl_side.index[impl_state]
         self.root = self.impl_root * nq + spec_side.index[spec_state]
 
-        self.impl_musts = impl_side.musts(impl)
-        self.impl_mays, self.labels = impl_side.mays(impl)
-        self.spec_musts = spec_side.musts(spec)
+        self.impl_musts, self.spec_musts = impl_side.musts, spec_side.musts
+        self.impl_mays, self.labels = impl_side.mays, impl_side.labels
         self.spec_hat = {alpha: spec_side.weak(spec, alpha) for alpha in self.labels}
 
     def _check(self, x: int, alive: bytearray | _AliveAt,

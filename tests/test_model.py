@@ -13,8 +13,9 @@ from mialib import dmts_ops, ia_ops, mia_ops, model, testkit
 from mialib.frontend import parse, serialize
 from mialib.refinement import dmts_refines, equiv, holds, refines
 from mialib.model import (DMTS, IA, MIA, TAU, Alphabet, EmptiedMustError,
-                          FlavorMismatchError, IdTable, ModalAutomaton, StateId,
-                          StateNameCollisionError, atom, disjoint_operands,
+                          FlavorMismatchError, IdTable, MialibError,
+                          ModalAutomaton, StateId, StateNameCollisionError,
+                          atom, disjoint_operands,
                           make_automaton, make_ia, pair_id, reachable_states,
                           remove_states, rename_disjoint, restrict_reachable, tagged_id,
                           universal_id, validate, vee_id, wedge_id,
@@ -630,6 +631,93 @@ def test_products_and_refinement_never_sort_an_operand_whole(flavor):
         outcomes.add(_COMPOSE[flavor](p, q).compatible)
         assert _whole_sorts(p) + _whole_sorts(q) == [], (seed, "compose")
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Product operands that leave their state set
+
+# Every product operator: pair products with and without ``reachable``,
+# parallel products (always seeded from the initial pair) without.
+_PAIR_PRODUCTS = {
+    IA: [ia_ops.ia_conjoin, ia_ops.ia_disjoin],
+    DMTS: [dmts_ops.dmts_conj_product, dmts_ops.dmts_conjoin, dmts_ops.dmts_disjoin],
+    MIA: [mia_ops.mia_conj_product, mia_ops.mia_conjoin, mia_ops.mia_disjoin],
+}
+_PARALLEL_PRODUCTS = {
+    IA: [ia_ops.ia_parallel_product, ia_ops.ia_parallel_compose],
+    MIA: [mia_ops.mia_parallel_product, mia_ops.mia_parallel_compose],
+}
+
+
+def _unclosed(aut: ModalAutomaton) -> list[tuple[ModalAutomaton, str]]:
+    """``aut`` cut to its initial state, so that a transition leaves the
+    state set, and ``aut`` without its initial state, each with the error
+    it must raise."""
+    return [(dataclasses.replace(aut, states=frozenset([aut.initial])),
+             f"a transition of {aut.name} leaves its state set"),
+            (dataclasses.replace(aut, states=aut.states - {aut.initial}),
+             f"the initial state of {aut.name} is not one of its states")]
+
+
+def _moving(pairs):
+    """The first two pairs whose operands both have a transition between
+    two distinct states."""
+    moving = [(p, q) for p, q in pairs
+              if all(any(s != t for s, _, t in aut.may) for aut in (p, q))]
+    assert len(moving) >= 2
+    return moving[:2]
+
+
+def _refused(op, p, q, **options):
+    """Each operand of ``op`` cut both ways is refused with a MialibError
+    that names it."""
+    for side in (0, 1):
+        for broken, message in _unclosed((p, q)[side]):
+            operands = (broken, q) if side == 0 else (p, broken)
+            with pytest.raises(MialibError) as got:
+                op(*operands, **options)
+            assert type(got.value) is MialibError and str(got.value) == message
+
+
+@pytest.mark.parametrize("flavor", [IA, DMTS, MIA])
+@pytest.mark.parametrize("reachable", [False, True])
+def test_pair_products_refuse_an_operand_outside_its_state_set(flavor, reachable):
+    """The refusal comes before the id table, the renaming or a pair's
+    parts meet a state the operand does not have, and before a reachable
+    product takes one in.  Shared state names make the product rename its
+    operands first; names tagged apart keep them as they are."""
+    for p, q in _moving(gen_pair(flavor, seed, max_states=5, transition_density=0.6)
+                        for seed in range(40)):
+        assert p.states & q.states
+        for q2 in (q, model._tag_states(q, "x")):
+            for op in _PAIR_PRODUCTS[flavor]:
+                _refused(op, p, q2, reachable=reachable)
+
+
+@pytest.mark.parametrize("flavor", [IA, MIA])
+def test_parallel_products_refuse_an_operand_outside_its_state_set(flavor):
+    for p, q in _moving(gen_composable_pair(flavor, seed, max_states=5,
+                                            transition_density=0.6)
+                        for seed in range(40)):
+        for q2 in (q, model._tag_states(q, "x")):
+            for op in _PARALLEL_PRODUCTS[flavor]:
+                _refused(op, p, q2)
+
+
+def test_one_state_operand_with_a_dangling_may_is_refused():
+    s, t, u = atom("s"), atom("t"), atom("u")
+    b = ModalAutomaton(MIA, "B", Alphabet(frozenset(["i"]), frozenset(["o"])),
+                       frozenset([s]), s, frozenset([(s, "o", t)]), frozenset())
+    c = make_automaton(MIA, "C", ["i"], ["o"], u, may=[(u, "o", u)])
+    k = make_automaton(MIA, "K", ["o"], [], u, may=[(u, "o", u)],
+                       must=[(u, "o", frozenset([u]))])
+    calls = [lambda: mia_ops.mia_parallel_compose(b, k),
+             lambda: mia_ops.mia_conjoin(b, b), lambda: mia_ops.mia_disjoin(b, b),
+             lambda: mia_ops.mia_conjoin(b, c), lambda: mia_ops.mia_disjoin(b, c),
+             lambda: mia_ops.mia_conjoin(b, c, reachable=True)]
+    for call in calls:
+        with pytest.raises(MialibError, match="a transition of B leaves its state set"):
+            call()
 
 
 # ---------------------------------------------------------------------------

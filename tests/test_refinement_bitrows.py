@@ -324,12 +324,19 @@ def test_kept_tables_answer_as_fresh_ones(flavor):
                 refines(dataclasses.replace(spec), dataclasses.replace(i)))
 
 
+def _kept(side):
+    """Every row and table ``side`` keeps, by name."""
+    return {"musts": side.musts, "mays": side.mays, "labels": side.labels,
+            **{("weak", alpha): rows for alpha, rows in side.weak_rows.items()},
+            **side._by_label}
+
+
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_queries_with_other_labels_share_the_kept_rows(flavor):
     """Impls whose mays use different label sets read one spec's weak rows
     of a label as one object, and a later query rebuilds nothing the spec
-    side kept before.  An automaton checked in both roles keeps the rows of
-    both and reads one must-row object in either."""
+    side kept before.  An automaton checked in both roles reads one
+    must-row object in either, and its own may rows as an impl."""
     rng = random.Random(f"shared|{flavor}")
     spec = _label_spec(flavor, 2 * N, rng)
     impls = _label_impls(spec, rng)
@@ -343,21 +350,23 @@ def test_queries_with_other_labels_share_the_kept_rows(flavor):
     assert shared
     side = spec._refinement_rows[spec.initial]
     for i in impls:
-        kept = dict(side._by_label)
+        kept = _kept(side)
         refines(i, spec)
-        assert all(side._by_label[key] is fact for key, fact in kept.items())
-    spec_kinds = {"musts", "weak", "weak mask", "hat", "must", "must masks"}
+        assert all(_kept(side)[key] is fact for key, fact in kept.items())
+    assert set(side.weak_rows) == set().union(*[one.labels for one in checkers])
     kinds = {kind for kind, _ in side._by_label}
-    assert kinds == spec_kinds, kinds
-    # Once checked as an impl too, the spec keeps its mays as well, and
+    assert kinds == {"weak mask", "hat", "must", "must masks"}, kinds
+    # Checked as an impl too, the spec reads the side it already has, and
     # each automaton reads one must-row object in both roles.
     impl = impls[0]
     forth = _Checker(impl, spec, impl.initial, spec.initial)
+    kept = _kept(side)
     refines(spec, impl)
-    kinds = {kind for kind, _ in side._by_label}
-    assert kinds == spec_kinds | {"mays"}, kinds
+    assert _kept(side) == kept and all(_kept(side)[key] is fact for key, fact in kept.items())
     back = _Checker(spec, impl, spec.initial, impl.initial)
+    assert spec._refinement_rows[spec.initial] is side
     assert back.impl_musts is forth.spec_musts and back.spec_musts is forth.impl_musts
+    assert back.impl_mays is side.mays and back.labels is side.labels
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -379,6 +388,9 @@ def test_no_impl_may_to_match_builds_no_weak_rows(flavor):
         fresh = dataclasses.replace(spec)
         query(quiet, fresh)
         assert "weak" not in fresh.__dict__
-        kinds = {kind for kind, _ in fresh._refinement_rows[spec.initial]._by_label}
-        assert not kinds & {"weak", "weak mask", "hat"}, kinds
+        side = fresh._refinement_rows[spec.initial]
+        assert not side.weak_rows
+        kinds = {kind for kind, _ in side._by_label}
+        assert not kinds & {"weak mask", "hat"}, kinds
+    assert not quiet._refinement_rows[quiet.initial].labels
     assert _outcome(refines(quiet, spec)) == _ordered(quiet, spec)
