@@ -12,16 +12,19 @@ absent for this flavor.
 from __future__ import annotations
 
 from .mia_ops import (Conjunction, ConjunctiveProduct, InconsistencySet,
-                      _conj_product, _disjoin, _inconsistent, _prune,
-                      is_mia_witness)
+                      _conj_product, _conjoin, _ConjunctiveRun, _disjoin,
+                      _inconsistent, is_mia_witness)
 from .model import DMTS, ModalAutomaton
 
 
 def dmts_conj_product(p: ModalAutomaton, q: ModalAutomaton, *,
-                      reachable: bool = False) -> ConjunctiveProduct:
+                      reachable: bool = False,
+                      run: _ConjunctiveRun | None = None) -> ConjunctiveProduct:
     """Conjunctive product over the full pair space of two dMTSs, or over
-    the pairs reachable from the initial one."""
-    return _conj_product(p, q, DMTS, reachable)
+    the pairs reachable from the initial one.  ``run``, begun by
+    :func:`dmts_conjoin` over ``p`` and ``q``, is finished in place of a
+    fresh one."""
+    return _conj_product(p, q, DMTS, reachable, run)
 
 
 def dmts_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
@@ -31,10 +34,9 @@ def dmts_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
 def dmts_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
                  reachable: bool = False) -> Conjunction:
     """Conjunctive product minus its inconsistent states; with
-    ``reachable`` only the part reachable from the initial pair."""
-    product = dmts_conj_product(p, q, reachable=reachable)
-    bad = dmts_inconsistent(product)
-    return _prune(product, bad, reachable)
+    ``reachable`` only the part reachable from the initial pair.  An
+    inconsistent initial pair is found before the product is built."""
+    return _conjoin(p, q, DMTS, reachable, dmts_conj_product, dmts_inconsistent)
 
 
 def dmts_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,

@@ -14,7 +14,7 @@ may" coincide on inputs, so the MIA error rule and pruning are the IA ones.
 from __future__ import annotations
 
 from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
-                      _parallel_product, _prune_incompatible)
+                      _parallel_compose, _parallel_product)
 from .model import (IA, TAU, IdTable, ModalAutomaton, StateId, explore_pairs,
                     product_operands, require_operands, vee_id, wedge_id)
 
@@ -107,7 +107,6 @@ def ia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
 
 
 def ia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:
-    """Product plus pruning; incompatible when the initial pair is pruned."""
-    product = ia_parallel_product(p1, p2)
-    return _prune_incompatible(product, ia_incompatible(product, p1, p2),
-                               f"{p1.name}_par_{p2.name}")
+    """Product plus pruning; incompatible when the initial pair is pruned,
+    which is decided before the product is built."""
+    return _parallel_compose(p1, p2, IA, ia_parallel_product, ia_incompatible)

@@ -14,7 +14,9 @@ composition, dMTS conjunction and dMTS disjunction run on them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cache
+from typing import Callable
 
 from .model import (MIA, TAU, Alphabet, IdTable, ModalAutomaton, MustEdge,
                     NotComposableError, StateId, _pair_of, _require_closed,
@@ -58,11 +60,25 @@ class ConjunctiveProduct:
 
 @dataclass(frozen=True)
 class Conjunction:
-    """Outcome of a conjunction: the pruned automaton, or inconsistent."""
+    """Outcome of a conjunction: the pruned automaton, or inconsistent.
 
-    product: ConjunctiveProduct
-    inconsistency: InconsistencySet
+    ``product`` and ``inconsistency`` are those of the whole product.  A
+    conjunction found inconsistent at its initial pair, before any product
+    was built, builds them on first access, once for it and every copy
+    :func:`dataclasses.replace` makes of it.
+    """
+
     automaton: ModalAutomaton | None
+    # () -> (product, inconsistency)
+    _parts: Callable = field(repr=False, compare=False)
+
+    @property
+    def product(self) -> ConjunctiveProduct:
+        return self._parts()[0]
+
+    @property
+    def inconsistency(self) -> InconsistencySet:
+        return self._parts()[1]
 
     @property
     def defined(self) -> bool:
@@ -88,11 +104,25 @@ class IncompatibilitySet:
 
 @dataclass(frozen=True)
 class Composition:
-    """Outcome of a parallel composition: the pruned automaton, or not."""
+    """Outcome of a parallel composition: the pruned automaton, or not.
 
-    product: ModalAutomaton
-    incompatibility: IncompatibilitySet
+    ``product`` and ``incompatibility`` are those of the whole product.  A
+    composition refused by an error its initial pair reaches autonomously,
+    found before the product was built, builds them on first access, once
+    for it and every copy :func:`dataclasses.replace` makes of it.
+    """
+
     automaton: ModalAutomaton | None
+    # () -> (product, incompatibility)
+    _parts: Callable = field(repr=False, compare=False)
+
+    @property
+    def product(self) -> ModalAutomaton:
+        return self._parts()[0]
+
+    @property
+    def incompatibility(self) -> IncompatibilitySet:
+        return self._parts()[1]
 
     @property
     def compatible(self) -> bool:
@@ -103,14 +133,105 @@ class Composition:
 # Conjunction
 
 
-def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
-                  reachable: bool = False) -> ConjunctiveProduct:
-    """Conjunctive product over the full pair space, or with ``reachable``
-    over the pairs reachable from the initial pair.
+class _ConjunctiveRun:
+    """A conjunctive product in the making, over the full pair space or,
+    with ``reachable``, over the pairs reachable from the initial pair.
 
-    A dMTS has no inputs, so its product is the pair part alone; a MIA
-    product also carries the components its input escapes lead to.
+    It holds the operands as :func:`product_operands` renames them, their
+    id table, the pair rule with the ``pairs`` and ``unmatched`` maps the
+    rule fills, and in ``known`` the rule's result for every pair explored
+    so far.  :meth:`root_inconsistent` explores from the initial pair along
+    must targets; :meth:`product` builds the whole product and calls the
+    rule on no pair twice.  A dMTS has no inputs, so its product is the
+    pair part alone; a MIA product also carries the components its input
+    escapes lead to.
     """
+
+    def __init__(self, flavor: str, reachable: bool, left: ModalAutomaton,
+                 right: ModalAutomaton, ids: dict, rule, pairs: dict,
+                 unmatched: dict):
+        self.flavor, self.reachable = flavor, reachable
+        self.left, self.right, self.ids = left, right, ids
+        self.initial = ids[left.initial, right.initial]
+        self.rule, self.pairs, self.unmatched = rule, pairs, unmatched
+        self.known: dict = {}
+
+    def root_inconsistent(self) -> bool:
+        """Whether the initial pair is inconsistent, by a local run of the
+        least fixpoint of :func:`_inconsistent` that stops once it knows.
+
+        A pair dies when its rule finds an unmatched must (F1, F2), or when
+        every target of one of its musts has died (F3).  Each must watches
+        one target not dead yet, exploring it if need be, and moves on to
+        its next target only when the watched one dies; a component state
+        a MIA product inherits never dies.  The run ends when the initial
+        pair dies, or when no watched pair is left to explore: then every
+        explored pair still alive is consistent, since each of its musts
+        watches one of them or a component state.
+        """
+        rule, unmatched, known = self.rule, self.unmatched, self.known
+        initial = self.initial
+        p_states, q_states = ((self.left.states, self.right.states)
+                              if self.flavor == MIA else ((), ()))
+        dead: set = set()
+        watchers: dict = {}   # pair -> the (source, targets left) watching it
+        todo = [initial]
+
+        def watch(source: StateId, targets) -> bool:
+            for target in targets:
+                if target in p_states or target in q_states:
+                    return True
+                if target not in dead:
+                    watchers.setdefault(target, []).append((source, targets))
+                    if target not in known:
+                        todo.append(target)
+                    return True
+            return False
+
+        def kill(pair: StateId) -> bool:
+            doomed = [pair]
+            while doomed:
+                pair = doomed.pop()
+                if pair in dead:
+                    continue
+                if pair == initial:
+                    return True
+                dead.add(pair)
+                for source, targets in watchers.pop(pair, ()):
+                    if source not in dead and not watch(source, targets):
+                        doomed.append(source)
+            return False
+
+        while todo:
+            state = todo.pop()
+            if state in known:
+                continue
+            _, musts = known[state] = rule(state)
+            if state not in unmatched:
+                for _, targets in musts:
+                    if not watch(state, iter(targets)):
+                        break
+                else:
+                    continue
+            if kill(state):
+                return True
+        return False
+
+    def product(self) -> ConjunctiveProduct:
+        p, q = self.left, self.right
+        states, may, must = explore_pairs(
+            self.ids, self.initial, self.rule,
+            (p, q) if self.flavor == MIA else (), self.reachable, self.known)
+        automaton = ModalAutomaton(self.flavor, f"{p.name}_and_{q.name}",
+                                   p.alphabet, states, self.initial, may, must)
+        return ConjunctiveProduct(automaton=automaton, left=p, right=q,
+                                  pairs=self.pairs, unmatched=self.unmatched)
+
+
+def _conj_rule(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
+               reachable: bool) -> _ConjunctiveRun:
+    """The conjunctive product's pair rule, in a run that has explored
+    nothing yet."""
     require_operands(p, q, flavor)
     p, q, ids = product_operands(p, q, pair_id, reachable)
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
@@ -192,13 +313,17 @@ def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
                          for pt in p_weak[alpha] for qt in q_succ]
         return mays, musts
 
-    init = ids[p.initial, q.initial]
-    states, may, must = explore_pairs(ids, init, rule,
-                                      (p, q) if flavor == MIA else (), reachable)
-    automaton = ModalAutomaton(flavor, f"{p.name}_and_{q.name}", p.alphabet,
-                               states, init, may, must)
-    return ConjunctiveProduct(automaton=automaton, left=p, right=q,
-                              pairs=pairs, unmatched=unmatched)
+    return _ConjunctiveRun(flavor, reachable, p, q, ids, rule, pairs, unmatched)
+
+
+def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
+                  reachable: bool = False,
+                  run: _ConjunctiveRun | None = None) -> ConjunctiveProduct:
+    """Conjunctive product over the full pair space, or with ``reachable``
+    over the pairs reachable from the initial pair.  ``run``, begun by a
+    conjunction over ``p`` and ``q``, is finished in place of a fresh one.
+    """
+    return (run or _conj_rule(p, q, flavor, reachable)).product()
 
 
 def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
@@ -257,8 +382,9 @@ def _prune(product: ConjunctiveProduct, bad: InconsistencySet,
     """
     aut = product.automaton
     dead = bad.members
+    parts = lambda: (product, bad)
     if aut.initial in dead:
-        return Conjunction(product=product, inconsistency=bad, automaton=None)
+        return Conjunction(automaton=None, _parts=parts)
     if reachable:
         succ: dict[StateId, list[StateId]] = {}
         for src, _, tgt in aut.may:
@@ -272,13 +398,31 @@ def _prune(product: ConjunctiveProduct, bad: InconsistencySet,
                     stack.append(tgt)
         dead = aut.states - seen
     pruned = remove_states(aut, dead)
-    return Conjunction(product=product, inconsistency=bad, automaton=pruned)
+    return Conjunction(automaton=pruned, _parts=parts)
+
+
+def _conjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
+             reachable: bool, product_of, inconsistent_of) -> Conjunction:
+    """Decide the initial pair first; build, fix and prune the product
+    with ``product_of`` and ``inconsistent_of`` only when it is
+    consistent, and otherwise when the result's fields are first read."""
+    run = _conj_rule(p, q, flavor, reachable)
+
+    def parts():
+        product = product_of(p, q, reachable=reachable, run=run)
+        return product, inconsistent_of(product)
+    if run.root_inconsistent():
+        return Conjunction(automaton=None, _parts=cache(parts))
+    return _prune(*parts(), reachable)
 
 
 def mia_conj_product(p: ModalAutomaton, q: ModalAutomaton, *,
-                     reachable: bool = False) -> ConjunctiveProduct:
-    """Conjunctive product; carries the component automata alongside pairs."""
-    return _conj_product(p, q, MIA, reachable)
+                     reachable: bool = False,
+                     run: _ConjunctiveRun | None = None) -> ConjunctiveProduct:
+    """Conjunctive product; carries the component automata alongside pairs.
+    ``run``, begun by :func:`mia_conjoin` over ``p`` and ``q``, is finished
+    in place of a fresh one."""
+    return _conj_product(p, q, MIA, reachable, run)
 
 
 def mia_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
@@ -291,11 +435,10 @@ def mia_conjoin(p: ModalAutomaton, q: ModalAutomaton, *,
     """Conjunctive product minus inconsistent pairs; a MIA when defined.
 
     With ``reachable`` only the part reachable from the initial pair is
-    built and kept.
+    built and kept.  An inconsistent initial pair is found before the
+    product is built.
     """
-    product = mia_conj_product(p, q, reachable=reachable)
-    bad = mia_inconsistent(product)
-    return _prune(product, bad, reachable)
+    return _conjoin(p, q, MIA, reachable, mia_conj_product, mia_inconsistent)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +514,18 @@ def composed_alphabets(p1: ModalAutomaton, p2: ModalAutomaton) -> tuple[frozense
     return inputs, outputs
 
 
-def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
-                      flavor: str) -> ModalAutomaton:
+def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
+                      error=None, tested: list | None = None) -> ModalAutomaton | None:
     """Product over the pairs reachable from the initial pair.
 
     Matched actions become silent mays; unmatched musts lift componentwise,
     so the product of two IAs keeps its inputs as singleton musts.
+
+    With ``error``, the rule of :func:`_error_rule`, the walk explores the
+    pairs the initial pair reaches by output and silent steps first, and
+    tests each with it before its rule runs.  It stops at the first error
+    and returns None; otherwise the list ``tested`` ends up holding those
+    pairs, each found free of errors.
     """
     require_flavor(p1, flavor)
     require_flavor(p2, flavor)
@@ -427,20 +576,18 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton,
         return mays, musts
 
     init = ids[p1.initial, p2.initial]
-    states, may, must = explore_pairs(ids, init, rule)
+    first = None if error is None else (outputs | {TAU}, error, tested)
+    walk = explore_pairs(ids, init, rule, first=first)
+    if walk is None:
+        return None
+    states, may, must = walk
     return ModalAutomaton(flavor, f"{p1.name}_x_{p2.name}",
                           Alphabet(inputs, outputs), states, init, may, must)
 
 
-def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
-                  p2: ModalAutomaton) -> IncompatibilitySet:
-    """Error pairs (an output may the partner has no must for) plus closure.
-
-    A pair's error is its smallest such action.  The closure sweeps the
-    autonomous (output and silent) edges in sorted order until a sweep adds
-    nothing; a pair's provenance is the edge that pulled it in first.  Only
-    those edges are sorted, since the product itself is not printed.
-    """
+def _error_rule(p1: ModalAutomaton, p2: ModalAutomaton):
+    """The error of a product pair: an output may of one side that the
+    partner has no must for, the smallest such action, or None."""
     out1 = p1.alphabet.outputs & p2.alphabet.actions
     out2 = p2.alphabet.outputs & p1.alphabet.actions
     # Each component state's shared outputs, listed once in the text order
@@ -448,20 +595,52 @@ def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
     # its smallest; no action is an output of both sides.
     offers1 = {s: [a for a in p1.may_row(s) if a in out1] for s in p1.states}
     offers2 = {s: [b for b in p2.may_row(s) if b in out2] for s in p2.states}
-    errors = {}
-    for state in product.states:
+    must_row1, must_row2 = p1.must_row, p2.must_row
+
+    def error(state: StateId) -> tuple | None:
         s1, s2 = state.parts
         a = b = None
-        if offers1[s1]:
-            musts2 = p2.must_row(s2)
-            a = next((a for a in offers1[s1] if a not in musts2), None)
-        if offers2[s2]:
-            musts1 = p1.must_row(s1)
-            b = next((b for b in offers2[s2] if b not in musts1), None)
+        offered = offers1[s1]
+        if offered:
+            musts = must_row2(s2)
+            for a in offered:
+                if a not in musts:
+                    break
+            else:
+                a = None
+        offered = offers2[s2]
+        if offered:
+            musts = must_row1(s1)
+            for b in offered:
+                if b not in musts:
+                    break
+            else:
+                b = None
         if a is not None and (b is None or a < b):
-            errors[state] = ("error-(a)", a)
-        elif b is not None:
-            errors[state] = ("error-(b)", b)
+            return ("error-(a)", a)
+        if b is not None:
+            return ("error-(b)", b)
+        return None
+    return error
+
+
+def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
+                  p2: ModalAutomaton, tested=(), error=None) -> IncompatibilitySet:
+    """Error pairs (an output may the partner has no must for) plus closure.
+
+    The pairs in ``tested`` are known to be free of errors and are not
+    tested again; ``error``, when given, is the :func:`_error_rule` that
+    tested them.  The closure sweeps the autonomous (output and silent)
+    edges in sorted order until a sweep adds nothing; a pair's provenance
+    is the edge that pulled it in first.  Only those edges are sorted,
+    since the product itself is not printed.
+    """
+    error = error or _error_rule(p1, p2)
+    errors = {}
+    for state in product.states.difference(tested):
+        found = error(state)
+        if found is not None:
+            errors[state] = found
 
     if not errors:  # the closure only grows from errors
         return IncompatibilitySet(errors=frozenset(), incompatible=frozenset(),
@@ -493,17 +672,36 @@ def _prune_incompatible(product: ModalAutomaton, incompat: IncompatibilitySet,
     to remove, the result is the product itself, renamed to ``name``.
     """
     bad = incompat.incompatible
+    parts = lambda: (product, incompat)
     if product.initial in bad:
-        return Composition(product=product, incompatibility=incompat, automaton=None)
+        return Composition(automaton=None, _parts=parts)
     if not bad:
-        return Composition(product=product, incompatibility=incompat,
-                           automaton=replace(product, name=name))
+        return Composition(automaton=replace(product, name=name), _parts=parts)
     doomed = {edge for edge in product.must if not edge[2].isdisjoint(bad)}
     under = {(src, label, t) for src, label, targets in doomed for t in targets}
     kept = replace(product, name=name, may=product.may - under,
                    must=product.must - doomed)
     pruned = remove_states(kept, bad)
-    return Composition(product=product, incompatibility=incompat, automaton=pruned)
+    return Composition(automaton=pruned, _parts=parts)
+
+
+def _parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
+                      product_of, incompatible_of) -> Composition:
+    """Refuse the composition when the initial pair reaches an error by
+    output and silent steps, found before the rest of the product is
+    built; then ``product_of`` and ``incompatible_of`` build its fields
+    when they are first read.  Otherwise the same walk builds the whole
+    product, and only the pairs it did not test are tested for errors."""
+    error, tested = _error_rule(p1, p2), []
+    product = _parallel_product(p1, p2, flavor, error, tested)
+    if product is None:
+        def parts():
+            product = product_of(p1, p2)
+            return product, incompatible_of(product, p1, p2)
+        return Composition(automaton=None, _parts=cache(parts))
+    return _prune_incompatible(product,
+                               _incompatible(product, p1, p2, tested, error),
+                               f"{p1.name}_par_{p2.name}")
 
 
 def mia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:
@@ -519,10 +717,8 @@ def mia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
 
 def mia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:
     """Product minus incompatible states; incompatible when the initial
-    pair is pruned."""
-    product = mia_parallel_product(p1, p2)
-    return _prune_incompatible(product, mia_incompatible(product, p1, p2),
-                               f"{p1.name}_par_{p2.name}")
+    pair is pruned, which is decided before the product is built."""
+    return _parallel_compose(p1, p2, MIA, mia_parallel_product, mia_incompatible)
 
 
 def is_mia_witness(product: ConjunctiveProduct, w: set[Pair]) -> bool:

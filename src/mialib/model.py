@@ -882,7 +882,8 @@ def product_operands(p: ModalAutomaton, q: ModalAutomaton, combine,
 
 
 def explore_pairs(ids: dict, initial: StateId, rule,
-                  inherited: tuple = (), reachable: bool = True):
+                  inherited: tuple = (), reachable: bool = True,
+                  known: dict | None = None, first: tuple | None = None):
     """Build a product over the pair states of ``ids`` by a worklist.
 
     A state of an ``inherited`` automaton (a component the product keeps
@@ -894,6 +895,20 @@ def explore_pairs(ids: dict, initial: StateId, rule,
     the rule fills as it goes.  Otherwise it starts from every pair of
     ``ids``, the complete table, and each inherited automaton joins whole,
     states and edges, without a walk.
+
+    ``known`` maps the pairs whose rule an earlier run over the same table
+    has called to what it returned; the walk reads their edges there, so
+    no pair's rule runs twice.
+
+    With ``first = (autonomous, stop, explored)``, for a walk from
+    ``initial`` that inherits nothing, the pairs reached by steps labelled
+    in ``autonomous`` are explored first, breadth-first: a pair reached by
+    any other step waits, and joins this first phase if an autonomous step
+    reaches it later.  ``stop(pair)`` is asked of each pair of the first
+    phase, before its rule runs; when it holds, the walk ends there and
+    returns None.  Otherwise the list ``explored`` ends up holding exactly
+    the autonomous closure of ``initial``, and the walk goes on from the
+    pairs that waited.
 
     Returns the explored states and the may and must edges leaving them:
     the whole product.  The states are closed under may targets, and for
@@ -915,18 +930,48 @@ def explore_pairs(ids: dict, initial: StateId, rule,
             seen |= aut.states
             may |= aut.may
             must |= aut.must
+    if known:
+        # a state's edges come from ``rule``, or from its ``owner``: the
+        # automaton it is inherited from, or ``known``
+        owner.update(dict.fromkeys(known, known))
+    add_may, add_must, add_seen = may.add, must.add, seen.add
+    if first is not None:
+        autonomous, stop, explored = first
+        explored += stack
+        waiting = []
+        for state in explored:  # the loop reads what it appends
+            if stop(state):
+                return None
+            mays, musts = rule(state)
+            for label, tgt in mays:
+                add_may((state, label, tgt))
+                if tgt not in seen:
+                    if label in autonomous:
+                        add_seen(tgt)
+                        explored.append(tgt)
+                    else:
+                        waiting.append(tgt)
+            for label, targets in musts:
+                add_must((state, label, targets))
+        stack = [tgt for tgt in dict.fromkeys(waiting) if tgt not in seen]
+        seen.update(stack)
+    push = stack.append
     while stack:
         state = stack.pop()
-        aut = owner.get(state)
-        mays, musts = (rule(state) if aut is None
-                       else (aut.may_from(state), aut.musts_from(state)))
+        source = owner.get(state)
+        if source is None:
+            mays, musts = rule(state)
+        elif source is known:
+            mays, musts = known[state]
+        else:
+            mays, musts = source.may_from(state), source.musts_from(state)
         for label, tgt in mays:
-            may.add((state, label, tgt))
+            add_may((state, label, tgt))
             if tgt not in seen:
-                seen.add(tgt)
-                stack.append(tgt)
+                add_seen(tgt)
+                push(tgt)
         for label, targets in musts:
-            must.add((state, label, targets))
+            add_must((state, label, targets))
     return seen, may, must
 
 

@@ -273,9 +273,13 @@ def oracle_refines(flavor: str, impl: ModalAutomaton, spec: ModalAutomaton) -> b
 
 def recheck_witness(flavor: str, impl: ModalAutomaton, spec: ModalAutomaton,
                     pairs: frozenset) -> bool:
-    """Verify clause closure of a claimed refinement relation, pair by pair."""
+    """Verify clause closure of a claimed refinement relation, pair by pair.
+
+    Each weak successor set of the specification is computed once per call.
+    """
     domain = None if flavor == DMTS else spec.alphabet.outputs | {TAU}
     pairset = set(pairs)
+    hat: dict = {}
     for p, q in pairs:
         for a, spec_targets in spec.musts_from(q):
             if not any(b == a and all(any((p2, q2) in pairset for q2 in spec_targets)
@@ -285,8 +289,10 @@ def recheck_witness(flavor: str, impl: ModalAutomaton, spec: ModalAutomaton,
         for alpha, p2 in impl.may_from(p):
             if domain is not None and alpha not in domain:
                 continue
-            if not any((p2, q2) in pairset
-                       for q2 in _o_weak_hat(spec, q, alpha)):
+            successors = hat.get((q, alpha))
+            if successors is None:
+                successors = hat[q, alpha] = _o_weak_hat(spec, q, alpha)
+            if not any((p2, q2) in pairset for q2 in successors):
                 return False
     return True
 
@@ -405,10 +411,15 @@ def _op(flavor: str, name: str):
 
 def _conjunction(flavor: str, p: ModalAutomaton,
                  q: ModalAutomaton) -> tuple[ModalAutomaton | None, frozenset]:
-    """``p ^ q`` (None when inconsistent) and the states it must not keep."""
+    """``p ^ q`` (None when inconsistent) and the states it must not keep.
+
+    An inconsistent conjunction keeps no state, so its inconsistency set,
+    which it would build only on this read, is not read."""
     conj = _op(flavor, "conjoin")(p, q)
     if flavor == IA:
         return conj, frozenset()
+    if not conj.defined:
+        return None, frozenset()
     return conj.automaton, conj.inconsistency.members
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS
+from conftest import CORPUS, golden_text
 from mialib import dmts_ops, ia_ops, mia_ops, refinement
 from mialib.cli import main
 from mialib.frontend import parse, serialize
@@ -422,6 +422,23 @@ def test_incompatible_still_emits_diagnostics(tmp_path, capsys):
     assert main(["compose", p, q, "--emit-pruned-set"]) == 3
     out = capsys.readouterr().out
     assert "error-(a)" in out
+
+
+def test_undefined_corpus_pairs_print_one_line(files, capsys):
+    # The composition is refused three autonomous steps from its initial
+    # pair; the conjunction is inconsistent at its initial pair through F3
+    # alone.  Both are decided before their product is built.
+    cases = [(["compose", files("refused_sender.mia"), files("refused_receiver.mia")],
+              "automata are incompatible (initial state pruned)\n")]
+    cases += [(["conjoin", files("conj_f3_p.mia"), files("conj_f3_q.mia"), *flag],
+               "conjunction is inconsistent (no common implementation)\n")
+              for flag in ([], ["--reachable"])]
+    for argv, err in cases:
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", err)
+    assert main(cases[0][0] + ["--emit-pruned-set"]) == 3
+    assert capsys.readouterr() == (golden_text("cli/refused_compose_pruned.out"),
+                                   cases[0][1])
 
 
 # ---------------------------------------------------------------------------
