@@ -66,14 +66,12 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
     inputs = p.alphabet.inputs
 
     def row_of(aut: ModalAutomaton):
-        """Each state's may row, the labels of its input mays, and its
-        mays on outputs and tau.  Equal label lists are kept once."""
-        labels: dict = {}
+        """Each state's may row, the labels of its input mays in row order,
+        and its mays on outputs and tau."""
 
         def row(state: StateId):
             mays = aut.may_row(state)
-            ins = tuple([a for a in mays if a in inputs])
-            return (mays, labels.setdefault(ins, ins),
+            return (mays, tuple([a for a in mays if a in inputs]),
                     [(a, t) for a, ends in mays.items() if a not in inputs
                      for t in ends] or ())
         return IdTable(row)

@@ -14,6 +14,7 @@ composition, dMTS conjunction and dMTS disjunction run on them too.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Callable
@@ -140,11 +141,13 @@ class _ConjunctiveRun:
     It holds the operands as :func:`product_operands` renames them, their
     id table, the pair rule with the ``pairs`` and ``unmatched`` maps the
     rule fills, and in ``known`` the rule's result for every pair explored
-    so far.  :meth:`root_inconsistent` explores from the initial pair along
-    must targets; :meth:`product` builds the whole product and calls the
-    rule on no pair twice.  A dMTS has no inputs, so its product is the
-    pair part alone; a MIA product also carries the components its input
-    escapes lead to.
+    so far.  The table builds a pair's id on first lookup unless the
+    operands' names could collide with one; :meth:`root_inconsistent`
+    explores from the initial pair along must targets, and :meth:`product`
+    completes the table for a full product, then builds the whole product
+    and calls the rule on no pair twice.  A dMTS has no inputs, so its
+    product is the pair part alone; a MIA product also carries the
+    components its input escapes lead to.
     """
 
     def __init__(self, flavor: str, reachable: bool, left: ModalAutomaton,
@@ -218,9 +221,15 @@ class _ConjunctiveRun:
         return False
 
     def product(self) -> ConjunctiveProduct:
-        p, q = self.left, self.right
+        p, q, ids = self.left, self.right, self.ids
+        if not self.reachable and len(ids) < len(p.states) * len(q.states):
+            # a full product starts from every pair
+            build = ids.build
+            ids.update({key: build(key)
+                        for key in itertools.product(p.states, q.states)
+                        if key not in ids})
         states, may, must = explore_pairs(
-            self.ids, self.initial, self.rule,
+            ids, self.initial, self.rule,
             (p, q) if self.flavor == MIA else (), self.reachable, self.known)
         automaton = ModalAutomaton(self.flavor, f"{p.name}_and_{q.name}",
                                    p.alphabet, states, self.initial, may, must)
@@ -231,35 +240,28 @@ class _ConjunctiveRun:
 def _conj_rule(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
                reachable: bool) -> _ConjunctiveRun:
     """The conjunctive product's pair rule, in a run that has explored
-    nothing yet."""
+    nothing yet.  The id table is the one a ``reachable`` product gets, for
+    a full product too, so the run's first pairs get ids on first lookup."""
     require_operands(p, q, flavor)
-    p, q, ids = product_operands(p, q, pair_id, reachable)
+    p, q, ids = product_operands(p, q, pair_id, True)
     inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
     silent_or_outputs = outputs | {TAU}
     pairs: dict = {}
     unmatched: dict = {}
 
-    # (must labels, weak labels) -> (output must labels, input must
-    # labels, weak labels on outputs and tau), each kept once
-    splits: dict = {}
-
     def row_of(aut: ModalAutomaton):
         """Each state's facts that need no partner: its must row and weak
-        row, the labels of its output musts in row order and of its input
-        musts, and the labels of its weak entries on outputs and tau."""
+        row, the labels of its output musts and of its input musts, and the
+        labels of its weak entries on outputs and tau, in row order."""
         weak = aut.weak
 
         def row(state: StateId):
             musts = aut.must_row(state)
             weak_row = weak.row(state)
-            key = (tuple(musts), tuple(weak_row))
-            split = splits.get(key)
-            if split is None:
-                split = splits[key] = (
+            return (musts, weak_row,
                     tuple([o for o in musts if o in outputs]),
                     tuple([i for i in musts if i in inputs]),
                     tuple([a for a in weak_row if a in silent_or_outputs]))
-            return (musts, weak_row, *split)
         return IdTable(row)
 
     p_rows, q_rows = row_of(p), row_of(q)
@@ -459,15 +461,14 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
 
     def row_of(aut: ModalAutomaton):
         """Each state's mays on outputs and tau, its may row, the labels of
-        its input mays (equal sets kept once) and its must row."""
-        labels: dict = {}
+        its input mays in row order, and its must row."""
 
         def row(state: StateId):
             mays = aut.may_row(state)
-            ins = frozenset([a for a in mays if a in inputs])
-            return ([(a, t) for a, ends in mays.items() if a not in ins
+            return ([(a, t) for a, ends in mays.items() if a not in inputs
                      for t in ends] or (),
-                    mays, labels.setdefault(ins, ins), aut.must_row(state))
+                    mays, tuple([a for a in mays if a in inputs]),
+                    aut.must_row(state))
         return IdTable(row)
 
     p_rows, q_rows = row_of(p), row_of(q)
@@ -475,13 +476,13 @@ def _disjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
     def rule(state: StateId):
         ps, qs = state.parts
         p_free, p_mays, p_in, p_musts = p_rows[ps]
-        q_free, q_mays, q_in, q_musts = q_rows[qs]
+        q_free, q_mays, _, q_musts = q_rows[qs]
         musts = [(a, p_targets | q_targets)              # (Must)
                  for a, p_sets in p_musts.items() if a in q_musts
                  for p_targets in p_sets for q_targets in q_musts[a]]
         mays = [*p_free, *q_free]                        # (May1), (May2)
-        if p_in and q_in:
-            for a in p_in & q_in:
+        for a in p_in:
+            if a in q_mays:
                 mays += [(a, t) for t in p_mays[a]]
                 mays += [(a, t) for t in q_mays[a]]
         return mays, musts
@@ -536,18 +537,12 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
 
     def row_of(aut: ModalAutomaton, shared: frozenset[str]):
         """Each state's may row, its may labels the partner does not share
-        and those it does, and its musts on the former.  The labels are
-        split once per label list."""
-        splits: dict = {}
+        and those it does, and its musts on the former."""
 
         def row(state: StateId):
             mays = aut.may_row(state)
-            key = tuple(mays)
-            split = splits.get(key)
-            if split is None:
-                split = splits[key] = (tuple([a for a in key if a not in shared]),
-                                       tuple([a for a in key if a in shared]))
-            return (mays, *split,
+            return (mays, tuple([a for a in mays if a not in shared]),
+                    tuple([a for a in mays if a in shared]),
                     [(a, targets) for a, sets in aut.must_row(state).items()
                      if a not in shared for targets in sets] or ())
         return IdTable(row)

@@ -20,10 +20,14 @@ every transition endpoint and the initial state is the object held in
 ``states``: the parser and every product keep an :class:`IdTable` that
 builds a name's or pair's id on first mention, so a product that keeps
 only what it reaches builds ids for the pairs it reaches and no others.
-Only a product over the full pair space, which emits every pair, and an
-operand whose state names hold the operator's own character, where a
+A conjunction builds its pair ids on first mention too until it builds
+its product, and a full product completes the table then, so a
+conjunction decided at its initial pair builds ids only for the pairs
+that decision explored and their targets.
+The other products over the full pair space, which emit every pair, and
+an operand whose state names hold the operator's own character, where a
 combined id might collide with one of them, read the complete pair table
-of :func:`disjoint_operands`.
+of :func:`disjoint_operands` from the start.
 
 All automata are immutable after construction and safe to share across
 threads.  Iteration over states and transitions is deterministic
@@ -868,8 +872,10 @@ def product_operands(p: ModalAutomaton, q: ModalAutomaton, combine,
     every ``combine`` id's text holds, no combined id can equal a
     component state: the copies come back with an :class:`IdTable` that
     builds each pair's id on first lookup, so only the pairs the product
-    reaches get one.  Otherwise this is :func:`disjoint_operands`, and the
-    tagging decision is the same on every input.
+    reaches get one.  A conjunction asks for that table for a full product
+    too, and completes it when it builds the product.  Otherwise this is
+    :func:`disjoint_operands`, and the tagging decision is the same on
+    every input.
     """
     _require_closed(p)
     _require_closed(q)

@@ -441,6 +441,22 @@ def test_undefined_corpus_pairs_print_one_line(files, capsys):
                                    cases[0][1])
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["conjoin", "golden/fig06_conj.mia", "fig06_q.mia"], "fig06_conj_and_q.out"),
+    (["conjoin", "golden/fig06_conj.mia", "fig06_q.mia", "--reachable"],
+     "fig06_conj_and_q_reachable.out"),
+    (["disjoin", "golden/fig10_disj.mia", "fig10_q.mia", "--reachable"],
+     "fig10_disj_or_q_reachable.out"),
+])
+def test_products_of_results_print_their_golden(argv, golden, capsys):
+    # The left operand is an earlier result, whose state names hold the
+    # operator's own character, so both operands are tagged apart.
+    command, *paths = argv
+    args = [command] + [a if a.startswith("--") else str(CORPUS / a) for a in paths]
+    assert main(args) == 0
+    assert capsys.readouterr() == (golden_text(f"cli/{golden}"), "")
+
+
 # ---------------------------------------------------------------------------
 # Arbitrary bytes: never a traceback, never a verdict code
 

@@ -242,6 +242,36 @@ def test_an_inconsistent_root_builds_the_product_only_when_read(
 
 
 @pytest.mark.parametrize("flavor", (DMTS, MIA))
+def test_an_inconsistent_root_completes_its_id_table_only_when_read(
+        workloads, monkeypatch, flavor):
+    runs = []
+    real = mia_ops._ConjunctiveRun.__init__
+
+    def init(run, *args):
+        real(run, *args)
+        runs.append(run)
+    monkeypatch.setattr(mia_ops._ConjunctiveRun, "__init__", init)
+    for n1, n2 in SIZES:
+        p, q = _conj_operands(workloads, flavor, "root-inconsistent", n1, n2)
+        runs.clear()
+        conj = CONJOIN[flavor](p, q)
+        [run] = runs
+        assert not conj.defined
+        # F1 at the root: the local run explored that one pair, and the
+        # table holds it and the pairs its edges name, nothing more
+        assert list(run.known) == [run.initial]
+        mays, musts = run.known[run.initial]
+        named = {t for _, t in mays} | {t for _, ts in musts for t in ts}
+        named -= run.left.states | run.right.states
+        assert set(run.ids.values()) == {run.initial} | named
+        assert len(run.ids) == 1 + len(named)
+        _same_conjunction(conj, _reference_conjunction(p, q, flavor, False))
+        left, right, ids = conj.product.left, conj.product.right, run.ids
+        assert len(ids) == len(left.states) * len(right.states)
+        assert all(sid.parts == key for key, sid in ids.items())
+
+
+@pytest.mark.parametrize("flavor", (DMTS, MIA))
 @pytest.mark.parametrize("case", ("consistent", "partial"))
 def test_a_defined_conjunction_runs_each_pair_rule_once(
         workloads, rule_calls, flavor, case):

@@ -378,8 +378,8 @@ def _check_table(tables, names: str, reachable: bool, pair_states) -> None:
         assert set(ids.values()) == set(pair_states)
         assert len(ids) == len(pair_states)
     else:
-        assert type(ids) is dict
         assert len(ids) == len(left.states) * len(right.states)
+        assert all(sid.parts == key for key, sid in ids.items())
 
 
 # ---------------------------------------------------------------------------
