@@ -115,10 +115,9 @@ def _cmd_refine(args) -> int:
                       _find_state(impl, args.impl_state),
                       _find_state(spec, args.spec_state))
     if witness.verdict:
-        if args.witness:
-            for p, q in sorted(witness.pairs):
-                print(f"{p.text} <= {q.text}")
-        print("refinement holds")
+        pairs = sorted(witness.pairs) if args.witness else ()
+        sys.stdout.write("".join([f"{p.text} <= {q.text}\n" for p, q in pairs])
+                         + "refinement holds\n")
         return OK
     _err(f"refinement fails: {witness.failure}")
     return CHECK_FAILED
@@ -156,9 +155,10 @@ def _cmd_compose(args) -> int:
     if args.emit_product:
         sys.stdout.write(serialize(comp.product))
     if args.emit_pruned_set:
-        for state in sorted(comp.incompatibility.incompatible):
-            rule, detail = comp.incompatibility.provenance[state]
-            print(f"{state.text}  [{rule}: {detail}]")
+        incompat = comp.incompatibility
+        sys.stdout.write("".join([f"{state.text}  [{rule}: {detail}]\n"
+                                  for state in sorted(incompat.incompatible)
+                                  for rule, detail in [incompat.provenance[state]]]))
     if not comp.compatible:
         _err("automata are incompatible (initial state pruned)")
         return UNDEFINED

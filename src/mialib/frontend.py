@@ -48,12 +48,13 @@ states are omitted when serializing.  A state name nests at most
 from __future__ import annotations
 
 import re
-from itertools import accumulate, compress
+from itertools import accumulate, compress, filterfalse
 from pathlib import Path
 from typing import NoReturn
 
 from .model import (DMTS, FLAVORS, IA, TAU, Alphabet, IdTable, ModalAutomaton,
-                    StateId, Violation, atom, make_automaton, validate)
+                    StateId, Violation, _sorted_edges, atom, make_automaton,
+                    validate)
 from .model import MialibError
 
 
@@ -503,12 +504,6 @@ def _fmt_alphabet(label: str, actions) -> str:
     return f"  {label}: {', '.join(sorted(actions))};"
 
 
-def _fmt_target(targets: frozenset[StateId]) -> str:
-    if len(targets) == 1:
-        return next(iter(targets)).text
-    return "{" + ", ".join(sorted(targets)) + "}"
-
-
 def serialize(aut: ModalAutomaton) -> str:
     """Render in canonical order; reparsing yields the same automaton.
 
@@ -516,10 +511,11 @@ def serialize(aut: ModalAutomaton) -> str:
     or MIA lists its musts in (source, action, sorted targets) order, so
     ``must a -x-> {a1, c};`` comes before ``must a -x-> b;``, and then its
     mays in (source, action, target) order, leaving out the MIA input-mays
-    a must implies.  IA lines are bare, except where the source's name
-    starts with ``may`` or ``must``: they carry the modality keyword
-    (``must`` on an input).  States that appear in no transition and are
-    not initial cannot be expressed in the format and are dropped.
+    a must implies: those are left out before the mays are sorted, so only
+    printed lines are sorted.  IA lines are bare, except where the
+    source's name starts with ``may`` or ``must``: they carry the modality
+    keyword (``must`` on an input).  States that appear in no transition
+    and are not initial cannot be expressed in the format and are dropped.
     """
     lines = [f"{aut.flavor} {aut.name} {{"]
     if aut.flavor == DMTS:
@@ -533,19 +529,25 @@ def serialize(aut: ModalAutomaton) -> str:
     if aut.flavor == IA:
         # a bare line whose source name starts with a modality keyword would
         # be read as carrying it, so such lines get the keyword they imply
-        led = {state for state in aut.states if _KEYWORD_LED.match(state)}
+        led = set(filter(_KEYWORD_LED.match, aut.states))
         lines += [f"  {_KEYWORD[label in inputs] if src in led else ''}"
                   f"{src.text} -{label}-> {tgt.text};"
                   for src, label, tgt in aut.sorted_may]
     else:
-        lines += [f"  must {src.text} -{label}-> {_fmt_target(targets)};"
-                  for src, label, targets in aut.sorted_must]
+        add = lines.append
+        for src, label, targets in aut.sorted_must:
+            if len(targets) == 1:
+                [tgt] = targets
+                add(f"  must {src.text} -{label}-> {tgt.text};")
+            else:
+                add(f"  must {src.text} -{label}-> {{{', '.join(sorted(targets))}}};")
         covered = {(src, label, t) for src, label, targets in aut.must
                    if label in inputs for t in targets}
-        lines += [f"  may {edge[0].text} -{edge[1]}-> {edge[2].text};"
-                  for edge in aut.sorted_may if edge not in covered]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        mays = filterfalse(covered.__contains__, aut.may) if covered else aut.may
+        lines += [f"  may {src.text} -{label}-> {tgt.text};"
+                  for src, label, tgt in _sorted_edges(mays)]
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +573,14 @@ def export_dot(aut: ModalAutomaton) -> str:
     the initial state gets a double border.  Junction nodes are named
     ``__junction_<n>``, with more leading ``_`` while some state's name
     starts with that prefix, so that no junction takes a state's name.
+    Each state's name and each action's label text are quoted once.
     """
     prefix = "__junction_"
     while any(state.startswith(prefix) for state in aut.states):
         prefix = "_" + prefix
-    # each state's name quoted once, on first use
+    # each state's name and each action's label quoted once, on first use
     quoted = IdTable(lambda state: _q(state.text))
+    labels = IdTable(lambda label: _q(_edge_label(aut, label)))
     out = [f"digraph {_q(aut.name)} {{", "  rankdir=LR;",
            "  node [shape=ellipse];"]
     for state in aut.sorted_states:
@@ -585,22 +589,18 @@ def export_dot(aut: ModalAutomaton) -> str:
     covered = set()
     junction = 0
     for src, label, targets in aut.sorted_must:
-        covered.update((src, label, t) for t in targets)
-        text = _edge_label(aut, label)
+        covered.update([(src, label, t) for t in targets])
         if len(targets) == 1:
-            tgt = next(iter(targets))
-            out.append(f"  {quoted[src]} -> {quoted[tgt]} [label={_q(text)}];")
+            [tgt] = targets
+            out.append(f"  {quoted[src]} -> {quoted[tgt]} [label={labels[label]}];")
         else:
-            j = f"{prefix}{junction}"
+            j = _q(f"{prefix}{junction}")
             junction += 1
-            out.append(f"  {_q(j)} [shape=point label=\"\"];")
-            out.append(f"  {quoted[src]} -> {_q(j)} [label={_q(text)} arrowhead=none];")
+            out.append(f"  {j} [shape=point label=\"\"];")
+            out.append(f"  {quoted[src]} -> {j} [label={labels[label]} arrowhead=none];")
             for tgt in sorted(targets):
-                out.append(f"  {_q(j)} -> {quoted[tgt]};")
-    for src, label, tgt in aut.sorted_may:
-        if (src, label, tgt) in covered:
-            continue
-        text = _edge_label(aut, label)
-        out.append(f"  {quoted[src]} -> {quoted[tgt]} [label={_q(text)} style=dashed];")
-    out.append("}")
-    return "\n".join(out) + "\n"
+                out.append(f"  {j} -> {quoted[tgt]};")
+    out += [f"  {quoted[src]} -> {quoted[tgt]} [label={labels[label]} style=dashed];"
+            for src, label, tgt in _sorted_edges(filterfalse(covered.__contains__, aut.may))]
+    out.append("}\n")
+    return "\n".join(out)

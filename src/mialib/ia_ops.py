@@ -14,7 +14,7 @@ may" coincide on inputs, so the MIA error rule and pruning are the IA ones.
 from __future__ import annotations
 
 from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
-                      _parallel_compose, _parallel_product)
+                      _parallel_compose, _parallel_product, _ParallelRun)
 from .model import (IA, TAU, IdTable, ModalAutomaton, StateId, explore_pairs,
                     product_operands, require_operands, vee_id, wedge_id)
 
@@ -93,15 +93,20 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
                           init, may, must)
 
 
-def ia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:
-    """Synchronized product; matched actions become silent transitions."""
-    return _parallel_product(p1, p2, IA)
+def ia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, *,
+                        run: _ParallelRun | None = None) -> ModalAutomaton:
+    """Synchronized product; matched actions become silent transitions.
+    ``run``, begun by :func:`ia_parallel_compose` over ``p1`` and ``p2``,
+    is finished in place of a fresh one."""
+    return _parallel_product(p1, p2, IA, run)
 
 
 def ia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
-                    p2: ModalAutomaton) -> IncompatibilitySet:
-    """Least set of product states that reach an error state autonomously."""
-    return _incompatible(product, p1, p2)
+                    p2: ModalAutomaton, *,
+                    run: _ParallelRun | None = None) -> IncompatibilitySet:
+    """Least set of product states that reach an error state autonomously;
+    ``run`` is the one that built ``product``, if any."""
+    return _incompatible(product, p1, p2, run)
 
 
 def ia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:

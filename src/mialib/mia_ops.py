@@ -21,8 +21,9 @@ from typing import Callable
 
 from .model import (MIA, TAU, Alphabet, IdTable, ModalAutomaton, MustEdge,
                     NotComposableError, StateId, _pair_of, _require_closed,
-                    explore_pairs, pair_id, product_operands, remove_states,
-                    require_flavor, require_operands, targets_text, vee_id)
+                    _sorted_edges, explore_pairs, pair_id, product_operands,
+                    remove_states, require_flavor, require_operands,
+                    targets_text, vee_id)
 
 Pair = tuple[StateId, StateId]
 
@@ -109,8 +110,9 @@ class Composition:
 
     ``product`` and ``incompatibility`` are those of the whole product.  A
     composition refused by an error its initial pair reaches autonomously,
-    found before the product was built, builds them on first access, once
-    for it and every copy :func:`dataclasses.replace` makes of it.
+    found before the product was built, keeps the walk that found it and
+    builds them from there on first access, once for it and every copy
+    :func:`dataclasses.replace` makes of it.
     """
 
     automaton: ModalAutomaton | None
@@ -336,8 +338,11 @@ def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
     dMTS is an output).  The closure step runs as a backward worklist:
     every product must keeps a count of its still consistent targets, and
     when a deletion empties that count the must's source becomes
-    inconsistent in turn.
+    inconsistent in turn.  Without seeds the set is empty, and no count
+    is kept.
     """
+    if not product.unmatched:
+        return InconsistencySet(members=frozenset(), provenance={})
     aut = product.automaton
     members: set[StateId] = set()
     provenance: dict = {}
@@ -381,13 +386,15 @@ def _prune(product: ConjunctiveProduct, bad: InconsistencySet,
     The walk follows the unsorted mays around the inconsistent states; for
     valid operands they underlie every must, so one deletion of what the
     walk missed leaves exactly the reachable part of the pruned product.
+    A ``reachable`` product is reachable as it is built, so with nothing
+    inconsistent there is no walk, and the product is the result.
     """
     aut = product.automaton
     dead = bad.members
     parts = lambda: (product, bad)
     if aut.initial in dead:
         return Conjunction(automaton=None, _parts=parts)
-    if reachable:
+    if reachable and dead:
         succ: dict[StateId, list[StateId]] = {}
         for src, _, tgt in aut.may:
             succ.setdefault(src, []).append(tgt)
@@ -515,18 +522,93 @@ def composed_alphabets(p1: ModalAutomaton, p2: ModalAutomaton) -> tuple[frozense
     return inputs, outputs
 
 
-def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
-                      error=None, tested: list | None = None) -> ModalAutomaton | None:
-    """Product over the pairs reachable from the initial pair.
+class _ParallelRun:
+    """A parallel product in the making, over the pairs reachable from the
+    initial pair.
+
+    It holds the operands, the product's alphabet, the pair rule and the
+    id table the rule fills.  :meth:`refused` walks the pairs the initial
+    pair reaches by output and silent steps first, tests each with the
+    rule of :func:`_error_rule` and stops at the first error; it keeps
+    that rule in ``error``, the pairs it found free of errors in
+    ``tested``, the error it stopped at in ``found``, and its walk, which
+    :meth:`product` goes on from, so no pair is tested twice and no pair's
+    rule runs twice.  A run that has not walked builds the whole product.
+    """
+
+    def __init__(self, flavor: str, p1: ModalAutomaton, p2: ModalAutomaton,
+                 alphabet: Alphabet, ids: IdTable, rule):
+        self.flavor, self.p1, self.p2, self.alphabet = flavor, p1, p2, alphabet
+        self.ids, self.rule = ids, rule
+        self.initial = ids[p1.initial, p2.initial]
+        self.error = None
+        self.tested: list = []
+        self.found: dict = {}   # the pair the walk stopped at -> its error
+        self.walk: tuple | None = None
+
+    def refused(self) -> bool:
+        """Whether the initial pair reaches an error by output and silent
+        steps.
+
+        Those pairs are explored first, breadth-first, and each is tested
+        before its rule runs: a pair reached by an input step waits, and
+        joins this phase if an autonomous step reaches it later.  The walk
+        ends at the first error, or when no such pair is left; either way
+        the pairs it has seen but not explored are left for
+        :meth:`product`, those that waited included.
+        """
+        error = self.error = _error_rule(self.p1, self.p2)
+        rule, autonomous = self.rule, self.alphabet.outputs | {TAU}
+        may: set = set()
+        must: set = set()
+        add_may, add_must = may.add, must.add
+        explored = [self.initial]
+        seen = {self.initial}
+        waiting = []
+        for state in explored:  # the loop reads what it appends
+            found = error(state)
+            if found is not None:
+                self.found = {state: found}
+                break
+            mays, musts = rule(state)
+            for label, tgt in mays:
+                add_may((state, label, tgt))
+                if tgt not in seen:
+                    if label in autonomous:
+                        seen.add(tgt)
+                        explored.append(tgt)
+                    else:
+                        waiting.append(tgt)
+            for label, targets in musts:
+                add_must((state, label, targets))
+        stack = []
+        if self.found:
+            stop = explored.index(state)
+            stack, explored[stop:] = explored[stop:], ()
+        stack += [tgt for tgt in dict.fromkeys(waiting) if tgt not in seen]
+        seen.update(stack)
+        self.tested, self.walk = explored, (seen, may, must, stack)
+        return bool(self.found)
+
+    def product(self) -> ModalAutomaton:
+        """The whole product, built once: the run lets go of its walk,
+        rule and id table then, and keeps only what the closure reads."""
+        walk, self.walk = self.walk, None
+        states, may, must = explore_pairs(self.ids, self.initial, self.rule,
+                                          walk=walk)
+        self.ids = self.rule = None
+        p1, p2 = self.p1, self.p2
+        return ModalAutomaton(self.flavor, f"{p1.name}_x_{p2.name}",
+                              self.alphabet, states, self.initial, may, must)
+
+
+def _par_rule(p1: ModalAutomaton, p2: ModalAutomaton,
+              flavor: str) -> _ParallelRun:
+    """The parallel product's pair rule, in a run that has explored
+    nothing yet.
 
     Matched actions become silent mays; unmatched musts lift componentwise,
     so the product of two IAs keeps its inputs as singleton musts.
-
-    With ``error``, the rule of :func:`_error_rule`, the walk explores the
-    pairs the initial pair reaches by output and silent steps first, and
-    tests each with it before its rule runs.  It stops at the first error
-    and returns None; otherwise the list ``tested`` ends up holding those
-    pairs, each found free of errors.
     """
     require_flavor(p1, flavor)
     require_flavor(p2, flavor)
@@ -570,14 +652,15 @@ def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
                          for t1 in row1[alpha] for t2 in ends2]
         return mays, musts
 
-    init = ids[p1.initial, p2.initial]
-    first = None if error is None else (outputs | {TAU}, error, tested)
-    walk = explore_pairs(ids, init, rule, first=first)
-    if walk is None:
-        return None
-    states, may, must = walk
-    return ModalAutomaton(flavor, f"{p1.name}_x_{p2.name}",
-                          Alphabet(inputs, outputs), states, init, may, must)
+    return _ParallelRun(flavor, p1, p2, Alphabet(inputs, outputs), ids, rule)
+
+
+def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
+                      run: _ParallelRun | None = None) -> ModalAutomaton:
+    """Product over the pairs reachable from the initial pair.  ``run``,
+    begun by a composition over ``p1`` and ``p2``, is finished in place of
+    a fresh one."""
+    return (run or _par_rule(p1, p2, flavor)).product()
 
 
 def _error_rule(p1: ModalAutomaton, p2: ModalAutomaton):
@@ -620,19 +703,23 @@ def _error_rule(p1: ModalAutomaton, p2: ModalAutomaton):
 
 
 def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
-                  p2: ModalAutomaton, tested=(), error=None) -> IncompatibilitySet:
+                  p2: ModalAutomaton,
+                  run: _ParallelRun | None = None) -> IncompatibilitySet:
     """Error pairs (an output may the partner has no must for) plus closure.
 
-    The pairs in ``tested`` are known to be free of errors and are not
-    tested again; ``error``, when given, is the :func:`_error_rule` that
-    tested them.  The closure sweeps the autonomous (output and silent)
-    edges in sorted order until a sweep adds nothing; a pair's provenance
-    is the edge that pulled it in first.  Only those edges are sorted,
-    since the product itself is not printed.
+    ``run``, the composition's run that built ``product``, lends its error
+    rule, and the pairs its first walk tested are not tested again.  The
+    closure sweeps the autonomous (output and silent) edges in sorted
+    order until a sweep adds nothing; a pair's provenance is the edge that
+    pulled it in first.  Only those edges are sorted, source by source,
+    since the product itself is not printed, and an edge leaves the sweeps
+    once its source is incompatible, since it can pull in nothing more.
     """
-    error = error or _error_rule(p1, p2)
-    errors = {}
-    for state in product.states.difference(tested):
+    if run is not None:
+        error, errors, tested = run.error, dict(run.found), run.tested
+    else:
+        error, errors, tested = _error_rule(p1, p2), {}, ()
+    for state in product.states.difference(tested, errors):
         found = error(state)
         if found is not None:
             errors[state] = found
@@ -641,17 +728,20 @@ def _incompatible(product: ModalAutomaton, p1: ModalAutomaton,
         return IncompatibilitySet(errors=frozenset(), incompatible=frozenset(),
                                   provenance={})
     autonomous = product.alphabet.outputs | {TAU}
-    edges = sorted([edge for edge in product.may if edge[1] in autonomous])
+    edges = _sorted_edges([edge for edge in product.may
+                           if edge[1] in autonomous])
     provenance = dict(errors)
     incompatible = set(errors)
     changed = True
     while changed:
         changed = False
         for src, label, tgt in edges:
-            if src not in incompatible and tgt in incompatible:
+            if tgt in incompatible and src not in incompatible:
                 incompatible.add(src)
                 provenance[src] = ("autonomous-step", f"{src} -{label}-> {tgt}")
                 changed = True
+        if changed:
+            edges = [edge for edge in edges if edge[0] not in incompatible]
     return IncompatibilitySet(errors=frozenset(errors),
                               incompatible=frozenset(incompatible),
                               provenance=provenance)
@@ -682,32 +772,35 @@ def _prune_incompatible(product: ModalAutomaton, incompat: IncompatibilitySet,
 
 def _parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
                       product_of, incompatible_of) -> Composition:
-    """Refuse the composition when the initial pair reaches an error by
-    output and silent steps, found before the rest of the product is
-    built; then ``product_of`` and ``incompatible_of`` build its fields
-    when they are first read.  Otherwise the same walk builds the whole
-    product, and only the pairs it did not test are tested for errors."""
-    error, tested = _error_rule(p1, p2), []
-    product = _parallel_product(p1, p2, flavor, error, tested)
-    if product is None:
-        def parts():
-            product = product_of(p1, p2)
-            return product, incompatible_of(product, p1, p2)
+    """Decide first whether the initial pair reaches an error by output
+    and silent steps; build the product and its incompatibility set with
+    ``product_of`` and ``incompatible_of``, which go on from that walk,
+    when it does not, and otherwise when the result's fields are first
+    read."""
+    run = _par_rule(p1, p2, flavor)
+
+    def parts():
+        product = product_of(p1, p2, run=run)
+        return product, incompatible_of(product, p1, p2, run=run)
+    if run.refused():
         return Composition(automaton=None, _parts=cache(parts))
-    return _prune_incompatible(product,
-                               _incompatible(product, p1, p2, tested, error),
-                               f"{p1.name}_par_{p2.name}")
+    return _prune_incompatible(*parts(), f"{p1.name}_par_{p2.name}")
 
 
-def mia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton) -> ModalAutomaton:
-    """Product over reachable pairs; musts lift componentwise."""
-    return _parallel_product(p1, p2, MIA)
+def mia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, *,
+                         run: _ParallelRun | None = None) -> ModalAutomaton:
+    """Product over reachable pairs; musts lift componentwise.  ``run``,
+    begun by :func:`mia_parallel_compose` over ``p1`` and ``p2``, is
+    finished in place of a fresh one."""
+    return _parallel_product(p1, p2, MIA, run)
 
 
 def mia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,
-                     p2: ModalAutomaton) -> IncompatibilitySet:
-    """Error pairs (an output may the partner has no must for) plus closure."""
-    return _incompatible(product, p1, p2)
+                     p2: ModalAutomaton, *,
+                     run: _ParallelRun | None = None) -> IncompatibilitySet:
+    """Error pairs (an output may the partner has no must for) plus
+    closure; ``run`` is the one that built ``product``, if any."""
+    return _incompatible(product, p1, p2, run)
 
 
 def mia_parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton) -> Composition:

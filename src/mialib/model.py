@@ -37,7 +37,8 @@ An automaton stores only its seven fields.  Its views are derived once,
 on first access, and kept:
 
 * the sorted states and edges, from the state and edge sets: the sources
-  once, then each source's own edges;
+  once, then each source's own edges; :func:`remove_states` hands its
+  result the sorted musts when its argument has them;
 * the one per-state index, the label rows ``state -> label -> ends``
   behind ``may_row``/``must_row``, the lookups ``may_targets``,
   ``must_sets``, ``has_may`` and ``has_must``, and the flat lists of
@@ -889,7 +890,7 @@ def product_operands(p: ModalAutomaton, q: ModalAutomaton, combine,
 
 def explore_pairs(ids: dict, initial: StateId, rule,
                   inherited: tuple = (), reachable: bool = True,
-                  known: dict | None = None, first: tuple | None = None):
+                  known: dict | None = None, walk: tuple | None = None):
     """Build a product over the pair states of ``ids`` by a worklist.
 
     A state of an ``inherited`` automaton (a component the product keeps
@@ -906,15 +907,10 @@ def explore_pairs(ids: dict, initial: StateId, rule,
     has called to what it returned; the walk reads their edges there, so
     no pair's rule runs twice.
 
-    With ``first = (autonomous, stop, explored)``, for a walk from
-    ``initial`` that inherits nothing, the pairs reached by steps labelled
-    in ``autonomous`` are explored first, breadth-first: a pair reached by
-    any other step waits, and joins this first phase if an autonomous step
-    reaches it later.  ``stop(pair)`` is asked of each pair of the first
-    phase, before its rule runs; when it holds, the walk ends there and
-    returns None.  Otherwise the list ``explored`` ends up holding exactly
-    the autonomous closure of ``initial``, and the walk goes on from the
-    pairs that waited.
+    ``walk``, for a walk from ``initial`` that inherits nothing, is one
+    begun over the same table and rule and left off: the ``(seen, may,
+    must, stack)`` it had, the pairs on ``stack`` seen but not yet
+    explored.  The walk goes on from there, filling those sets.
 
     Returns the explored states and the may and must edges leaving them:
     the whole product.  The states are closed under may targets, and for
@@ -922,45 +918,29 @@ def explore_pairs(ids: dict, initial: StateId, rule,
     under must targets too, so the products build their automaton from
     the three as they are, without collecting endpoints again.
     """
-    may: set[MayEdge] = set()
-    must: set[MustEdge] = set()
-    if reachable:
-        owner = {s: aut for aut in inherited for s in aut.states}
-        stack = [initial]
-        seen = {initial}
-    else:
+    if walk is not None:
+        seen, may, must, stack = walk
         owner = {}
-        stack = list(ids.values())
-        seen = set(stack)
-        for aut in inherited:
-            seen |= aut.states
-            may |= aut.may
-            must |= aut.must
+    else:
+        may: set[MayEdge] = set()
+        must: set[MustEdge] = set()
+        if reachable:
+            owner = {s: aut for aut in inherited for s in aut.states}
+            stack = [initial]
+            seen = {initial}
+        else:
+            owner = {}
+            stack = list(ids.values())
+            seen = set(stack)
+            for aut in inherited:
+                seen |= aut.states
+                may |= aut.may
+                must |= aut.must
     if known:
         # a state's edges come from ``rule``, or from its ``owner``: the
         # automaton it is inherited from, or ``known``
         owner.update(dict.fromkeys(known, known))
     add_may, add_must, add_seen = may.add, must.add, seen.add
-    if first is not None:
-        autonomous, stop, explored = first
-        explored += stack
-        waiting = []
-        for state in explored:  # the loop reads what it appends
-            if stop(state):
-                return None
-            mays, musts = rule(state)
-            for label, tgt in mays:
-                add_may((state, label, tgt))
-                if tgt not in seen:
-                    if label in autonomous:
-                        add_seen(tgt)
-                        explored.append(tgt)
-                    else:
-                        waiting.append(tgt)
-            for label, targets in musts:
-                add_must((state, label, targets))
-        stack = [tgt for tgt in dict.fromkeys(waiting) if tgt not in seen]
-        seen.update(stack)
     push = stack.append
     while stack:
         state = stack.pop()
@@ -1017,22 +997,53 @@ def remove_states(aut: ModalAutomaton, dead: Iterable[StateId]) -> ModalAutomato
     deleted states as well; otherwise :class:`EmptiedMustError` is raised
     rather than the must repaired.  When none of ``dead`` is a state of
     ``aut``, ``aut`` itself is returned.
+
+    Every edge that touches no deleted state is kept as the same object,
+    and a must is rebuilt only when a target died.  When ``aut`` holds its
+    sorted musts already, as the inconsistency fixpoint leaves them, the
+    result gets its own from them: only a (source, label) run in which a
+    target set shrank is sorted again, its musts that became equal merged
+    into one, as the must set merges them.
     """
     dead = frozenset(dead)
     if dead.isdisjoint(aut.states):
         return aut
     keep = aut.states - dead
-    may = frozenset((s, l, t) for s, l, t in aut.may if s in keep and t in keep)
-    must = set()
-    for s, l, T in aut.must:
-        if s not in keep:
+    may = frozenset([edge for edge in aut.may
+                     if edge[0] in keep and edge[2] in keep])
+    in_order = aut.__dict__.get("sorted_must")
+    kept = []
+    shrunk = []  # where each must that lost a target stands in ``kept``
+    for edge in in_order or aut.must:
+        src, label, targets = edge
+        if src not in keep:
             continue
-        T2 = frozenset(T - dead)
-        if not T2:
-            raise EmptiedMustError(
-                f"pruning emptied must {s} -{l}-> at a surviving state")
-        must.add((s, l, T2))
-    return replace(aut, states=keep, may=may, must=frozenset(must))
+        if not targets.isdisjoint(dead):
+            targets = targets - dead
+            if not targets:
+                raise EmptiedMustError(
+                    f"pruning emptied must {src} -{label}-> at a surviving state")
+            edge = (src, label, targets)
+            if edge in aut.must:
+                continue  # a must kept as it is already
+            shrunk.append(len(kept))
+        kept.append(edge)
+    pruned = replace(aut, states=keep, may=may, must=frozenset(kept))
+    if in_order is not None:
+        # sort each run holding a shrunk must again, from the last run on
+        end = len(kept)
+        for at in reversed(shrunk):
+            if at < end:
+                run = kept[at][:2]
+                lo = hi = at
+                while lo and kept[lo - 1][:2] == run:
+                    lo -= 1
+                while hi + 1 < end and kept[hi + 1][:2] == run:
+                    hi += 1
+                kept[lo:hi + 1] = sorted({*kept[lo:hi + 1]}, key=_must_key)
+                end = lo
+        pruned.__dict__["sorted_must"] = tuple(kept)
+    return pruned
 
 
 def restrict_reachable(aut: ModalAutomaton) -> ModalAutomaton:

@@ -283,6 +283,34 @@ def test_failed_stdout_write_exit_2(command, files, monkeypatch, capsys):
     assert capsys.readouterr().err == f"<stdout>: {os.strerror(errno.ENOSPC)}\n"
 
 
+class _CountingStdout(io.StringIO):
+    """A stdout that counts the writes it is given."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compose", "refused_sender.mia", "refused_receiver.mia",
+      "--emit-pruned-set"], 3),
+    (["refine", "fig06_q.mia", "fig06_p.mia", "--witness"], 0),
+])
+def test_listings_are_written_once(argv, code, monkeypatch, capsys):
+    command, *paths = argv
+    args = [command] + [a if a.startswith("--") else str(CORPUS / a) for a in paths]
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(args) == code
+    assert stdout.writes == 1 and stdout.getvalue().count("\n") > 2
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"<stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_failed_stderr_write_keeps_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stderr", _FullStdout())
     assert main(["validate", "no-such-file.mia"]) == 2
@@ -454,6 +482,17 @@ def test_products_of_results_print_their_golden(argv, golden, capsys):
     command, *paths = argv
     args = [command] + [a if a.startswith("--") else str(CORPUS / a) for a in paths]
     assert main(args) == 0
+    assert capsys.readouterr() == (golden_text(f"cli/{golden}"), "")
+
+
+@pytest.mark.parametrize("path, golden", [
+    ("golden/fig10_disj.mia", "fig10_disj_dot.out"),
+    ("fig11_r.mia", "fig11_r_dot.out"),
+])
+def test_dot_prints_its_golden(path, golden, capsys):
+    # fig10_disj: a disjunctive input must, input mays it covers, and ``|``
+    # in state names; fig11_r: an output disjunctive must over its mays.
+    assert main(["dot", str(CORPUS / path)]) == 0
     assert capsys.readouterr() == (golden_text(f"cli/{golden}"), "")
 
 

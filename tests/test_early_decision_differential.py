@@ -185,22 +185,58 @@ def rule_calls(monkeypatch):
 
 @pytest.fixture()
 def walks(monkeypatch):
-    """Every ``explore_pairs`` call: its ``first`` argument, its result,
+    """Every ``explore_pairs`` call: the walk it went on from, its result,
     and how often its rule ran on each pair."""
     seen = []
     real = mia_ops.explore_pairs
 
-    def spy(ids, initial, rule, *args, first=None, **kwargs):
+    def spy(ids, initial, rule, *args, walk=None, **kwargs):
         calls = Counter()
 
         def counted(state):
             calls[state] += 1
             return rule(state)
-        result = real(ids, initial, counted, *args, first=first, **kwargs)
-        seen.append((first, result, calls))
+        result = real(ids, initial, counted, *args, walk=walk, **kwargs)
+        seen.append((walk, result, calls))
         return result
     monkeypatch.setattr(mia_ops, "explore_pairs", spy)
     return seen
+
+
+@pytest.fixture()
+def par_runs(monkeypatch):
+    """Every parallel run, and how often its rule ran on each pair."""
+    runs = []
+    real = mia_ops._ParallelRun.__init__
+
+    def init(run, *args):
+        real(run, *args)
+        rule, calls = run.rule, Counter()
+
+        def counted(state):
+            calls[state] += 1
+            return rule(state)
+        run.rule = counted
+        runs.append((run, calls))
+    monkeypatch.setattr(mia_ops._ParallelRun, "__init__", init)
+    return runs
+
+
+@pytest.fixture()
+def error_tests(monkeypatch):
+    """How often the error rule tested each pair."""
+    tests = Counter()
+    real = mia_ops._error_rule
+
+    def counted_rule(p1, p2):
+        error = real(p1, p2)
+
+        def counted(state):
+            tests[state] += 1
+            return error(state)
+        return counted
+    monkeypatch.setattr(mia_ops, "_error_rule", counted_rule)
+    return tests
 
 
 def _counting(monkeypatch, name: str) -> list:
@@ -286,49 +322,45 @@ def test_a_defined_conjunction_runs_each_pair_rule_once(
 @pytest.mark.parametrize("compose", (ia_ops.ia_parallel_compose,
                                      mia_ops.mia_parallel_compose))
 def test_a_refused_composition_builds_the_product_only_when_read(
-        workloads, monkeypatch, walks, compose):
+        workloads, monkeypatch, walks, par_runs, error_tests, compose):
     checks = _counting(monkeypatch, "_incompatible")
     flavor = IA if compose is ia_ops.ia_parallel_compose else MIA
     p1, p2 = workloads.compose_pair(flavor, "refused", 50, 50,
                                     random.Random("early-pin"))
     comp = compose(p1, p2)
     assert not comp.compatible
-    assert checks == []
-    [(first, result, calls)] = walks
-    assert first is not None and result is None
+    assert checks == [] and walks == []
+    [(run, calls)] = par_runs
     # the rule ran once on each pair the walk tested before the error
-    explored = first[2]
-    assert calls == Counter(explored[:len(calls)])
+    assert calls == Counter(run.tested)
+    assert error_tests == Counter([*run.tested, *run.found])
     incompat = comp.incompatibility
-    assert len(checks) == 1 and len(walks) == 2
-    assert walks[1][0] is None
-    assert len(calls) < len(comp.product.states)
+    assert len(checks) == 1 and len(walks) == 1
+    # the product went on from the stopped walk: no pair was tested or
+    # had its rule run twice
+    [(walk, _, _)] = walks
+    states = comp.product.states
+    assert walk is not None and run.walk is None
+    assert calls == Counter(states) and error_tests == Counter(states)
+    assert len(run.tested) < len(states)
     assert comp.product.initial in incompat.incompatible
-    assert len(checks) == 1 and len(walks) == 2  # read again, built once
+    assert incompat.provenance.items() >= run.found.items()
+    assert len(checks) == 1 and len(walks) == 1  # read again, built once
 
 
 @pytest.mark.parametrize("compose", (ia_ops.ia_parallel_compose,
                                      mia_ops.mia_parallel_compose))
 def test_a_compatible_composition_tests_each_pair_once(
-        workloads, monkeypatch, walks, compose):
-    tests = Counter()
-    real = mia_ops._error_rule
-
-    def counted_rule(p1, p2):
-        error = real(p1, p2)
-
-        def counted(state):
-            tests[state] += 1
-            return error(state)
-        return counted
-    monkeypatch.setattr(mia_ops, "_error_rule", counted_rule)
+        workloads, walks, par_runs, error_tests, compose):
     flavor = IA if compose is ia_ops.ia_parallel_compose else MIA
     p1, p2 = workloads.compose_pair(flavor, "compatible", 50, 50,
                                     random.Random("early-pin"))
     comp = compose(p1, p2)
     assert comp.compatible
-    [(first, _, calls)] = walks
+    [(walk, _, _)] = walks
+    [(run, calls)] = par_runs
     states = comp.product.states
-    assert calls == Counter(states) and tests == Counter(states)
+    assert walk is not None
+    assert calls == Counter(states) and error_tests == Counter(states)
     # the walk tested the autonomous closure, and it is not all of it
-    assert 0 < len(first[2]) < len(states)
+    assert 0 < len(run.tested) < len(states)
