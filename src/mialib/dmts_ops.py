@@ -12,8 +12,8 @@ absent for this flavor.
 from __future__ import annotations
 
 from .mia_ops import (Conjunction, ConjunctiveProduct, InconsistencySet,
-                      _conj_product, _conjoin, _ConjunctiveRun, _disjoin,
-                      _inconsistent, is_mia_witness)
+                      _conjoin, _ConjunctiveRun, _disjoin, _inconsistent,
+                      is_mia_witness)
 from .model import DMTS, ModalAutomaton
 
 
@@ -24,7 +24,7 @@ def dmts_conj_product(p: ModalAutomaton, q: ModalAutomaton, *,
     the pairs reachable from the initial one.  ``run``, begun by
     :func:`dmts_conjoin` over ``p`` and ``q``, is finished in place of a
     fresh one."""
-    return _conj_product(p, q, DMTS, reachable, run)
+    return (run or _ConjunctiveRun(p, q, DMTS, reachable)).product()
 
 
 def dmts_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:

@@ -14,7 +14,7 @@ may" coincide on inputs, so the MIA error rule and pruning are the IA ones.
 from __future__ import annotations
 
 from .mia_ops import (Composition, IncompatibilitySet, _incompatible,
-                      _parallel_compose, _parallel_product, _ParallelRun)
+                      _parallel_compose, _ParallelRun)
 from .model import (IA, TAU, IdTable, ModalAutomaton, StateId, explore_pairs,
                     product_operands, require_operands, vee_id, wedge_id)
 
@@ -95,10 +95,11 @@ def ia_disjoin(p: ModalAutomaton, q: ModalAutomaton, *,
 
 def ia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, *,
                         run: _ParallelRun | None = None) -> ModalAutomaton:
-    """Synchronized product; matched actions become silent transitions.
-    ``run``, begun by :func:`ia_parallel_compose` over ``p1`` and ``p2``,
-    is finished in place of a fresh one."""
-    return _parallel_product(p1, p2, IA, run)
+    """Synchronized product over the pairs reachable from the initial
+    pair; matched actions become silent transitions.  ``run``, begun by
+    :func:`ia_parallel_compose` over ``p1`` and ``p2``, is finished in
+    place of a fresh one."""
+    return (run or _ParallelRun(p1, p2, IA)).product()
 
 
 def ia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,

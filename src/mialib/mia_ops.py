@@ -140,26 +140,101 @@ class _ConjunctiveRun:
     """A conjunctive product in the making, over the full pair space or,
     with ``reachable``, over the pairs reachable from the initial pair.
 
-    It holds the operands as :func:`product_operands` renames them, their
-    id table, the pair rule with the ``pairs`` and ``unmatched`` maps the
-    rule fills, and in ``known`` the rule's result for every pair explored
-    so far.  The table builds a pair's id on first lookup unless the
-    operands' names could collide with one; :meth:`root_inconsistent`
-    explores from the initial pair along must targets, and :meth:`product`
-    completes the table for a full product, then builds the whole product
-    and calls the rule on no pair twice.  A dMTS has no inputs, so its
-    product is the pair part alone; a MIA product also carries the
-    components its input escapes lead to.
+    The run checks its operands and holds them, as
+    :func:`product_operands` renames them, in ``left`` and ``right``; their
+    id table in ``ids``; the pair rule in ``rule``, with the ``pairs`` and
+    ``unmatched`` maps the rule fills; and in ``known`` the rule's result
+    for every pair explored so far.  The id table is the one a
+    ``reachable`` product gets, for a full product too, so it builds a
+    pair's id on first lookup unless the operands' names could collide
+    with one.  :meth:`root_inconsistent` explores from the initial pair
+    along must targets, and :meth:`product` completes the table for a full
+    product, then builds the whole product and calls the rule on no pair
+    twice.  A dMTS has no inputs, so its product is the pair part alone; a
+    MIA product also carries the components its input escapes lead to.
     """
 
-    def __init__(self, flavor: str, reachable: bool, left: ModalAutomaton,
-                 right: ModalAutomaton, ids: dict, rule, pairs: dict,
-                 unmatched: dict):
+    def __init__(self, p: ModalAutomaton, q: ModalAutomaton, flavor: str,
+                 reachable: bool):
+        require_operands(p, q, flavor)
+        p, q, ids = product_operands(p, q, pair_id, True)
         self.flavor, self.reachable = flavor, reachable
-        self.left, self.right, self.ids = left, right, ids
-        self.initial = ids[left.initial, right.initial]
-        self.rule, self.pairs, self.unmatched = rule, pairs, unmatched
+        self.left, self.right, self.ids = p, q, ids
+        self.initial = ids[p.initial, q.initial]
         self.known: dict = {}
+        pairs = self.pairs = {}
+        unmatched = self.unmatched = {}
+        inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
+        silent_or_outputs = outputs | {TAU}
+
+        def row_of(aut: ModalAutomaton):
+            """Each state's facts that need no partner: its must row and
+            weak row, the labels of its output musts and of its input musts,
+            and the labels of its weak entries on outputs and tau, in row
+            order."""
+            weak = aut.weak
+
+            def row(state: StateId):
+                musts = aut.must_row(state)
+                weak_row = weak.row(state)
+                return (musts, weak_row,
+                        tuple([o for o in musts if o in outputs]),
+                        tuple([i for i in musts if i in inputs]),
+                        tuple([a for a in weak_row if a in silent_or_outputs]))
+            return IdTable(row)
+
+        p_rows, q_rows = row_of(p), row_of(q)
+
+        def rule(state: StateId):
+            ps, qs = pairs[state] = state.parts
+            p_musts, p_weak, p_out, p_in, p_auto = p_rows[ps]
+            q_musts, q_weak, q_out, q_in, _ = q_rows[qs]
+            mays, musts = [], []
+            # Rows list their labels in text order, so F1 and F2 each record
+            # the smallest unmatched output.
+            for o in p_out:                                  # (OMust1)
+                partners = q_weak.get(o)
+                if partners:
+                    musts += [(o, frozenset([ids[pt, qt] for pt in p_targets
+                                             for qt in partners]))
+                              for p_targets in p_musts[o]]
+                else:                                        # (F1)
+                    unmatched.setdefault(state, ("F1", o))
+            for o in q_out:                                  # (OMust2)
+                partners = p_weak.get(o)
+                if partners:
+                    musts += [(o, frozenset([ids[pt, qt] for pt in partners
+                                             for qt in q_targets]))
+                              for q_targets in q_musts[o]]
+                else:                                        # (F2)
+                    unmatched.setdefault(state, ("F2", o))
+            # A valid MIA state has at most one must per input, and its input
+            # mays are exactly that must's targets.  So a side has input mays
+            # just when it has the must, and (IMay1)-(IMay3) allow exactly the
+            # targets (IMust1)-(IMust3) require.
+            for i in p_in:
+                targets = p_musts[i][0]
+                q_sets = q_musts.get(i)
+                if q_sets:                                   # (IMust3)
+                    targets = frozenset([ids[pt, qt] for pt in targets
+                                         for qt in q_sets[0]])
+                musts.append((i, targets))                   # (IMust1)
+                mays += [(i, t) for t in targets]
+            for i in q_in:
+                if i not in p_musts:                         # (IMust2)
+                    targets = q_musts[i][0]
+                    musts.append((i, targets))
+                    mays += [(i, t) for t in targets]
+            mays += [(TAU, ids[pt, qs]) for pt in p_weak.get(TAU, ())]  # (May1)
+            mays += [(TAU, ids[ps, qt]) for qt in q_weak.get(TAU, ())]  # (May2)
+            for alpha in p_auto:                             # (May3)
+                q_succ = q_weak.get(alpha)
+                if q_succ:
+                    mays += [(alpha, ids[pt, qt])
+                             for pt in p_weak[alpha] for qt in q_succ]
+            return mays, musts
+
+        self.rule = rule
 
     def root_inconsistent(self) -> bool:
         """Whether the initial pair is inconsistent, by a local run of the
@@ -237,97 +312,6 @@ class _ConjunctiveRun:
                                    p.alphabet, states, self.initial, may, must)
         return ConjunctiveProduct(automaton=automaton, left=p, right=q,
                                   pairs=self.pairs, unmatched=self.unmatched)
-
-
-def _conj_rule(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
-               reachable: bool) -> _ConjunctiveRun:
-    """The conjunctive product's pair rule, in a run that has explored
-    nothing yet.  The id table is the one a ``reachable`` product gets, for
-    a full product too, so the run's first pairs get ids on first lookup."""
-    require_operands(p, q, flavor)
-    p, q, ids = product_operands(p, q, pair_id, True)
-    inputs, outputs = p.alphabet.inputs, p.alphabet.outputs
-    silent_or_outputs = outputs | {TAU}
-    pairs: dict = {}
-    unmatched: dict = {}
-
-    def row_of(aut: ModalAutomaton):
-        """Each state's facts that need no partner: its must row and weak
-        row, the labels of its output musts and of its input musts, and the
-        labels of its weak entries on outputs and tau, in row order."""
-        weak = aut.weak
-
-        def row(state: StateId):
-            musts = aut.must_row(state)
-            weak_row = weak.row(state)
-            return (musts, weak_row,
-                    tuple([o for o in musts if o in outputs]),
-                    tuple([i for i in musts if i in inputs]),
-                    tuple([a for a in weak_row if a in silent_or_outputs]))
-        return IdTable(row)
-
-    p_rows, q_rows = row_of(p), row_of(q)
-
-    def rule(state: StateId):
-        ps, qs = pairs[state] = state.parts
-        p_musts, p_weak, p_out, p_in, p_auto = p_rows[ps]
-        q_musts, q_weak, q_out, q_in, _ = q_rows[qs]
-        mays, musts = [], []
-        # Rows list their labels in text order, so F1 and F2 each record
-        # the smallest unmatched output.
-        for o in p_out:                                  # (OMust1)
-            partners = q_weak.get(o)
-            if partners:
-                musts += [(o, frozenset([ids[pt, qt] for pt in p_targets
-                                         for qt in partners]))
-                          for p_targets in p_musts[o]]
-            else:                                        # (F1)
-                unmatched.setdefault(state, ("F1", o))
-        for o in q_out:                                  # (OMust2)
-            partners = p_weak.get(o)
-            if partners:
-                musts += [(o, frozenset([ids[pt, qt] for pt in partners
-                                         for qt in q_targets]))
-                          for q_targets in q_musts[o]]
-            else:                                        # (F2)
-                unmatched.setdefault(state, ("F2", o))
-        # A valid MIA state has at most one must per input, and its input
-        # mays are exactly that must's targets.  So a side has input mays
-        # just when it has the must, and (IMay1)-(IMay3) allow exactly the
-        # targets (IMust1)-(IMust3) require.
-        for i in p_in:
-            targets = p_musts[i][0]
-            q_sets = q_musts.get(i)
-            if q_sets:                                   # (IMust3)
-                targets = frozenset([ids[pt, qt] for pt in targets
-                                     for qt in q_sets[0]])
-            musts.append((i, targets))                   # (IMust1)
-            mays += [(i, t) for t in targets]
-        for i in q_in:
-            if i not in p_musts:                         # (IMust2)
-                targets = q_musts[i][0]
-                musts.append((i, targets))
-                mays += [(i, t) for t in targets]
-        mays += [(TAU, ids[pt, qs]) for pt in p_weak.get(TAU, ())]   # (May1)
-        mays += [(TAU, ids[ps, qt]) for qt in q_weak.get(TAU, ())]   # (May2)
-        for alpha in p_auto:                             # (May3)
-            q_succ = q_weak.get(alpha)
-            if q_succ:
-                mays += [(alpha, ids[pt, qt])
-                         for pt in p_weak[alpha] for qt in q_succ]
-        return mays, musts
-
-    return _ConjunctiveRun(flavor, reachable, p, q, ids, rule, pairs, unmatched)
-
-
-def _conj_product(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
-                  reachable: bool = False,
-                  run: _ConjunctiveRun | None = None) -> ConjunctiveProduct:
-    """Conjunctive product over the full pair space, or with ``reachable``
-    over the pairs reachable from the initial pair.  ``run``, begun by a
-    conjunction over ``p`` and ``q``, is finished in place of a fresh one.
-    """
-    return (run or _conj_rule(p, q, flavor, reachable)).product()
 
 
 def _inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
@@ -415,7 +399,7 @@ def _conjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
     """Decide the initial pair first; build, fix and prune the product
     with ``product_of`` and ``inconsistent_of`` only when it is
     consistent, and otherwise when the result's fields are first read."""
-    run = _conj_rule(p, q, flavor, reachable)
+    run = _ConjunctiveRun(p, q, flavor, reachable)
 
     def parts():
         product = product_of(p, q, reachable=reachable, run=run)
@@ -428,10 +412,12 @@ def _conjoin(p: ModalAutomaton, q: ModalAutomaton, flavor: str,
 def mia_conj_product(p: ModalAutomaton, q: ModalAutomaton, *,
                      reachable: bool = False,
                      run: _ConjunctiveRun | None = None) -> ConjunctiveProduct:
-    """Conjunctive product; carries the component automata alongside pairs.
-    ``run``, begun by :func:`mia_conjoin` over ``p`` and ``q``, is finished
-    in place of a fresh one."""
-    return _conj_product(p, q, MIA, reachable, run)
+    """Conjunctive product over the full pair space, or with ``reachable``
+    over the pairs reachable from the initial pair; it carries the
+    component automata alongside the pairs.  ``run``, begun by
+    :func:`mia_conjoin` over ``p`` and ``q``, is finished in place of a
+    fresh one."""
+    return (run or _ConjunctiveRun(p, q, MIA, reachable)).product()
 
 
 def mia_inconsistent(product: ConjunctiveProduct) -> InconsistencySet:
@@ -526,19 +512,64 @@ class _ParallelRun:
     """A parallel product in the making, over the pairs reachable from the
     initial pair.
 
-    It holds the operands, the product's alphabet, the pair rule and the
-    id table the rule fills.  :meth:`refused` walks the pairs the initial
-    pair reaches by output and silent steps first, tests each with the
-    rule of :func:`_error_rule` and stops at the first error; it keeps
-    that rule in ``error``, the pairs it found free of errors in
-    ``tested``, the error it stopped at in ``found``, and its walk, which
-    :meth:`product` goes on from, so no pair is tested twice and no pair's
-    rule runs twice.  A run that has not walked builds the whole product.
+    The run checks its operands and holds them, the product's alphabet,
+    the pair rule in ``rule`` and the id table the rule fills in ``ids``.
+    Matched actions become silent mays; unmatched musts lift componentwise,
+    so the product of two IAs keeps its inputs as singleton musts.
+    :meth:`refused` walks the pairs the initial pair reaches by output and
+    silent steps first, tests each with the rule of :func:`_error_rule`
+    and stops at the first error; it keeps that rule in ``error``, the
+    pairs it found free of errors in ``tested``, the error it stopped at in
+    ``found``, and its walk, which :meth:`product` goes on from, so no pair
+    is tested twice and no pair's rule runs twice.  A run that has not
+    walked builds the whole product.
     """
 
-    def __init__(self, flavor: str, p1: ModalAutomaton, p2: ModalAutomaton,
-                 alphabet: Alphabet, ids: IdTable, rule):
-        self.flavor, self.p1, self.p2, self.alphabet = flavor, p1, p2, alphabet
+    def __init__(self, p1: ModalAutomaton, p2: ModalAutomaton, flavor: str):
+        require_flavor(p1, flavor)
+        require_flavor(p2, flavor)
+        _require_closed(p1)
+        _require_closed(p2)
+        inputs, outputs = composed_alphabets(p1, p2)
+        ids = IdTable(_pair_of)
+
+        def row_of(aut: ModalAutomaton, shared: frozenset[str]):
+            """Each state's may row, its may labels the partner does not
+            share and those it does, and its musts on the former."""
+
+            def row(state: StateId):
+                mays = aut.may_row(state)
+                return (mays, tuple([a for a in mays if a not in shared]),
+                        tuple([a for a in mays if a in shared]),
+                        [(a, targets) for a, sets in aut.must_row(state).items()
+                         if a not in shared for targets in sets] or ())
+            return IdTable(row)
+
+        rows1 = row_of(p1, p2.alphabet.actions)
+        rows2 = row_of(p2, p1.alphabet.actions)
+
+        def rule(state: StateId):
+            s1, s2 = state.parts
+            row1, own1, shared1, musts1 = rows1[s1]
+            row2, own2, _, musts2 = rows2[s2]
+            musts = [(a, frozenset([ids[t, s2] for t in targets]))   # (Must1)
+                     for a, targets in musts1]
+            musts += [(a, frozenset([ids[s1, t] for t in targets]))  # (Must2)
+                      for a, targets in musts2]
+            mays = []
+            for alpha in own1:                               # (May1)
+                mays += [(alpha, ids[t1, s2]) for t1 in row1[alpha]]
+            for alpha in own2:                               # (May2)
+                mays += [(alpha, ids[s1, t2]) for t2 in row2[alpha]]
+            for alpha in shared1:                            # (May3)
+                ends2 = row2.get(alpha)
+                if ends2:
+                    mays += [(TAU, ids[t1, t2])
+                             for t1 in row1[alpha] for t2 in ends2]
+            return mays, musts
+
+        self.flavor, self.p1, self.p2 = flavor, p1, p2
+        self.alphabet = Alphabet(inputs, outputs)
         self.ids, self.rule = ids, rule
         self.initial = ids[p1.initial, p2.initial]
         self.error = None
@@ -600,67 +631,6 @@ class _ParallelRun:
         p1, p2 = self.p1, self.p2
         return ModalAutomaton(self.flavor, f"{p1.name}_x_{p2.name}",
                               self.alphabet, states, self.initial, may, must)
-
-
-def _par_rule(p1: ModalAutomaton, p2: ModalAutomaton,
-              flavor: str) -> _ParallelRun:
-    """The parallel product's pair rule, in a run that has explored
-    nothing yet.
-
-    Matched actions become silent mays; unmatched musts lift componentwise,
-    so the product of two IAs keeps its inputs as singleton musts.
-    """
-    require_flavor(p1, flavor)
-    require_flavor(p2, flavor)
-    _require_closed(p1)
-    _require_closed(p2)
-    inputs, outputs = composed_alphabets(p1, p2)
-    ids = IdTable(_pair_of)
-
-    def row_of(aut: ModalAutomaton, shared: frozenset[str]):
-        """Each state's may row, its may labels the partner does not share
-        and those it does, and its musts on the former."""
-
-        def row(state: StateId):
-            mays = aut.may_row(state)
-            return (mays, tuple([a for a in mays if a not in shared]),
-                    tuple([a for a in mays if a in shared]),
-                    [(a, targets) for a, sets in aut.must_row(state).items()
-                     if a not in shared for targets in sets] or ())
-        return IdTable(row)
-
-    rows1 = row_of(p1, p2.alphabet.actions)
-    rows2 = row_of(p2, p1.alphabet.actions)
-
-    def rule(state: StateId):
-        s1, s2 = state.parts
-        row1, own1, shared1, musts1 = rows1[s1]
-        row2, own2, _, musts2 = rows2[s2]
-        musts = [(a, frozenset([ids[t, s2] for t in targets]))   # (Must1)
-                 for a, targets in musts1]
-        musts += [(a, frozenset([ids[s1, t] for t in targets]))  # (Must2)
-                  for a, targets in musts2]
-        mays = []
-        for alpha in own1:                               # (May1)
-            mays += [(alpha, ids[t1, s2]) for t1 in row1[alpha]]
-        for alpha in own2:                               # (May2)
-            mays += [(alpha, ids[s1, t2]) for t2 in row2[alpha]]
-        for alpha in shared1:                            # (May3)
-            ends2 = row2.get(alpha)
-            if ends2:
-                mays += [(TAU, ids[t1, t2])
-                         for t1 in row1[alpha] for t2 in ends2]
-        return mays, musts
-
-    return _ParallelRun(flavor, p1, p2, Alphabet(inputs, outputs), ids, rule)
-
-
-def _parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
-                      run: _ParallelRun | None = None) -> ModalAutomaton:
-    """Product over the pairs reachable from the initial pair.  ``run``,
-    begun by a composition over ``p1`` and ``p2``, is finished in place of
-    a fresh one."""
-    return (run or _par_rule(p1, p2, flavor)).product()
 
 
 def _error_rule(p1: ModalAutomaton, p2: ModalAutomaton):
@@ -777,7 +747,7 @@ def _parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
     ``product_of`` and ``incompatible_of``, which go on from that walk,
     when it does not, and otherwise when the result's fields are first
     read."""
-    run = _par_rule(p1, p2, flavor)
+    run = _ParallelRun(p1, p2, flavor)
 
     def parts():
         product = product_of(p1, p2, run=run)
@@ -789,10 +759,10 @@ def _parallel_compose(p1: ModalAutomaton, p2: ModalAutomaton, flavor: str,
 
 def mia_parallel_product(p1: ModalAutomaton, p2: ModalAutomaton, *,
                          run: _ParallelRun | None = None) -> ModalAutomaton:
-    """Product over reachable pairs; musts lift componentwise.  ``run``,
-    begun by :func:`mia_parallel_compose` over ``p1`` and ``p2``, is
-    finished in place of a fresh one."""
-    return _parallel_product(p1, p2, MIA, run)
+    """Product over the pairs reachable from the initial pair; musts lift
+    componentwise.  ``run``, begun by :func:`mia_parallel_compose` over
+    ``p1`` and ``p2``, is finished in place of a fresh one."""
+    return (run or _ParallelRun(p1, p2, MIA)).product()
 
 
 def mia_incompatible(product: ModalAutomaton, p1: ModalAutomaton,

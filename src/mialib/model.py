@@ -124,7 +124,10 @@ class StateId(str):
     a disjunction ``l|r`` or a tagged id ``l@T`` (used both for disjoint
     renaming and for universal states ``u@Name``).  ``kind`` and ``parts``
     keep that structure, and distinct structures render to distinct
-    strings.
+    strings.  Each kind has one renderer: :func:`_render` for atoms and
+    tags, and :func:`_pair_of`, :func:`_wedge_of` and :func:`_vee_of`, the
+    builders the products key by component pair, for the other three;
+    ``StateId(kind, parts)`` hands those kinds to their builder.
 
     The id is a ``str`` whose value is its canonical text, so it hashes,
     compares and sorts exactly as that text does, with the built-in string
@@ -142,6 +145,8 @@ class StateId(str):
     TAG = "tag"
 
     def __new__(cls, kind: str, parts: tuple):
+        if kind in _COMPOSITES:
+            return _COMPOSITES[kind](parts)
         text = _render(kind, parts)
         self = str.__new__(cls, text)
         _set_kind(self, kind)
@@ -166,29 +171,16 @@ _set_parts = StateId.parts.__set__
 _set_text = StateId.text.__set__
 
 
-def _wrap(child: StateId) -> str:
-    # Wedge/vee children need grouping parentheses; pairs, tags and atoms
-    # are self-delimiting.
-    if child.kind in (StateId.WEDGE, StateId.VEE):
-        return f"({child.text})"
-    return child.text
-
-
 def _render(kind: str, parts: tuple) -> str:
+    """The text of an atom or a tagged id.  Pair, wedge and vee ids have
+    one builder each, below, which ``StateId.__new__`` hands them to."""
     if kind == StateId.ATOM:
         return parts[0]
-    if kind == StateId.PAIR:
-        left, right = parts
-        return f"({left.text},{right.text})"
-    if kind == StateId.WEDGE:
-        left, right = parts
-        return f"{_wrap(left)}&{_wrap(right)}"
-    if kind == StateId.VEE:
-        left, right = parts
-        return f"{_wrap(left)}|{_wrap(right)}"
     if kind == StateId.TAG:
         inner, tag = parts
-        return f"{_wrap(inner)}@{tag}"
+        if inner.kind in _GROUPED:  # wedge and vee ids are grouped
+            return f"({inner.text})@{tag}"
+        return f"{inner.text}@{tag}"
     raise ValueError(f"unknown state id kind {kind!r}")
 
 
@@ -196,8 +188,9 @@ def atom(name: str) -> StateId:
     return StateId(StateId.ATOM, (name,))
 
 
-# The products build ids straight from their component pair: the text is
-# rendered here and the slots filled without ``StateId.__new__``'s dispatch.
+# Pair, wedge and vee ids are built here from their component pair, for the
+# products and for ``StateId.__new__`` alike: the text is rendered and the
+# slots filled without ``__new__``'s dispatch.
 _new_str = str.__new__
 _GROUPED = (StateId.WEDGE, StateId.VEE)
 
@@ -231,6 +224,8 @@ def _junction_of(kind: str, mark: str):
 
 _wedge_of = _junction_of(StateId.WEDGE, "&")
 _vee_of = _junction_of(StateId.VEE, "|")
+_COMPOSITES = {StateId.PAIR: _pair_of, StateId.WEDGE: _wedge_of,
+               StateId.VEE: _vee_of}
 
 
 def pair_id(left: StateId, right: StateId) -> StateId:

@@ -43,3 +43,40 @@ def weak_hat_succ(weak: WeakClosure, state: StateId, alpha: str) -> frozenset[St
 def can_weak(weak: WeakClosure, state: StateId, label: str) -> bool:
     """Whether ``state`` has a weak ``label`` step."""
     return label in weak.row(state)
+
+
+# The private names of the operator modules (``mialib.mia_ops``,
+# ``mialib.ia_ops`` and ``mialib.dmts_ops``) that a test file may import,
+# read as ``module._name`` or patch, each with its reason.  Every other use
+# goes through the public product, fixpoint and operator functions, so the
+# operators' inner steps can change without touching the tests;
+# ``tests/test_private_names.py`` fails on a use not granted here, and on a
+# grant no longer used.
+_EAGER_PRUNE = ("the eager reference prunes the whole product with the "
+                "library's own pass, as the operator did before it decided "
+                "early")
+PRIVATE_OPERATOR_NAMES = {
+    "test_early_decision_differential.py": {
+        "mia_ops._prune": _EAGER_PRUNE,
+        "mia_ops._prune_incompatible": _EAGER_PRUNE,
+        "mia_ops._ConjunctiveRun": "work pins: each pair's rule runs once, "
+                                   "and a root decision builds only the ids "
+                                   "its edges name",
+        "mia_ops._ParallelRun": "work pins: each pair's rule runs once, and "
+                                "a refused product goes on from the walk",
+        "mia_ops._error_rule": "work pin: each pair is tested for an error "
+                               "once",
+    },
+    "test_passes_differential.py": {
+        "mia_ops._prune": _EAGER_PRUNE,
+        "mia_ops._error_rule": "the frozen former closure, "
+                               "``old_incompatible``, tests every pair with "
+                               "the library's error rule",
+    },
+    "test_products_differential.py": {
+        "mia_ops._prune": _EAGER_PRUNE,
+        "mia_ops._prune_incompatible": _EAGER_PRUNE,
+        "mia_ops._pair_of": "work pin: a parallel product builds an id for "
+                            "the pairs it reaches and no other",
+    },
+}

@@ -485,6 +485,19 @@ def test_products_of_results_print_their_golden(argv, golden, capsys):
     assert capsys.readouterr() == (golden_text(f"cli/{golden}"), "")
 
 
+@pytest.mark.parametrize("left, right, golden, err", [
+    ("refused_sender.mia", "refused_receiver.mia", "refused_compose_product.out",
+     "automata are incompatible (initial state pruned)\n"),
+    ("fig08_p.mia", "fig08_q.mia", "fig08_compose_product.out", ""),
+])
+def test_compose_emits_its_golden_product(left, right, golden, err, capsys):
+    # refused: the product a refused composition builds on from its
+    # stopped walk; fig08: the product, then the pruned composition.
+    argv = ["compose", str(CORPUS / left), str(CORPUS / right), "--emit-product"]
+    assert main(argv) == (3 if err else 0)
+    assert capsys.readouterr() == (golden_text(f"cli/{golden}"), err)
+
+
 @pytest.mark.parametrize("path, golden", [
     ("golden/fig10_disj.mia", "fig10_disj_dot.out"),
     ("fig11_r.mia", "fig11_r_dot.out"),

@@ -2,9 +2,9 @@
 undefined result from the initial pair, against the eager path.
 
 The reference builds the whole product, then its fixpoint, then prunes:
-``_conj_product``, ``_inconsistent`` and ``_prune`` for a conjunction,
-``_parallel_product``, ``_incompatible`` and ``_prune_incompatible`` for a
-composition.  On seeded operands of 20-300 states per side from the
+``*_conj_product``, ``*_inconsistent`` and ``_prune`` for a conjunction,
+``*_parallel_product``, ``*_incompatible`` and ``_prune_incompatible`` for
+a composition.  On seeded operands of 20-300 states per side from the
 benchmark's generators, and on testkit pairs, the verdict and every field
 a result builds on first access must equal the reference: the product
 with its ``pairs`` and ``unmatched``, the inconsistency or
@@ -23,20 +23,25 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mialib import dmts_ops, ia_ops, mia_ops
-from mialib.mia_ops import (_conj_product, _inconsistent, _incompatible,
-                            _parallel_product, _prune, _prune_incompatible)
+from mialib.mia_ops import _prune, _prune_incompatible
 from mialib.model import DMTS, IA, MIA, atom, make_automaton
 from mialib.testkit import gen_composable_pair, gen_pair
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 CONJOIN = {DMTS: dmts_ops.dmts_conjoin, MIA: mia_ops.mia_conjoin}
 COMPOSE = {IA: ia_ops.ia_parallel_compose, MIA: mia_ops.mia_parallel_compose}
+CONJ_PRODUCT = {DMTS: dmts_ops.dmts_conj_product, MIA: mia_ops.mia_conj_product}
+INCONSISTENT = {DMTS: dmts_ops.dmts_inconsistent, MIA: mia_ops.mia_inconsistent}
+PARALLEL_PRODUCT = {IA: ia_ops.ia_parallel_product,
+                    MIA: mia_ops.mia_parallel_product}
+INCOMPATIBLE = {IA: ia_ops.ia_incompatible, MIA: mia_ops.mia_incompatible}
 SIZES = ((20, 30), (80, 50), (300, 20))
 
 
@@ -73,8 +78,8 @@ def _conj_operands(workloads, flavor: str, case: str, n1: int, n2: int):
 
 
 def _reference_conjunction(p, q, flavor: str, reachable: bool):
-    product = _conj_product(p, q, flavor, reachable)
-    return _prune(product, _inconsistent(product), reachable)
+    product = CONJ_PRODUCT[flavor](p, q, reachable=reachable)
+    return _prune(product, INCONSISTENT[flavor](product), reachable)
 
 
 def _same_conjunction(new, ref) -> None:
@@ -128,8 +133,9 @@ def test_testkit_conjunctions_match_the_eager_path(flavor):
 
 
 def _reference_composition(p1, p2, flavor: str):
-    product = _parallel_product(p1, p2, flavor)
-    return _prune_incompatible(product, _incompatible(product, p1, p2),
+    product = PARALLEL_PRODUCT[flavor](p1, p2)
+    return _prune_incompatible(product,
+                               INCOMPATIBLE[flavor](product, p1, p2),
                                f"{p1.name}_par_{p2.name}")
 
 
@@ -239,17 +245,15 @@ def error_tests(monkeypatch):
     return tests
 
 
-def _counting(monkeypatch, name: str) -> list:
-    """The calls of ``name`` from every operator module that imports it."""
+def _counting(monkeypatch, function) -> list:
+    """The calls of the operator ``function`` made through its module."""
     calls = []
-    real = getattr(mia_ops, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
-    for module in (mia_ops, ia_ops, dmts_ops):
-        if getattr(module, name, None) is real:
-            monkeypatch.setattr(module, name, spy)
+        return function(*args, **kwargs)
+    monkeypatch.setattr(sys.modules[function.__module__], function.__name__,
+                        spy)
     return calls
 
 
@@ -257,7 +261,7 @@ def _counting(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("reachable", (False, True))
 def test_an_inconsistent_root_builds_the_product_only_when_read(
         workloads, monkeypatch, rule_calls, walks, case, reachable):
-    fixpoints = _counting(monkeypatch, "_inconsistent")
+    fixpoints = _counting(monkeypatch, mia_ops.mia_inconsistent)
     p, q = _conj_operands(workloads, MIA, case, 50, 50)
     conj = mia_ops.mia_conjoin(p, q, reachable=reachable)
     assert not conj.defined
@@ -323,8 +327,8 @@ def test_a_defined_conjunction_runs_each_pair_rule_once(
                                      mia_ops.mia_parallel_compose))
 def test_a_refused_composition_builds_the_product_only_when_read(
         workloads, monkeypatch, walks, par_runs, error_tests, compose):
-    checks = _counting(monkeypatch, "_incompatible")
     flavor = IA if compose is ia_ops.ia_parallel_compose else MIA
+    checks = _counting(monkeypatch, INCOMPATIBLE[flavor])
     p1, p2 = workloads.compose_pair(flavor, "refused", 50, 50,
                                     random.Random("early-pin"))
     comp = compose(p1, p2)

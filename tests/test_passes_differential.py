@@ -32,12 +32,14 @@ import pytest
 
 from mialib import dmts_ops, ia_ops, mia_ops
 from mialib.frontend import export_dot, parse, serialize
-from mialib.mia_ops import _conj_product, _error_rule, _inconsistent, _prune
+from mialib.mia_ops import _error_rule, _prune
 from mialib.model import (DMTS, IA, MIA, TAU, EmptiedMustError, IdTable,
                           atom, make_automaton, make_ia, remove_states)
 from mialib.testkit import gen_composable_pair, gen_pair, gen_random
 
-from test_early_decision_differential import BENCH, SIZES
+from test_early_decision_differential import (BENCH, CONJ_PRODUCT,
+                                              INCOMPATIBLE, INCONSISTENT,
+                                              PARALLEL_PRODUCT, SIZES)
 
 SEEDS = 40
 CONJOIN = {DMTS: dmts_ops.dmts_conjoin, MIA: mia_ops.mia_conjoin}
@@ -327,9 +329,9 @@ def test_shrunk_musts_of_one_state_and_label_merge(flavor):
 def test_untouched_edges_are_the_sources_own_objects(workloads):
     p, q = workloads.conj_pair(MIA, "partial", 40, 40,
                                random.Random("passes|mia|40|40|0"))
-    product = _conj_product(p, q, MIA, False)
+    product = mia_ops.mia_conj_product(p, q)
     aut = product.automaton
-    dead = _inconsistent(product).members
+    dead = mia_ops.mia_inconsistent(product).members
     new = _same_removal(aut, dead)
     assert 0 < len(new.may) < len(aut.may) and 0 < len(new.must) < len(aut.must)
     assert sum(edge in aut.must for edge in new.must) < len(new.must)
@@ -343,8 +345,8 @@ def test_partial_conjunctions_match_the_former_pruning(workloads, flavor):
             rng = random.Random(f"passes|{flavor}|{n1}|{n2}|{seed}")
             p, q = workloads.conj_pair(flavor, "partial", n1, n2, rng)
             for reachable in (False, True):
-                product = _conj_product(p, q, flavor, reachable)
-                bad = _inconsistent(product)
+                product = CONJ_PRODUCT[flavor](p, q, reachable=reachable)
+                bad = INCONSISTENT[flavor](product)
                 aut = product.automaton
                 assert bad.members and aut.initial not in bad.members
                 conj = CONJOIN[flavor](p, q, reachable=reachable)
@@ -368,8 +370,8 @@ def test_testkit_results_print_as_before(flavor):
                 results = [ia_ops.ia_conjoin(p, q, reachable=reachable)]
             else:
                 conj = CONJOIN[flavor](p, q, reachable=reachable)
-                product = _conj_product(p, q, flavor, reachable)
-                ref = _prune(product, _inconsistent(product), reachable)
+                product = CONJ_PRODUCT[flavor](p, q, reachable=reachable)
+                ref = _prune(product, INCONSISTENT[flavor](product), reachable)
                 assert conj.automaton == ref.automaton
                 results = [conj.automaton] if conj.defined else []
             for aut in results:
@@ -380,10 +382,10 @@ def test_testkit_results_print_as_before(flavor):
 # The incompatibility closure
 
 
-def _same_incompatibility(comp, p1, p2) -> None:
+def _same_incompatibility(comp, p1, p2, flavor: str) -> None:
     ref = old_incompatible(comp.product, p1, p2)
     assert comp.incompatibility == ref
-    assert mia_ops._incompatible(comp.product, p1, p2) == ref
+    assert INCOMPATIBLE[flavor](comp.product, p1, p2) == ref
 
 
 @pytest.mark.parametrize("flavor", (IA, MIA))
@@ -393,8 +395,8 @@ def test_refused_compositions_match_the_former_closure(workloads, flavor):
         p1, p2 = workloads.compose_pair(flavor, "refused", n1, n2, rng)
         comp = COMPOSE[flavor](p1, p2)
         assert not comp.compatible
-        _same_incompatibility(comp, p1, p2)
-        assert comp.product == mia_ops._parallel_product(p1, p2, flavor)
+        _same_incompatibility(comp, p1, p2, flavor)
+        assert comp.product == PARALLEL_PRODUCT[flavor](p1, p2)
         assert len(comp.incompatibility.incompatible) > 1
 
 
@@ -405,7 +407,7 @@ def test_testkit_compositions_match_the_former_closure(flavor):
         p1, p2 = gen_composable_pair(flavor, seed, max_states=6,
                                      transition_density=0.6)
         comp = COMPOSE[flavor](p1, p2)
-        _same_incompatibility(comp, p1, p2)
+        _same_incompatibility(comp, p1, p2, flavor)
         if comp.compatible:
             _same_printed(comp.automaton)
         refused += not comp.compatible

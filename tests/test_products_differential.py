@@ -26,11 +26,12 @@ from types import SimpleNamespace
 import pytest
 
 from mialib import ia_ops, mia_ops, model
-from mialib.dmts_ops import dmts_conj_product, dmts_disjoin
-from mialib.ia_ops import ia_conjoin, ia_disjoin, ia_parallel_product
-from mialib.mia_ops import (ConjunctiveProduct, _incompatible, _inconsistent,
-                            _prune, _prune_incompatible, composed_alphabets,
-                            mia_conj_product, mia_disjoin,
+from mialib.dmts_ops import dmts_conj_product, dmts_disjoin, dmts_inconsistent
+from mialib.ia_ops import (ia_conjoin, ia_disjoin, ia_incompatible,
+                           ia_parallel_product)
+from mialib.mia_ops import (ConjunctiveProduct, _prune, _prune_incompatible,
+                            composed_alphabets, mia_conj_product, mia_disjoin,
+                            mia_incompatible, mia_inconsistent,
                             mia_parallel_product)
 from mialib.model import (DMTS, IA, MIA, TAU, IdTable, ModalAutomaton,
                           StateId, StateNameCollisionError, explore_pairs,
@@ -387,6 +388,7 @@ def _check_table(tables, names: str, reachable: bool, pair_states) -> None:
 
 
 CONJUNCTIONS = {DMTS: dmts_conj_product, MIA: mia_conj_product}
+INCONSISTENT = {DMTS: dmts_inconsistent, MIA: mia_inconsistent}
 
 
 def _same_product(new: ConjunctiveProduct, old: ConjunctiveProduct) -> None:
@@ -408,7 +410,8 @@ def test_conjunctive_products_match_the_former_code(flavor, tables):
             old = old_conj_product(p, q, flavor, reachable)
             _same_product(new, old)
             _check_table(tables, names, reachable, new.pairs)
-            bad_new, bad_old = _inconsistent(new), _inconsistent(old)
+            inconsistent = INCONSISTENT[flavor]
+            bad_new, bad_old = inconsistent(new), inconsistent(old)
             assert bad_new == bad_old
             assert bad_new.provenance == bad_old.provenance
             pruned = _prune(new, bad_new, reachable).automaton
@@ -449,6 +452,7 @@ def test_ia_conjunction_and_disjunction_match_the_former_code(op, old_op, tables
 
 
 PARALLEL = {IA: ia_parallel_product, MIA: mia_parallel_product}
+INCOMPATIBLE = {IA: ia_incompatible, MIA: mia_incompatible}
 
 
 @pytest.mark.parametrize("flavor", (IA, MIA))
@@ -461,7 +465,8 @@ def test_parallel_products_match_the_former_code(flavor, tables):
         assert new == old
         assert len(tables.built) == len(new.states)
         tables.built.clear()
-        inc_new, inc_old = _incompatible(new, p1, p2), _incompatible(old, p1, p2)
+        incompatible = INCOMPATIBLE[flavor]
+        inc_new, inc_old = incompatible(new, p1, p2), incompatible(old, p1, p2)
         assert inc_new == inc_old
         assert inc_new.provenance == inc_old.provenance
         name = f"{p1.name}_par_{p2.name}"
