@@ -29,9 +29,12 @@ previous declaration, and for a :class:`ParseError`.
 A document in the exact layout :func:`serialize` writes, with atom names
 only, is read without lexing: one compiled pattern for the header and one
 for each transition line.  It gives the same automaton, spans and ids as
-the token parser.  Its state set is the names it has read, and the spans of
-its transition lines are computed on first access, which
-:func:`validate_document` makes only when there is a violation to place.
+the token parser.  The lines are read in bulk, in any order: each name's
+atom is built once, and the edges of each kind of line by one
+comprehension.  Its state set is the names it has read.  Its transition
+lines are matched again, and their edges built in line order for their
+spans, only when the spans are first read, which :func:`validate_document`
+does only when there is a violation to place.
 Anything that does not match exactly, or that the token parser would read
 differently or reject, is read by the token parser instead, so every
 :class:`ParseError` comes from one place.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, compress, filterfalse
+from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
 
@@ -128,28 +132,36 @@ class SourceDocument:
     """A parsed file: the automaton, and the line and column where each
     declaration starts, keyed as a ``Violation.subject`` names it.
 
-    The plain reader hands its transitions over unplaced: ``edges`` holds
-    the edge of each transition line, in order from line ``first_line``.
-    They enter ``spans`` when it is first read, each at column 3 of its
-    line, so a declaration repeated on a later line is placed there, as
-    the token parser places it.
+    The plain reader hands its transitions over unplaced: ``text`` is the
+    document, whose transition lines start at offset ``start``, and ``ids``
+    holds the atom of each name.  The lines are matched again, and their
+    edges built in line order, only when ``spans`` is first read.  Each
+    enters it at column 3 of its line, so a declaration repeated on a later
+    line is placed there, as the token parser places it.
     """
 
-    __slots__ = ("automaton", "_spans", "_edges", "_first_line")
+    __slots__ = ("automaton", "_spans", "_text", "_start", "_ids")
 
     def __init__(self, automaton: ModalAutomaton, spans: dict,
-                 edges: list | tuple = (), first_line: int = 0):
+                 text: str = "", start: int = 0, ids: dict | None = None):
         self.automaton = automaton
-        self._spans, self._edges, self._first_line = spans, edges, first_line
+        self._spans, self._text, self._start, self._ids = spans, text, start, ids
 
     @property
     def spans(self) -> dict:
-        if self._edges:
-            spans = self._spans
-            # a must's targets are a frozenset, a may's target a StateId
-            for line, edge in enumerate(self._edges, self._first_line):
-                spans["must" if type(edge[2]) is frozenset else "may", *edge] = (line, 3)
-            self._edges = ()
+        if self._text:
+            spans, get, text = self._spans, self._ids.__getitem__, self._text
+            inputs = self.automaton.alphabet.inputs
+            rows = _PLAIN_LINE.findall(text, self._start, len(text) - 2)
+            # the header lines are placed, one span each; the rows follow
+            for line, (modality, src, label, tgt, tset) in enumerate(rows, len(spans) + 1):
+                if modality == "must" or not modality and label in inputs:
+                    key = ("must", get(src), label,
+                           frozenset(map(get, (tset or tgt).split(", "))))
+                else:
+                    key = ("may", get(src), label, get(tgt))
+                spans[key] = (line, 3)
+            self._text = ""
         return self._spans
 
 
@@ -382,6 +394,7 @@ _PLAIN_HEAD = re.compile(
 # target or a set of them.
 _PLAIN_LINE = re.compile(r"^  (?:(may|must) )?(\w+) -(\w+)-> "
                          r"(?:(\w+)|\{(\w+(?:, \w+)*)\});\n", re.M)
+_SOURCE, _LABEL, _TARGET, _TARGET_SET = map(itemgetter, range(1, 5))
 
 
 def _plain_document(text: str) -> SourceDocument | None:
@@ -389,6 +402,8 @@ def _plain_document(text: str) -> SourceDocument | None:
     atom names only, and the token parser would read it the same way.
 
     Anything else returns None, and the token parser reads the document.
+    The rows are split into musts and mays, so the lines may come in any
+    order, and each kind's edges are built by one comprehension.
     """
     head = _PLAIN_HEAD.match(text)
     if head is None or not text.endswith("\n}\n"):
@@ -414,39 +429,44 @@ def _plain_document(text: str) -> SourceDocument | None:
         return None
     # the header lines so far hold one span each
     spans[("initial",)] = (len(spans) + 1, 3)
-    ids = IdTable(atom)
-    initial = ids[init]
-    may: set = set()
-    must: set = set()
-    edges: list = []
-    for modality, src, label, tgt, tset in rows:
-        src = ids[src]
-        if not modality:
-            if flavor != IA:
-                return None
-            modality = "must" if label in inputs else "may"
-        if modality == "may":
-            if tset:
-                return None
-            edge = (src, label, ids[tgt])
-            may.add(edge)
-        elif label == TAU or tset and flavor == IA:
+
+    # a bare line (IA files only) is a must exactly on an input
+    if flavor == IA:
+        must_rows = [row for row in rows
+                     if row[0] == "must" or not row[0] and row[2] in inputs]
+        may_rows = [row for row in rows
+                    if row[0] == "may" or not row[0] and row[2] not in inputs]
+    else:
+        must_rows = [row for row in rows if row[0] == "must"]
+        may_rows = [row for row in rows if row[0] == "may"]
+        if len(must_rows) + len(may_rows) != len(rows):
             return None
-        else:
-            targets = frozenset([ids[t] for t in tset.split(", ")] if tset else [ids[tgt]])
-            edge = (src, label, targets)
-            must.add(edge)
-            if label in inputs:
-                may.update([(src, label, t) for t in targets])
-        edges.append(edge)
-    # a name that is a modality keyword can read as one
-    if "may" in ids or "must" in ids:
+    # a may takes one target, so does an IA must, and no must is silent
+    if (any(map(_TARGET_SET, may_rows)) or TAU in map(_LABEL, must_rows)
+            or flavor == IA and any(map(_TARGET_SET, must_rows))):
         return None
     # every name the initial line or a row mentions is a state, and only those
+    names = {init, *map(_SOURCE, rows), *map(_TARGET, rows),
+             *", ".join(filter(None, map(_TARGET_SET, must_rows))).split(", ")}
+    names.discard("")  # the single target of a row with a set target
+    # a name that is a modality keyword can read as one
+    if "may" in names or "must" in names:
+        return None
+    ids = {name: atom(name) for name in names}
+    get = ids.__getitem__
+    # sets, which the automaton freezes at their size: a frozenset grown from
+    # a list can keep twice the table
+    must = {(ids[src], label, frozenset(map(get, tset.split(", "))) if tset
+             else frozenset((ids[tgt],)))
+            for _, src, label, tgt, tset in must_rows}
+    # the printed mays, and the input mays the musts imply
+    may = {(ids[src], label, ids[tgt]) for _, src, label, tgt, _ in may_rows}
+    may.update([(src, label, tgt) for src, label, targets in must
+                if label in inputs for tgt in targets])
     automaton = ModalAutomaton(flavor=flavor, name=name, alphabet=Alphabet(inputs, outputs),
-                               states=frozenset(ids.values()), initial=initial,
+                               states=frozenset(ids.values()), initial=ids[init],
                                may=may, must=must)
-    return SourceDocument(automaton, spans, edges, len(spans) + 1)
+    return SourceDocument(automaton, spans, text, start, ids)
 
 
 def parse_document(text: str) -> SourceDocument:

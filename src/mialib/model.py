@@ -124,10 +124,11 @@ class StateId(str):
     a disjunction ``l|r`` or a tagged id ``l@T`` (used both for disjoint
     renaming and for universal states ``u@Name``).  ``kind`` and ``parts``
     keep that structure, and distinct structures render to distinct
-    strings.  Each kind has one renderer: :func:`_render` for atoms and
-    tags, and :func:`_pair_of`, :func:`_wedge_of` and :func:`_vee_of`, the
-    builders the products key by component pair, for the other three;
-    ``StateId(kind, parts)`` hands those kinds to their builder.
+    strings.  Each kind has one renderer: :func:`_render` for tags, and one
+    builder for each other kind: :func:`atom`, and :func:`_pair_of`,
+    :func:`_wedge_of` and :func:`_vee_of`, which the products key by
+    component pair; ``StateId(kind, parts)`` hands those kinds to their
+    builder.
 
     The id is a ``str`` whose value is its canonical text, so it hashes,
     compares and sorts exactly as that text does, with the built-in string
@@ -145,8 +146,8 @@ class StateId(str):
     TAG = "tag"
 
     def __new__(cls, kind: str, parts: tuple):
-        if kind in _COMPOSITES:
-            return _COMPOSITES[kind](parts)
+        if kind in _BUILDERS:
+            return _BUILDERS[kind](parts)
         text = _render(kind, parts)
         self = str.__new__(cls, text)
         _set_kind(self, kind)
@@ -172,10 +173,8 @@ _set_text = StateId.text.__set__
 
 
 def _render(kind: str, parts: tuple) -> str:
-    """The text of an atom or a tagged id.  Pair, wedge and vee ids have
-    one builder each, below, which ``StateId.__new__`` hands them to."""
-    if kind == StateId.ATOM:
-        return parts[0]
+    """The text of a tagged id.  Every other kind has one builder, below,
+    which ``StateId.__new__`` hands it to."""
     if kind == StateId.TAG:
         inner, tag = parts
         if inner.kind in _GROUPED:  # wedge and vee ids are grouped
@@ -184,15 +183,19 @@ def _render(kind: str, parts: tuple) -> str:
     raise ValueError(f"unknown state id kind {kind!r}")
 
 
-def atom(name: str) -> StateId:
-    return StateId(StateId.ATOM, (name,))
-
-
-# Pair, wedge and vee ids are built here from their component pair, for the
-# products and for ``StateId.__new__`` alike: the text is rendered and the
-# slots filled without ``__new__``'s dispatch.
+# Atom, pair, wedge and vee ids are built here, for the readers, the
+# products and ``StateId.__new__`` alike: the text is rendered and the slots
+# filled without ``__new__``'s dispatch.
 _new_str = str.__new__
 _GROUPED = (StateId.WEDGE, StateId.VEE)
+
+
+def atom(name: str) -> StateId:
+    sid = _new_str(StateId, name)
+    _set_kind(sid, StateId.ATOM)
+    _set_parts(sid, (name,))
+    _set_text(sid, name)
+    return sid
 
 
 def _pair_of(key: tuple) -> StateId:
@@ -224,8 +227,8 @@ def _junction_of(kind: str, mark: str):
 
 _wedge_of = _junction_of(StateId.WEDGE, "&")
 _vee_of = _junction_of(StateId.VEE, "|")
-_COMPOSITES = {StateId.PAIR: _pair_of, StateId.WEDGE: _wedge_of,
-               StateId.VEE: _vee_of}
+_BUILDERS = {StateId.ATOM: lambda parts: atom(*parts), StateId.PAIR: _pair_of,
+             StateId.WEDGE: _wedge_of, StateId.VEE: _vee_of}
 
 
 def pair_id(left: StateId, right: StateId) -> StateId:

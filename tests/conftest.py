@@ -80,3 +80,32 @@ PRIVATE_OPERATOR_NAMES = {
                             "the pairs it reaches and no other",
     },
 }
+
+
+# The private names of ``mialib.frontend`` that a test file may import, read
+# as ``frontend._name`` or patch, each with its reason: the tests that
+# compare one private part with another.  Every other test reads documents
+# through ``parse``, ``parse_document`` and ``validate_document``, and
+# ``tests/test_private_names.py`` guards these grants as it guards the
+# operator modules' ones.
+_READERS = ("the plain reader is compared with the token parser on every "
+            "document it accepts, and the token parser is patched to "
+            "refuse or record its calls where a document must not reach it")
+PRIVATE_FRONTEND_NAMES = {
+    "test_frontend_plain.py": {
+        "frontend._plain_document": _READERS,
+        "frontend._Parser": _READERS,
+    },
+    "test_frontend.py": {
+        "frontend._Parser": "the operator bound: a refused name leaves no "
+                            "composite id built past the bound in the "
+                            "parser's table",
+    },
+    "test_model.py": {
+        "frontend._plain_document": "the atom pins compare the atoms each "
+                                    "reader builds with those of ``atom`` "
+                                    "and ``StateId``",
+        "frontend._Parser": "the atom pins compare the atoms each reader "
+                            "builds with those of ``atom`` and ``StateId``",
+    },
+}

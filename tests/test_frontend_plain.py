@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +25,17 @@ from mialib.model import DMTS, FLAVORS, IA, MIA, atom, make_automaton, pair_id, 
 from mialib.testkit import gen_pair, gen_random
 from test_validate_differential import _mutants
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _outcome(read, text: str):
     try:
-        aut, spans = read(text)
+        return _fields(*read(text))
     except ParseError as err:
         return ("error", err.message, err.line, err.col)
+
+
+def _fields(aut, spans) -> tuple:
     return (aut.flavor, aut.name, aut.alphabet, aut.initial, aut.states,
             aut.may, aut.must, spans)
 
@@ -337,3 +343,47 @@ def test_invalid_plain_documents_place_violations_as_the_token_parser_does():
         checked += bool(expected)
         placed += sum(at is not None for _, at in expected)
     assert checked >= 200 and placed >= 400, (checked, placed)
+
+
+def _shuffled(text: str, rng: random.Random) -> str:
+    """``text`` with its transition lines in a seeded order."""
+    lines = text.split("\n")
+    found = _lines(text, "  ")
+    rows = [lines[k] for k in found]
+    rng.shuffle(rows)
+    for k, row in zip(found, rows):
+        lines[k] = row
+    return "\n".join(lines)
+
+
+def _benchmark_texts(workdir: Path) -> list[str]:
+    """The ``files`` workload's inputs at pool index 0 of each flavor."""
+    import workloads
+    texts = []
+    for flavor, n in workloads.FILES_SIZES["full"].items():
+        paths = workloads.files_inputs(flavor, n, 0, workdir)
+        texts += [Path(path).read_text(encoding="utf-8") for path in paths.values()]
+    return texts
+
+
+def test_bulk_reader_agrees_on_the_benchmark_inputs_in_any_line_order(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    rng = random.Random(42)
+    inputs = _benchmark_texts(tmp_path)
+    corpus = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.*"))]
+    corpus = [text for text in corpus if _plain_document(text) is not None]
+    sources = inputs + [text for text in corpus for _ in range(3)]
+    shuffled = [_shuffled(text, rng) for text in sources]
+    texts = inputs + corpus + shuffled
+    expected = [_tokens(text) for text in texts]
+    monkeypatch.setattr(frontend, "_Parser", _Refused)
+    for text, want in zip(texts, expected):
+        got = _parsed(text)
+        assert _fields(*got) == _fields(*want)
+        # the spans in line order, and one id object per name
+        assert list(got[1].items()) == list(want[1].items())
+        assert _ids(*got) == _ids(*want)
+        assert all(len(objs) == 1 for objs in _ids(*got).values())
+    reordered = sum(map(str.__ne__, shuffled, sources))
+    assert len(inputs) == 11 and len(corpus) >= 10 and reordered >= 40, (
+        len(inputs), len(corpus), reordered)

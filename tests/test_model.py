@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import can_weak, weak_hat_succ
 from mialib import dmts_ops, ia_ops, mia_ops, model, testkit
-from mialib.frontend import parse, serialize
+from mialib.frontend import _Parser, _plain_document, parse, serialize
 from mialib.refinement import dmts_refines, equiv, holds, refines
 from mialib.model import (DMTS, IA, MIA, TAU, Alphabet, EmptiedMustError,
                           FlavorMismatchError, IdTable, MialibError,
@@ -40,6 +40,25 @@ def test_state_id_rendering():
     assert wedge_id(atom("a"), vee_id(atom("b"), atom("c"))).text == "a&(b|c)"
     assert wedge_id(pair_id(atom("a"), atom("b")), atom("c")).text == "(a,b)&c"
     assert tagged_id(wedge_id(atom("a"), atom("b")), "L").text == "(a&b)@L"
+
+
+@pytest.mark.parametrize("name", ["s0", "é", "x²", "tau", "initial", "u"])
+def test_every_atom_builder_agrees(name):
+    text = f"mia A {{\n  inputs: ;\n  outputs: o;\n  initial {name};\n}}\n"
+    plain = _plain_document(text)
+    assert plain is not None
+    built = [atom(name), StateId(StateId.ATOM, (name,)),
+             plain.automaton.initial, _Parser(text).document()[0].initial]
+    for sid in built:
+        assert type(sid) is StateId and type(sid.text) is str
+        assert (sid.kind, sid.parts, sid.text) == (StateId.ATOM, (name,), name)
+        assert sid == name and hash(sid) == hash(name) and str(sid) == name
+        assert {sid: 1}[name] == 1
+        # a tagged atom renders as before
+        assert tagged_id(sid, "L").text == f"{name}@L"
+        assert tagged_id(sid, "L").parts[0] is sid
+    with pytest.raises(ValueError, match="unknown state id kind 'nope'"):
+        StateId("nope", (name,))
 
 
 _small_ids = st.recursive(
